@@ -232,7 +232,12 @@ def _cmd_eval_p(args, tol):
     prob = parse_bundle(args.bundle, tol)
     X = parse_matrix(args.X, tol=tol)
     pe = eval_p(prob, X, tol, max_iter=args.max_iter, seed=args.seed)
-    out = {"value": pe.value, "status": pe.status, "iters": pe.iters}
+    out = {
+        "value": pe.value,
+        "status": pe.status,
+        "iters": pe.iters,
+        "path": pe.path,
+    }
     if pe.V is not None:
         out["V"] = pe.V
     if pe.unbounded_direction is not None:

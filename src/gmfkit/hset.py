@@ -334,19 +334,44 @@ def member(S: ConvexSetSpec, V: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bo
     raise TypeError(f"unknown set variant {type(S).__name__}")
 
 
+def spectral_caps(S: ConvexSetSpec):
+    """(cap, total) such that S intersect PSD has the eigenvalues
+    {0 <= lambda_i <= cap, sum lambda_i <= total}, or None when S is not
+    a spectral set.
+
+    This is the one place that describes the spectral variants: the box
+    gives (hi, inf), the trace ball (inf, r), the Fantope (1, k).  A box
+    with lo > 0 also bounds the eigenvalues from below; its callers only
+    use points with every eigenvalue at the cap, where that bound holds.
+    A box with hi < 0 misses the PSD cone, signalled by cap < 0.
+    """
+    if isinstance(S, SpectralBox):
+        return S.hi, np.inf
+    if isinstance(S, TraceBall):
+        return np.inf, S.r
+    if isinstance(S, Fantope):
+        return 1.0, float(S.k)
+    return None
+
+
 def _project_capped_simplex(w, cap, total):
-    """Project eigenvalues onto {0 <= x <= cap, sum x <= total}."""
+    """Project w onto {0 <= x <= cap, sum x <= total} (total >= 0).
+
+    The projection is clip(w - tau, 0, cap) for some tau >= 0.  When the
+    budget binds, tau solves g(tau) = sum clip(w - tau, 0, cap) = total;
+    g is nonincreasing and linear between the sorted breakpoints w_i and
+    w_i - cap, so tau is interpolated exactly on the piece where g
+    crosses the budget."""
     x = np.clip(w, 0.0, cap)
     if x.sum() <= total:
         return x
-    lo, hi = 0.0, float(np.max(w))
-    for _ in range(100):
-        theta = 0.5 * (lo + hi)
-        if np.clip(w - theta, 0.0, cap).sum() > total:
-            lo = theta
-        else:
-            hi = theta
-    return np.clip(w - hi, 0.0, cap)
+    bp = np.concatenate([[0.0], w, w - cap])
+    bp = np.unique(bp[np.isfinite(bp) & (bp >= 0.0)])
+    g = np.clip(w[None, :] - bp[:, None], 0.0, cap).sum(axis=1)
+    j = int(np.argmax(g <= total))  # g(0) > total >= g(max w) = 0, so j >= 1
+    a, b = bp[j - 1], bp[j]
+    tau = a + (g[j - 1] - total) * (b - a) / (g[j - 1] - g[j])
+    return np.clip(w - tau, 0.0, cap)
 
 
 def project(S: ConvexSetSpec, V: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -357,12 +382,9 @@ def project(S: ConvexSetSpec, V: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> n
     if isinstance(S, SpectralBox):
         w, Q = sym_eig(V)
         return (Q * np.clip(w, S.lo, S.hi)) @ Q.T
-    if isinstance(S, TraceBall):
+    if isinstance(S, (TraceBall, Fantope)):
         w, Q = sym_eig(V)
-        return (Q * _project_capped_simplex(w, np.inf, S.r)) @ Q.T
-    if isinstance(S, Fantope):
-        w, Q = sym_eig(V)
-        return (Q * _project_capped_simplex(w, 1.0, float(S.k))) @ Q.T
+        return (Q * _project_capped_simplex(w, *spectral_caps(S))) @ Q.T
     if isinstance(S, Hull):
         w = _hull_weights(S, V)
         return sym(sum(wi * U for wi, U in zip(w, S.points)))

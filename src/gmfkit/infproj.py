@@ -1,7 +1,8 @@
 """Infimal projection p(X) = inf_V phi(X, V) + h(V) and its calculus.
 
-Provides the primal evaluator (an analytic square-root formula in the
-weighted nuclear norm case, projected subgradient descent otherwise),
+Provides the primal evaluator (closed forms for spectral indicator sets
+and for the weighted nuclear norm, projected subgradient descent
+otherwise),
 the conjugate p* through the lifted set Omega(A, B), Fenchel
 subgradient certificates, and the constraint-qualification report.
 """
@@ -39,6 +40,7 @@ from .hset import (
     project,
     psd_cap_nonempty,
     psd_cap_support,
+    spectral_caps,
     support,
 )
 from .numlin import DEFAULT_TOL, Tolerances, max_eig, min_eig, psd_sqrt, range_contains, sym
@@ -70,6 +72,8 @@ class InfProjEval:
     (value -inf).  V is the (approximate) inner minimizer, Y the
     maximizer of the underlying saddle, both None when not finite.
     When unbounded, unbounded_direction is a certified descent ray.
+    path names how the value was reached: "spectral" or
+    "weighted_nuclear" (closed forms, iters = 0) or "descent".
     """
 
     value: float
@@ -78,6 +82,7 @@ class InfProjEval:
     status: str = "finite"
     iters: int = 0
     unbounded_direction: np.ndarray | None = None
+    path: str = "descent"
 
 
 @dataclass
@@ -136,32 +141,10 @@ def _h_subgrad(h: HSpec, V: np.ndarray, tol: Tolerances) -> np.ndarray:
     return W
 
 
-_CANDIDATE_CACHE: dict = {}
-
-
-def _candidate_key(prob: InfProjProblem, n_random: int):
-    import hashlib
-    import json
-
-    from .hset import hspec_to_json
-
-    payload = (
-        prob.pd.A.tobytes()
-        + prob.pd.B.tobytes()
-        + json.dumps(hspec_to_json(prob.h), sort_keys=True).encode()
-        + bytes([n_random % 251])
-    )
-    return hashlib.md5(payload).hexdigest()
-
-
 def _start_candidates(
     prob: InfProjProblem, rng: np.random.Generator, n_random: int = 40
 ):
     """Points of dom h worth trying as descent starts / domain witnesses."""
-    key = _candidate_key(prob, n_random)
-    cached = _CANDIDATE_CACHE.get(key)
-    if cached is not None:
-        return cached
     n = prob.pd.n
     h = prob.h
     tol = prob.tol
@@ -196,7 +179,6 @@ def _start_candidates(
             continue
         seen.add(tag)
         out.append(V)
-    _CANDIDATE_CACHE[key] = out
     return out
 
 
@@ -208,27 +190,98 @@ def _objective(prob: InfProjProblem, X: np.ndarray, V: np.ndarray, tol: Toleranc
     return ge.value + hv, ge
 
 
+def _water_fill(s: np.ndarray, cap: float, total: float) -> np.ndarray:
+    """Minimizer of sum s_i^2 / (2 lam_i) over 0 <= lam <= cap,
+    sum lam <= total, for s >= 0 sorted in descending order.
+
+    KKT gives lam_i = min(cap, s_i / theta).  With a slack budget
+    theta = 0 and every lam_i with s_i > 0 sits at the cap (every lam_i
+    when there is no budget).  Otherwise t = 1/theta solves
+    g(t) = sum min(cap, s_i t) = total.  g is the minimum of its linear
+    pieces c * cap + t * (s_c + s_{c+1} + ...), capping the c largest
+    entries, so the root is the largest root over the pieces."""
+    if np.isinf(total):
+        return np.full(s.size, cap)
+    lam = np.zeros(s.size)
+    p = int(np.count_nonzero(s))
+    if p == 0:
+        return lam
+    if p * cap <= total:
+        lam[:p] = cap
+        return lam
+    tails = np.cumsum(s[:p][::-1])[::-1]
+    if np.isinf(cap):
+        t = total / tails[0]
+    else:
+        room = total - cap * np.arange(p)
+        fits = room > 0.0
+        t = float(np.max(room[fits] / tails[fits]))
+    lam[:p] = np.minimum(cap, s[:p] * t)
+    return lam
+
+
+def _spectral_path(
+    prob: InfProjProblem, X: np.ndarray, tol: Tolerances
+) -> InfProjEval | None:
+    """Exact p(X) for h = delta_S with S a spectral set and no equality
+    constraint.
+
+    p then depends only on the singular values s of X = U diag(s) W^T
+    (Lewis's transfer principle): V = U diag(lam) U^T with lam from the
+    water-filling rule over the eigenvalues of S intersect PSD, and
+    Y = V^+ X = U diag(s / lam) W^T."""
+    h = prob.h
+    if not (isinstance(h, Indicator) and _is_unconstrained(prob.pd)):
+        return None
+    caps = spectral_caps(h.set)
+    if caps is None:
+        return None
+    cap, total = caps
+    if cap < 0.0:  # S misses the PSD cone
+        return InfProjEval(np.inf, status="infeasible", path="spectral")
+    n = X.shape[0]
+    U, s, Wt = np.linalg.svd(X)
+    k = s.size
+    sn = np.zeros(n)
+    sn[:k] = s
+    lam = _water_fill(sn, cap, total)
+    live = lam > 0.0
+    # the range condition rge X in rge V, with eval_gmf's slack
+    if np.linalg.norm(sn[~live]) > tol.feas_abs * (1.0 + np.linalg.norm(s)):
+        return InfProjEval(np.inf, status="infeasible", path="spectral")
+    ratio = np.divide(sn, lam, out=np.zeros(n), where=live)
+    return InfProjEval(
+        0.5 * float(np.sum(sn * ratio)),
+        V=(U * lam) @ U.T,
+        Y=(U[:, :k] * ratio[:k]) @ Wt[:k],
+        path="spectral",
+    )
+
+
 def _weighted_nuclear_fast_path(
     prob: InfProjProblem, X: np.ndarray, tol: Tolerances
 ) -> InfProjEval | None:
-    """Exact minimizer V* = U^{-1/2}(U^{1/2} (XX^T/2) U^{1/2})^{1/2} U^{-1/2}
-    for linear h with positive definite slope and no equality constraint."""
+    """p(X) = |L X|_* with L = (2U)^{1/2}, for linear h with positive
+    definite slope U and no equality constraint.
+
+    From one eigendecomposition of U and one SVD L X = Q diag(s) W^T:
+    the minimizer V* = U^{-1/2}(U^{1/2} (XX^T/2) U^{1/2})^{1/2} U^{-1/2}
+    = U^{-1/2} Q diag(s/2) Q^T U^{-1/2} and the maximizer Y = L Q W^T."""
     h = prob.h
     if not (isinstance(h, Linear) and _is_unconstrained(prob.pd)):
         return None
-    U = h.U
-    lam = np.linalg.eigvalsh(U)
-    if lam[0] <= tol.psd_abs * (1.0 + lam[-1]):
+    mu, E = np.linalg.eigh(h.U)
+    if mu[0] <= tol.psd_abs * (1.0 + mu[-1]):
         return None
-    Rm = psd_sqrt(U)
-    Rinv = np.linalg.inv(Rm)
-    C = psd_sqrt(Rm @ (0.5 * X @ X.T) @ Rm)
-    Vstar = sym(Rinv @ C @ Rinv)
-    ge = eval_gmf(prob.pd, X, Vstar, tol)
-    if not np.isfinite(ge.value):
-        return None
-    value = ge.value + float(np.sum(U * Vstar))
-    return InfProjEval(value, V=Vstar, Y=ge.witness_Y, status="finite", iters=0)
+    L = (E * np.sqrt(2.0 * mu)) @ E.T
+    Q, s, Wt = np.linalg.svd(L @ X)
+    k = s.size
+    Rinv_Q = (E / np.sqrt(mu)) @ (E.T @ Q[:, :k])
+    Vstar = sym((Rinv_Q * (0.5 * s)) @ Rinv_Q.T)
+    Y = L @ Q[:, :k] @ Wt[:k]
+    return InfProjEval(
+        float(np.sum(s)), V=Vstar, Y=Y, status="finite", path="weighted_nuclear"
+    )
 
 
 def eval_p(
@@ -240,16 +293,27 @@ def eval_p(
 ) -> InfProjEval:
     """Evaluate p(X) = inf_V phi(X, V) + h(V).
 
-    Falls back from the analytic square-root formula to projected
-    subgradient descent with Barzilai-Borwein steps and backtracking.
-    Values below -1e7 are reported as unbounded.
-    """
+    Without an equality constraint, two cases have closed forms: h the
+    indicator of a spectral box, trace ball or Fantope, and h linear
+    with a positive definite slope.  Every other case runs projected
+    subgradient descent (see _descent)."""
     tol = tol or prob.tol
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    fast = _weighted_nuclear_fast_path(prob, X, tol)
-    if fast is not None:
-        return fast
+    if X.shape != (prob.pd.n, prob.pd.m):
+        raise ValueError(f"X must be {prob.pd.n}x{prob.pd.m}, got {X.shape}")
+    for path in (_spectral_path, _weighted_nuclear_fast_path):
+        out = path(prob, X, tol)
+        if out is not None:
+            return out
+    return _descent(prob, X, tol, max_iter, seed)
 
+
+def _descent(
+    prob: InfProjProblem, X: np.ndarray, tol: Tolerances, max_iter: int, seed: int
+) -> InfProjEval:
+    """Projected subgradient descent on V with Barzilai-Borwein steps and
+    backtracking, from the best of a seeded set of starts.  Values below
+    -1e7 are reported as unbounded."""
     rng = np.random.default_rng(seed)
     cheap = (
         isinstance(prob.h, Indicator)
@@ -356,7 +420,10 @@ def sigma_S_cap_KA(
         val, W = support(S, G, tol)
         return val, W, "exact"
     if _is_unconstrained(pd):
-        val, W = psd_cap_support(S, G, tol)
+        try:
+            val, W = psd_cap_support(S, G, tol)
+        except NotImplementedError:
+            return np.nan, None, "undecided"
         return val, W, "exact"
     # decidable when S sits inside K_A: hulls via vertices, rays via the
     # generator, the PSD-contained variants automatically
@@ -387,15 +454,12 @@ def _exists_upper_bound_in(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances):
     scale = 1.0 + np.linalg.norm(G)
     if isinstance(S, Singleton):
         return min_eig(S.U - G) >= -tol.psd_abs * scale
-    if isinstance(S, SpectralBox):
-        return max_eig(G) <= S.hi + tol.psd_abs * scale
-    if isinstance(S, TraceBall):
-        return float(np.trace(G)) <= S.r + tol.feas_abs * (1.0 + S.r)
-    if isinstance(S, Fantope):
-        return (
-            max_eig(G) <= 1.0 + tol.psd_abs * scale
-            and float(np.trace(G)) <= S.k + tol.feas_abs * (1.0 + S.k)
-        )
+    caps = spectral_caps(S)
+    if caps is not None:
+        # W = G when G's eigenvalues fit the caps (W = hi * I for a box)
+        cap, total = caps
+        under_cap = max_eig(G) <= cap + tol.psd_abs * scale
+        return under_cap and float(np.trace(G)) <= total + tol.feas_abs * (1.0 + total)
     if isinstance(S, ShiftedPSDCap):
         return min_eig(S.U - G) >= -tol.psd_abs * (1.0 + np.linalg.norm(S.U))
     if isinstance(S, Ray):
@@ -632,12 +696,10 @@ def _int_KA_sup(prob: InfProjProblem, S: ConvexSetSpec, tol: Tolerances):
         return np.inf, True
     if isinstance(S, Singleton):
         return min_eig(N.T @ S.U @ N), True
-    if isinstance(S, SpectralBox):
-        return S.hi, True
-    if isinstance(S, TraceBall):
-        return S.r / kbar, True
-    if isinstance(S, Fantope):
-        return min(1.0, S.k / kbar), True
+    caps = spectral_caps(S)
+    if caps is not None:
+        cap, total = caps
+        return min(cap, total / kbar), True
     if isinstance(S, ShiftedPSDCap):
         return min_eig(N.T @ S.U @ N), True
     if isinstance(S, Ray):

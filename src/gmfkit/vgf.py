@@ -8,7 +8,7 @@ The squared-gauge decomposition and the Ky Fan identity
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,15 +32,19 @@ from .numlin import DEFAULT_TOL, Tolerances, psd_sqrt, sv
 
 @dataclass(frozen=True)
 class VgfInstance:
-    """A Gram penalty Phi over n x m matrices, driven by the set."""
+    """A Gram penalty Phi over n x m matrices, driven by the set, with
+    the A = 0 infimal projection behind its conjugate built once."""
 
     set: ConvexSetSpec
     m: int
     tol: Tolerances = DEFAULT_TOL
+    prob: InfProjProblem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not psd_cap_nonempty(self.set, self.tol):
             raise ValueError("the set must meet the PSD cone")
+        pd = ProblemData(np.zeros((1, self.n)), np.zeros((1, self.m)), self.tol)
+        object.__setattr__(self, "prob", InfProjProblem(pd, Indicator(self.set)))
 
     @property
     def n(self) -> int:
@@ -76,13 +80,12 @@ def vgf_eval(inst: VgfInstance, Y: np.ndarray):
 
 
 def vgf_conj(inst: VgfInstance, X: np.ndarray, max_iter: int = 4000):
-    """Phi*(X) by minimizing the matrix-fractional term over the set.
+    """Phi*(X) by minimizing the matrix-fractional term over the set
+    (in closed form for the spectral box, trace ball and Fantope).
 
     Returns (value, V); +inf when no feasible V covers the range of X."""
     X = _check_Y(inst, X)
-    pd = ProblemData(np.zeros((1, inst.n)), np.zeros((1, inst.m)), inst.tol)
-    prob = InfProjProblem(pd, Indicator(inst.set))
-    pe = eval_p(prob, X, inst.tol, max_iter=max_iter)
+    pe = eval_p(inst.prob, X, inst.tol, max_iter=max_iter)
     if pe.status == "infeasible":
         return np.inf, None
     if pe.status != "finite":

@@ -139,6 +139,23 @@ def test_eval_p_nuclear(tmp_path, capsys):
     code, rep = run(capsys, ["eval-p", "--bundle", bundle, "--X", x])
     assert code == 0
     assert rep["outputs"]["value"] == pytest.approx(5.0, rel=1e-6)
+    assert rep["outputs"]["path"] == "weighted_nuclear"
+    assert rep["outputs"]["iters"] == 0
+
+
+def test_eval_p_reports_the_path(tmp_path, capsys):
+    x = write(tmp_path, "x.csv", "3\n4\n")
+    ball = {"kind": "trace_ball", "r": 2.0, "n": 2}
+    point = {"kind": "singleton", "U": [[1.0, 0.0], [0.0, 2.0]]}
+    for S, path, value in [(ball, "spectral", 6.25), (point, "descent", 8.5)]:
+        h = {"kind": "indicator", "set": S}
+        bundle = write(
+            tmp_path, "b.json", json.dumps({"A": [[0.0, 0.0]], "B": [[0.0]], "h": h})
+        )
+        code, rep = run(capsys, ["eval-p", "--bundle", bundle, "--X", x])
+        assert code == 0
+        assert rep["outputs"]["path"] == path
+        assert rep["outputs"]["value"] == pytest.approx(value, rel=1e-9)
 
 
 def test_solve_command(tmp_path, capsys):
@@ -203,6 +220,23 @@ def test_undecided_exit_code(tmp_path, capsys):
     )
     code, rep = run(capsys, ["cq-report", "--bundle", bundle])
     assert code == 2
+
+
+def test_conjugate_abstains_on_a_hull_without_psd_vertex(tmp_path, capsys):
+    # the support over hull cap PSD is not implemented when no vertex is
+    # PSD; conjugate reports that as undecided instead of raising
+    hull = {
+        "kind": "hull",
+        "points": [[[1.0, 0.0], [0.0, -1.0]], [[-1.0, 0.0], [0.0, 1.0]]],
+    }
+    h = {"kind": "indicator", "set": hull}
+    bundle = write(
+        tmp_path, "b.json", json.dumps({"A": [[0.0, 0.0]], "B": [[0.0]], "h": h})
+    )
+    y = write(tmp_path, "y.csv", "1\n0.5\n")
+    code, rep = run(capsys, ["conjugate", "--bundle", bundle, "--Y", y])
+    assert code == 2
+    assert rep["outputs"]["status"] == "undecided"
 
 
 def test_determinism_excluding_wall_time(tmp_path, capsys):

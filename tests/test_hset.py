@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from gmfkit.hset import (
     SpectralBox,
     Support,
     TraceBall,
+    _project_capped_simplex,
     contains_zero,
     gauge,
     h_conj,
@@ -26,6 +29,7 @@ from gmfkit.hset import (
     psd_cap_support,
     set_from_json,
     set_to_json,
+    spectral_caps,
     support,
 )
 
@@ -198,3 +202,82 @@ def test_fantope_validation():
         Fantope(0, 2)
     with pytest.raises(ValueError):
         Fantope(3, 2)
+
+
+# ---------------------------------------------------------------------------
+# spectral sets and the capped-simplex projection
+
+
+def test_spectral_caps():
+    assert spectral_caps(SpectralBox(-0.5, 1.5, 2)) == (1.5, np.inf)
+    assert spectral_caps(TraceBall(2.0, 3)) == (np.inf, 2.0)
+    assert spectral_caps(Fantope(2, 3)) == (1.0, 2.0)
+    I2 = np.eye(2)
+    for S in (Singleton(I2), Hull((I2,)), Ray(I2), ShiftedPSDCap(I2)):
+        assert spectral_caps(S) is None
+
+
+def _brute_force_projection(w, cap, total):
+    """Nearest point of {0 <= x <= cap, sum x <= total}: try every split
+    of the entries into zero / free / capped, with the budget slack or
+    tight, and keep the nearest feasible candidate."""
+    best, best_d = None, np.inf
+    for states in itertools.product("0fc", repeat=w.size):
+        states = np.array(states)
+        if np.isinf(cap) and np.any(states == "c"):
+            continue
+        free = states == "f"
+        capped = states == "c"
+        taus = [0.0]
+        if free.any():
+            at_cap = capped.sum() * cap if capped.any() else 0.0
+            taus.append((w[free].sum() + at_cap - total) / free.sum())
+        for tau in taus:
+            x = np.where(free, w - tau, 0.0)
+            x = np.where(capped, cap, x)
+            if np.any(x < -1e-12) or np.any(x > cap + 1e-12) or x.sum() > total + 1e-12:
+                continue
+            d = float(np.sum((x - w) ** 2))
+            if d < best_d:
+                best, best_d = x, d
+    return best
+
+
+def _kkt_residual(w, x, cap, total):
+    """How far x is from the KKT conditions of the projection: some
+    tau >= 0, zero unless the budget binds, with x_i = clip(w_i - tau, 0, cap)."""
+    eps = 1e-12 * (1.0 + np.max(np.abs(w)))
+    lo, hi = 0.0, np.inf
+    free = (x > eps) & (x < cap - eps)
+    lo = max([lo] + list(w[x <= eps]) + list(w[free] - x[free]))
+    hi = min([hi] + list(w[x >= cap - eps] - cap) + list(w[free] - x[free]))
+    if x.sum() < total - eps:
+        hi = min(hi, 0.0)
+    feas = max(0.0, -x.min(), x.max() - cap, x.sum() - total)
+    return max(feas, lo - hi)
+
+
+@pytest.mark.parametrize(
+    "cap,total", [(1.0, 2.0), (1.0, 1.0), (np.inf, 1.5), (np.inf, 0.0), (0.5, 10.0)]
+)
+def test_capped_simplex_projection_is_exact(cap, total):
+    g = np.random.default_rng(7)
+    for trial in range(60):
+        n = int(g.integers(1, 6))
+        if trial % 2:
+            # ties: entries drawn from a few values, some on the breakpoints
+            w = g.choice([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0], size=n)
+        else:
+            w = g.normal(0.5, 1.5, size=n)
+        x = _project_capped_simplex(w, cap, total)
+        assert _kkt_residual(w, x, cap, total) <= 1e-12
+        ref = _brute_force_projection(w, cap, total)
+        assert np.allclose(x, ref, atol=1e-12, rtol=0.0)
+
+
+def test_fantope_projection_hits_the_trace_budget():
+    # clip(w, 0, 1) sums to 3 > 2; tau = 0.8 gives (1, 0.6, 0.4, 0)
+    V = np.diag([3.0, 1.4, 1.2, -1.0])
+    P = project(Fantope(2, 4), V)
+    assert np.trace(P) == pytest.approx(2.0, abs=1e-14)
+    assert np.allclose(P, np.diag([1.0, 0.6, 0.4, 0.0]), atol=1e-14)

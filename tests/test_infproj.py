@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmfkit.gmf import ProblemData, eval_gmf
 from gmfkit.hset import (
@@ -14,6 +16,8 @@ from gmfkit.hset import (
 )
 from gmfkit.infproj import (
     InfProjProblem,
+    _descent,
+    _start_candidates,
     cq_report,
     dom_p_member,
     dual_gap,
@@ -187,3 +191,139 @@ def test_cq_chain_never_violated_small():
         for a, b in zip(chain, chain[1:]):
             if a in order and b in order:
                 assert order[a] <= order[b]
+
+
+# ---------------------------------------------------------------------------
+# evaluation paths
+
+
+def _orthogonal(g, n):
+    Q, R = np.linalg.qr(g.standard_normal((n, n)))
+    return Q * np.sign(np.diag(R))
+
+
+def _with_svals(g, n, m, s):
+    k = min(n, m)
+    return (_orthogonal(g, n)[:, :k] * np.asarray(s)[:k]) @ _orthogonal(g, m)[:, :k].T
+
+
+def test_paths_are_reported():
+    X = rng.standard_normal((3, 2))
+    pd = unconstrained(3, 2)
+    cases = [
+        (Indicator(Fantope(2, 3)), "spectral"),
+        (Linear(0.5 * np.eye(3)), "weighted_nuclear"),
+        (Indicator(Singleton(np.eye(3))), "descent"),
+    ]
+    for h, path in cases:
+        pe = eval_p(InfProjProblem(pd, h), X)
+        assert (pe.path, pe.status) == (path, "finite")
+        if path != "descent":
+            assert pe.iters == 0
+    A = np.array([[1.0, 0.0, 0.0]])
+    pd_A = ProblemData(A, np.zeros((1, 2)))
+    constrained = InfProjProblem(pd_A, Indicator(Fantope(2, 3)))
+    assert eval_p(constrained, X).path == "descent"
+
+
+def test_spectral_closed_forms():
+    X = rng.standard_normal((3, 2))
+    s = sv(X)
+    pd = unconstrained(3, 2)
+    box = eval_p(InfProjProblem(pd, Indicator(SpectralBox(0.0, 1.0, 3))), X).value
+    ball = eval_p(InfProjProblem(pd, Indicator(TraceBall(2.0, 3))), X).value
+    assert box == pytest.approx(0.5 * np.sum(s**2), rel=1e-14)
+    assert ball == pytest.approx(np.sum(s) ** 2 / 4.0, rel=1e-14)
+
+
+def test_spectral_infeasible_cases():
+    X = np.array([[1.0], [0.0]])
+    pd = unconstrained(2, 1)
+    for S in (SpectralBox(-1.0, 0.0, 2), SpectralBox(-2.0, -1.0, 2), TraceBall(0.0, 2)):
+        pe = eval_p(InfProjProblem(pd, Indicator(S)), X)
+        assert (pe.status, pe.value, pe.path) == ("infeasible", np.inf, "spectral")
+    # X = 0 lies in the range of V = 0, except when S misses the PSD cone
+    zero = np.zeros((2, 1))
+    assert eval_p(InfProjProblem(pd, Indicator(TraceBall(0.0, 2))), zero).value == 0.0
+    empty = eval_p(InfProjProblem(pd, Indicator(SpectralBox(-2.0, -1.0, 2))), zero)
+    assert empty.status == "infeasible"
+
+
+def test_spectral_path_rejects_wrong_shape():
+    prob = InfProjProblem(unconstrained(2, 2), Indicator(TraceBall(1.0, 2)))
+    with pytest.raises(ValueError):
+        eval_p(prob, np.ones((2, 3)))
+
+
+@st.composite
+def spectral_instances(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["box_lo_neg", "box_lo_pos", "ball", "fantope"]))
+    if kind == "box_lo_neg":
+        lo = draw(st.sampled_from([-1.0, -0.25]))
+        S = SpectralBox(lo, draw(st.sampled_from([0.0, 0.5, 2.0])), n)
+    elif kind == "box_lo_pos":
+        hi = draw(st.sampled_from([0.5, 2.0]))
+        S = SpectralBox(draw(st.sampled_from([0.1, 0.5])) * hi, hi, n)
+    elif kind == "ball":
+        S = TraceBall(draw(st.sampled_from([0.0, 0.5, 2.0])), n)
+    else:
+        S = Fantope(draw(st.integers(1, n)), n)
+    svals = draw(
+        st.lists(st.sampled_from([0.0, 0.3, 1.0, 1.0, 2.5]), min_size=3, max_size=3)
+    )
+    s = sorted(svals, reverse=True)
+    X = _with_svals(np.random.default_rng(draw(st.integers(0, 2**31 - 1))), n, m, s)
+    return InfProjProblem(unconstrained(n, m), Indicator(S)), X
+
+
+@settings(max_examples=80, deadline=None)
+@given(spectral_instances())
+def test_spectral_path_matches_descent(inst):
+    prob, X = inst
+    closed = eval_p(prob, X)
+    ref = _descent(prob, X, prob.tol, 4000, 0)
+    assert closed.path == "spectral" and closed.iters == 0
+    assert closed.status == ref.status
+    if closed.status != "finite":
+        assert closed.value == ref.value == np.inf
+        return
+    scale = 1.0 + abs(ref.value)
+    # the closed form is the infimum; the descent stops at a feasible V
+    assert closed.value <= ref.value + 1e-12 * scale
+    assert ref.value - closed.value <= 1e-8 * scale
+    pstar, status = eval_p_conj(prob, closed.Y)
+    assert status == "exact"
+    gap = closed.value + pstar - float(np.sum(X * closed.Y))
+    assert abs(gap) <= 1e-8
+    attained = eval_gmf(prob.pd, X, closed.V).value
+    assert attained == pytest.approx(closed.value, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [35, 46, 216])
+def test_weighted_nuclear_rank_deficient_X(seed):
+    # rank-2 X with a PD slope: V* is singular, and phi at V* used to
+    # fail its range test and fall into a descent 10-60% off
+    g = np.random.default_rng(seed)
+    n, m = 6, 3
+    Q, _ = np.linalg.qr(g.standard_normal((n, n)))
+    L = Q * g.uniform(0.5, 1.5, n)
+    X = g.standard_normal((n, 2)) @ g.standard_normal((2, m))
+    prob = InfProjProblem(unconstrained(n, m), Linear(0.5 * L @ L.T))
+    pe = eval_p(prob, X)
+    assert (pe.status, pe.path, pe.iters) == ("finite", "weighted_nuclear", 0)
+    assert pe.value == pytest.approx(np.sum(sv(L.T @ X)), rel=1e-12)
+    pstar, status = eval_p_conj(prob, pe.Y)
+    assert (pstar, status) == (0.0, "exact")
+    assert float(np.sum(X * pe.Y)) == pytest.approx(pe.value, rel=1e-12)
+
+
+def test_start_candidates_depend_on_the_seed():
+    prob = InfProjProblem(unconstrained(3, 1), Linear(np.eye(3)))
+    a = _start_candidates(prob, np.random.default_rng(0))
+    b = _start_candidates(prob, np.random.default_rng(5))
+    again = _start_candidates(prob, np.random.default_rng(0))
+    assert len(a) == len(b) == len(again)
+    assert all(np.array_equal(u, v) for u, v in zip(a, again))
+    assert not all(np.array_equal(u, v) for u, v in zip(a, b))
