@@ -23,16 +23,15 @@ from .hset import (
     ShiftedPSDCap,
     Singleton,
     SpectralBox,
+    SpectralSet,
     Support,
     TraceBall,
-    cone_compatible,
     gauge,
     h_conj,
     h_eval,
     hspec_from_json,
     hspec_to_json,
     member,
-    polar_support_identity_check,
     project,
     set_from_json,
     set_to_json,

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .gmf import ProblemData, eval_gmf, eval_gmf_oracle
-from .hset import Indicator, hspec_from_json, hspec_to_json, set_from_json
+from .hset import Indicator, hspec_from_json
 from .infproj import (
     InfProjProblem,
     cq_report,
@@ -127,16 +127,6 @@ def _matrix_arg(spec: str, shape, symmetrize=False, tol=DEFAULT_TOL):
     return parse_matrix(spec, symmetrize=symmetrize, tol=tol)
 
 
-def _tol_from_json(d: dict) -> Tolerances:
-    base = DEFAULT_TOL
-    return Tolerances(
-        rank_rel=float(d.get("rank_rel", base.rank_rel)),
-        psd_abs=float(d.get("psd_abs", base.psd_abs)),
-        feas_abs=float(d.get("feas_abs", base.feas_abs)),
-        conj_rel=float(d.get("conj_rel", base.conj_rel)),
-    )
-
-
 def parse_bundle(path: str, tol: Tolerances | None = None) -> InfProjProblem:
     """JSON problem bundle -> InfProjProblem."""
     try:
@@ -152,25 +142,11 @@ def parse_bundle(path: str, tol: Tolerances | None = None) -> InfProjProblem:
         raise CliError(f"{path}: bad bundle: {exc}") from exc
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise CliError(f"{path}: non-finite entries")
-    tol = tol or _tol_from_json(d.get("tol", {}))
+    tol = tol or Tolerances.from_dict(d.get("tol", {}))
     try:
         return InfProjProblem(ProblemData(A, B, tol), h)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
-
-
-def bundle_to_json(prob: InfProjProblem) -> dict:
-    return {
-        "A": prob.pd.A.tolist(),
-        "B": prob.pd.B.tolist(),
-        "h": hspec_to_json(prob.h),
-        "tol": {
-            "rank_rel": prob.pd.tol.rank_rel,
-            "psd_abs": prob.pd.tol.psd_abs,
-            "feas_abs": prob.pd.tol.feas_abs,
-            "conj_rel": prob.pd.tol.conj_rel,
-        },
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +175,6 @@ def _emit(report: dict, out: str | None):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _tol_dict(tol: Tolerances) -> dict:
-    return {
-        "rank_rel": tol.rank_rel,
-        "psd_abs": tol.psd_abs,
-        "feas_abs": tol.feas_abs,
-        "conj_rel": tol.conj_rel,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +370,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--bundle")
         sp.add_argument("--out")
         sp.add_argument("--seed", type=int, default=default_seed)
-        sp.add_argument("--tol-rank", dest="tol_rank", type=float)
-        sp.add_argument("--tol-psd", dest="tol_psd", type=float)
-        sp.add_argument("--tol-feas", dest="tol_feas", type=float)
-        sp.add_argument("--tol-conj", dest="tol_conj", type=float)
+        sp.add_argument("--tol-rank", dest="rank_rel", type=float)
+        sp.add_argument("--tol-psd", dest="psd_abs", type=float)
+        sp.add_argument("--tol-feas", dest="feas_abs", type=float)
+        sp.add_argument("--tol-conj", dest="conj_rel", type=float)
         sp.add_argument("--p", type=float, default=2.0)
         sp.add_argument("--k", type=int, default=1)
         sp.add_argument("--max-iter", dest="max_iter", type=int, default=4000)
@@ -437,13 +404,7 @@ _REQUIRED = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    base = DEFAULT_TOL
-    tol = Tolerances(
-        rank_rel=args.tol_rank if args.tol_rank is not None else base.rank_rel,
-        psd_abs=args.tol_psd if args.tol_psd is not None else base.psd_abs,
-        feas_abs=args.tol_feas if args.tol_feas is not None else base.feas_abs,
-        conj_rel=args.tol_conj if args.tol_conj is not None else base.conj_rel,
-    )
+    tol = Tolerances.from_dict(vars(args))  # the --tol-* flags not given are None
     t0 = time.time()
     try:
         _require(args, _REQUIRED[args.command])
@@ -458,7 +419,7 @@ def main(argv=None) -> int:
         "command": args.command,
         "inputs_digest": _digest(inputs, args.seed),
         "seed": args.seed,
-        "tolerances": _tol_dict(tol),
+        "tolerances": tol.to_dict(),
         "outputs": outputs,
         "wall_time_s": time.time() - t0,
     }

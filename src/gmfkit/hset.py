@@ -9,12 +9,22 @@ decidable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 
-from .numlin import DEFAULT_TOL, Tolerances, max_eig, min_eig, psd_sqrt, sym, sym_eig
+from .numlin import (
+    DEFAULT_TOL,
+    Tolerances,
+    max_eig,
+    min_eig,
+    pinv,
+    psd_sqrt,
+    range_contains,
+    sym,
+    sym_eig,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -33,13 +43,30 @@ class Singleton:
         return self.U.shape[0]
 
 
+class SpectralSet:
+    """{V : lambda(V) in C} for the permutation-invariant vector set
+    C = {lo <= lambda_i <= cap, sum lambda_i <= total}.
+
+    By Lewis's transfer principle the support function, membership,
+    projection and gauge of such a set are each one rule on the sorted
+    eigenvalues, so the subclasses only validate their arguments and
+    supply (lo, cap, total)."""
+
+    lo: float
+    cap: float
+    total: float
+
+
 @dataclass(frozen=True)
-class SpectralBox:
+class SpectralBox(SpectralSet):
     """{V : lo*I <= V <= hi*I} in the semidefinite order."""
 
     lo: float
     hi: float
     n: int
+
+    cap = property(lambda self: self.hi)
+    total = np.inf
 
     def __post_init__(self):
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
@@ -49,11 +76,15 @@ class SpectralBox:
 
 
 @dataclass(frozen=True)
-class TraceBall:
+class TraceBall(SpectralSet):
     """{V >= 0 : tr V <= r}."""
 
     r: float
     n: int
+
+    lo = 0.0
+    cap = np.inf
+    total = property(lambda self: self.r)
 
     def __post_init__(self):
         if self.r < 0:
@@ -61,11 +92,15 @@ class TraceBall:
 
 
 @dataclass(frozen=True)
-class Fantope:
+class Fantope(SpectralSet):
     """{0 <= V <= I, tr V <= k}."""
 
     k: int
     n: int
+
+    lo = 0.0
+    cap = 1.0
+    total = property(lambda self: float(self.k))
 
     def __post_init__(self):
         if not (1 <= self.k <= self.n):
@@ -179,15 +214,28 @@ def is_bounded(S: ConvexSetSpec) -> bool:
 def contains_zero(S: ConvexSetSpec, tol: Tolerances = DEFAULT_TOL) -> bool:
     if isinstance(S, Singleton):
         return not np.any(np.abs(S.U) > tol.feas_abs)
-    if isinstance(S, SpectralBox):
-        return S.lo <= 0.0 <= S.hi
-    if isinstance(S, (TraceBall, Fantope, Ray, ShiftedPSDCap)):
+    if isinstance(S, SpectralSet):
+        return S.lo <= 0.0 <= S.cap
+    if isinstance(S, (Ray, ShiftedPSDCap)):
         return True
     return member(S, np.zeros((S.n, S.n)), tol)
 
 
 # ---------------------------------------------------------------------------
 # Support functions
+
+
+def _spectral_support(G: np.ndarray, lo: float, cap: float, total: float):
+    """Support of {V : lambda(V) in C} at G with its maximizer: every
+    eigenvalue starts at lo, and those facing the positive eigenvalues of
+    G are raised to the cap, largest first, until the budget
+    total - n*lo runs out (a fractional knapsack)."""
+    w, Q = sym_eig(G)
+    budget = total - w.size * lo
+    step = min(cap - lo, budget)  # the rise to the cap, or all the budget
+    lam = np.minimum(cap, np.maximum(lo, (lo + budget) - step * np.arange(w.size)))
+    lam = np.where(w > 0.0, lam, lo)
+    return float(lam @ w), (Q * lam) @ Q.T
 
 
 def support(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances = DEFAULT_TOL):
@@ -201,21 +249,8 @@ def support(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances = DEFAULT_TOL):
         raise ValueError("dimension mismatch")
     if isinstance(S, Singleton):
         return float(np.sum(S.U * G)), S.U
-    if isinstance(S, SpectralBox):
-        w, Q = sym_eig(G)
-        choice = np.where(w > 0.0, S.hi, S.lo)
-        return float(np.sum(choice * w)), (Q * choice) @ Q.T
-    if isinstance(S, TraceBall):
-        w, Q = sym_eig(G)
-        if w[0] <= 0.0:
-            return 0.0, np.zeros((n, n))
-        u = Q[:, 0]
-        return float(S.r * w[0]), S.r * np.outer(u, u)
-    if isinstance(S, Fantope):
-        w, Q = sym_eig(G)
-        c = np.zeros(n)
-        c[: S.k] = (w[: S.k] > 0.0).astype(float)
-        return float(np.sum(c * w)), (Q * c) @ Q.T
+    if isinstance(S, SpectralSet):
+        return _spectral_support(G, S.lo, S.cap, S.total)
     if isinstance(S, Hull):
         vals = [float(np.sum(U * G)) for U in S.points]
         j = int(np.argmax(vals))
@@ -239,16 +274,19 @@ def psd_cap_support(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances = DEFAULT_T
     """sigma_{S \\cap PSD}(G) with maximizer; -inf if the intersection is empty."""
     G = sym(G, tol)
     n = S.n
+    if G.shape[0] != n:
+        raise ValueError("dimension mismatch")
     scale = lambda M: 1.0 + np.linalg.norm(M)
     if isinstance(S, Singleton):
         if min_eig(S.U) < -tol.psd_abs * scale(S.U):
             return -np.inf, None
         return float(np.sum(S.U * G)), S.U
-    if isinstance(S, SpectralBox):
-        if S.hi < 0.0:
+    if isinstance(S, SpectralSet):
+        # the same set with lo replaced by max(lo, 0); empty when cap < 0
+        if S.cap < 0.0:
             return -np.inf, None
-        return support(SpectralBox(max(S.lo, 0.0), S.hi, S.n), G, tol)
-    if isinstance(S, (TraceBall, Fantope, ShiftedPSDCap)):
+        return _spectral_support(G, max(S.lo, 0.0), S.cap, S.total)
+    if isinstance(S, ShiftedPSDCap):
         return support(S, G, tol)
     if isinstance(S, Hull):
         psd_flags = [min_eig(U) >= -tol.psd_abs * scale(U) for U in S.points]
@@ -303,20 +341,12 @@ def member(S: ConvexSetSpec, V: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bo
     scale = 1.0 + np.linalg.norm(V)
     if isinstance(S, Singleton):
         return np.linalg.norm(V - S.U) <= tol.feas_abs * (1.0 + np.linalg.norm(S.U))
-    if isinstance(S, SpectralBox):
-        w = np.linalg.eigvalsh(V)
-        return w[0] >= S.lo - tol.psd_abs * scale and w[-1] <= S.hi + tol.psd_abs * scale
-    if isinstance(S, TraceBall):
-        return (
-            min_eig(V) >= -tol.psd_abs * scale
-            and np.trace(V) <= S.r + tol.feas_abs * (1.0 + S.r)
-        )
-    if isinstance(S, Fantope):
+    if isinstance(S, SpectralSet):
         w = np.linalg.eigvalsh(V)
         return (
-            w[0] >= -tol.psd_abs * scale
-            and w[-1] <= 1.0 + tol.psd_abs * scale
-            and np.trace(V) <= S.k + tol.feas_abs * (1.0 + S.k)
+            w[0] >= S.lo - tol.psd_abs * scale
+            and w[-1] <= S.cap + tol.psd_abs * scale
+            and w.sum() <= S.total + tol.feas_abs * (1.0 + S.total)
         )
     if isinstance(S, Hull):
         w = _hull_weights(S, V)
@@ -332,26 +362,6 @@ def member(S: ConvexSetSpec, V: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bo
         su = 1.0 + np.linalg.norm(S.U)
         return min_eig(V) >= -tol.psd_abs * scale and min_eig(S.U - V) >= -tol.psd_abs * su
     raise TypeError(f"unknown set variant {type(S).__name__}")
-
-
-def spectral_caps(S: ConvexSetSpec):
-    """(cap, total) such that S intersect PSD has the eigenvalues
-    {0 <= lambda_i <= cap, sum lambda_i <= total}, or None when S is not
-    a spectral set.
-
-    This is the one place that describes the spectral variants: the box
-    gives (hi, inf), the trace ball (inf, r), the Fantope (1, k).  A box
-    with lo > 0 also bounds the eigenvalues from below; its callers only
-    use points with every eigenvalue at the cap, where that bound holds.
-    A box with hi < 0 misses the PSD cone, signalled by cap < 0.
-    """
-    if isinstance(S, SpectralBox):
-        return S.hi, np.inf
-    if isinstance(S, TraceBall):
-        return np.inf, S.r
-    if isinstance(S, Fantope):
-        return 1.0, float(S.k)
-    return None
 
 
 def _project_capped_simplex(w, cap, total):
@@ -379,12 +389,10 @@ def project(S: ConvexSetSpec, V: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> n
     V = sym(V, tol)
     if isinstance(S, Singleton):
         return S.U.copy()
-    if isinstance(S, SpectralBox):
+    if isinstance(S, SpectralSet):
         w, Q = sym_eig(V)
-        return (Q * np.clip(w, S.lo, S.hi)) @ Q.T
-    if isinstance(S, (TraceBall, Fantope)):
-        w, Q = sym_eig(V)
-        return (Q * _project_capped_simplex(w, *spectral_caps(S))) @ Q.T
+        shifted = _project_capped_simplex(w - S.lo, S.cap - S.lo, S.total - w.size * S.lo)
+        return (Q * (S.lo + shifted)) @ Q.T
     if isinstance(S, Hull):
         w = _hull_weights(S, V)
         return sym(sum(wi * U for wi, U in zip(w, S.points)))
@@ -417,36 +425,49 @@ def project(S: ConvexSetSpec, V: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> n
 
 
 def gauge(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Minkowski gauge inf{t >= 0 : G in t*S}; requires 0 in S."""
+    """Minkowski gauge inf{t >= 0 : G in t*S}; requires 0 in S.
+
+    Exact for every variant, and +inf when G lies outside the cone
+    generated by S."""
     G = sym(G, tol)
     if not contains_zero(S, tol):
         raise ValueError("gauge requires 0 in S")
     if not np.any(np.abs(G) > 0.0):
         return 0.0
-    scale = 1.0 + np.linalg.norm(G)
-    if isinstance(S, SpectralBox) and S.lo == 0.0:
-        if min_eig(G) < -tol.psd_abs * scale:
+    slack = tol.psd_abs * (1.0 + np.linalg.norm(G))
+    if isinstance(S, SpectralSet):
+        # G in t*S iff lambda_max <= t*cap, lambda_min >= t*lo, sum <= t*total
+        w = np.linalg.eigvalsh(G)
+        num = np.array([w[-1], -w[0], w.sum()])
+        den = np.array([S.cap, -S.lo, S.total])
+        if np.any((num > slack) & (den == 0.0)):
             return np.inf
-        top = max_eig(G)
-        return 0.0 if top <= 0 else (np.inf if S.hi == 0 else top / S.hi)
-    if isinstance(S, TraceBall):
-        if min_eig(G) < -tol.psd_abs * scale:
+        return max(0.0, float(np.max(np.divide(num, den, out=np.zeros(3), where=den > 0.0))))
+    if isinstance(S, (Singleton, Ray)):
+        # cones (a singleton holding 0 is {0}): t*S = S for every t > 0
+        return 0.0 if member(S, G, tol) else np.inf
+    if isinstance(S, ShiftedPSDCap):
+        # G in t*S iff 0 <= G <= t*U
+        if min_eig(G) < -slack or not range_contains(S.U, G, tol):
             return np.inf
-        return np.inf if S.r == 0 else float(np.trace(G)) / S.r
-    # bisection on monotone membership in t
-    t = 1.0
-    while not member(S, G / t, tol):
-        t *= 2.0
-        if t > 1e18:
+        Rp = pinv(psd_sqrt(S.U), tol)
+        return max(0.0, max_eig(Rp @ G @ Rp))
+    if isinstance(S, Hull):
+        # 0 in S, so G in t*S iff G = sum mu_i U_i with mu >= 0, sum mu <= t
+        iu = np.triu_indices(S.n)
+        res = scipy.optimize.linprog(
+            np.ones(len(S.points)),
+            A_eq=np.column_stack([U[iu] for U in S.points]),
+            b_eq=G[iu],
+            bounds=(0.0, None),
+            method="highs",
+        )
+        if res.status == 2:
             return np.inf
-    lo, hi = 0.0, t
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if mid == 0.0 or not member(S, G / mid, tol):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+        if res.status != 0:
+            raise RuntimeError(f"hull gauge LP failed: {res.message}")
+        return float(res.fun)
+    raise TypeError(f"unknown set variant {type(S).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -476,115 +497,6 @@ def h_conj(h: HSpec, W: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
     if isinstance(h, Support):
         return 0.0 if member(h.set, W, tol) else np.inf
     raise TypeError(f"unknown h variant {type(h).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Cone compatibility (randomized falsifier)
-
-
-def cone_compatible(
-    S: ConvexSetSpec,
-    pairs=None,
-    rng: np.random.Generator | None = None,
-    n_samples: int = 60,
-    tol: Tolerances = DEFAULT_TOL,
-):
-    """Sampling check that the gauge of S is monotone for the PSD order:
-    for y in PSD∩S and 0 <= x <= y, x should stay in S.
-
-    Returns (ok, counterexample) where counterexample is a violating
-    (y, x) pair or None.  A True answer is evidence, not a proof.
-    """
-    if not contains_zero(S, tol):
-        raise ValueError("cone compatibility is defined for sets containing 0")
-    n = S.n
-    slack_tol = Tolerances(tol.rank_rel, 100 * tol.psd_abs, 100 * tol.feas_abs, tol.conj_rel)
-    if pairs is None:
-        rng = rng or np.random.default_rng(0)
-        pairs = []
-        for _ in range(n_samples):
-            R = rng.standard_normal((n, n))
-            Y = R @ R.T
-            g = gauge(S, Y, tol)
-            if not np.isfinite(g):
-                continue
-            if g > 0:
-                Y = Y * (0.95 / g)
-            Rt = psd_sqrt(Y)
-            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            C = (Q * rng.uniform(0.0, 1.0, size=n)) @ Q.T
-            X = sym(Rt @ C @ Rt)
-            pairs.append((Y, X))
-    for Y, X in pairs:
-        if not member(S, Y, slack_tol):
-            continue
-        if not member(S, X, slack_tol):
-            return False, (Y, X)
-    return True, None
-
-
-def polar_support_identity_check(
-    C: ConvexSetSpec,
-    cone,
-    rng: np.random.Generator | None = None,
-    n_samples: int = 40,
-    tol: Tolerances = DEFAULT_TOL,
-) -> bool:
-    """Finite-sample consistency check of sigma_{C+K} = sigma_C + delta_{K polar}.
-
-    ``cone`` is a Ray, or one of the strings "psd"/"nsd".  The left side
-    is probed with sampled cone generators, the right side uses the exact
-    variant formulas; the identity mirrors (C+K)^polar = C^polar ∩ K^polar.
-    """
-    if not is_bounded(C):
-        raise ValueError("check requires a bounded C")
-    rng = rng or np.random.default_rng(0)
-    n = C.n
-
-    def cone_generators():
-        gens = []
-        for _ in range(25):
-            u = rng.standard_normal(n)
-            if cone == "nsd":
-                gens.append(-np.outer(u, u))
-            elif cone == "psd":
-                gens.append(np.outer(u, u))
-            elif isinstance(cone, Ray):
-                gens.append(cone.D)
-            else:
-                raise TypeError("cone must be 'psd', 'nsd', or a Ray")
-        return gens
-
-    def in_cone_polar(G):
-        if cone == "nsd":
-            return min_eig(G) >= -tol.psd_abs * (1.0 + np.linalg.norm(G))
-        if cone == "psd":
-            return max_eig(G) <= tol.psd_abs * (1.0 + np.linalg.norm(G))
-        ip = float(np.sum(cone.D * G))
-        return ip <= tol.feas_abs * (1.0 + np.linalg.norm(G))
-
-    gens = cone_generators()
-    for _ in range(n_samples):
-        G = sym(rng.standard_normal((n, n)) + rng.standard_normal((n, n)).T)
-        gated = in_cone_polar(G)
-        unbounded = any(
-            float(np.sum(K * G)) > tol.feas_abs * (1.0 + np.linalg.norm(G)) for K in gens
-        )
-        if gated and unbounded:
-            return False
-        if gated:
-            lhs, _ = support(C, G, tol)
-            # sampled lower bound on sigma_{C+K}: vertices of C plus cone rays
-            probe = max(
-                lhs,
-                max(
-                    (lhs + float(np.sum(K * G)) for K in gens),
-                    default=lhs,
-                ),
-            )
-            if probe > lhs + tol.conj_rel * (1.0 + abs(lhs)):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .gmf import (
-    GmfEval,
-    ProblemData,
-    eval_gmf,
-    in_KA,
-    in_KA_polar,
-)
+from .gmf import ProblemData, eval_gmf, in_KA, in_KA_polar
 from .hset import (
     ConvexSetSpec,
-    Fantope,
     HSpec,
     Hull,
     Indicator,
@@ -31,19 +24,17 @@ from .hset import (
     Ray,
     ShiftedPSDCap,
     Singleton,
-    SpectralBox,
+    SpectralSet,
     Support,
-    TraceBall,
     h_eval,
     is_bounded,
     member,
     project,
     psd_cap_nonempty,
     psd_cap_support,
-    spectral_caps,
     support,
 )
-from .numlin import DEFAULT_TOL, Tolerances, max_eig, min_eig, psd_sqrt, range_contains, sym
+from .numlin import Tolerances, max_eig, min_eig, psd_sqrt, sym
 
 _UNBOUNDED_CUTOFF = -1.0e7
 
@@ -231,12 +222,16 @@ def _spectral_path(
     water-filling rule over the eigenvalues of S intersect PSD, and
     Y = V^+ X = U diag(s / lam) W^T."""
     h = prob.h
-    if not (isinstance(h, Indicator) and _is_unconstrained(prob.pd)):
+    if not (
+        isinstance(h, Indicator)
+        and isinstance(h.set, SpectralSet)
+        and _is_unconstrained(prob.pd)
+    ):
         return None
-    caps = spectral_caps(h.set)
-    if caps is None:
-        return None
-    cap, total = caps
+    # S intersect PSD has eigenvalues in {0 <= lam_i <= cap, sum <= total};
+    # a box with lo > 0 also bounds them below, which the all-cap
+    # solution of a budget-free set meets
+    cap, total = h.set.cap, h.set.total
     if cap < 0.0:  # S misses the PSD cone
         return InfProjEval(np.inf, status="infeasible", path="spectral")
     n = X.shape[0]
@@ -434,9 +429,9 @@ def sigma_S_cap_KA(
         inside = all(in_KA(pd, U, tol) for U in S.points)
     elif isinstance(S, Ray):
         inside = in_KA(pd, S.D, tol)
-    elif isinstance(S, SpectralBox):
-        inside = True if S.lo >= 0.0 else None
-    elif isinstance(S, (TraceBall, Fantope, ShiftedPSDCap)):
+    elif isinstance(S, SpectralSet):
+        inside = S.lo >= 0.0
+    elif isinstance(S, ShiftedPSDCap):
         inside = True
     if inside:
         val, W = support(S, G, tol)
@@ -454,12 +449,10 @@ def _exists_upper_bound_in(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances):
     scale = 1.0 + np.linalg.norm(G)
     if isinstance(S, Singleton):
         return min_eig(S.U - G) >= -tol.psd_abs * scale
-    caps = spectral_caps(S)
-    if caps is not None:
+    if isinstance(S, SpectralSet):
         # W = G when G's eigenvalues fit the caps (W = hi * I for a box)
-        cap, total = caps
-        under_cap = max_eig(G) <= cap + tol.psd_abs * scale
-        return under_cap and float(np.trace(G)) <= total + tol.feas_abs * (1.0 + total)
+        under_cap = max_eig(G) <= S.cap + tol.psd_abs * scale
+        return under_cap and float(np.trace(G)) <= S.total + tol.feas_abs * (1.0 + S.total)
     if isinstance(S, ShiftedPSDCap):
         return min_eig(S.U - G) >= -tol.psd_abs * (1.0 + np.linalg.norm(S.U))
     if isinstance(S, Ray):
@@ -472,29 +465,7 @@ def _exists_upper_bound_in(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances):
             alpha *= 4.0
         return False
     if isinstance(S, Hull):
-        k = len(S.points)
-
-        def neg_min_eig(w):
-            W = sum(wi * U for wi, U in zip(w, S.points))
-            return -min_eig(sym(W) - G)
-
-        best = np.inf
-        cons = [
-            {"type": "eq", "fun": lambda w: np.sum(w) - 1.0},
-        ]
-        rng = np.random.default_rng(0)
-        for trial in range(5):
-            w0 = np.full(k, 1.0 / k) if trial == 0 else rng.dirichlet(np.ones(k))
-            res = scipy.optimize.minimize(
-                neg_min_eig,
-                w0,
-                bounds=[(0.0, 1.0)] * k,
-                constraints=cons,
-                method="SLSQP",
-            )
-            if res.fun < best:
-                best = res.fun
-        return best <= tol.psd_abs * scale
+        return _hull_max_min_eig(S.points, G) >= -tol.psd_abs * scale
     raise TypeError(f"unknown set variant {type(S).__name__}")
 
 
@@ -579,9 +550,10 @@ def dual_value(
     """sup_Y <X, Y> - p*(Y), computed independently of eval_p.
 
     Returns (value, Y, status).  Exact (SVD) for the weighted nuclear
-    norm case; concave ascent over the kernel parameterization for
-    indicator h when sigma over S intersect K_A is available; undecided
-    otherwise."""
+    norm case; for indicator h when sigma over S intersect K_A is
+    available, the dual objective at the closed-form maximizer of a
+    spectral set with A = 0, concave ascent over the kernel
+    parameterization otherwise; undecided otherwise."""
     tol = tol or prob.tol
     pd = prob.pd
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -622,6 +594,11 @@ def dual_value(
 
         if kdim == 0:
             v, _, Y = val_grad(np.zeros((0, pd.m)))
+            return v, Y, "numeric"
+        spectral = _spectral_path(prob, X, tol)
+        if spectral is not None and spectral.Y is not None:
+            # the closed form's Y = V^+ X maximizes the dual objective
+            v, _, Y = val_grad(N.T @ (spectral.Y - Y0))
             return v, Y, "numeric"
         best = (-np.inf, None)
         for Z0 in (np.zeros((kdim, pd.m)), N.T @ X):
@@ -696,33 +673,39 @@ def _int_KA_sup(prob: InfProjProblem, S: ConvexSetSpec, tol: Tolerances):
         return np.inf, True
     if isinstance(S, Singleton):
         return min_eig(N.T @ S.U @ N), True
-    caps = spectral_caps(S)
-    if caps is not None:
-        cap, total = caps
-        return min(cap, total / kbar), True
+    if isinstance(S, SpectralSet):
+        return min(S.cap, S.total / kbar), True
     if isinstance(S, ShiftedPSDCap):
         return min_eig(N.T @ S.U @ N), True
     if isinstance(S, Ray):
         lam = min_eig(N.T @ S.D @ N)
         return (np.inf if lam > 0 else 0.0), True
     if isinstance(S, Hull):
-        k = len(S.points)
         restricted = [N.T @ U @ N for U in S.points]
-
-        def neg(w):
-            return -min_eig(sym(sum(wi * M for wi, M in zip(w, restricted))))
-
-        cons = [{"type": "eq", "fun": lambda w: np.sum(w) - 1.0}]
-        rng = np.random.default_rng(0)
-        best = np.inf
-        for trial in range(6):
-            w0 = np.full(k, 1.0 / k) if trial == 0 else rng.dirichlet(np.ones(k))
-            res = scipy.optimize.minimize(
-                neg, w0, bounds=[(0.0, 1.0)] * k, constraints=cons, method="SLSQP"
-            )
-            best = min(best, res.fun)
-        return -best, True
+        return _hull_max_min_eig(restricted, np.zeros((kbar, kbar))), True
     raise TypeError(f"unknown set variant {type(S).__name__}")
+
+
+def _hull_max_min_eig(mats, C: np.ndarray) -> float:
+    """max over the simplex of lambda_min(sum w_i M_i - C), by SLSQP from
+    the uniform weights and five seeded Dirichlet draws.  The objective is
+    nonsmooth, so this is a local search that no dual bound certifies."""
+    k = len(mats)
+    flat = np.reshape(mats, (k, -1))
+    cons = [{"type": "eq", "fun": lambda w: np.sum(w) - 1.0}]
+    rng = np.random.default_rng(0)
+    starts = [np.full(k, 1.0 / k)] + [rng.dirichlet(np.ones(k)) for _ in range(5)]
+    best = min(
+        scipy.optimize.minimize(
+            lambda w: -min_eig((w @ flat).reshape(C.shape) - C),
+            w0,
+            bounds=[(0.0, 1.0)] * k,
+            constraints=cons,
+            method="SLSQP",
+        ).fun
+        for w0 in starts
+    )
+    return -best
 
 
 def _tri(flag: bool) -> str:
@@ -908,34 +891,15 @@ def _shifted_pd_sup(S: ConvexSetSpec, C0: np.ndarray):
     n = S.n
     if isinstance(S, Singleton):
         return min_eig(S.U - C0), True
-    if isinstance(S, SpectralBox):
-        return S.hi - max_eig(C0), True
+    if isinstance(S, SpectralSet):
+        # W = c*I with c = min(cap, total/n) lies in S; it is the best W
+        # when no budget binds or C0 = 0, a lower bound otherwise
+        c = min(S.cap, S.total / n)
+        return min_eig(c * np.eye(n) - C0), bool(np.isinf(S.total) or not np.any(C0))
     if isinstance(S, ShiftedPSDCap):
         return min_eig(S.U - C0), True
-    if isinstance(S, TraceBall):
-        if not np.any(C0):
-            return S.r / n, True
-        return min_eig((S.r / n) * np.eye(n) - C0), False
-    if isinstance(S, Fantope):
-        if not np.any(C0):
-            return min(1.0, S.k / n), True
-        return min_eig(min(1.0, S.k / n) * np.eye(n) - C0), False
     if isinstance(S, Hull):
-        k = len(S.points)
-
-        def neg(w):
-            return -min_eig(sym(sum(wi * U for wi, U in zip(w, S.points))) - C0)
-
-        cons = [{"type": "eq", "fun": lambda w: np.sum(w) - 1.0}]
-        best = np.inf
-        rng = np.random.default_rng(0)
-        for trial in range(6):
-            w0 = np.full(k, 1.0 / k) if trial == 0 else rng.dirichlet(np.ones(k))
-            res = scipy.optimize.minimize(
-                neg, w0, bounds=[(0.0, 1.0)] * k, constraints=cons, method="SLSQP"
-            )
-            best = min(best, res.fun)
-        return -best, True
+        return _hull_max_min_eig(S.points, C0), True
     if isinstance(S, Ray):
         lam = min_eig(S.D)
         if lam > 0:

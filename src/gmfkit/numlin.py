@@ -7,7 +7,7 @@ made with a single relative cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -32,6 +32,16 @@ class Tolerances:
             v = getattr(self, name)
             if not (0.0 < v <= 1e-2):
                 raise ValueError(f"{name} must lie in (0, 1e-2], got {v}")
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> Tolerances:
+        """Tolerances from d; keys that are missing or None take the
+        defaults, and other keys are ignored."""
+        given = {f.name: float(d[f.name]) for f in fields(cls) if d.get(f.name) is not None}
+        return cls(**given)
 
 
 DEFAULT_TOL = Tolerances()

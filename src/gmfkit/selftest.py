@@ -33,7 +33,7 @@ from .infproj import (
     eval_p,
     eval_p_conj,
 )
-from .numlin import min_eig, sv, sym
+from .numlin import min_eig, sv
 from .smooth import FitSpec, solve_prox_reference, solve_smooth
 from .vgf import (
     KyFanParams,

@@ -96,14 +96,6 @@ def _solve_x_block(fit: FitSpec, V: np.ndarray) -> np.ndarray:
     return (Gk @ z).reshape((n, m), order="F")
 
 
-def _v_target(Ubar: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Algebraic minimizer of phi(X, .) + <U, .> over V >= 0."""
-    R = psd_sqrt(Ubar)
-    Rinv = np.linalg.inv(R)
-    C = psd_sqrt(R @ (0.5 * X @ X.T) @ R)
-    return sym(Rinv @ C @ Rinv)
-
-
 def solve_smooth(
     fit: FitSpec,
     pd: ProblemData,

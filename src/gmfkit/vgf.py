@@ -17,7 +17,6 @@ from .hset import (
     ConvexSetSpec,
     Fantope,
     Indicator,
-    Ray,
     ShiftedPSDCap,
     Singleton,
     SpectralBox,

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmfkit.hset import (
     Fantope,
@@ -12,6 +15,7 @@ from gmfkit.hset import (
     ShiftedPSDCap,
     Singleton,
     SpectralBox,
+    SpectralSet,
     Support,
     TraceBall,
     _project_capped_simplex,
@@ -29,7 +33,6 @@ from gmfkit.hset import (
     psd_cap_support,
     set_from_json,
     set_to_json,
-    spectral_caps,
     support,
 )
 
@@ -95,6 +98,40 @@ def test_support_witness_attains():
             assert np.sum(W * G) == pytest.approx(val, abs=1e-7)
 
 
+def _vector_support_lp(w, lo, cap, total):
+    """max <lam, w> over {lo <= lam_i <= cap, sum lam <= total} by LP."""
+    budget = {} if np.isinf(total) else {"A_ub": np.ones((1, w.size)), "b_ub": [total]}
+    res = scipy.optimize.linprog(-w, bounds=[(lo, cap)] * w.size, **budget)
+    assert res.status == 0
+    return -res.fun
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["box", "ball", "fantope"]), st.integers(0, 10**6))
+def test_spectral_support_matches_the_vector_lp(kind, seed):
+    g = np.random.default_rng(seed)
+    n = int(g.integers(1, 5))
+    lo, hi = np.sort(g.uniform(-2.0, 2.0, 2))
+    S = {
+        "box": SpectralBox(lo, hi, n),
+        "ball": TraceBall(g.uniform(0.0, 3.0), n),
+        "fantope": Fantope(int(g.integers(1, n + 1)), n),
+    }[kind]
+    M = g.standard_normal((n, n))
+    G = M + M.T
+    w = np.linalg.eigvalsh(G)
+    val, W = support(S, G)
+    assert val == pytest.approx(_vector_support_lp(w, S.lo, S.cap, S.total), abs=1e-9)
+    assert member(S, W) and np.sum(W * G) == pytest.approx(val, abs=1e-9)
+    val, W = psd_cap_support(S, G)
+    if S.cap < 0.0:
+        assert val == -np.inf
+    else:
+        ref = _vector_support_lp(w, max(S.lo, 0.0), S.cap, S.total)
+        assert val == pytest.approx(ref, abs=1e-9)
+        assert np.linalg.eigvalsh(W)[0] >= -1e-9 and member(S, W)
+
+
 def test_psd_cap_support_spectral_box():
     G = np.diag([1.0, -2.0])
     val, V = psd_cap_support(SpectralBox(-1.0, 1.0, 2), G)
@@ -144,6 +181,64 @@ def test_gauge_homogeneous():
     S = TraceBall(1.0, 2)
     G = np.diag([1.0, 0.5])
     assert gauge(S, 2.0 * G) == pytest.approx(2.0 * gauge(S, G), rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "S",
+    [
+        Fantope(1, 2),
+        ShiftedPSDCap(np.eye(2)),
+        Hull((np.zeros((2, 2)), np.eye(2))),
+        Ray(np.eye(2)),
+    ],
+    ids=lambda S: type(S).__name__,
+)
+def test_gauge_is_infinite_outside_the_cone(S):
+    # diag(1, -1) is not PSD, so no multiple of it lies in any of these sets
+    assert gauge(S, np.diag([1.0, -1.0])) == np.inf
+
+
+def test_gauge_exact_forms():
+    assert gauge(SpectralBox(-1.0, 2.0, 2), np.diag([1.0, -1.0])) == pytest.approx(1.0)
+    assert gauge(Fantope(1, 3), np.diag([0.5, 0.5, 0.0])) == pytest.approx(1.0)
+    assert gauge(TraceBall(0.0, 2), np.diag([1.0, 0.0])) == np.inf
+    U = np.diag([2.0, 0.0])
+    assert gauge(ShiftedPSDCap(U), np.diag([3.0, 0.0])) == pytest.approx(1.5)
+    assert gauge(ShiftedPSDCap(U), np.eye(2)) == np.inf  # leaves rge U
+    hull = Hull((np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([0.0, 2.0])))
+    assert gauge(hull, np.diag([1.0, 1.0])) == pytest.approx(1.5)
+    assert gauge(Ray(np.eye(2)), 3.0 * np.eye(2)) == 0.0
+    assert gauge(Singleton(np.zeros((2, 2))), np.zeros((2, 2))) == 0.0
+    assert gauge(Singleton(np.zeros((2, 2))), np.eye(2)) == np.inf
+
+
+def _gauge_instance(kind, g):
+    """A set containing 0 and a point G of the cone it generates."""
+    n = int(g.integers(1, 4))
+    R, M = g.standard_normal((2, n, n))
+    psd = R @ R.T
+    if kind == "box":
+        return SpectralBox(-g.uniform(0.1, 2.0), g.uniform(0.1, 2.0), n), M + M.T
+    if kind == "ball":
+        return TraceBall(g.uniform(0.1, 3.0), n), psd
+    if kind == "fantope":
+        return Fantope(int(g.integers(1, n + 1)), n), psd
+    if kind == "cap":
+        return ShiftedPSDCap(psd + 0.1 * np.eye(n)), M @ M.T
+    pts = [np.zeros((n, n))] + [U + U.T for U in g.standard_normal((int(g.integers(1, 4)), n, n))]
+    G = sum(c * U for c, U in zip(g.uniform(0.0, 2.0, len(pts)), pts))
+    return Hull(pts), G
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["box", "ball", "fantope", "cap", "hull"]), st.integers(0, 10**6))
+def test_gauge_scales_onto_the_boundary(kind, seed):
+    S, G = _gauge_instance(kind, np.random.default_rng(seed))
+    g = gauge(S, G)
+    assert np.isfinite(g)
+    if g > 1e-6:
+        assert member(S, G / g)
+        assert not member(S, G / (0.99 * g))
 
 
 def test_h_eval_and_conj():
@@ -209,12 +304,14 @@ def test_fantope_validation():
 
 
 def test_spectral_caps():
-    assert spectral_caps(SpectralBox(-0.5, 1.5, 2)) == (1.5, np.inf)
-    assert spectral_caps(TraceBall(2.0, 3)) == (np.inf, 2.0)
-    assert spectral_caps(Fantope(2, 3)) == (1.0, 2.0)
+    """The spectral variants describe themselves as (lo, cap, total)."""
+    triple = lambda S: (S.lo, S.cap, S.total)
+    assert triple(SpectralBox(-0.5, 1.5, 2)) == (-0.5, 1.5, np.inf)
+    assert triple(TraceBall(2.0, 3)) == (0.0, np.inf, 2.0)
+    assert triple(Fantope(2, 3)) == (0.0, 1.0, 2.0)
     I2 = np.eye(2)
     for S in (Singleton(I2), Hull((I2,)), Ray(I2), ShiftedPSDCap(I2)):
-        assert spectral_caps(S) is None
+        assert not isinstance(S, SpectralSet)
 
 
 def _brute_force_projection(w, cap, total):

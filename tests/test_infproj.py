@@ -319,6 +319,17 @@ def test_weighted_nuclear_rank_deficient_X(seed):
     assert float(np.sum(X * pe.Y)) == pytest.approx(pe.value, rel=1e-12)
 
 
+@pytest.mark.parametrize("S", [TraceBall(1.0, 3), Fantope(1, 3)], ids=repr)
+def test_dual_value_closes_the_gap_on_spectral_sets(S):
+    # the ascent used to stall at d = 0.70758 against p = 0.74103 here
+    prob = InfProjProblem(unconstrained(3, 2), Indicator(S))
+    X = np.random.default_rng(0).standard_normal((3, 2))
+    p, d, gap, status = dual_gap(prob, X)
+    assert status == "numeric"
+    assert abs(gap) <= 1e-8
+    assert d <= p + 1e-12
+
+
 def test_start_candidates_depend_on_the_seed():
     prob = InfProjProblem(unconstrained(3, 1), Linear(np.eye(3)))
     a = _start_candidates(prob, np.random.default_rng(0))

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,3 +130,38 @@ def test_pinv_penrose_property(nr, nc, seed):
     P = pinv(M)
     assert np.allclose(M @ P @ M, M, atol=1e-8)
     assert np.allclose(P @ M @ P, P, atol=1e-8)
+
+
+def test_tolerances_dict_roundtrip():
+    tol = Tolerances(rank_rel=1e-8, psd_abs=1e-7, feas_abs=1e-6, conj_rel=1e-5)
+    assert Tolerances.from_dict(tol.to_dict()) == tol
+    assert list(tol.to_dict()) == ["rank_rel", "psd_abs", "feas_abs", "conj_rel"]
+    # missing or None keys take the defaults; other keys are ignored
+    assert Tolerances.from_dict({}) == DEFAULT_TOL
+    partial = Tolerances.from_dict({"psd_abs": "1e-7", "feas_abs": None, "other": 1})
+    assert partial == Tolerances(psd_abs=1e-7)
+    with pytest.raises(ValueError):
+        Tolerances.from_dict({"conj_rel": 0.5})
+
+
+def _unused_imports(path):
+    """Names a module imports but never reads (AST scan)."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports_in_the_package():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "gmfkit"
+    modules = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    assert modules
+    unused = [u for p in modules for u in _unused_imports(p)]
+    assert unused == []
