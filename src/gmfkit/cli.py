@@ -127,13 +127,20 @@ def _matrix_arg(spec: str, shape, symmetrize=False, tol=DEFAULT_TOL):
     return parse_matrix(spec, symmetrize=symmetrize, tol=tol)
 
 
-def parse_bundle(path: str, tol: Tolerances | None = None) -> InfProjProblem:
-    """JSON problem bundle -> InfProjProblem."""
+def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             d = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"{path}: {exc}") from exc
+    if not isinstance(d, dict):
+        raise CliError(f"{path}: expected a JSON object")
+    return d
+
+
+def parse_bundle(path: str, tol: Tolerances | None = None) -> InfProjProblem:
+    """JSON problem bundle -> InfProjProblem."""
+    d = _load_json(path)
     try:
         A = np.array(d["A"], dtype=float)
         B = np.array(d["B"], dtype=float)
@@ -285,13 +292,12 @@ def _cmd_gauge_check(args, tol):
 
 
 def _cmd_solve(args, tol):
+    d = _load_json(args.bundle)
     try:
-        with open(args.bundle) as fh:
-            d = json.load(fh)
         target = np.array(d["target"], dtype=float)
         mask = np.array(d["mask"], dtype=bool)
         lam = float(d["lam"])
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError) as exc:
         raise CliError(f"{args.bundle}: {exc}") from exc
     if mask.shape != target.shape:
         raise CliError("mask and target dimensions differ")
@@ -336,19 +342,20 @@ def _cmd_selftest(args, tol):
     ), []
 
 
+# command -> (handler, the flags it requires)
 _COMMANDS = {
-    "eval-gmf": _cmd_eval_gmf,
-    "eval-p": _cmd_eval_p,
-    "conjugate": _cmd_conjugate,
-    "dual-gap": _cmd_dual_gap,
-    "subdiff": _cmd_subdiff,
-    "cq-report": _cmd_cq_report,
-    "vgf": _cmd_vgf,
-    "kyfan": _cmd_kyfan,
-    "gauge-check": _cmd_gauge_check,
-    "solve": _cmd_solve,
-    "oracle-compare": _cmd_oracle_compare,
-    "selftest": _cmd_selftest,
+    "eval-gmf": (_cmd_eval_gmf, ("X", "V")),
+    "eval-p": (_cmd_eval_p, ("bundle", "X")),
+    "conjugate": (_cmd_conjugate, ("bundle", "Y")),
+    "dual-gap": (_cmd_dual_gap, ("bundle", "X")),
+    "subdiff": (_cmd_subdiff, ("bundle", "X")),
+    "cq-report": (_cmd_cq_report, ("bundle",)),
+    "vgf": (_cmd_vgf, ("bundle", "Y")),
+    "kyfan": (_cmd_kyfan, ("X",)),
+    "gauge-check": (_cmd_gauge_check, ("bundle", "Y")),
+    "solve": (_cmd_solve, ("bundle",)),
+    "oracle-compare": (_cmd_oracle_compare, ("X", "V")),
+    "selftest": (_cmd_selftest, ()),
 }
 
 
@@ -380,35 +387,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _require(args, names):
-    for name in names:
+def _require(args):
+    for name in _COMMANDS[args.command][1]:
         if getattr(args, name) is None:
             raise CliError(f"--{name} is required for {args.command}")
 
 
-_REQUIRED = {
-    "eval-gmf": ["X", "V"],
-    "eval-p": ["bundle", "X"],
-    "conjugate": ["bundle", "Y"],
-    "dual-gap": ["bundle", "X"],
-    "subdiff": ["bundle", "X"],
-    "cq-report": ["bundle"],
-    "vgf": ["bundle", "Y"],
-    "kyfan": ["X"],
-    "gauge-check": ["bundle", "Y"],
-    "solve": ["bundle"],
-    "oracle-compare": ["X", "V"],
-    "selftest": [],
-}
+def _tolerances(args) -> Tolerances:
+    """A --tol-* flag that is given sets its field; the bundle's "tol"
+    block, if any, sets the others, and the defaults the rest."""
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    base = _load_json(args.bundle).get("tol", {}) if args.bundle else {}
+    try:
+        return Tolerances.from_dict({**base, **given})
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"bad tolerances: {exc}") from exc
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    tol = Tolerances.from_dict(vars(args))  # the --tol-* flags not given are None
     t0 = time.time()
     try:
-        _require(args, _REQUIRED[args.command])
-        outputs, code, inputs = _COMMANDS[args.command](args, tol)
+        _require(args)
+        tol = _tolerances(args)
+        outputs, code, inputs = _COMMANDS[args.command][0](args, tol)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

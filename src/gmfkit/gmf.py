@@ -133,19 +133,22 @@ def eval_gmf(
     if X.shape != (pd.n, pd.m):
         raise ValueError(f"X must be {pd.n}x{pd.m}, got {X.shape}")
     V = sym(V, tol)
-    if not in_KA(pd, V, tol):
+    # one lambda_min on ker A decides both K_A (in_KA) and its interior
+    lam = min_eig(pd.N.T @ V @ pd.N) if pd.N.shape[1] else np.inf
+    if not lam >= -tol.psd_abs:
         return GmfEval(np.inf)
     M = bordered_matrix(pd, V)
     rhs = np.vstack([X, pd.B])
-    if not range_contains(M, rhs, tol):
-        return GmfEval(np.inf)
     Z = pinv(M, tol) @ rhs
+    # the range condition, with range_contains's slack on the same residual
+    if not np.linalg.norm(rhs - M @ Z) <= tol.feas_abs * (1.0 + np.linalg.norm(rhs)):
+        return GmfEval(np.inf)
     value = 0.5 * float(np.sum(rhs * Z))
     return GmfEval(
         value,
         witness_Y=Z[: pd.n],
         witness_multiplier=Z[pd.n :],
-        boundary=not in_int_KA(pd, V, tol),
+        boundary=not lam >= tol.psd_abs,
     )
 
 

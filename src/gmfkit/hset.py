@@ -9,11 +9,13 @@ decidable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 import scipy.optimize
 
+from .gmf import in_KA
 from .numlin import (
     DEFAULT_TOL,
     Tolerances,
@@ -31,9 +33,48 @@ from .numlin import (
 # Set variants
 
 
+class ConvexSetSpec:
+    """A closed convex set S of n x n symmetric matrices.
+
+    Each variant implements support, psd_cap_support, member, project
+    and gauge (for G != 0, given 0 in S) as methods on trusted arrays,
+    symmetric (already passed through sym) and n x n; the module-level
+    functions of the same names validate their arguments and call them.
+    The constraint-qualification rules inside_KA, dominates (below) and
+    max_min_eig are methods only:
+
+    - inside_KA(pd, tol): whether S lies inside K_A; False where that
+      is not known.
+    - max_min_eig(C, N): (sup over V in S of lambda_min(N^T (V - C) N),
+      exactness flag) for N with orthonormal columns, at least one; the
+      value is a lower bound when the flag is False.  A positive value
+      at C = 0 means S meets the interior of {V : N^T V N >= 0}.
+
+    `kind` is the variant's JSON tag; the JSON fields are the dataclass
+    fields."""
+
+    kind: str
+    bounded = True
+
+    def contains_zero(self, tol: Tolerances) -> bool:
+        return self.member(np.zeros((self.n, self.n)), tol)
+
+    def psd_cap_bounded(self, tol: Tolerances) -> bool:
+        """Whether S intersect PSD is bounded."""
+        return True
+
+    def dominates(self, G: np.ndarray, tol: Tolerances) -> bool:
+        """Whether some W in S satisfies W >= G (G positive
+        semidefinite): sup over S of lambda_min(W - G) >= 0."""
+        sup, _ = self.max_min_eig(G, np.eye(G.shape[0]))
+        return sup >= -tol.psd_abs * (1.0 + np.linalg.norm(G))
+
+
 @dataclass(frozen=True)
-class Singleton:
+class Singleton(ConvexSetSpec):
     U: np.ndarray
+
+    kind = "singleton"
 
     def __post_init__(self):
         object.__setattr__(self, "U", sym(self.U))
@@ -42,19 +83,105 @@ class Singleton:
     def n(self) -> int:
         return self.U.shape[0]
 
+    def contains_zero(self, tol):
+        return not np.any(np.abs(self.U) > tol.feas_abs)
 
-class SpectralSet:
+    def support(self, G, tol):
+        return float(np.sum(self.U * G)), self.U
+
+    def psd_cap_support(self, G, tol):
+        if min_eig(self.U) < -tol.psd_abs * (1.0 + np.linalg.norm(self.U)):
+            return -np.inf, None
+        return self.support(G, tol)
+
+    def member(self, V, tol):
+        return np.linalg.norm(V - self.U) <= tol.feas_abs * (1.0 + np.linalg.norm(self.U))
+
+    def project(self, V, tol):
+        return self.U.copy()
+
+    def gauge(self, G, tol):
+        # holding 0, S is the cone {0}: t*S = S for every t > 0
+        return 0.0 if self.member(G, tol) else np.inf
+
+    def inside_KA(self, pd, tol):
+        return in_KA(pd, self.U, tol)
+
+    def max_min_eig(self, C, N):
+        return min_eig(N.T @ (self.U - C) @ N), True
+
+
+class SpectralSet(ConvexSetSpec):
     """{V : lambda(V) in C} for the permutation-invariant vector set
     C = {lo <= lambda_i <= cap, sum lambda_i <= total}.
 
     By Lewis's transfer principle the support function, membership,
     projection and gauge of such a set are each one rule on the sorted
     eigenvalues, so the subclasses only validate their arguments and
-    supply (lo, cap, total)."""
+    supply (lo, cap, total).  Every subclass has lo = 0 or total = inf,
+    which max_min_eig relies on."""
 
     lo: float
     cap: float
     total: float
+
+    def contains_zero(self, tol):
+        return self.lo <= 0.0 <= self.cap
+
+    def support(self, G, tol):
+        return _spectral_support(G, self.lo, self.cap, self.total)
+
+    def psd_cap_support(self, G, tol):
+        # the same set with lo replaced by max(lo, 0); empty when cap < 0
+        if self.cap < 0.0:
+            return -np.inf, None
+        return _spectral_support(G, max(self.lo, 0.0), self.cap, self.total)
+
+    def member(self, V, tol):
+        w = np.linalg.eigvalsh(V)
+        scale = 1.0 + np.linalg.norm(V)
+        return (
+            w[0] >= self.lo - tol.psd_abs * scale
+            and w[-1] <= self.cap + tol.psd_abs * scale
+            and w.sum() <= self.total + tol.feas_abs * (1.0 + self.total)
+        )
+
+    def project(self, V, tol):
+        w, Q = sym_eig(V)
+        lo = self.lo
+        shifted = _project_capped_simplex(w - lo, self.cap - lo, self.total - w.size * lo)
+        return (Q * (lo + shifted)) @ Q.T
+
+    def gauge(self, G, tol):
+        # G in t*S iff lambda_max <= t*cap, lambda_min >= t*lo, sum <= t*total
+        slack = tol.psd_abs * (1.0 + np.linalg.norm(G))
+        w = np.linalg.eigvalsh(G)
+        num = np.array([w[-1], -w[0], w.sum()])
+        den = np.array([self.cap, -self.lo, self.total])
+        if np.any((num > slack) & (den == 0.0)):
+            return np.inf
+        return max(0.0, float(np.max(np.divide(num, den, out=np.zeros(3), where=den > 0.0))))
+
+    def inside_KA(self, pd, tol):
+        return self.lo >= 0.0
+
+    def dominates(self, G, tol):
+        # W = G when G's eigenvalues fit the caps (W = hi * I for a box)
+        scale = 1.0 + np.linalg.norm(G)
+        under_cap = max_eig(G) <= self.cap + tol.psd_abs * scale
+        return under_cap and float(np.trace(G)) <= self.total + tol.feas_abs * (1.0 + self.total)
+
+    def max_min_eig(self, C, N):
+        # With k = N's column count and c = min(cap, total/k), V = c*I
+        # (total = inf) or V = c*N N^T (lo = 0) lies in S and gives
+        # N^T V N = c*I.  Nothing does better at C = 0: lambda_min(N^T V N)
+        # is at most lambda_max(V) <= cap and, for lo = 0, at most
+        # tr(N^T V N)/k <= total/k.  With C != 0 and a finite budget, c*I
+        # gives only a lower bound.
+        k = N.shape[1]
+        c = min(self.cap, self.total / k)
+        exact = bool(np.isinf(self.total) or not np.any(C))
+        return min_eig(c * np.eye(k) - N.T @ C @ N), exact
 
 
 @dataclass(frozen=True)
@@ -65,6 +192,7 @@ class SpectralBox(SpectralSet):
     hi: float
     n: int
 
+    kind = "spectral_box"
     cap = property(lambda self: self.hi)
     total = np.inf
 
@@ -82,6 +210,7 @@ class TraceBall(SpectralSet):
     r: float
     n: int
 
+    kind = "trace_ball"
     lo = 0.0
     cap = np.inf
     total = property(lambda self: self.r)
@@ -98,6 +227,7 @@ class Fantope(SpectralSet):
     k: int
     n: int
 
+    kind = "fantope"
     lo = 0.0
     cap = 1.0
     total = property(lambda self: float(self.k))
@@ -108,10 +238,12 @@ class Fantope(SpectralSet):
 
 
 @dataclass(frozen=True)
-class Hull:
+class Hull(ConvexSetSpec):
     """Convex hull of finitely many symmetric matrices."""
 
     points: tuple
+
+    kind = "hull"
 
     def __init__(self, points):
         pts = tuple(sym(U) for U in points)
@@ -123,12 +255,74 @@ class Hull:
     def n(self) -> int:
         return self.points[0].shape[0]
 
+    def support(self, G, tol):
+        vals = [float(np.sum(U * G)) for U in self.points]
+        j = int(np.argmax(vals))
+        return vals[j], self.points[j]
+
+    def psd_cap_support(self, G, tol):
+        psd_flags = [
+            min_eig(U) >= -tol.psd_abs * (1.0 + np.linalg.norm(U)) for U in self.points
+        ]
+        if all(psd_flags):
+            return self.support(G, tol)
+        if not any(psd_flags):
+            raise NotImplementedError("support over a mixed hull intersected with the PSD cone")
+        pts = [U for U, ok in zip(self.points, psd_flags) if ok]
+        # PSD vertices span only part of the intersection; exact for the
+        # test sets used here, which never mix signs off the PSD face.
+        return Hull(pts).support(G, tol)
+
+    def _combination(self, V: np.ndarray) -> np.ndarray:
+        """The convex combination of the points that fits V in least
+        squares, the unit weight sum imposed by a heavily weighted row."""
+        vecs = np.column_stack([U.ravel() for U in self.points])
+        alpha = 10.0 * (1.0 + np.linalg.norm(V))
+        Aeq = np.vstack([vecs, alpha * np.ones((1, len(self.points)))])
+        beq = np.concatenate([V.ravel(), [alpha]])
+        w, _ = scipy.optimize.nnls(Aeq, beq)
+        s = w.sum()
+        if s > 0:
+            w = w / s
+        return sum(wi * U for wi, U in zip(w, self.points))
+
+    def member(self, V, tol):
+        return np.linalg.norm(self._combination(V) - V) <= tol.feas_abs * (1.0 + np.linalg.norm(V))
+
+    def project(self, V, tol):
+        return sym(self._combination(V))
+
+    def gauge(self, G, tol):
+        # 0 in S, so G in t*S iff G = sum mu_i U_i with mu >= 0, sum mu <= t
+        iu = np.triu_indices(self.n)
+        res = scipy.optimize.linprog(
+            np.ones(len(self.points)),
+            A_eq=np.column_stack([U[iu] for U in self.points]),
+            b_eq=G[iu],
+            bounds=(0.0, None),
+            method="highs",
+        )
+        if res.status == 2:
+            return np.inf
+        if res.status != 0:
+            raise RuntimeError(f"hull gauge LP failed: {res.message}")
+        return float(res.fun)
+
+    def inside_KA(self, pd, tol):
+        return all(in_KA(pd, U, tol) for U in self.points)
+
+    def max_min_eig(self, C, N):
+        return _hull_max_min_eig([N.T @ U @ N for U in self.points], N.T @ C @ N), True
+
 
 @dataclass(frozen=True)
-class Ray:
+class Ray(ConvexSetSpec):
     """pos{D} = {alpha * D : alpha >= 0}."""
 
     D: np.ndarray
+
+    kind = "ray"
+    bounded = property(lambda self: not np.any(self.D))
 
     def __post_init__(self):
         object.__setattr__(self, "D", sym(self.D))
@@ -137,12 +331,70 @@ class Ray:
     def n(self) -> int:
         return self.D.shape[0]
 
+    def support(self, G, tol):
+        ip = float(np.sum(self.D * G))
+        scale = 1.0 + np.linalg.norm(self.D) * np.linalg.norm(G)
+        if ip <= tol.feas_abs * scale:
+            return 0.0, np.zeros((self.n, self.n))
+        return np.inf, None
+
+    def psd_cap_support(self, G, tol):
+        # S cap PSD is {0} when bounded, the whole ray otherwise
+        if self.psd_cap_bounded(tol):
+            return 0.0, np.zeros((self.n, self.n))
+        return self.support(G, tol)
+
+    def psd_cap_bounded(self, tol):
+        D = self.D
+        return self.bounded or min_eig(D) < -tol.psd_abs * (1.0 + np.linalg.norm(D))
+
+    def _coefficient(self, V) -> float:
+        return max(0.0, float(np.sum(self.D * V) / np.sum(self.D * self.D)))
+
+    def member(self, V, tol):
+        if self.bounded:
+            return np.linalg.norm(V) <= tol.feas_abs
+        nearest = self._coefficient(V) * self.D
+        return np.linalg.norm(V - nearest) <= tol.feas_abs * (1.0 + np.linalg.norm(V))
+
+    def project(self, V, tol):
+        if self.bounded:
+            return np.zeros_like(V)
+        return self._coefficient(V) * self.D
+
+    def gauge(self, G, tol):
+        # a cone: t*S = S for every t > 0
+        return 0.0 if self.member(G, tol) else np.inf
+
+    def inside_KA(self, pd, tol):
+        return in_KA(pd, self.D, tol)
+
+    def dominates(self, G, tol):
+        if self.bounded:
+            return np.linalg.norm(G) <= tol.feas_abs
+        floor = -tol.psd_abs * (1.0 + np.linalg.norm(G))
+        alpha = 1.0
+        while alpha <= 1e12:
+            if min_eig(alpha * self.D - G) >= floor:
+                return True
+            alpha *= 4.0
+        return False
+
+    def max_min_eig(self, C, N):
+        if min_eig(N.T @ self.D @ N) > 0:
+            return np.inf, True
+        if not np.any(C):
+            return 0.0, True  # attained at alpha = 0
+        return min_eig(N.T @ (self.D - C) @ N), False  # the alpha = 1 point
+
 
 @dataclass(frozen=True)
-class ShiftedPSDCap:
+class ShiftedPSDCap(ConvexSetSpec):
     """{V : 0 <= V <= U}."""
 
     U: np.ndarray
+
+    kind = "psd_cap"
 
     def __post_init__(self):
         U = sym(self.U)
@@ -154,75 +406,64 @@ class ShiftedPSDCap:
     def n(self) -> int:
         return self.U.shape[0]
 
-
-ConvexSetSpec = Singleton | SpectralBox | TraceBall | Fantope | Hull | Ray | ShiftedPSDCap
-
-
-# ---------------------------------------------------------------------------
-# Perturbation functions h
-
-
-@dataclass(frozen=True)
-class Linear:
-    """h = <U, .>"""
-
-    U: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "U", sym(self.U))
-
-    @property
-    def n(self) -> int:
-        return self.U.shape[0]
-
-
-@dataclass(frozen=True)
-class Indicator:
-    """h = delta_S"""
-
-    set: ConvexSetSpec
-
-    @property
-    def n(self) -> int:
-        return self.set.n
-
-
-@dataclass(frozen=True)
-class Support:
-    """h = sigma_S"""
-
-    set: ConvexSetSpec
-
-    @property
-    def n(self) -> int:
-        return self.set.n
-
-
-HSpec = Linear | Indicator | Support
-
-
-# ---------------------------------------------------------------------------
-# Basic predicates
-
-
-def is_bounded(S: ConvexSetSpec) -> bool:
-    if isinstance(S, Ray):
-        return not np.any(S.D)
-    return True
-
-
-def contains_zero(S: ConvexSetSpec, tol: Tolerances = DEFAULT_TOL) -> bool:
-    if isinstance(S, Singleton):
-        return not np.any(np.abs(S.U) > tol.feas_abs)
-    if isinstance(S, SpectralSet):
-        return S.lo <= 0.0 <= S.cap
-    if isinstance(S, (Ray, ShiftedPSDCap)):
+    def contains_zero(self, tol):
         return True
-    return member(S, np.zeros((S.n, S.n)), tol)
+
+    def support(self, G, tol):
+        R = psd_sqrt(self.U)
+        w, Q = sym_eig(R @ G @ R)
+        Pi = (Q * (w > 0.0)) @ Q.T
+        V = sym(R @ Pi @ R)
+        return float(np.sum(np.clip(w, 0.0, None))), V
+
+    def psd_cap_support(self, G, tol):
+        return self.support(G, tol)
+
+    def member(self, V, tol):
+        su = 1.0 + np.linalg.norm(self.U)
+        return (
+            min_eig(V) >= -tol.psd_abs * (1.0 + np.linalg.norm(V))
+            and min_eig(self.U - V) >= -tol.psd_abs * su
+        )
+
+    def project(self, V, tol):
+        """Dykstra's alternating projections onto PSD and U - PSD."""
+        X = V.copy()
+        p = np.zeros_like(V)
+        q = np.zeros_like(V)
+        for _ in range(200):
+            w, Q = sym_eig(X + p)
+            Y = (Q * np.clip(w, 0.0, None)) @ Q.T
+            p = X + p - Y
+            w, Q = sym_eig(self.U - (Y + q))
+            Xn = self.U - (Q * np.clip(w, 0.0, None)) @ Q.T
+            q = Y + q - Xn
+            if np.linalg.norm(Xn - X) <= 1e-12 * (1.0 + np.linalg.norm(X)):
+                X = Xn
+                break
+            X = Xn
+        return sym(X)
+
+    def gauge(self, G, tol):
+        # G in t*S iff 0 <= G <= t*U
+        slack = tol.psd_abs * (1.0 + np.linalg.norm(G))
+        if min_eig(G) < -slack or not range_contains(self.U, G, tol):
+            return np.inf
+        Rp = pinv(psd_sqrt(self.U), tol)
+        return max(0.0, max_eig(Rp @ G @ Rp))
+
+    def inside_KA(self, pd, tol):
+        return True
+
+    def dominates(self, G, tol):
+        return min_eig(self.U - G) >= -tol.psd_abs * (1.0 + np.linalg.norm(self.U))
+
+    def max_min_eig(self, C, N):
+        return min_eig(N.T @ (self.U - C) @ N), True
 
 
 # ---------------------------------------------------------------------------
-# Support functions
+# Rules shared by several variants
 
 
 def _spectral_support(G: np.ndarray, lo: float, cap: float, total: float):
@@ -236,132 +477,6 @@ def _spectral_support(G: np.ndarray, lo: float, cap: float, total: float):
     lam = np.minimum(cap, np.maximum(lo, (lo + budget) - step * np.arange(w.size)))
     lam = np.where(w > 0.0, lam, lo)
     return float(lam @ w), (Q * lam) @ Q.T
-
-
-def support(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances = DEFAULT_TOL):
-    """sigma_S(G) = sup_{V in S} <V, G> with a maximizer when finite.
-
-    Returns (value, witness); witness is None when the value is +inf.
-    """
-    G = sym(G, tol)
-    n = S.n
-    if G.shape[0] != n:
-        raise ValueError("dimension mismatch")
-    if isinstance(S, Singleton):
-        return float(np.sum(S.U * G)), S.U
-    if isinstance(S, SpectralSet):
-        return _spectral_support(G, S.lo, S.cap, S.total)
-    if isinstance(S, Hull):
-        vals = [float(np.sum(U * G)) for U in S.points]
-        j = int(np.argmax(vals))
-        return vals[j], S.points[j]
-    if isinstance(S, Ray):
-        ip = float(np.sum(S.D * G))
-        scale = 1.0 + np.linalg.norm(S.D) * np.linalg.norm(G)
-        if ip <= tol.feas_abs * scale:
-            return 0.0, np.zeros((n, n))
-        return np.inf, None
-    if isinstance(S, ShiftedPSDCap):
-        R = psd_sqrt(S.U)
-        w, Q = sym_eig(R @ G @ R)
-        Pi = (Q * (w > 0.0)) @ Q.T
-        V = sym(R @ Pi @ R)
-        return float(np.sum(np.clip(w, 0.0, None))), V
-    raise TypeError(f"unknown set variant {type(S).__name__}")
-
-
-def psd_cap_support(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances = DEFAULT_TOL):
-    """sigma_{S \\cap PSD}(G) with maximizer; -inf if the intersection is empty."""
-    G = sym(G, tol)
-    n = S.n
-    if G.shape[0] != n:
-        raise ValueError("dimension mismatch")
-    scale = lambda M: 1.0 + np.linalg.norm(M)
-    if isinstance(S, Singleton):
-        if min_eig(S.U) < -tol.psd_abs * scale(S.U):
-            return -np.inf, None
-        return float(np.sum(S.U * G)), S.U
-    if isinstance(S, SpectralSet):
-        # the same set with lo replaced by max(lo, 0); empty when cap < 0
-        if S.cap < 0.0:
-            return -np.inf, None
-        return _spectral_support(G, max(S.lo, 0.0), S.cap, S.total)
-    if isinstance(S, ShiftedPSDCap):
-        return support(S, G, tol)
-    if isinstance(S, Hull):
-        psd_flags = [min_eig(U) >= -tol.psd_abs * scale(U) for U in S.points]
-        if all(psd_flags):
-            return support(S, G, tol)
-        if not any(psd_flags):
-            raise NotImplementedError(
-                "support over a mixed hull intersected with the PSD cone"
-            )
-        pts = [U for U, ok in zip(S.points, psd_flags) if ok]
-        # PSD vertices span only part of the intersection; exact for the
-        # test sets used here, which never mix signs off the PSD face.
-        return support(Hull(pts), G, tol)
-    if isinstance(S, Ray):
-        if min_eig(S.D) < -tol.psd_abs * scale(S.D):
-            return 0.0, np.zeros((n, n))
-        return support(S, G, tol)
-    raise TypeError(f"unknown set variant {type(S).__name__}")
-
-
-def psd_cap_nonempty(S: ConvexSetSpec, tol: Tolerances = DEFAULT_TOL) -> bool:
-    val, _ = psd_cap_support(S, np.zeros((S.n, S.n)), tol)
-    return np.isfinite(val)
-
-
-def psd_cap_bounded(S: ConvexSetSpec, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether S intersect PSD is bounded."""
-    if isinstance(S, Ray):
-        D = S.D
-        return (not np.any(D)) or min_eig(D) < -tol.psd_abs * (1 + np.linalg.norm(D))
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Membership and projection
-
-
-def _hull_weights(S: Hull, V: np.ndarray):
-    vecs = np.column_stack([U.ravel() for U in S.points])
-    alpha = 10.0 * (1.0 + np.linalg.norm(V))
-    Aeq = np.vstack([vecs, alpha * np.ones((1, len(S.points)))])
-    beq = np.concatenate([V.ravel(), [alpha]])
-    w, _ = scipy.optimize.nnls(Aeq, beq)
-    s = w.sum()
-    if s > 0:
-        w = w / s
-    return w
-
-
-def member(S: ConvexSetSpec, V: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    V = sym(V, tol)
-    scale = 1.0 + np.linalg.norm(V)
-    if isinstance(S, Singleton):
-        return np.linalg.norm(V - S.U) <= tol.feas_abs * (1.0 + np.linalg.norm(S.U))
-    if isinstance(S, SpectralSet):
-        w = np.linalg.eigvalsh(V)
-        return (
-            w[0] >= S.lo - tol.psd_abs * scale
-            and w[-1] <= S.cap + tol.psd_abs * scale
-            and w.sum() <= S.total + tol.feas_abs * (1.0 + S.total)
-        )
-    if isinstance(S, Hull):
-        w = _hull_weights(S, V)
-        approx = sum(wi * U for wi, U in zip(w, S.points))
-        return np.linalg.norm(approx - V) <= tol.feas_abs * scale
-    if isinstance(S, Ray):
-        if not np.any(S.D):
-            return np.linalg.norm(V) <= tol.feas_abs
-        a = float(np.sum(S.D * V) / np.sum(S.D * S.D))
-        a = max(a, 0.0)
-        return np.linalg.norm(V - a * S.D) <= tol.feas_abs * scale
-    if isinstance(S, ShiftedPSDCap):
-        su = 1.0 + np.linalg.norm(S.U)
-        return min_eig(V) >= -tol.psd_abs * scale and min_eig(S.U - V) >= -tol.psd_abs * su
-    raise TypeError(f"unknown set variant {type(S).__name__}")
 
 
 def _project_capped_simplex(w, cap, total):
@@ -384,44 +499,126 @@ def _project_capped_simplex(w, cap, total):
     return np.clip(w - tau, 0.0, cap)
 
 
-def project(S: ConvexSetSpec, V: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Euclidean projection onto S (Dykstra for the general cap)."""
-    V = sym(V, tol)
-    if isinstance(S, Singleton):
-        return S.U.copy()
-    if isinstance(S, SpectralSet):
-        w, Q = sym_eig(V)
-        shifted = _project_capped_simplex(w - S.lo, S.cap - S.lo, S.total - w.size * S.lo)
-        return (Q * (S.lo + shifted)) @ Q.T
-    if isinstance(S, Hull):
-        w = _hull_weights(S, V)
-        return sym(sum(wi * U for wi, U in zip(w, S.points)))
-    if isinstance(S, Ray):
-        if not np.any(S.D):
-            return np.zeros_like(V)
-        a = max(0.0, float(np.sum(S.D * V) / np.sum(S.D * S.D)))
-        return a * S.D
-    if isinstance(S, ShiftedPSDCap):
-        X = V.copy()
-        p = np.zeros_like(V)
-        q = np.zeros_like(V)
-        for _ in range(200):
-            w, Q = sym_eig(X + p)
-            Y = (Q * np.clip(w, 0.0, None)) @ Q.T
-            p = X + p - Y
-            w, Q = sym_eig(S.U - (Y + q))
-            Xn = S.U - (Q * np.clip(w, 0.0, None)) @ Q.T
-            q = Y + q - Xn
-            if np.linalg.norm(Xn - X) <= 1e-12 * (1.0 + np.linalg.norm(X)):
-                X = Xn
-                break
-            X = Xn
-        return sym(X)
-    raise TypeError(f"unknown set variant {type(S).__name__}")
+def _hull_max_min_eig(mats, C: np.ndarray) -> float:
+    """max over the simplex of lambda_min(sum w_i M_i - C), by SLSQP from
+    the uniform weights and five seeded Dirichlet draws.  The objective is
+    nonsmooth, so this is a local search that no dual bound certifies."""
+    k = len(mats)
+    flat = np.reshape(mats, (k, -1))
+    cons = [{"type": "eq", "fun": lambda w: np.sum(w) - 1.0}]
+    rng = np.random.default_rng(0)
+    starts = [np.full(k, 1.0 / k)] + [rng.dirichlet(np.ones(k)) for _ in range(5)]
+    best = min(
+        scipy.optimize.minimize(
+            lambda w: -min_eig((w @ flat).reshape(C.shape) - C),
+            w0,
+            bounds=[(0.0, 1.0)] * k,
+            constraints=cons,
+            method="SLSQP",
+        ).fun
+        for w0 in starts
+    )
+    return -best
 
 
 # ---------------------------------------------------------------------------
-# Gauge
+# Perturbation functions h
+
+
+@dataclass(frozen=True)
+class Linear:
+    """h = <U, .>"""
+
+    U: np.ndarray
+
+    kind = "linear"
+
+    def __post_init__(self):
+        object.__setattr__(self, "U", sym(self.U))
+
+    @property
+    def n(self) -> int:
+        return self.U.shape[0]
+
+
+@dataclass(frozen=True)
+class Indicator:
+    """h = delta_S"""
+
+    set: ConvexSetSpec
+
+    kind = "indicator"
+
+    @property
+    def n(self) -> int:
+        return self.set.n
+
+
+@dataclass(frozen=True)
+class Support:
+    """h = sigma_S"""
+
+    set: ConvexSetSpec
+
+    kind = "support"
+
+    @property
+    def n(self) -> int:
+        return self.set.n
+
+
+HSpec = Linear | Indicator | Support
+
+
+# ---------------------------------------------------------------------------
+# The set rules at the validation boundary
+
+
+def is_bounded(S: ConvexSetSpec) -> bool:
+    return S.bounded
+
+
+def contains_zero(S: ConvexSetSpec, tol: Tolerances = DEFAULT_TOL) -> bool:
+    return S.contains_zero(tol)
+
+
+def _checked(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances) -> np.ndarray:
+    G = sym(G, tol)
+    if G.shape[0] != S.n:
+        raise ValueError("dimension mismatch")
+    return G
+
+
+def support(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+    """sigma_S(G) = sup_{V in S} <V, G> with a maximizer when finite.
+
+    Returns (value, witness); witness is None when the value is +inf.
+    """
+    return S.support(_checked(S, G, tol), tol)
+
+
+def psd_cap_support(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+    """sigma_{S \\cap PSD}(G) with maximizer; -inf if the intersection is empty."""
+    return S.psd_cap_support(_checked(S, G, tol), tol)
+
+
+def psd_cap_nonempty(S: ConvexSetSpec, tol: Tolerances = DEFAULT_TOL) -> bool:
+    val, _ = psd_cap_support(S, np.zeros((S.n, S.n)), tol)
+    return np.isfinite(val)
+
+
+def psd_cap_bounded(S: ConvexSetSpec, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Whether S intersect PSD is bounded."""
+    return S.psd_cap_bounded(tol)
+
+
+def member(S: ConvexSetSpec, V: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
+    return S.member(sym(V, tol), tol)
+
+
+def project(S: ConvexSetSpec, V: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Euclidean projection onto S (Dykstra for the general cap)."""
+    return S.project(sym(V, tol), tol)
 
 
 def gauge(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -430,44 +627,11 @@ def gauge(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> flo
     Exact for every variant, and +inf when G lies outside the cone
     generated by S."""
     G = sym(G, tol)
-    if not contains_zero(S, tol):
+    if not S.contains_zero(tol):
         raise ValueError("gauge requires 0 in S")
     if not np.any(np.abs(G) > 0.0):
         return 0.0
-    slack = tol.psd_abs * (1.0 + np.linalg.norm(G))
-    if isinstance(S, SpectralSet):
-        # G in t*S iff lambda_max <= t*cap, lambda_min >= t*lo, sum <= t*total
-        w = np.linalg.eigvalsh(G)
-        num = np.array([w[-1], -w[0], w.sum()])
-        den = np.array([S.cap, -S.lo, S.total])
-        if np.any((num > slack) & (den == 0.0)):
-            return np.inf
-        return max(0.0, float(np.max(np.divide(num, den, out=np.zeros(3), where=den > 0.0))))
-    if isinstance(S, (Singleton, Ray)):
-        # cones (a singleton holding 0 is {0}): t*S = S for every t > 0
-        return 0.0 if member(S, G, tol) else np.inf
-    if isinstance(S, ShiftedPSDCap):
-        # G in t*S iff 0 <= G <= t*U
-        if min_eig(G) < -slack or not range_contains(S.U, G, tol):
-            return np.inf
-        Rp = pinv(psd_sqrt(S.U), tol)
-        return max(0.0, max_eig(Rp @ G @ Rp))
-    if isinstance(S, Hull):
-        # 0 in S, so G in t*S iff G = sum mu_i U_i with mu >= 0, sum mu <= t
-        iu = np.triu_indices(S.n)
-        res = scipy.optimize.linprog(
-            np.ones(len(S.points)),
-            A_eq=np.column_stack([U[iu] for U in S.points]),
-            b_eq=G[iu],
-            bounds=(0.0, None),
-            method="highs",
-        )
-        if res.status == 2:
-            return np.inf
-        if res.status != 0:
-            raise RuntimeError(f"hull gauge LP failed: {res.message}")
-        return float(res.fun)
-    raise TypeError(f"unknown set variant {type(S).__name__}")
+    return S.gauge(G, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -488,74 +652,56 @@ def h_eval(h: HSpec, V: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
 def h_conj(h: HSpec, W: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
     """Conjugate of h: Linear(U)* = delta_{U}, Indicator(S)* = sigma_S,
     Support(S)* = delta_S."""
-    W = sym(W, tol)
     if isinstance(h, Linear):
-        ok = np.linalg.norm(W - h.U) <= tol.feas_abs * (1.0 + np.linalg.norm(h.U))
-        return 0.0 if ok else np.inf
-    if isinstance(h, Indicator):
-        return support(h.set, W, tol)[0]
-    if isinstance(h, Support):
-        return 0.0 if member(h.set, W, tol) else np.inf
-    raise TypeError(f"unknown h variant {type(h).__name__}")
+        return h_eval(Indicator(Singleton(h.U)), W, tol)
+    return h_eval(Support(h.set) if isinstance(h, Indicator) else Indicator(h.set), W, tol)
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (tagged by variant)
+# JSON serialization: {"kind": tag, field: value, ...} over the dataclass fields
+
+
+def _to_json(obj) -> dict:
+    out = {"kind": obj.kind}
+    for f in fields(obj):
+        out[f.name] = _JSON_FIELDS[f.type][0](getattr(obj, f.name))
+    return out
+
+
+def _from_json(variants: dict, d: dict, what: str):
+    kind = d.get("kind")
+    if kind not in variants:
+        raise ValueError(f"unknown {what} tag {kind!r}")
+    cls = variants[kind]
+    return cls(*(_JSON_FIELDS[f.type][1](d[f.name]) for f in fields(cls)))
 
 
 def set_to_json(S: ConvexSetSpec) -> dict:
-    if isinstance(S, Singleton):
-        return {"kind": "singleton", "U": S.U.tolist()}
-    if isinstance(S, SpectralBox):
-        return {"kind": "spectral_box", "lo": S.lo, "hi": S.hi, "n": S.n}
-    if isinstance(S, TraceBall):
-        return {"kind": "trace_ball", "r": S.r, "n": S.n}
-    if isinstance(S, Fantope):
-        return {"kind": "fantope", "k": S.k, "n": S.n}
-    if isinstance(S, Hull):
-        return {"kind": "hull", "points": [U.tolist() for U in S.points]}
-    if isinstance(S, Ray):
-        return {"kind": "ray", "D": S.D.tolist()}
-    if isinstance(S, ShiftedPSDCap):
-        return {"kind": "psd_cap", "U": S.U.tolist()}
-    raise TypeError(f"unknown set variant {type(S).__name__}")
+    return _to_json(S)
 
 
 def set_from_json(d: dict) -> ConvexSetSpec:
-    kind = d.get("kind")
-    if kind == "singleton":
-        return Singleton(np.array(d["U"], dtype=float))
-    if kind == "spectral_box":
-        return SpectralBox(float(d["lo"]), float(d["hi"]), int(d["n"]))
-    if kind == "trace_ball":
-        return TraceBall(float(d["r"]), int(d["n"]))
-    if kind == "fantope":
-        return Fantope(int(d["k"]), int(d["n"]))
-    if kind == "hull":
-        return Hull([np.array(U, dtype=float) for U in d["points"]])
-    if kind == "ray":
-        return Ray(np.array(d["D"], dtype=float))
-    if kind == "psd_cap":
-        return ShiftedPSDCap(np.array(d["U"], dtype=float))
-    raise ValueError(f"unknown set tag {kind!r}")
+    return _from_json(_SETS, d, "set")
 
 
 def hspec_to_json(h: HSpec) -> dict:
-    if isinstance(h, Linear):
-        return {"kind": "linear", "U": h.U.tolist()}
-    if isinstance(h, Indicator):
-        return {"kind": "indicator", "set": set_to_json(h.set)}
-    if isinstance(h, Support):
-        return {"kind": "support", "set": set_to_json(h.set)}
-    raise TypeError(f"unknown h variant {type(h).__name__}")
+    return _to_json(h)
 
 
 def hspec_from_json(d: dict) -> HSpec:
-    kind = d.get("kind")
-    if kind == "linear":
-        return Linear(np.array(d["U"], dtype=float))
-    if kind == "indicator":
-        return Indicator(set_from_json(d["set"]))
-    if kind == "support":
-        return Support(set_from_json(d["set"]))
-    raise ValueError(f"unknown h tag {kind!r}")
+    return _from_json(_HSPECS, d, "h")
+
+
+_SETS = {
+    cls.kind: cls
+    for cls in (Singleton, SpectralBox, TraceBall, Fantope, Hull, Ray, ShiftedPSDCap)
+}
+_HSPECS = {cls.kind: cls for cls in (Linear, Indicator, Support)}
+# field annotation -> (to JSON, from JSON)
+_JSON_FIELDS = {
+    "float": (lambda v: v, float),
+    "int": (lambda v: v, int),
+    "np.ndarray": (np.ndarray.tolist, partial(np.array, dtype=float)),
+    "tuple": (lambda pts: [U.tolist() for U in pts], lambda pts: [np.array(U, float) for U in pts]),
+    "ConvexSetSpec": (set_to_json, set_from_json),
+}

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
-from .gmf import ProblemData, eval_gmf, in_KA, in_KA_polar
+from .gmf import ProblemData, eval_gmf, in_int_KA, in_KA, in_KA_polar
 from .hset import (
     ConvexSetSpec,
     HSpec,
@@ -30,11 +29,12 @@ from .hset import (
     is_bounded,
     member,
     project,
+    psd_cap_bounded,
     psd_cap_nonempty,
     psd_cap_support,
     support,
 )
-from .numlin import Tolerances, max_eig, min_eig, psd_sqrt, sym
+from .numlin import Tolerances, psd_sqrt, sym
 
 _UNBOUNDED_CUTOFF = -1.0e7
 
@@ -114,7 +114,7 @@ def _dom_h_project(h: HSpec, V: np.ndarray, tol: Tolerances) -> np.ndarray:
         return project(h.set, V, tol)
     # dom sigma_S is all of S^n for bounded S, the polar halfspace of a ray
     S = h.set
-    if isinstance(S, Ray) and np.any(S.D):
+    if not is_bounded(S):  # the ray pos{D} with D != 0
         ip = float(np.sum(S.D * V))
         if ip > 0:
             V = V - (ip / float(np.sum(S.D * S.D))) * S.D
@@ -141,9 +141,10 @@ def _start_candidates(
     tol = prob.tol
     eye = np.eye(n)
     raw = [eye, 0.1 * eye, 10.0 * eye, prob.pd.P, np.zeros((n, n))]
+    hull = isinstance(h, (Indicator, Support)) and isinstance(h.set, Hull)
     if isinstance(h, (Indicator, Support)):
         S = h.set
-        if isinstance(S, Hull):
+        if hull:
             raw.extend(S.points)
             w = np.full(len(S.points), 1.0 / len(S.points))
             raw.append(sym(sum(wi * U for wi, U in zip(w, S.points))))
@@ -156,7 +157,7 @@ def _start_candidates(
     for _ in range(n_random):
         R = rng.standard_normal((n, n))
         raw.append(R @ R.T)
-        if isinstance(h, (Indicator, Support)) and isinstance(h.set, Hull):
+        if hull:
             w = rng.dirichlet(np.ones(len(h.set.points)))
             raw.append(sym(sum(wi * U for wi, U in zip(w, h.set.points))))
     out = []
@@ -420,20 +421,8 @@ def sigma_S_cap_KA(
         except NotImplementedError:
             return np.nan, None, "undecided"
         return val, W, "exact"
-    # decidable when S sits inside K_A: hulls via vertices, rays via the
-    # generator, the PSD-contained variants automatically
-    inside = None
-    if isinstance(S, Singleton):
-        inside = in_KA(pd, S.U, tol)
-    elif isinstance(S, Hull):
-        inside = all(in_KA(pd, U, tol) for U in S.points)
-    elif isinstance(S, Ray):
-        inside = in_KA(pd, S.D, tol)
-    elif isinstance(S, SpectralSet):
-        inside = S.lo >= 0.0
-    elif isinstance(S, ShiftedPSDCap):
-        inside = True
-    if inside:
+    # decidable when S sits inside K_A
+    if S.inside_KA(pd, tol):
         val, W = support(S, G, tol)
         return val, W, "exact"
     return np.nan, None, "undecided"
@@ -441,32 +430,6 @@ def sigma_S_cap_KA(
 
 # ---------------------------------------------------------------------------
 # Conjugate and the lifted feasible set
-
-
-def _exists_upper_bound_in(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances):
-    """Whether some W in S satisfies W >= G (G symmetric PSD)."""
-    G = sym(G, tol)
-    scale = 1.0 + np.linalg.norm(G)
-    if isinstance(S, Singleton):
-        return min_eig(S.U - G) >= -tol.psd_abs * scale
-    if isinstance(S, SpectralSet):
-        # W = G when G's eigenvalues fit the caps (W = hi * I for a box)
-        under_cap = max_eig(G) <= S.cap + tol.psd_abs * scale
-        return under_cap and float(np.trace(G)) <= S.total + tol.feas_abs * (1.0 + S.total)
-    if isinstance(S, ShiftedPSDCap):
-        return min_eig(S.U - G) >= -tol.psd_abs * (1.0 + np.linalg.norm(S.U))
-    if isinstance(S, Ray):
-        if not np.any(S.D):
-            return np.linalg.norm(G) <= tol.feas_abs
-        alpha = 1.0
-        while alpha <= 1e12:
-            if min_eig(alpha * S.D - G) >= -tol.psd_abs * scale:
-                return True
-            alpha *= 4.0
-        return False
-    if isinstance(S, Hull):
-        return _hull_max_min_eig(S.points, G) >= -tol.psd_abs * scale
-    raise TypeError(f"unknown set variant {type(S).__name__}")
 
 
 def xi_member(prob: InfProjProblem, Y: np.ndarray, tol: Tolerances | None = None):
@@ -490,19 +453,19 @@ def xi_member(prob: InfProjProblem, Y: np.ndarray, tol: Tolerances | None = None
         if _ker_trivial(pd):
             return member(h.set, G, tol), "exact"
         if _is_unconstrained(pd):
-            return _exists_upper_bound_in(h.set, G, tol), "exact"
+            # some W in S with G - W in the polar of PSD, i.e. W >= G
+            return h.set.dominates(sym(G, tol), tol), "exact"
         return None, "undecided"
     # Indicator: dom h* = dom sigma_S
     S = h.set
     if is_bounded(S):
         return True, "exact"
-    D = S.D  # unbounded variant is the ray
     if _ker_trivial(pd):
-        return float(np.sum(D * G)) <= tol.feas_abs * (1.0 + np.linalg.norm(G)), "exact"
+        return member_dom_support(S, G, tol), "exact"
     if _is_unconstrained(pd):
-        if min_eig(D) < -tol.psd_abs * (1.0 + np.linalg.norm(D)):
-            return True, "exact"
-        return float(np.sum(D * G)) <= tol.feas_abs * (1.0 + np.linalg.norm(G)), "exact"
+        # dom sigma_S plus the polar of PSD is all of S^n when the ray's
+        # direction D has a negative eigenvalue
+        return psd_cap_bounded(S, tol) or member_dom_support(S, G, tol), "exact"
     return None, "undecided"
 
 
@@ -517,20 +480,14 @@ def eval_p_conj(prob: InfProjProblem, Y: np.ndarray, tol: Tolerances | None = No
     pd = prob.pd
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     h = prob.h
-    feasible = np.linalg.norm(pd.A @ Y - pd.B) <= tol.feas_abs * (
-        1.0 + np.linalg.norm(pd.B)
-    )
-    if isinstance(h, Linear):
-        if feasible and in_KA_polar(pd, 0.5 * Y @ Y.T - h.U, tol):
-            return 0.0, "exact"
-        return np.inf, "exact"
     if isinstance(h, Indicator):
-        if not feasible:
+        if not np.linalg.norm(pd.A @ Y - pd.B) <= tol.feas_abs * (1.0 + np.linalg.norm(pd.B)):
             return np.inf, "exact"
         val, _, status = sigma_S_cap_KA(prob, h.set, Y @ Y.T, tol)
         if status != "exact":
             return np.nan, "undecided"
         return 0.5 * val, "exact"
+    # h* is the indicator of {U} or of S, so p* is the indicator of Xi(A, B)
     ans, status = xi_member(prob, Y, tol)
     if status != "exact":
         return np.nan, "undecided"
@@ -663,51 +620,6 @@ def subdiff_p_witness(prob: InfProjProblem, X: np.ndarray, tol: Tolerances | Non
 # Constraint qualifications
 
 
-def _int_KA_sup(prob: InfProjProblem, S: ConvexSetSpec, tol: Tolerances):
-    """(sup over S of the smallest eigenvalue of V restricted to ker A,
-    exactness flag).  Positive sup means S meets the interior of K_A."""
-    pd = prob.pd
-    N = pd.N
-    kbar = N.shape[1]
-    if kbar == 0:
-        return np.inf, True
-    if isinstance(S, Singleton):
-        return min_eig(N.T @ S.U @ N), True
-    if isinstance(S, SpectralSet):
-        return min(S.cap, S.total / kbar), True
-    if isinstance(S, ShiftedPSDCap):
-        return min_eig(N.T @ S.U @ N), True
-    if isinstance(S, Ray):
-        lam = min_eig(N.T @ S.D @ N)
-        return (np.inf if lam > 0 else 0.0), True
-    if isinstance(S, Hull):
-        restricted = [N.T @ U @ N for U in S.points]
-        return _hull_max_min_eig(restricted, np.zeros((kbar, kbar))), True
-    raise TypeError(f"unknown set variant {type(S).__name__}")
-
-
-def _hull_max_min_eig(mats, C: np.ndarray) -> float:
-    """max over the simplex of lambda_min(sum w_i M_i - C), by SLSQP from
-    the uniform weights and five seeded Dirichlet draws.  The objective is
-    nonsmooth, so this is a local search that no dual bound certifies."""
-    k = len(mats)
-    flat = np.reshape(mats, (k, -1))
-    cons = [{"type": "eq", "fun": lambda w: np.sum(w) - 1.0}]
-    rng = np.random.default_rng(0)
-    starts = [np.full(k, 1.0 / k)] + [rng.dirichlet(np.ones(k)) for _ in range(5)]
-    best = min(
-        scipy.optimize.minimize(
-            lambda w: -min_eig((w @ flat).reshape(C.shape) - C),
-            w0,
-            bounds=[(0.0, 1.0)] * k,
-            constraints=cons,
-            method="SLSQP",
-        ).fun
-        for w0 in starts
-    )
-    return -best
-
-
 def _tri(flag: bool) -> str:
     return "holds" if flag else "fails"
 
@@ -727,6 +639,7 @@ def _cq_report_impl(prob: InfProjProblem, tol: Tolerances | None = None) -> CQRe
     h = prob.h
     rep = CQReport()
     n = pd.n
+    zero = np.zeros((n, n))
     unconstrained = _is_unconstrained(pd)
     ker_trivial = _ker_trivial(pd)
 
@@ -738,16 +651,13 @@ def _cq_report_impl(prob: InfProjProblem, tol: Tolerances | None = None) -> CQRe
         if is_bounded(S):
             rep.ccq = "holds"
         else:
-            D = S.D
-            found = False
-            for t in [0.0, 0.1, 1.0, 10.0]:
-                V = np.eye(n) - t * D
-                if member_dom_support(S, V, tol) and _strict_interior(pd, V, tol):
-                    found = True
-                    break
+            found = any(
+                member_dom_support(S, V, tol) and in_int_KA(pd, V, tol)
+                for V in (np.eye(n) - t * S.D for t in (0.0, 0.1, 1.0, 10.0))
+            )
             rep.ccq = "holds" if found else "undecided"
     else:
-        s, exact = _int_KA_sup(prob, h.set, tol)
+        s, exact = (np.inf, True) if ker_trivial else h.set.max_min_eig(zero, pd.N)
         if s > tol.psd_abs:
             rep.ccq = "holds"
         elif exact:
@@ -756,16 +666,14 @@ def _cq_report_impl(prob: InfProjProblem, tol: Tolerances | None = None) -> CQRe
             rep.ccq = "undecided"
 
     # ---- BPCQ: dom h intersect K_A nonempty and bounded
-    if isinstance(h, (Linear, Support)) and not (
-        isinstance(h, Support) and not is_bounded(h.set)
-    ):
+    if isinstance(h, Linear) or (isinstance(h, Support) and is_bounded(h.set)):
         # dom h = S^n, and K_A is an unbounded cone for n >= 1
         rep.bpcq = _tri(n == 0)
     elif isinstance(h, Support):
-        D = h.set.D
+        # dom h is the halfspace {<D, V> <= 0} of the ray pos{D}
         if unconstrained:
-            lam = np.linalg.eigvalsh(D) if np.any(D) else np.zeros(n)
-            rep.bpcq = _tri(np.any(D) and lam[0] > tol.psd_abs * (1 + abs(lam[-1])))
+            lam = np.linalg.eigvalsh(h.set.D)
+            rep.bpcq = _tri(lam[0] > tol.psd_abs * (1 + abs(lam[-1])))
         else:
             rep.bpcq = "fails"  # the halfspace keeps a nontrivial slice of K_A
     else:
@@ -775,13 +683,10 @@ def _cq_report_impl(prob: InfProjProblem, tol: Tolerances | None = None) -> CQRe
         elif ker_trivial:
             nonempty = True
         else:
-            s, exact = _int_KA_sup(prob, S, tol)
+            s, exact = S.max_min_eig(zero, pd.N)
             nonempty = s >= -tol.psd_abs if exact else None
-        if isinstance(S, Ray):
-            unbnd = np.any(S.D) and in_KA(pd, S.D, tol)
-            bounded = not unbnd
-        else:
-            bounded = True
+        # a ray is unbounded inside K_A when its direction lies in K_A
+        bounded = is_bounded(S) or not in_KA(pd, S.D, tol)
         if nonempty is None:
             rep.bpcq = "undecided"
         else:
@@ -808,7 +713,7 @@ def _cq_report_impl(prob: InfProjProblem, tol: Tolerances | None = None) -> CQRe
                 elif ip > thr:
                     rep.pcq = rep.spcq = "fails"
         else:
-            s, exact = _shifted_pd_sup(h.set, C0)
+            s, exact = h.set.max_min_eig(C0, np.eye(n))
             if s > tol.psd_abs:
                 rep.pcq = rep.spcq = "holds"
             elif exact and s < -tol.psd_abs:
@@ -835,20 +740,14 @@ def _cq_report_impl(prob: InfProjProblem, tol: Tolerances | None = None) -> CQRe
         else:
             S = h.set
             if is_bounded(S):
-                s, exact = _shifted_pd_sup(S, np.zeros((n, n)))
+                s, exact = S.max_min_eig(zero, np.eye(n))
                 if s > tol.psd_abs:
                     rep.pcq = rep.spcq = "holds"
                 elif not psd_cap_nonempty(S, tol):
                     rep.pcq = rep.spcq = "fails"
             else:
-                D = S.D
-                lam = np.linalg.eigvalsh(D) if np.any(D) else None
-                if lam is None:
-                    rep.pcq = rep.spcq = "holds"
-                elif lam[0] < -tol.psd_abs * (1 + abs(lam[-1])):
-                    rep.pcq = rep.spcq = "holds"
-                elif lam[0] >= -tol.psd_abs * (1 + abs(lam[-1])):
-                    rep.pcq = rep.spcq = "fails"
+                lam = np.linalg.eigvalsh(S.D)
+                rep.pcq = rep.spcq = _tri(lam[0] < -tol.psd_abs * (1 + abs(lam[-1])))
     else:
         if isinstance(h, Indicator) and is_bounded(h.set):
             # dom h* is all of S^n, so the perturbation set has full interior
@@ -869,11 +768,14 @@ def _cq_report_impl(prob: InfProjProblem, tol: Tolerances | None = None) -> CQRe
         rep.sccq = rep.ccq
     else:
         rng = np.random.default_rng(0)
-        probes = [pd.Y0]
-        for scale in (0.1, 1.0, 3.0):
-            for _ in range(4):
-                Z = rng.standard_normal((pd.N.shape[1], pd.m)) if pd.N.shape[1] else None
-                probes.append(pd.Y0 + scale * (pd.N @ Z) if Z is not None else pd.Y0)
+        k = pd.N.shape[1]
+        probes = [pd.Y0]  # the only point of {AY = B} when ker A = {0}
+        if k:
+            probes += [
+                pd.Y0 + scale * (pd.N @ rng.standard_normal((k, pd.m)))
+                for scale in (0.1, 1.0, 3.0)
+                for _ in range(4)
+            ]
         verdict = "undecided"
         for Y in probes:
             ans, status = xi_member(prob, Y, tol)
@@ -886,37 +788,9 @@ def _cq_report_impl(prob: InfProjProblem, tol: Tolerances | None = None) -> CQRe
     return rep
 
 
-def _shifted_pd_sup(S: ConvexSetSpec, C0: np.ndarray):
-    """(sup over S of the smallest eigenvalue of W - C0, exactness flag)."""
-    n = S.n
-    if isinstance(S, Singleton):
-        return min_eig(S.U - C0), True
-    if isinstance(S, SpectralSet):
-        # W = c*I with c = min(cap, total/n) lies in S; it is the best W
-        # when no budget binds or C0 = 0, a lower bound otherwise
-        c = min(S.cap, S.total / n)
-        return min_eig(c * np.eye(n) - C0), bool(np.isinf(S.total) or not np.any(C0))
-    if isinstance(S, ShiftedPSDCap):
-        return min_eig(S.U - C0), True
-    if isinstance(S, Hull):
-        return _hull_max_min_eig(S.points, C0), True
-    if isinstance(S, Ray):
-        lam = min_eig(S.D)
-        if lam > 0:
-            return np.inf, True
-        return min_eig(-C0) if not np.any(S.D) else min_eig(S.D - C0), False
-    raise TypeError(f"unknown set variant {type(S).__name__}")
-
-
 def member_dom_support(S: ConvexSetSpec, V: np.ndarray, tol: Tolerances) -> bool:
     """V in dom sigma_S."""
     if is_bounded(S):
         return True
     D = S.D
     return float(np.sum(D * V)) <= tol.feas_abs * (1.0 + np.linalg.norm(V))
-
-
-def _strict_interior(pd: ProblemData, V: np.ndarray, tol: Tolerances) -> bool:
-    if pd.N.shape[1] == 0:
-        return True
-    return min_eig(pd.N.T @ sym(V) @ pd.N) > tol.psd_abs

@@ -158,6 +158,33 @@ def test_eval_p_reports_the_path(tmp_path, capsys):
         assert rep["outputs"]["value"] == pytest.approx(value, rel=1e-9)
 
 
+def test_bundle_tolerances_apply_unless_a_flag_is_given(tmp_path, capsys):
+    # X = (1e-7, 0) leaves the range of every V in the box [-1, 0] unless
+    # feas_abs >= 1e-7, so the status shows which feas_abs was used
+    box = {"kind": "spectral_box", "lo": -1.0, "hi": 0.0, "n": 2}
+    d = {"A": [[0.0, 0.0]], "B": [[0.0]], "h": {"kind": "indicator", "set": box}}
+    d["tol"] = {"psd_abs": 1e-7, "feas_abs": 1e-6}
+    bundle = write(tmp_path, "b.json", json.dumps(d))
+    x = write(tmp_path, "x.csv", "1e-7\n0\n")
+    code, rep = run(capsys, ["eval-p", "--bundle", bundle, "--X", x])
+    assert code == 0
+    assert rep["tolerances"] == {
+        "rank_rel": 1e-10,
+        "psd_abs": 1e-7,
+        "feas_abs": 1e-6,
+        "conj_rel": 1e-6,
+    }
+    assert rep["outputs"]["status"] == "finite"
+    code, rep = run(capsys, ["eval-p", "--bundle", bundle, "--X", x, "--tol-feas", "1e-8"])
+    assert code == 0
+    assert rep["tolerances"]["feas_abs"] == 1e-8
+    assert rep["tolerances"]["psd_abs"] == 1e-7
+    assert rep["outputs"]["status"] == "infeasible"
+    d["tol"] = {"psd_abs": 0.5}  # out of range
+    bad = write(tmp_path, "bad.json", json.dumps(d))
+    assert main(["eval-p", "--bundle", bad, "--X", x]) == 1
+
+
 def test_solve_command(tmp_path, capsys):
     bundle = write(
         tmp_path,

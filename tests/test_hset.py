@@ -35,6 +35,7 @@ from gmfkit.hset import (
     set_to_json,
     support,
 )
+from gmfkit.numlin import min_eig
 
 rng = np.random.default_rng(2)
 
@@ -239,6 +240,40 @@ def test_gauge_scales_onto_the_boundary(kind, seed):
     if g > 1e-6:
         assert member(S, G / g)
         assert not member(S, G / (0.99 * g))
+
+
+def _max_min_eig_closed_form(S, C, N):
+    """sup over S of lambda_min(N^T (V - C) N) where a closed form is known."""
+    if isinstance(S, (Singleton, ShiftedPSDCap)):
+        return min_eig(N.T @ (S.U - C) @ N)
+    zero = not np.any(C)
+    if isinstance(S, Ray) and (zero or min_eig(N.T @ S.D @ N) > 0):
+        return np.inf if min_eig(N.T @ S.D @ N) > 0 else 0.0
+    if isinstance(S, SpectralSet) and zero:
+        return min(S.cap, S.total / N.shape[1])
+    return None
+
+
+@pytest.mark.parametrize(
+    "S", ALL_SETS + [Ray(np.diag([1.0, -1.0]))], ids=lambda S: type(S).__name__
+)
+def test_max_min_eig_bounds_every_member(S):
+    g = np.random.default_rng(3)
+    n = S.n
+    for trial in range(12):
+        N, _ = np.linalg.qr(g.standard_normal((n, int(g.integers(1, n + 1)))))
+        M = g.standard_normal((n, n))
+        C = M @ M.T if trial % 2 else np.zeros((n, n))
+        val, exact = S.max_min_eig(C, N)
+        ref = _max_min_eig_closed_form(S, C, N)
+        if ref is not None:
+            assert exact and val == ref
+        if not exact:
+            continue
+        for _ in range(10):
+            R = 2.0 * g.standard_normal((n, n))
+            V = project(S, R + R.T)
+            assert val >= min_eig(N.T @ (V - C) @ N) - 1e-7
 
 
 def test_h_eval_and_conj():

@@ -165,3 +165,53 @@ def test_no_unused_imports_in_the_package():
     assert modules
     unused = [u for p in modules for u in _unused_imports(p)]
     assert unused == []
+
+
+_SET_CLASSES = {
+    "ConvexSetSpec",
+    "Singleton",
+    "SpectralSet",
+    "SpectralBox",
+    "TraceBall",
+    "Fantope",
+    "Hull",
+    "Ray",
+    "ShiftedPSDCap",
+}
+# where infproj may still test a set class: the closed-form path, the
+# per-variant descent starts, the exhaustive-search flag and the
+# Support(Singleton) -> Linear rewrites
+_INFPROJ_ALLOWED = {
+    "_spectral_path": {"SpectralSet"},
+    "_start_candidates": {"Hull", "Singleton", "ShiftedPSDCap", "Ray"},
+    "dom_p_member": {"Singleton"},
+    "dual_value": {"Singleton"},
+    "_cq_report_impl": {"Singleton"},
+}
+
+
+def _set_class_isinstance(path):
+    """(enclosing function, set class) of each isinstance test on a set class."""
+    tree = ast.parse(path.read_text())
+    hits = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+            ):
+                continue
+            names = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+            hits.extend((fn.name, name) for name in sorted(names & _SET_CLASSES))
+    return hits
+
+
+def test_set_rules_do_not_dispatch_on_the_set_class():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "gmfkit"
+    assert _set_class_isinstance(src / "hset.py") == []
+    hits = _set_class_isinstance(src / "infproj.py")
+    assert [(f, c) for f, c in hits if c not in _INFPROJ_ALLOWED.get(f, ())] == []
+    assert len(hits) <= 10
