@@ -4,12 +4,13 @@ Matrices travel as headerless CSV, problems as JSON bundles
 {"A": [[...]], "B": [[...]], "h": {"kind": ..., "set": {...}}, "tol": {...}}.
 Every run emits a RunReport as JSON (stdout or --out) whose content is
 deterministic given inputs and seed, wall time aside.  Exit codes:
-0 success, 1 error, 2 undecided outcome.
+0 success, 1 error (usage errors included), 2 undecided outcome.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -342,62 +343,79 @@ def _cmd_selftest(args, tol):
     ), []
 
 
-# command -> (handler, the flags it requires)
+# command -> (handler, the flags it requires, its optional flags), by dest
 _COMMANDS = {
-    "eval-gmf": (_cmd_eval_gmf, ("X", "V")),
-    "eval-p": (_cmd_eval_p, ("bundle", "X")),
-    "conjugate": (_cmd_conjugate, ("bundle", "Y")),
-    "dual-gap": (_cmd_dual_gap, ("bundle", "X")),
-    "subdiff": (_cmd_subdiff, ("bundle", "X")),
-    "cq-report": (_cmd_cq_report, ("bundle",)),
-    "vgf": (_cmd_vgf, ("bundle", "Y")),
-    "kyfan": (_cmd_kyfan, ("X",)),
-    "gauge-check": (_cmd_gauge_check, ("bundle", "Y")),
-    "solve": (_cmd_solve, ("bundle",)),
-    "oracle-compare": (_cmd_oracle_compare, ("X", "V")),
-    "selftest": (_cmd_selftest, ()),
+    "eval-gmf": (_cmd_eval_gmf, ("X", "V"), ("A", "B")),
+    "eval-p": (_cmd_eval_p, ("bundle", "X"), ("max_iter",)),
+    "conjugate": (_cmd_conjugate, ("bundle", "Y"), ()),
+    "dual-gap": (_cmd_dual_gap, ("bundle", "X"), ()),
+    "subdiff": (_cmd_subdiff, ("bundle", "X"), ()),
+    "cq-report": (_cmd_cq_report, ("bundle",), ()),
+    "vgf": (_cmd_vgf, ("bundle", "Y"), ()),
+    "kyfan": (_cmd_kyfan, ("X",), ("p", "k")),
+    "gauge-check": (_cmd_gauge_check, ("bundle", "Y"), ()),
+    "solve": (_cmd_solve, ("bundle",), ("max_iter",)),
+    "oracle-compare": (_cmd_oracle_compare, ("X", "V"), ("A", "B")),
+    "selftest": (_cmd_selftest, (), ()),
 }
 
+# dest -> (flag, argparse keywords); nothing here may read the environment,
+# because the parser is built once per process
+_FLAGS = {
+    "A": ("--A", {"default": "zero"}),
+    "B": ("--B", {"default": "zero"}),
+    "X": ("--X", {}),
+    "V": ("--V", {}),
+    "Y": ("--Y", {}),
+    "bundle": ("--bundle", {}),
+    "p": ("--p", {"type": float, "default": 2.0}),
+    "k": ("--k", {"type": int, "default": 1}),
+    "max_iter": ("--max-iter", {"type": int, "default": 4000}),
+    "out": ("--out", {}),
+    "seed": ("--seed", {"type": int}),
+    "rank_rel": ("--tol-rank", {"type": float}),
+    "psd_abs": ("--tol-psd", {"type": float}),
+    "feas_abs": ("--tol-feas", {"type": float}),
+    "conj_rel": ("--tol-conj", {"type": float}),
+}
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+# the flags every subcommand takes
+_COMMON = ("out", "seed", "rank_rel", "psd_abs", "feas_abs", "conj_rel")
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises CliError, so main returns 1 instead of the
+    process exiting with argparse's 2, the code for an undecided outcome."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
+@functools.cache
+def _build_parser() -> _Parser:
+    ap = _Parser(
         prog="gmfkit",
         description="matrix-fractional functions, infimal projections, "
         "and related convex-analysis tools",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    default_seed = int(os.environ.get("GMFKIT_SEED", "0"))
-    for name in _COMMANDS:
+    for name, (_, required, optional) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--A", default="zero")
-        sp.add_argument("--B", default="zero")
-        sp.add_argument("--X")
-        sp.add_argument("--V")
-        sp.add_argument("--Y")
-        sp.add_argument("--bundle")
-        sp.add_argument("--out")
-        sp.add_argument("--seed", type=int, default=default_seed)
-        sp.add_argument("--tol-rank", dest="rank_rel", type=float)
-        sp.add_argument("--tol-psd", dest="psd_abs", type=float)
-        sp.add_argument("--tol-feas", dest="feas_abs", type=float)
-        sp.add_argument("--tol-conj", dest="conj_rel", type=float)
-        sp.add_argument("--p", type=float, default=2.0)
-        sp.add_argument("--k", type=int, default=1)
-        sp.add_argument("--max-iter", dest="max_iter", type=int, default=4000)
+        for dest in required:
+            flag, kw = _FLAGS[dest]
+            sp.add_argument(flag, dest=dest, required=True, **kw)
+        for dest in optional + _COMMON:
+            flag, kw = _FLAGS[dest]
+            sp.add_argument(flag, dest=dest, **kw)
     return ap
-
-
-def _require(args):
-    for name in _COMMANDS[args.command][1]:
-        if getattr(args, name) is None:
-            raise CliError(f"--{name} is required for {args.command}")
 
 
 def _tolerances(args) -> Tolerances:
     """A --tol-* flag that is given sets its field; the bundle's "tol"
     block, if any, sets the others, and the defaults the rest."""
     given = {k: v for k, v in vars(args).items() if v is not None}
-    base = _load_json(args.bundle).get("tol", {}) if args.bundle else {}
+    bundle = getattr(args, "bundle", None)
+    base = _load_json(bundle).get("tol", {}) if bundle else {}
     try:
         return Tolerances.from_dict({**base, **given})
     except (TypeError, ValueError) as exc:
@@ -405,10 +423,11 @@ def _tolerances(args) -> Tolerances:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    t0 = time.time()
     try:
-        _require(args)
+        args = _build_parser().parse_args(argv)
+        t0 = time.time()
+        if args.seed is None:
+            args.seed = int(os.environ.get("GMFKIT_SEED", "0"))
         tol = _tolerances(args)
         outputs, code, inputs = _COMMANDS[args.command][0](args, tol)
     except CliError as exc:

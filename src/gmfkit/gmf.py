@@ -16,11 +16,9 @@ from .numlin import (
     DEFAULT_TOL,
     Tolerances,
     ker_basis,
-    ker_projector,
     max_eig,
     min_eig,
     pinv,
-    range_contains,
     sym,
 )
 
@@ -43,13 +41,18 @@ class ProblemData:
             raise ValueError("A and B must have the same number of rows")
         if not np.all(np.isfinite(A)) or not np.all(np.isfinite(B)):
             raise ValueError("A and B must be finite")
-        if not range_contains(A, B, self.tol):
+        # one pinv of A gives the range test (range_contains's residual and
+        # slack), the projector I - A^+ A onto ker A and Y0 = A^+ B
+        Ap = pinv(A, self.tol)
+        Y0 = Ap @ B
+        if np.linalg.norm(B - A @ Y0) > self.tol.feas_abs * (1.0 + np.linalg.norm(B)):
             raise ValueError("rge B must be contained in rge A")
+        P = np.eye(A.shape[1]) - Ap @ A
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
-        object.__setattr__(self, "P", ker_projector(A, self.tol))
+        object.__setattr__(self, "P", 0.5 * (P + P.T))
         object.__setattr__(self, "N", ker_basis(A, self.tol))
-        object.__setattr__(self, "Y0", pinv(A, self.tol) @ B)
+        object.__setattr__(self, "Y0", Y0)
 
     @property
     def n(self) -> int:

@@ -373,6 +373,11 @@ class Ray(ConvexSetSpec):
         if self.bounded:
             return np.linalg.norm(G) <= tol.feas_abs
         floor = -tol.psd_abs * (1.0 + np.linalg.norm(G))
+        if min_eig(-G) >= floor:  # alpha = 0
+            return True
+        # for G >= 0 (xi_member passes YY^T/2) the alpha > 0 with
+        # alpha D >= G form an interval [a, inf), which the grid meets
+        # unless a > 4^19
         alpha = 1.0
         while alpha <= 1e12:
             if min_eig(alpha * self.D - G) >= floor:

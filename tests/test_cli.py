@@ -1,10 +1,24 @@
+import argparse
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gmfkit.cli import CliError, main, parse_bundle, parse_matrix
+from gmfkit.cli import (
+    _COMMANDS,
+    _COMMON,
+    _FLAGS,
+    CliError,
+    _build_parser,
+    main,
+    parse_bundle,
+    parse_matrix,
+)
 from gmfkit.hset import Indicator, Linear
 
 
@@ -221,6 +235,71 @@ def test_missing_file_exits_one(capsys):
 
 def test_missing_required_flag_exits_one(capsys):
     assert main(["eval-p"]) == 1
+
+
+def test_usage_errors_exit_one(tmp_path, capsys):
+    # argparse would exit the process with 2, the code for "undecided"
+    x = write(tmp_path, "x.csv", "1\n")
+    for argv in (
+        ["eval-p", "--bogus", "1"],
+        ["eval-p", "--max-iter", "abc"],
+        ["kyfan", "--X", x, "--bundle", "b.json"],
+        ["no-such-command"],
+        [],
+    ):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_each_subcommand_takes_exactly_its_flags(command, capsys):
+    _, required, optional = _COMMANDS[command]
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    taken = {a.dest: a.required for a in sub.choices[command]._actions if a.dest != "help"}
+    assert taken == {**dict.fromkeys(_COMMON + optional, False), **dict.fromkeys(required, True)}
+    given = [arg for dest in required for arg in (_FLAGS[dest][0], "missing.csv")]
+    outside = next(flag for dest, (flag, _) in _FLAGS.items() if dest not in taken)
+    assert main([command, *given, outside, "1"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    if required:
+        assert main([command]) == 1
+        assert "required" in capsys.readouterr().err
+
+
+def test_seed_default_is_read_on_every_call(tmp_path, capsys, monkeypatch):
+    x = write(tmp_path, "x.csv", "3,0\n0,4\n")
+    seeds = []
+    for value in ("5", "9"):
+        monkeypatch.setenv("GMFKIT_SEED", value)
+        seeds.append(run(capsys, ["kyfan", "--X", x])[1]["seed"])
+    seeds.append(run(capsys, ["kyfan", "--X", x, "--seed", "3"])[1]["seed"])
+    monkeypatch.delenv("GMFKIT_SEED")
+    seeds.append(run(capsys, ["kyfan", "--X", x])[1]["seed"])
+    assert seeds == [5, 9, 3, 0]
+
+
+def test_entry_point_exit_codes(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    x = write(tmp_path, "x.csv", "3,0\n0,4\n")
+
+    def call(*argv):
+        cmd = [sys.executable, "-m", "gmfkit.cli", *argv]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+    good = call("kyfan", "--X", x)
+    assert good.returncode == 0
+    assert json.loads(good.stdout)["command"] == "kyfan"
+    bad = call("kyfan", "--X", x, "--bogus", "1")
+    assert bad.returncode == 1
+    assert "error: unrecognized arguments: --bogus 1" in bad.stderr
 
 
 def test_undecided_exit_code(tmp_path, capsys):

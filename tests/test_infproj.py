@@ -9,6 +9,7 @@ from gmfkit.hset import (
     Hull,
     Indicator,
     Linear,
+    Ray,
     Singleton,
     SpectralBox,
     Support,
@@ -151,6 +152,15 @@ def test_xi_member():
     ans, status = xi_member(prob, np.array([[0.5], [0.0]]))
     assert status == "exact"
     assert ans
+
+
+def test_ray_support_admits_the_zero_multiple():
+    # W = 0 is in pos{D} and dominates YY^T/2 = 0 at Y = 0, so p*(0) = 0
+    prob = InfProjProblem(unconstrained(2, 1), Support(Ray(np.diag([1.0, -1.0]))))
+    Y = np.zeros((2, 1))
+    assert xi_member(prob, Y) == (True, "exact")
+    assert eval_p_conj(prob, Y) == (0.0, "exact")
+    assert cq_report(prob).sccq == "holds"
 
 
 def test_cq_report_linear_pd_slope():
