@@ -1,9 +1,13 @@
 """The generalized matrix-fractional function.
 
 phi(X, V) is the support function of the graph of Y -> -YY^T/2 over the
-affine manifold {Y : AY = B}.  It has a closed form through the
-pseudoinverse of the bordered matrix M(V) = [[V, A^T], [A, 0]], valid on
-the cone K_A of matrices positive semidefinite on ker A.
+affine manifold {Y : AY = B}.  Writing Y = Y0 + N Z over a basis N of
+ker A turns it into an unconstrained concave quadratic in Z, so one
+eigendecomposition of H = N^T V N gives its value, maximizer and domain:
+V must lie in the cone K_A of matrices positive semidefinite on ker A,
+and X in the matching range (eval_gmf).  The pseudoinverse of the
+bordered matrix M(V) = [[V, A^T], [A, 0]] gives the same values by an
+independent route and serves as the oracle (eval_gmf_oracle).
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ class ProblemData:
     P: np.ndarray = field(init=False, repr=False)
     N: np.ndarray = field(init=False, repr=False)
     Y0: np.ndarray = field(init=False, repr=False)
+    A_pinv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -42,7 +47,8 @@ class ProblemData:
         if not np.all(np.isfinite(A)) or not np.all(np.isfinite(B)):
             raise ValueError("A and B must be finite")
         # one pinv of A gives the range test (range_contains's residual and
-        # slack), the projector I - A^+ A onto ker A and Y0 = A^+ B
+        # slack), the projector I - A^+ A onto ker A, Y0 = A^+ B and, kept
+        # as A_pinv, eval_gmf's multiplier
         Ap = pinv(A, self.tol)
         Y0 = Ap @ B
         if np.linalg.norm(B - A @ Y0) > self.tol.feas_abs * (1.0 + np.linalg.norm(B)):
@@ -53,6 +59,7 @@ class ProblemData:
         object.__setattr__(self, "P", 0.5 * (P + P.T))
         object.__setattr__(self, "N", ker_basis(A, self.tol))
         object.__setattr__(self, "Y0", Y0)
+        object.__setattr__(self, "A_pinv", Ap)
 
     @property
     def n(self) -> int:
@@ -69,12 +76,17 @@ class ProblemData:
 
 @dataclass
 class GmfEval:
-    """Value of phi with the attaining Y and equality multiplier when finite."""
+    """Value of phi with the attaining Y and equality multiplier when finite.
+
+    ker_min_eig is lambda_min(N^T V N), +inf when ker A = {0}: below
+    -psd_abs, V lies outside K_A; at least psd_abs, inside its interior.
+    It tells an infinite value outside K_A from one off the range."""
 
     value: float
     witness_Y: np.ndarray | None = None
     witness_multiplier: np.ndarray | None = None
     boundary: bool = False
+    ker_min_eig: float = np.inf
 
 
 def bordered_matrix(pd: ProblemData, V: np.ndarray) -> np.ndarray:
@@ -130,53 +142,73 @@ def in_omega(
 def eval_gmf(
     pd: ProblemData, X: np.ndarray, V: np.ndarray, tol: Tolerances | None = None
 ) -> GmfEval:
-    """Closed-form evaluation of phi(X, V); +inf outside the domain."""
+    """phi(X, V) by the kernel reduction; +inf outside the domain.
+
+    Over Y = Y0 + N Z the objective <X, Y> - <YY^T, V>/2 reads
+    c0 + <R, Z> - <Z, H Z>/2 with H = N^T V N, R = N^T (X - V Y0) and
+    c0 = <X, Y0> - <Y0, V Y0>/2.  One eigendecomposition H = Q diag(lam) Q^T
+    decides it all: V lies in K_A iff lam_min >= -psd_abs.  One absolute
+    floor splits the spectrum: eigenvalues below psd_abs count as zero and
+    are never inverted, so V lies on the boundary of K_A iff some
+    eigenvalue does.  The value is finite iff Q^T R vanishes on them
+    (within feas_abs), and then it is c0 + sum_i |q_i^T R|^2 / (2 lam_i)
+    over the others, attained at Y = Y0 + N Q diag(1/lam) Q^T R.  The multiplier
+    mu = (A^+)^T (X - V Y) satisfies V Y + A^T mu = X.  When ker A = {0},
+    Y = Y0 and no factorization is needed."""
     tol = tol or pd.tol
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape != (pd.n, pd.m):
         raise ValueError(f"X must be {pd.n}x{pd.m}, got {X.shape}")
     V = sym(V, tol)
-    # one lambda_min on ker A decides both K_A (in_KA) and its interior
-    lam = min_eig(pd.N.T @ V @ pd.N) if pd.N.shape[1] else np.inf
-    if not lam >= -tol.psd_abs:
-        return GmfEval(np.inf)
-    M = bordered_matrix(pd, V)
-    rhs = np.vstack([X, pd.B])
-    Z = pinv(M, tol) @ rhs
-    # the range condition, with range_contains's slack on the same residual
-    if not np.linalg.norm(rhs - M @ Z) <= tol.feas_abs * (1.0 + np.linalg.norm(rhs)):
-        return GmfEval(np.inf)
-    value = 0.5 * float(np.sum(rhs * Z))
+    N, Y = pd.N, pd.Y0
+    VY = V @ Y
+    value = float(np.sum(Y * (X - 0.5 * VY)))
+    lam_min = np.inf
+    if N.shape[1]:
+        VN = V @ N
+        lam, Q = np.linalg.eigh(N.T @ VN)
+        lam_min = float(lam[0])
+        if not lam_min >= -tol.psd_abs:
+            return GmfEval(np.inf, ker_min_eig=lam_min)
+        C = Q.T @ (N.T @ (X - VY))
+        live = lam >= tol.psd_abs
+        # the range condition, with the slack of the bordered system's residual
+        slack = tol.feas_abs * (1.0 + np.hypot(np.linalg.norm(X), np.linalg.norm(pd.B)))
+        if not np.linalg.norm(C[~live]) <= slack:
+            return GmfEval(np.inf, ker_min_eig=lam_min)
+        W = C[live] / lam[live, None]
+        value += 0.5 * float(np.sum(C[live] * W))
+        Z = Q[:, live] @ W
+        Y = Y + N @ Z
+        VY = VY + VN @ Z
     return GmfEval(
         value,
-        witness_Y=Z[: pd.n],
-        witness_multiplier=Z[pd.n :],
-        boundary=not lam >= tol.psd_abs,
+        witness_Y=Y,
+        witness_multiplier=pd.A_pinv.T @ (X - VY),
+        boundary=not lam_min >= tol.psd_abs,
+        ker_min_eig=lam_min,
     )
 
 
 def eval_gmf_oracle(
     pd: ProblemData, X: np.ndarray, V: np.ndarray, tol: Tolerances | None = None
 ) -> GmfEval:
-    """Direct maximization of <Y,X> - <YY^T,V>/2 over {AY = B}.
+    """phi(X, V) through the bordered matrix, independently of eval_gmf.
 
-    Parameterizes Y = Y0 + N Z over the kernel and solves the resulting
-    concave quadratic exactly.  Requires V positive definite on ker A.
-    """
+    The maximizer Y and multiplier mu solve the KKT system
+    M(V) [Y; mu] = [X; B] with M(V) = [[V, A^T], [A, 0]], so
+    phi = <[X; B], M(V)^+ [X; B]>/2 from one SVD of the (n + l)^2 matrix.
+    Requires V positive definite on ker A."""
     tol = tol or pd.tol
     X = np.atleast_2d(np.asarray(X, dtype=float))
     V = sym(V, tol)
     if not in_int_KA(pd, V, tol):
         raise ValueError("oracle requires interior point")
-    N, Y0 = pd.N, pd.Y0
-    if N.shape[1] == 0:
-        Y = Y0
-    else:
-        H = N.T @ V @ N
-        Z = np.linalg.solve(H, N.T @ (X - V @ Y0))
-        Y = Y0 + N @ Z
-    value = float(np.sum(Y * X) - 0.5 * np.sum((Y @ Y.T) * V))
-    return GmfEval(value, witness_Y=Y)
+    rhs = np.vstack([X, pd.B])
+    Z = pinv(bordered_matrix(pd, V), tol) @ rhs
+    return GmfEval(
+        0.5 * float(np.sum(rhs * Z)), witness_Y=Z[: pd.n], witness_multiplier=Z[pd.n :]
+    )
 
 
 def grad_gmf(
@@ -184,9 +216,9 @@ def grad_gmf(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of phi at an interior point: (Y, -YY^T/2) for the maximizer Y."""
     tol = tol or pd.tol
-    if not in_int_KA(pd, V, tol):
-        raise ValueError("gradient undefined: V not in the interior of K_A")
     ev = eval_gmf(pd, X, V, tol)
+    if not ev.ker_min_eig >= tol.psd_abs:
+        raise ValueError("gradient undefined: V not in the interior of K_A")
     if not np.isfinite(ev.value):
         raise ValueError("gradient undefined: point outside dom phi")
     Y = ev.witness_Y

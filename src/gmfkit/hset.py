@@ -50,6 +50,9 @@ class ConvexSetSpec:
       value is a lower bound when the flag is False.  A positive value
       at C = 0 means S meets the interior of {V : N^T V N >= 0}.
 
+    loewner_max() returns the greatest element of S in the Loewner order
+    (V <= Vbar for every V in S, Vbar in S) or None where S has none.
+
     `kind` is the variant's JSON tag; the JSON fields are the dataclass
     fields."""
 
@@ -68,6 +71,9 @@ class ConvexSetSpec:
         semidefinite): sup over S of lambda_min(W - G) >= 0."""
         sup, _ = self.max_min_eig(G, np.eye(G.shape[0]))
         return sup >= -tol.psd_abs * (1.0 + np.linalg.norm(G))
+
+    def loewner_max(self) -> np.ndarray | None:
+        return None
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,9 @@ class Singleton(ConvexSetSpec):
 
     def max_min_eig(self, C, N):
         return min_eig(N.T @ (self.U - C) @ N), True
+
+    def loewner_max(self):
+        return self.U.copy()
 
 
 class SpectralSet(ConvexSetSpec):
@@ -201,6 +210,9 @@ class SpectralBox(SpectralSet):
             raise ValueError("spectral box bounds must be finite")
         if self.lo > self.hi:
             raise ValueError("need lo <= hi")
+
+    def loewner_max(self):
+        return self.hi * np.eye(self.n)
 
 
 @dataclass(frozen=True)
@@ -465,6 +477,9 @@ class ShiftedPSDCap(ConvexSetSpec):
 
     def max_min_eig(self, C, N):
         return min_eig(N.T @ (self.U - C) @ N), True
+
+    def loewner_max(self):
+        return self.U.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Infimal projection p(X) = inf_V phi(X, V) + h(V) and its calculus.
 
-Provides the primal evaluator (closed forms for spectral indicator sets
-and for the weighted nuclear norm, projected subgradient descent
-otherwise),
+Provides the primal evaluator (closed forms for spectral indicator sets,
+for indicator sets with a greatest element and for the weighted nuclear
+norm, projected subgradient descent otherwise),
 the conjugate p* through the lifted set Omega(A, B), Fenchel
 subgradient certificates, and the constraint-qualification report.
 """
@@ -34,7 +34,7 @@ from .hset import (
     psd_cap_support,
     support,
 )
-from .numlin import Tolerances, psd_sqrt, sym
+from .numlin import Tolerances, sym
 
 _UNBOUNDED_CUTOFF = -1.0e7
 
@@ -63,7 +63,7 @@ class InfProjEval:
     (value -inf).  V is the (approximate) inner minimizer, Y the
     maximizer of the underlying saddle, both None when not finite.
     When unbounded, unbounded_direction is a certified descent ray.
-    path names how the value was reached: "spectral" or
+    path names how the value was reached: "spectral", "loewner" or
     "weighted_nuclear" (closed forms, iters = 0) or "descent".
     """
 
@@ -254,6 +254,25 @@ def _spectral_path(
     )
 
 
+def _loewner_path(
+    prob: InfProjProblem, X: np.ndarray, tol: Tolerances
+) -> InfProjEval | None:
+    """Exact p(X) = phi(X, Vbar) for h = delta_S with S holding a greatest
+    element Vbar in the Loewner order, for every A.
+
+    phi(X, .) is a supremum over Y of <X, Y> - <YY^T, V>/2, so it is
+    nonincreasing in that order: phi(X, V) >= phi(X, Vbar) on all of S,
+    +inf included."""
+    h = prob.h
+    Vbar = h.set.loewner_max() if isinstance(h, Indicator) else None
+    if Vbar is None:
+        return None
+    ge = eval_gmf(prob.pd, X, Vbar, tol)
+    if not np.isfinite(ge.value):
+        return InfProjEval(np.inf, status="infeasible", path="loewner")
+    return InfProjEval(ge.value, V=Vbar, Y=ge.witness_Y, path="loewner")
+
+
 def _weighted_nuclear_fast_path(
     prob: InfProjProblem, X: np.ndarray, tol: Tolerances
 ) -> InfProjEval | None:
@@ -270,11 +289,10 @@ def _weighted_nuclear_fast_path(
     if mu[0] <= tol.psd_abs * (1.0 + mu[-1]):
         return None
     L = (E * np.sqrt(2.0 * mu)) @ E.T
-    Q, s, Wt = np.linalg.svd(L @ X)
-    k = s.size
-    Rinv_Q = (E / np.sqrt(mu)) @ (E.T @ Q[:, :k])
+    Q, s, Wt = np.linalg.svd(L @ X, full_matrices=False)
+    Rinv_Q = (E / np.sqrt(mu)) @ (E.T @ Q)
     Vstar = sym((Rinv_Q * (0.5 * s)) @ Rinv_Q.T)
-    Y = L @ Q[:, :k] @ Wt[:k]
+    Y = L @ Q @ Wt
     return InfProjEval(
         float(np.sum(s)), V=Vstar, Y=Y, status="finite", path="weighted_nuclear"
     )
@@ -289,15 +307,17 @@ def eval_p(
 ) -> InfProjEval:
     """Evaluate p(X) = inf_V phi(X, V) + h(V).
 
-    Without an equality constraint, two cases have closed forms: h the
-    indicator of a spectral box, trace ball or Fantope, and h linear
-    with a positive definite slope.  Every other case runs projected
-    subgradient descent (see _descent)."""
+    Three cases have closed forms: without an equality constraint, h the
+    indicator of a spectral box, trace ball or Fantope ("spectral") and h
+    linear with a positive definite slope ("weighted_nuclear"); for every
+    A, h the indicator of a set with a greatest element in the Loewner
+    order ("loewner").  Every other case runs projected subgradient
+    descent (see _descent)."""
     tol = tol or prob.tol
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape != (prob.pd.n, prob.pd.m):
         raise ValueError(f"X must be {prob.pd.n}x{prob.pd.m}, got {X.shape}")
-    for path in (_spectral_path, _weighted_nuclear_fast_path):
+    for path in (_spectral_path, _loewner_path, _weighted_nuclear_fast_path):
         out = path(prob, X, tol)
         if out is not None:
             return out
@@ -386,20 +406,24 @@ def dom_p_member(
 
     Returns (found, V, status): status is "witness" on success,
     "sampled" on failure (the search is a sampling procedure, so a
-    negative answer is evidence rather than proof, except when dom h is
-    a singleton).
+    negative answer is evidence rather than proof), and "exhaustive" on a
+    failure that is proof: h linear, or h the indicator of a set with a
+    greatest element Vbar in the Loewner order, where X lies in dom p iff
+    phi(X, Vbar) is finite (see _loewner_path).
     """
     tol = tol or prob.tol
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    loewner = _loewner_path(prob, X, tol)
+    if loewner is not None:
+        if loewner.V is None:
+            return False, None, "exhaustive"
+        return True, loewner.V, "witness"
     rng = np.random.default_rng(seed)
     for V in _start_candidates(prob, rng):
         F, _ = _objective(prob, X, V, tol)
         if np.isfinite(F):
             return True, V, "witness"
-    exhaustive = isinstance(prob.h, (Linear,)) or (
-        isinstance(prob.h, Indicator) and isinstance(prob.h.set, Singleton)
-    )
-    return False, None, "exhaustive" if exhaustive else "sampled"
+    return False, None, "exhaustive" if isinstance(prob.h, Linear) else "sampled"
 
 
 # ---------------------------------------------------------------------------
@@ -520,15 +544,13 @@ def dual_value(
     if isinstance(h, Linear):
         if not _is_unconstrained(pd):
             return np.nan, None, "undecided"
-        lam = np.linalg.eigvalsh(h.U)
-        if lam[0] <= tol.psd_abs * (1.0 + abs(lam[-1])):
+        # L = (2U)^{1/2} from one eigh of U; the dual optimum is |L X|_*
+        mu, E = np.linalg.eigh(h.U)
+        if mu[0] <= tol.psd_abs * (1.0 + abs(mu[-1])):
             return np.nan, None, "undecided"
-        L = psd_sqrt(2.0 * h.U)
-        Us, sv_, Vt = np.linalg.svd(L @ X)
-        value = float(np.sum(sv_))
-        k = min(X.shape)
-        Y = L @ Us[:, :k] @ Vt[:k, :]
-        return value, Y, "exact"
+        L = (E * np.sqrt(2.0 * mu)) @ E.T
+        Us, sv_, Vt = np.linalg.svd(L @ X, full_matrices=False)
+        return float(np.sum(sv_)), L @ Us @ Vt, "exact"
     if isinstance(h, Indicator):
         S = h.set
         probe, _, status = sigma_S_cap_KA(prob, S, np.eye(pd.n), tol)
@@ -642,6 +664,11 @@ def _cq_report_impl(prob: InfProjProblem, tol: Tolerances | None = None) -> CQRe
     zero = np.zeros((n, n))
     unconstrained = _is_unconstrained(pd)
     ker_trivial = _ker_trivial(pd)
+    # lambda(D) decides both CCQ and BPCQ for an unconstrained Support(Ray(D))
+    ray_lam = None
+    if isinstance(h, Support) and not is_bounded(h.set) and unconstrained:
+        ray_lam = np.linalg.eigvalsh(h.set.D)
+        ray_floor = tol.psd_abs * (1.0 + abs(ray_lam[-1]))
 
     # ---- CCQ: dom h meets int K_A
     if isinstance(h, Linear):
@@ -650,6 +677,13 @@ def _cq_report_impl(prob: InfProjProblem, tol: Tolerances | None = None) -> CQRe
         S = h.set
         if is_bounded(S):
             rep.ccq = "holds"
+        elif ray_lam is not None:
+            # dom h = {<D, V> <= 0} meets the positive definite cone iff
+            # lambda_min(D) < 0: V = eps*I + q q^T for its eigenvector q
+            if ray_lam[0] < -ray_floor:
+                rep.ccq = "holds"
+            elif ray_lam[0] > ray_floor:
+                rep.ccq = "fails"
         else:
             found = any(
                 member_dom_support(S, V, tol) and in_int_KA(pd, V, tol)
@@ -671,9 +705,8 @@ def _cq_report_impl(prob: InfProjProblem, tol: Tolerances | None = None) -> CQRe
         rep.bpcq = _tri(n == 0)
     elif isinstance(h, Support):
         # dom h is the halfspace {<D, V> <= 0} of the ray pos{D}
-        if unconstrained:
-            lam = np.linalg.eigvalsh(h.set.D)
-            rep.bpcq = _tri(lam[0] > tol.psd_abs * (1 + abs(lam[-1])))
+        if ray_lam is not None:
+            rep.bpcq = _tri(ray_lam[0] > ray_floor)
         else:
             rep.bpcq = "fails"  # the halfspace keeps a nontrivial slice of K_A
     else:

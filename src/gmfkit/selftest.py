@@ -72,7 +72,8 @@ def _rand_interior_instance(rng, n_max=6, m_max=6, l_max=3):
 
 
 def criterion_01(seed=0):
-    """Closed-form GMF vs direct kernel-parameterized maximization."""
+    """Kernel-reduced GMF (eval_gmf) vs the bordered-matrix pseudoinverse
+    (eval_gmf_oracle)."""
     rng = np.random.default_rng(seed)
     t0 = time.time()
     worst = 0.0

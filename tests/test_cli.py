@@ -161,7 +161,9 @@ def test_eval_p_reports_the_path(tmp_path, capsys):
     x = write(tmp_path, "x.csv", "3\n4\n")
     ball = {"kind": "trace_ball", "r": 2.0, "n": 2}
     point = {"kind": "singleton", "U": [[1.0, 0.0], [0.0, 2.0]]}
-    for S, path, value in [(ball, "spectral", 6.25), (point, "descent", 8.5)]:
+    hull = {"kind": "hull", "points": [point["U"]]}
+    cases = [(ball, "spectral", 6.25), (point, "loewner", 8.5), (hull, "descent", 8.5)]
+    for S, path, value in cases:
         h = {"kind": "indicator", "set": S}
         bundle = write(
             tmp_path, "b.json", json.dumps({"A": [[0.0, 0.0]], "B": [[0.0]], "h": h})

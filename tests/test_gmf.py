@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmfkit.gmf import (
     ProblemData,
@@ -12,6 +14,7 @@ from gmfkit.gmf import (
     in_int_KA,
     in_omega,
 )
+from gmfkit.numlin import Tolerances
 
 rng = np.random.default_rng(1)
 
@@ -142,3 +145,104 @@ def test_convexity_in_X():
     f = lambda X: eval_gmf(pd, X, V).value
     mid = f(0.5 * (X1 + X2))
     assert mid <= 0.5 * (f(X1) + f(X2)) + 1e-10
+
+
+def test_sub_floor_eigenvalues_are_not_inverted():
+    # V = -1e-15 I lies in K_A = PSD within psd_abs, but its eigenvalues
+    # count as zero, so X = (1, 1) leaves the range; inverting them gave -1e15
+    pd = ProblemData(np.zeros((1, 2)), np.zeros((1, 1)))
+    X = [[1.0], [1.0]]
+    assert eval_gmf(pd, X, -1e-15 * np.eye(2)).value == np.inf
+    assert eval_gmf(pd, X, 1e-15 * np.eye(2)).value == np.inf
+    assert eval_gmf(pd, np.zeros((2, 1)), -1e-15 * np.eye(2)).value == 0.0
+
+
+@st.composite
+def near_singular_instances(draw):
+    """A = 0 and V with eigenvalues within 1e-13 of zero among others."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    tiny = st.floats(-1e-13, 1e-13)
+    lam = draw(
+        st.lists(st.one_of(tiny, st.sampled_from([0.0, 0.5, 2.0])), min_size=n, max_size=n)
+        .filter(lambda w: any(abs(x) <= 1e-13 for x in w))
+    )
+    g = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    Q, _ = np.linalg.qr(g.standard_normal((n, n)))
+    V = (Q * np.array(lam)) @ Q.T
+    X = g.standard_normal((n, m))
+    if draw(st.booleans()):  # in the range of V up to the tiny eigenvalues
+        X = V @ X
+    return ProblemData(np.zeros((1, n)), np.zeros((1, m))), X, V
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_singular_instances())
+def test_eval_gmf_is_nonnegative_without_constraint(inst):
+    pd, X, V = inst
+    ev = eval_gmf(pd, X, V)
+    assert ev.value >= 0.0
+    if np.isfinite(ev.value):
+        Y = ev.witness_Y
+        attained = np.sum(Y * X) - 0.5 * np.sum((Y @ Y.T) * V)
+        assert attained == pytest.approx(ev.value, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_witness_multiplier_solves_the_kkt_system(seed):
+    # ell = 1..4 against n = 3: ker A is trivial for ell >= 3
+    pd, X, V = interior_instance(3, 2, 1 + seed % 4, seed=seed)
+    ev = eval_gmf(pd, X, V)
+    Y, mu = ev.witness_Y, ev.witness_multiplier
+    assert mu.shape == (pd.ell, pd.m)
+    scale = 1.0 + np.linalg.norm(X)
+    assert np.linalg.norm(V @ Y + pd.A.T @ mu - X) <= 1e-9 * scale
+    assert np.linalg.norm(pd.A @ Y - pd.B) <= 1e-9 * (1.0 + np.linalg.norm(pd.B))
+
+
+def test_kernel_reduction_matches_bordered_oracle():
+    for seed in range(20):
+        pd, X, V = interior_instance(4, 2, 1 + seed % 5, seed=100 + seed)
+        a, b = eval_gmf(pd, X, V), eval_gmf_oracle(pd, X, V)
+        assert a.value == pytest.approx(b.value, rel=1e-9, abs=1e-9)
+        assert np.allclose(a.witness_Y, b.witness_Y, rtol=1e-9, atol=1e-9)
+        assert not a.boundary
+
+
+@pytest.mark.parametrize("ell", [1, 3])
+def test_one_eigh_per_evaluation(ell, linalg_calls):
+    pd, X, V = interior_instance(3, 2, ell, seed=21)
+    eigh = 1 if pd.N.shape[1] else 0
+    for f in (eval_gmf, grad_gmf):
+        linalg_calls.clear()
+        f(pd, X, V)
+        assert linalg_calls == ({"eigh": eigh} if eigh else {})
+
+
+def test_gradient_errors_tell_the_cone_from_the_range():
+    pd = ProblemData(np.array([[1.0, 0.0, 0.0]]), np.zeros((1, 1)))
+    X = np.array([[0.0], [1.0], [0.0]])
+    outside = np.diag([1.0, 1.0, -1.0])  # negative on ker A = span{e2, e3}
+    boundary = np.diag([1.0, 1.0, 0.0])  # X in its range, phi finite
+    assert eval_gmf(pd, X, outside).ker_min_eig == -1.0
+    assert eval_gmf(pd, X, boundary).boundary
+    for V in (outside, boundary):
+        with pytest.raises(ValueError, match="interior of K_A"):
+            grad_gmf(pd, X, V)
+
+
+@pytest.mark.parametrize("w", [(1e-7, 1000.0), (1.5e-9, 10.0), (2e-9, 1e4)])
+def test_wide_spectrum_interior_points_are_finite(w):
+    # every eigenvalue is at least psd_abs: V is interior, phi(X, V) is
+    # finite and the one floor that decides `boundary` inverts them all
+    pd = ProblemData(np.zeros((1, 2)), np.zeros((1, 1)))
+    X = np.array([[1.0], [1.0]])
+    V = np.diag(w)
+    exact = 0.5 * (1.0 / w[0] + 1.0 / w[1])
+    ev = eval_gmf(pd, X, V)
+    assert not ev.boundary
+    assert ev.value == pytest.approx(exact, rel=1e-12)
+    Y, _ = grad_gmf(pd, X, V)
+    assert np.allclose(Y[:, 0], 1.0 / np.array(w), rtol=1e-12)
+    if w[0] > 1e3 * Tolerances().rank_rel * w[1]:  # inside the oracle's rank cutoff
+        assert eval_gmf_oracle(pd, X, V).value == pytest.approx(exact, rel=1e-9)

@@ -10,6 +10,7 @@ from gmfkit.hset import (
     Indicator,
     Linear,
     Ray,
+    ShiftedPSDCap,
     Singleton,
     SpectralBox,
     Support,
@@ -29,6 +30,7 @@ from gmfkit.infproj import (
     xi_member,
 )
 from gmfkit.numlin import sv
+from gmfkit.selftest import _rand_set
 
 rng = np.random.default_rng(3)
 
@@ -223,7 +225,8 @@ def test_paths_are_reported():
     cases = [
         (Indicator(Fantope(2, 3)), "spectral"),
         (Linear(0.5 * np.eye(3)), "weighted_nuclear"),
-        (Indicator(Singleton(np.eye(3))), "descent"),
+        (Indicator(Singleton(np.eye(3))), "loewner"),
+        (Indicator(Hull((np.eye(3),))), "descent"),
     ]
     for h, path in cases:
         pe = eval_p(InfProjProblem(pd, h), X)
@@ -348,3 +351,105 @@ def test_start_candidates_depend_on_the_seed():
     assert len(a) == len(b) == len(again)
     assert all(np.array_equal(u, v) for u, v in zip(a, again))
     assert not all(np.array_equal(u, v) for u, v in zip(a, b))
+
+
+def _psd_cap_problems(count=47):
+    """A = 0 problems with h = Indicator(ShiftedPSDCap) drawn by selftest's
+    set sampler."""
+    g = np.random.default_rng(2024)
+    out = []
+    while len(out) < count:
+        n, m = int(g.integers(1, 5)), int(g.integers(1, 4))
+        S = _rand_set(g, n)
+        if isinstance(S, ShiftedPSDCap):
+            out.append((InfProjProblem(unconstrained(n, m), Indicator(S)), g.standard_normal((n, m))))
+    return out
+
+
+def test_p_is_nonnegative_on_psd_caps():
+    # with A = 0, p >= 0; the descent used to project its zero start into
+    # the cap, land on V ~ +-1e-15 I and invert it, reporting -9e14 "finite"
+    for prob, X in _psd_cap_problems():
+        for pe in (eval_p(prob, X), _descent(prob, X, prob.tol, 4000, 0)):
+            assert pe.value >= 0.0
+
+
+def _loewner_problems():
+    """(problem, X) for sets with a greatest element, half with A != 0."""
+    g = np.random.default_rng(11)
+    out = []
+    while len(out) < 16:
+        n, m = int(g.integers(2, 5)), int(g.integers(1, 4))
+        S = _rand_set(g, n)
+        if S.loewner_max() is None:
+            continue
+        if len(out) % 2:  # ker A != {0}
+            A = g.standard_normal((int(g.integers(1, n)), n))
+            pd = ProblemData(A, A @ g.standard_normal((n, m)))
+        else:
+            pd = unconstrained(n, m)
+        out.append((InfProjProblem(pd, Indicator(S)), g.standard_normal((n, m))))
+    # +inf: X off the range of the singular U, hi < 0, U indefinite on ker A
+    e2 = np.array([[0.0], [1.0]])
+    out += [
+        (InfProjProblem(unconstrained(2, 1), Indicator(Singleton(np.diag([1.0, 0.0])))), e2),
+        (InfProjProblem(unconstrained(2, 1), Indicator(ShiftedPSDCap(np.diag([1.0, 0.0])))), e2),
+        (InfProjProblem(unconstrained(2, 1), Indicator(SpectralBox(-1.0, -0.5, 2))), e2),
+        (
+            InfProjProblem(
+                ProblemData(np.array([[1.0, 0.0]]), np.zeros((1, 1))),
+                Indicator(Singleton(np.diag([1.0, -1.0]))),
+            ),
+            e2,
+        ),
+    ]
+    return out
+
+
+@pytest.mark.parametrize("case", range(20))
+def test_loewner_path_matches_descent(case):
+    prob, X = _loewner_problems()[case]
+    closed = eval_p(prob, X)
+    ref = _descent(prob, X, prob.tol, 4000, 0)
+    spectral = isinstance(prob.h.set, SpectralBox) and not np.any(prob.pd.A)
+    assert closed.path == ("spectral" if spectral else "loewner") and closed.iters == 0
+    assert closed.status == ref.status
+    if closed.status != "finite":
+        assert closed.value == ref.value == np.inf
+        assert dom_p_member(prob, X) == (False, None, "exhaustive")
+        return
+    scale = 1.0 + abs(ref.value)
+    assert closed.value <= ref.value + 1e-12 * scale
+    assert ref.value - closed.value <= 1e-8 * scale
+    found, V, status = dom_p_member(prob, X)
+    assert found and status == "witness"
+
+
+@pytest.mark.parametrize("D,ccq", [(np.diag([1.0, -0.01]), "holds"), (np.diag([1.0, 2.0]), "fails")])
+def test_ccq_of_ray_support_without_constraint(D, ccq):
+    # none of the probes I - tD, t in {0, 0.1, 1, 10}, is positive definite
+    # with <D, V> <= 0, so both used to be undecided
+    rep = cq_report(InfProjProblem(unconstrained(2, 1), Support(Ray(D))))
+    assert rep.ccq == ccq
+    if ccq == "holds":
+        # certificate: V = eps*I + q q^T for the eigenvector q of lambda_min(D)
+        lam, Q = np.linalg.eigh(D)
+        q = Q[:, :1]
+        V = 1e-3 * np.eye(2) + (1e-3 * np.trace(D) / -lam[0] + 1.0) * q @ q.T
+        assert np.min(np.linalg.eigvalsh(V)) > 0.0 and np.sum(D * V) < 0.0
+    else:
+        assert rep.sccq == "fails"
+
+
+def test_linear_dual_value_factorizes_once(linalg_calls):
+    g = np.random.default_rng(4)
+    n, m = 5, 3
+    L = np.linalg.qr(g.standard_normal((n, n)))[0] * g.uniform(0.5, 1.5, n)
+    prob = InfProjProblem(unconstrained(n, m), Linear(0.5 * L @ L.T))
+    X = g.standard_normal((n, m))
+    linalg_calls.clear()
+    value, Y, status = dual_value(prob, X)
+    assert linalg_calls == {"eigh": 1, "svd": 1}
+    assert status == "exact"
+    assert value == pytest.approx(np.sum(sv(L.T @ X)), rel=1e-12)
+    assert float(np.sum(X * Y)) == pytest.approx(value, rel=1e-12)
