@@ -139,9 +139,15 @@ def _load_json(path: str) -> dict:
     return d
 
 
-def parse_bundle(path: str, tol: Tolerances | None = None) -> InfProjProblem:
-    """JSON problem bundle -> InfProjProblem."""
+def parse_bundle(path: str) -> InfProjProblem:
+    """JSON problem bundle -> InfProjProblem, with the tolerances of the
+    bundle's "tol" block."""
     d = _load_json(path)
+    return _bundle_problem(path, d, Tolerances.from_dict(d.get("tol", {})))
+
+
+def _bundle_problem(path: str, d: dict, tol: Tolerances) -> InfProjProblem:
+    """The problem of the bundle d read from path."""
     try:
         A = np.array(d["A"], dtype=float)
         B = np.array(d["B"], dtype=float)
@@ -150,7 +156,6 @@ def parse_bundle(path: str, tol: Tolerances | None = None) -> InfProjProblem:
         raise CliError(f"{path}: bad bundle: {exc}") from exc
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise CliError(f"{path}: non-finite entries")
-    tol = tol or Tolerances.from_dict(d.get("tol", {}))
     try:
         return InfProjProblem(ProblemData(A, B, tol), h)
     except ValueError as exc:
@@ -189,24 +194,24 @@ def _emit(report: dict, out: str | None):
 # subcommands
 
 
-def _cmd_eval_gmf(args, tol):
-    X = _matrix_arg(args.X, None, tol=tol)
+def _cmd_eval_gmf(args, tol, bundle):
+    X = _matrix_arg(args.X, None)
     V = _matrix_arg(args.V, (X.shape[0], X.shape[0]), symmetrize=True, tol=tol)
     n = X.shape[0]
-    A = _matrix_arg(args.A, (1, n), tol=tol)
-    B = _matrix_arg(args.B, (A.shape[0], X.shape[1]), tol=tol)
+    A = _matrix_arg(args.A, (1, n))
+    B = _matrix_arg(args.B, (A.shape[0], X.shape[1]))
     pd = ProblemData(A, B, tol)
-    ev = eval_gmf(pd, X, V, tol)
+    ev = eval_gmf(pd, X, V)
     out = {"value": ev.value, "boundary": ev.boundary}
     if ev.witness_Y is not None:
         out["witness_Y"] = ev.witness_Y
     return out, 0, [args.A, args.B, args.X, args.V]
 
 
-def _cmd_eval_p(args, tol):
-    prob = parse_bundle(args.bundle, tol)
-    X = parse_matrix(args.X, tol=tol)
-    pe = eval_p(prob, X, tol, max_iter=args.max_iter, seed=args.seed)
+def _cmd_eval_p(args, tol, bundle):
+    prob = _bundle_problem(args.bundle, bundle, tol)
+    X = parse_matrix(args.X)
+    pe = eval_p(prob, X, max_iter=args.max_iter, seed=args.seed)
     out = {
         "value": pe.value,
         "status": pe.status,
@@ -220,34 +225,34 @@ def _cmd_eval_p(args, tol):
     return out, 0, [args.bundle, args.X]
 
 
-def _cmd_conjugate(args, tol):
-    prob = parse_bundle(args.bundle, tol)
-    Y = parse_matrix(args.Y, tol=tol)
-    val, status = eval_p_conj(prob, Y, tol)
+def _cmd_conjugate(args, tol, bundle):
+    prob = _bundle_problem(args.bundle, bundle, tol)
+    Y = parse_matrix(args.Y)
+    val, status = eval_p_conj(prob, Y)
     code = 2 if status != "exact" else 0
     return {"value": val, "status": status}, code, [args.bundle, args.Y]
 
 
-def _cmd_dual_gap(args, tol):
-    prob = parse_bundle(args.bundle, tol)
-    X = parse_matrix(args.X, tol=tol)
-    p, d, gap, status = dual_gap(prob, X, tol)
+def _cmd_dual_gap(args, tol, bundle):
+    prob = _bundle_problem(args.bundle, bundle, tol)
+    X = parse_matrix(args.X)
+    p, d, gap, status = dual_gap(prob, X)
     code = 2 if status == "undecided" else 0
     out = {"primal": p, "dual": d, "gap": gap, "status": status}
     return out, code, [args.bundle, args.X]
 
 
-def _cmd_subdiff(args, tol):
-    prob = parse_bundle(args.bundle, tol)
-    X = parse_matrix(args.X, tol=tol)
-    Y, gap, status = subdiff_p_witness(prob, X, tol)
+def _cmd_subdiff(args, tol, bundle):
+    prob = _bundle_problem(args.bundle, bundle, tol)
+    X = parse_matrix(args.X)
+    Y, gap, status = subdiff_p_witness(prob, X)
     code = 2 if status == "undecided" else 0
     return {"Y": Y, "fenchel_gap": gap, "status": status}, code, [args.bundle, args.X]
 
 
-def _cmd_cq_report(args, tol):
-    prob = parse_bundle(args.bundle, tol)
-    rep = cq_report(prob, tol)
+def _cmd_cq_report(args, tol, bundle):
+    prob = _bundle_problem(args.bundle, bundle, tol)
+    rep = cq_report(prob)
     out = {
         "pcq": rep.pcq,
         "spcq": rep.spcq,
@@ -261,16 +266,16 @@ def _cmd_cq_report(args, tol):
     return out, code, [args.bundle]
 
 
-def _vgf_instance(args, Y, tol):
-    prob = parse_bundle(args.bundle, tol)
+def _vgf_instance(args, Y, tol, bundle):
+    prob = _bundle_problem(args.bundle, bundle, tol)
     if not isinstance(prob.h, Indicator):
         raise CliError("vgf commands need a bundle with indicator h")
     return VgfInstance(prob.h.set, Y.shape[1], tol)
 
 
-def _cmd_vgf(args, tol):
-    Y = parse_matrix(args.Y, tol=tol)
-    inst = _vgf_instance(args, Y, tol)
+def _cmd_vgf(args, tol, bundle):
+    Y = parse_matrix(args.Y)
+    inst = _vgf_instance(args, Y, tol, bundle)
     val, V = vgf_eval(inst, Y)
     out = {"value": val}
     if V is not None:
@@ -278,26 +283,25 @@ def _cmd_vgf(args, tol):
     return out, 0, [args.bundle, args.Y]
 
 
-def _cmd_kyfan(args, tol):
-    X = parse_matrix(args.X, tol=tol)
+def _cmd_kyfan(args, tol, bundle):
+    X = parse_matrix(args.X)
     params = KyFanParams(args.p, args.k)
     return {"value": kyfan_norm(params, X)}, 0, [args.X]
 
 
-def _cmd_gauge_check(args, tol):
-    Y = parse_matrix(args.Y, tol=tol)
-    inst = _vgf_instance(args, Y, tol)
+def _cmd_gauge_check(args, tol, bundle):
+    Y = parse_matrix(args.Y)
+    inst = _vgf_instance(args, Y, tol, bundle)
     gval, consistent, detail = vgf_gauge_decomp(inst, Y)
     out = {"gauge": gval, "consistent": bool(consistent), "detail": detail}
     return out, 0 if consistent else 2, [args.bundle, args.Y]
 
 
-def _cmd_solve(args, tol):
-    d = _load_json(args.bundle)
+def _cmd_solve(args, tol, bundle):
     try:
-        target = np.array(d["target"], dtype=float)
-        mask = np.array(d["mask"], dtype=bool)
-        lam = float(d["lam"])
+        target = np.array(bundle["target"], dtype=float)
+        mask = np.array(bundle["mask"], dtype=bool)
+        lam = float(bundle["lam"])
     except (KeyError, ValueError) as exc:
         raise CliError(f"{args.bundle}: {exc}") from exc
     if mask.shape != target.shape:
@@ -318,21 +322,21 @@ def _cmd_solve(args, tol):
     return out, 0 if tr.status == "Converged" else 2, [args.bundle]
 
 
-def _cmd_oracle_compare(args, tol):
-    X = _matrix_arg(args.X, None, tol=tol)
+def _cmd_oracle_compare(args, tol, bundle):
+    X = _matrix_arg(args.X, None)
     V = _matrix_arg(args.V, (X.shape[0], X.shape[0]), symmetrize=True, tol=tol)
-    A = _matrix_arg(args.A, (1, X.shape[0]), tol=tol)
-    B = _matrix_arg(args.B, (A.shape[0], X.shape[1]), tol=tol)
+    A = _matrix_arg(args.A, (1, X.shape[0]))
+    B = _matrix_arg(args.B, (A.shape[0], X.shape[1]))
     pd = ProblemData(A, B, tol)
-    a = eval_gmf(pd, X, V, tol).value
-    b = eval_gmf_oracle(pd, X, V, tol).value
+    a = eval_gmf(pd, X, V).value
+    b = eval_gmf_oracle(pd, X, V).value
     err = abs(a - b) / (1.0 + abs(b))
     ok = err <= tol.conj_rel
     out = {"closed_form": a, "oracle": b, "rel_err": err, "agree": bool(ok)}
     return out, 0 if ok else 1, [args.A, args.B, args.X, args.V]
 
 
-def _cmd_selftest(args, tol):
+def _cmd_selftest(args, tol, bundle):
     import io
 
     buf = io.StringIO()
@@ -410,14 +414,12 @@ def _build_parser() -> _Parser:
     return ap
 
 
-def _tolerances(args) -> Tolerances:
+def _tolerances(args, bundle: dict) -> Tolerances:
     """A --tol-* flag that is given sets its field; the bundle's "tol"
     block, if any, sets the others, and the defaults the rest."""
     given = {k: v for k, v in vars(args).items() if v is not None}
-    bundle = getattr(args, "bundle", None)
-    base = _load_json(bundle).get("tol", {}) if bundle else {}
     try:
-        return Tolerances.from_dict({**base, **given})
+        return Tolerances.from_dict({**bundle.get("tol", {}), **given})
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad tolerances: {exc}") from exc
 
@@ -428,8 +430,10 @@ def main(argv=None) -> int:
         t0 = time.time()
         if args.seed is None:
             args.seed = int(os.environ.get("GMFKIT_SEED", "0"))
-        tol = _tolerances(args)
-        outputs, code, inputs = _COMMANDS[args.command][0](args, tol)
+        # the one read of the bundle: tolerances and handler both use it
+        bundle = _load_json(args.bundle) if getattr(args, "bundle", None) else {}
+        tol = _tolerances(args, bundle)
+        outputs, code, inputs = _COMMANDS[args.command][0](args, tol, bundle)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

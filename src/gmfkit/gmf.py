@@ -99,27 +99,25 @@ def bordered_matrix(pd: ProblemData, V: np.ndarray) -> np.ndarray:
     return M
 
 
-def in_KA(pd: ProblemData, V: np.ndarray, tol: Tolerances | None = None) -> bool:
+def in_KA(pd: ProblemData, V: np.ndarray) -> bool:
     """V positive semidefinite on ker A."""
-    tol = tol or pd.tol
     if pd.N.shape[1] == 0:
         return True
-    V = sym(V, tol)
-    return min_eig(pd.N.T @ V @ pd.N) >= -tol.psd_abs
+    V = sym(V, pd.tol)
+    return min_eig(pd.N.T @ V @ pd.N) >= -pd.tol.psd_abs
 
 
-def in_int_KA(pd: ProblemData, V: np.ndarray, tol: Tolerances | None = None) -> bool:
+def in_int_KA(pd: ProblemData, V: np.ndarray) -> bool:
     """V positive definite on ker A (strictly, by psd_abs)."""
-    tol = tol or pd.tol
     if pd.N.shape[1] == 0:
         return True
-    V = sym(V, tol)
-    return min_eig(pd.N.T @ V @ pd.N) >= tol.psd_abs
+    V = sym(V, pd.tol)
+    return min_eig(pd.N.T @ V @ pd.N) >= pd.tol.psd_abs
 
 
-def in_KA_polar(pd: ProblemData, W: np.ndarray, tol: Tolerances | None = None) -> bool:
+def in_KA_polar(pd: ProblemData, W: np.ndarray) -> bool:
     """W in the polar cone: W = PWP and W negative semidefinite."""
-    tol = tol or pd.tol
+    tol = pd.tol
     W = sym(W, tol)
     scale = 1.0 + np.linalg.norm(W)
     if np.linalg.norm(W - pd.P @ W @ pd.P) > tol.feas_abs * scale:
@@ -127,21 +125,16 @@ def in_KA_polar(pd: ProblemData, W: np.ndarray, tol: Tolerances | None = None) -
     return max_eig(W) <= tol.psd_abs * scale
 
 
-def in_omega(
-    pd: ProblemData, Y: np.ndarray, W: np.ndarray, tol: Tolerances | None = None
-) -> bool:
+def in_omega(pd: ProblemData, Y: np.ndarray, W: np.ndarray) -> bool:
     """(Y, W) in the closed convex hull of the graph set:
     AY = B and YY^T/2 + W in the polar of K_A."""
-    tol = tol or pd.tol
     Y = np.asarray(Y, dtype=float)
-    if np.linalg.norm(pd.A @ Y - pd.B) > tol.feas_abs * (1.0 + np.linalg.norm(pd.B)):
+    if np.linalg.norm(pd.A @ Y - pd.B) > pd.tol.feas_abs * (1.0 + np.linalg.norm(pd.B)):
         return False
-    return in_KA_polar(pd, 0.5 * Y @ Y.T + sym(W, tol), tol)
+    return in_KA_polar(pd, 0.5 * Y @ Y.T + sym(W, pd.tol))
 
 
-def eval_gmf(
-    pd: ProblemData, X: np.ndarray, V: np.ndarray, tol: Tolerances | None = None
-) -> GmfEval:
+def eval_gmf(pd: ProblemData, X: np.ndarray, V: np.ndarray) -> GmfEval:
     """phi(X, V) by the kernel reduction; +inf outside the domain.
 
     Over Y = Y0 + N Z the objective <X, Y> - <YY^T, V>/2 reads
@@ -155,7 +148,7 @@ def eval_gmf(
     over the others, attained at Y = Y0 + N Q diag(1/lam) Q^T R.  The multiplier
     mu = (A^+)^T (X - V Y) satisfies V Y + A^T mu = X.  When ker A = {0},
     Y = Y0 and no factorization is needed."""
-    tol = tol or pd.tol
+    tol = pd.tol
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape != (pd.n, pd.m):
         raise ValueError(f"X must be {pd.n}x{pd.m}, got {X.shape}")
@@ -190,34 +183,28 @@ def eval_gmf(
     )
 
 
-def eval_gmf_oracle(
-    pd: ProblemData, X: np.ndarray, V: np.ndarray, tol: Tolerances | None = None
-) -> GmfEval:
+def eval_gmf_oracle(pd: ProblemData, X: np.ndarray, V: np.ndarray) -> GmfEval:
     """phi(X, V) through the bordered matrix, independently of eval_gmf.
 
     The maximizer Y and multiplier mu solve the KKT system
     M(V) [Y; mu] = [X; B] with M(V) = [[V, A^T], [A, 0]], so
     phi = <[X; B], M(V)^+ [X; B]>/2 from one SVD of the (n + l)^2 matrix.
     Requires V positive definite on ker A."""
-    tol = tol or pd.tol
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    V = sym(V, tol)
-    if not in_int_KA(pd, V, tol):
+    V = sym(V, pd.tol)
+    if not in_int_KA(pd, V):
         raise ValueError("oracle requires interior point")
     rhs = np.vstack([X, pd.B])
-    Z = pinv(bordered_matrix(pd, V), tol) @ rhs
+    Z = pinv(bordered_matrix(pd, V), pd.tol) @ rhs
     return GmfEval(
         0.5 * float(np.sum(rhs * Z)), witness_Y=Z[: pd.n], witness_multiplier=Z[pd.n :]
     )
 
 
-def grad_gmf(
-    pd: ProblemData, X: np.ndarray, V: np.ndarray, tol: Tolerances | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def grad_gmf(pd: ProblemData, X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of phi at an interior point: (Y, -YY^T/2) for the maximizer Y."""
-    tol = tol or pd.tol
-    ev = eval_gmf(pd, X, V, tol)
-    if not ev.ker_min_eig >= tol.psd_abs:
+    ev = eval_gmf(pd, X, V)
+    if not ev.ker_min_eig >= pd.tol.psd_abs:
         raise ValueError("gradient undefined: V not in the interior of K_A")
     if not np.isfinite(ev.value):
         raise ValueError("gradient undefined: point outside dom phi")

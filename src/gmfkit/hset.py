@@ -43,8 +43,8 @@ class ConvexSetSpec:
     The constraint-qualification rules inside_KA, dominates (below) and
     max_min_eig are methods only:
 
-    - inside_KA(pd, tol): whether S lies inside K_A; False where that
-      is not known.
+    - inside_KA(pd): whether S lies inside K_A, within pd's tolerances;
+      False where that is not known.
     - max_min_eig(C, N): (sup over V in S of lambda_min(N^T (V - C) N),
       exactness flag) for N with orthonormal columns, at least one; the
       value is a lower bound when the flag is False.  A positive value
@@ -110,8 +110,8 @@ class Singleton(ConvexSetSpec):
         # holding 0, S is the cone {0}: t*S = S for every t > 0
         return 0.0 if self.member(G, tol) else np.inf
 
-    def inside_KA(self, pd, tol):
-        return in_KA(pd, self.U, tol)
+    def inside_KA(self, pd):
+        return in_KA(pd, self.U)
 
     def max_min_eig(self, C, N):
         return min_eig(N.T @ (self.U - C) @ N), True
@@ -171,7 +171,7 @@ class SpectralSet(ConvexSetSpec):
             return np.inf
         return max(0.0, float(np.max(np.divide(num, den, out=np.zeros(3), where=den > 0.0))))
 
-    def inside_KA(self, pd, tol):
+    def inside_KA(self, pd):
         return self.lo >= 0.0
 
     def dominates(self, G, tol):
@@ -320,8 +320,8 @@ class Hull(ConvexSetSpec):
             raise RuntimeError(f"hull gauge LP failed: {res.message}")
         return float(res.fun)
 
-    def inside_KA(self, pd, tol):
-        return all(in_KA(pd, U, tol) for U in self.points)
+    def inside_KA(self, pd):
+        return all(in_KA(pd, U) for U in self.points)
 
     def max_min_eig(self, C, N):
         return _hull_max_min_eig([N.T @ U @ N for U in self.points], N.T @ C @ N), True
@@ -378,8 +378,8 @@ class Ray(ConvexSetSpec):
         # a cone: t*S = S for every t > 0
         return 0.0 if self.member(G, tol) else np.inf
 
-    def inside_KA(self, pd, tol):
-        return in_KA(pd, self.D, tol)
+    def inside_KA(self, pd):
+        return in_KA(pd, self.D)
 
     def dominates(self, G, tol):
         if self.bounded:
@@ -469,7 +469,7 @@ class ShiftedPSDCap(ConvexSetSpec):
         Rp = pinv(psd_sqrt(self.U), tol)
         return max(0.0, max_eig(Rp @ G @ Rp))
 
-    def inside_KA(self, pd, tol):
+    def inside_KA(self, pd):
         return True
 
     def dominates(self, G, tol):
@@ -594,14 +594,6 @@ HSpec = Linear | Indicator | Support
 # The set rules at the validation boundary
 
 
-def is_bounded(S: ConvexSetSpec) -> bool:
-    return S.bounded
-
-
-def contains_zero(S: ConvexSetSpec, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return S.contains_zero(tol)
-
-
 def _checked(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances) -> np.ndarray:
     G = sym(G, tol)
     if G.shape[0] != S.n:
@@ -625,11 +617,6 @@ def psd_cap_support(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances = DEFAULT_T
 def psd_cap_nonempty(S: ConvexSetSpec, tol: Tolerances = DEFAULT_TOL) -> bool:
     val, _ = psd_cap_support(S, np.zeros((S.n, S.n)), tol)
     return np.isfinite(val)
-
-
-def psd_cap_bounded(S: ConvexSetSpec, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether S intersect PSD is bounded."""
-    return S.psd_cap_bounded(tol)
 
 
 def member(S: ConvexSetSpec, V: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -2,7 +2,8 @@
 
 Provides the primal evaluator (closed forms for spectral indicator sets,
 for indicator sets with a greatest element and for the weighted nuclear
-norm, projected subgradient descent otherwise),
+norm, a certified descent ray for linear h under an equality
+constraint, projected subgradient descent otherwise),
 the conjugate p* through the lifted set Omega(A, B), Fenchel
 subgradient certificates, and the constraint-qualification report.
 """
@@ -26,10 +27,8 @@ from .hset import (
     SpectralSet,
     Support,
     h_eval,
-    is_bounded,
     member,
     project,
-    psd_cap_bounded,
     psd_cap_nonempty,
     psd_cap_support,
     support,
@@ -41,7 +40,8 @@ _UNBOUNDED_CUTOFF = -1.0e7
 
 @dataclass(frozen=True)
 class InfProjProblem:
-    """Data (A, B) plus the perturbation h acting on V."""
+    """Data (A, B) plus the perturbation h acting on V; the tolerances
+    are pd's.  h = sigma_{U} is stored as the linear h = <U, .> it is."""
 
     pd: ProblemData
     h: HSpec
@@ -49,6 +49,8 @@ class InfProjProblem:
     def __post_init__(self):
         if self.h.n != self.pd.n:
             raise ValueError("h must act on n x n symmetric matrices")
+        if isinstance(self.h, Support) and isinstance(self.h.set, Singleton):
+            object.__setattr__(self, "h", Linear(self.h.set.U))
 
     @property
     def tol(self) -> Tolerances:
@@ -64,7 +66,8 @@ class InfProjEval:
     maximizer of the underlying saddle, both None when not finite.
     When unbounded, unbounded_direction is a certified descent ray.
     path names how the value was reached: "spectral", "loewner" or
-    "weighted_nuclear" (closed forms, iters = 0) or "descent".
+    "weighted_nuclear" (closed forms), "recession" (a certified ray,
+    no iterations) or "descent".
     """
 
     value: float
@@ -114,7 +117,7 @@ def _dom_h_project(h: HSpec, V: np.ndarray, tol: Tolerances) -> np.ndarray:
         return project(h.set, V, tol)
     # dom sigma_S is all of S^n for bounded S, the polar halfspace of a ray
     S = h.set
-    if not is_bounded(S):  # the ray pos{D} with D != 0
+    if not S.bounded:  # the ray pos{D} with D != 0
         ip = float(np.sum(S.D * V))
         if ip > 0:
             V = V - (ip / float(np.sum(S.D * S.D))) * S.D
@@ -148,8 +151,6 @@ def _start_candidates(
             raw.extend(S.points)
             w = np.full(len(S.points), 1.0 / len(S.points))
             raw.append(sym(sum(wi * U for wi, U in zip(w, S.points))))
-        if isinstance(S, Singleton):
-            raw.append(S.U)
         if isinstance(S, ShiftedPSDCap):
             raw.extend([S.U, 0.5 * S.U])
         if isinstance(S, Ray):
@@ -174,11 +175,11 @@ def _start_candidates(
     return out
 
 
-def _objective(prob: InfProjProblem, X: np.ndarray, V: np.ndarray, tol: Tolerances):
-    ge = eval_gmf(prob.pd, X, V, tol)
+def _objective(prob: InfProjProblem, X: np.ndarray, V: np.ndarray):
+    ge = eval_gmf(prob.pd, X, V)
     if not np.isfinite(ge.value):
         return np.inf, ge
-    hv = h_eval(prob.h, V, tol)
+    hv = h_eval(prob.h, V, prob.tol)
     return ge.value + hv, ge
 
 
@@ -212,9 +213,7 @@ def _water_fill(s: np.ndarray, cap: float, total: float) -> np.ndarray:
     return lam
 
 
-def _spectral_path(
-    prob: InfProjProblem, X: np.ndarray, tol: Tolerances
-) -> InfProjEval | None:
+def _spectral_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
     """Exact p(X) for h = delta_S with S a spectral set and no equality
     constraint.
 
@@ -243,7 +242,7 @@ def _spectral_path(
     lam = _water_fill(sn, cap, total)
     live = lam > 0.0
     # the range condition rge X in rge V, with eval_gmf's slack
-    if np.linalg.norm(sn[~live]) > tol.feas_abs * (1.0 + np.linalg.norm(s)):
+    if np.linalg.norm(sn[~live]) > prob.tol.feas_abs * (1.0 + np.linalg.norm(s)):
         return InfProjEval(np.inf, status="infeasible", path="spectral")
     ratio = np.divide(sn, lam, out=np.zeros(n), where=live)
     return InfProjEval(
@@ -254,9 +253,7 @@ def _spectral_path(
     )
 
 
-def _loewner_path(
-    prob: InfProjProblem, X: np.ndarray, tol: Tolerances
-) -> InfProjEval | None:
+def _loewner_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
     """Exact p(X) = phi(X, Vbar) for h = delta_S with S holding a greatest
     element Vbar in the Loewner order, for every A.
 
@@ -267,15 +264,13 @@ def _loewner_path(
     Vbar = h.set.loewner_max() if isinstance(h, Indicator) else None
     if Vbar is None:
         return None
-    ge = eval_gmf(prob.pd, X, Vbar, tol)
+    ge = eval_gmf(prob.pd, X, Vbar)
     if not np.isfinite(ge.value):
         return InfProjEval(np.inf, status="infeasible", path="loewner")
     return InfProjEval(ge.value, V=Vbar, Y=ge.witness_Y, path="loewner")
 
 
-def _weighted_nuclear_fast_path(
-    prob: InfProjProblem, X: np.ndarray, tol: Tolerances
-) -> InfProjEval | None:
+def _weighted_nuclear_fast_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
     """p(X) = |L X|_* with L = (2U)^{1/2}, for linear h with positive
     definite slope U and no equality constraint.
 
@@ -286,7 +281,7 @@ def _weighted_nuclear_fast_path(
     if not (isinstance(h, Linear) and _is_unconstrained(prob.pd)):
         return None
     mu, E = np.linalg.eigh(h.U)
-    if mu[0] <= tol.psd_abs * (1.0 + mu[-1]):
+    if mu[0] <= prob.tol.psd_abs * (1.0 + mu[-1]):
         return None
     L = (E * np.sqrt(2.0 * mu)) @ E.T
     Q, s, Wt = np.linalg.svd(L @ X, full_matrices=False)
@@ -298,12 +293,45 @@ def _weighted_nuclear_fast_path(
     )
 
 
+def _recession_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
+    """p = -inf for linear h = <U, .> with an equality constraint, certified
+    by a ray from V = I, unless p is finite.
+
+    phi(X, V) sees V only through N^T V N, N^T V Y0 and Y0^T V Y0, and Y0
+    lies in the range of Q = I - P.  With R = P U (Q - Y0 Y0^+), the
+    direction D = -(Q (U - Y0 Y0^T / 2) Q + R + R^T) changes none of
+    them, so along V = I + tD the objective phi(X, V) + <U, V> is affine
+    with slope -|D|^2.  If D = 0, then N^T U Q = K Y0^T for
+    K = N^T U (Y0^+)^T, and the objective is bounded below exactly when
+    M = N^T U N - 2 K K^T is positive semidefinite: for an eigenvector q
+    of M with a negative eigenvalue, raising N^T V N by t qq^T and
+    lowering N^T V Y0 by 2t qq^T K makes the convex objective fall with
+    asymptotic slope q^T M q."""
+    h, pd, tol = prob.h, prob.pd, prob.tol
+    if not isinstance(h, Linear) or _is_unconstrained(pd):
+        return None
+    U, N, Y0 = h.U, pd.N, pd.Y0
+    Q = np.eye(pd.n) - pd.P
+    Y0_pinv = np.linalg.pinv(Y0, rcond=tol.rank_rel)
+    R = pd.P @ U @ (Q - Y0 @ Y0_pinv)
+    D = -(Q @ (U - 0.5 * Y0 @ Y0.T) @ Q + R + R.T)
+    if not np.linalg.norm(D) > tol.feas_abs * (1.0 + np.linalg.norm(U) + 0.5 * np.linalg.norm(Y0) ** 2):
+        if _ker_trivial(pd):
+            return None
+        K = N.T @ U @ Y0_pinv.T
+        w, Wv = np.linalg.eigh(N.T @ U @ N - 2.0 * K @ K.T)
+        if not w[0] < -tol.psd_abs * (1.0 + np.max(np.abs(w))):
+            return None
+        v = N @ Wv[:, :1]
+        W = -2.0 * v @ (Wv[:, :1].T @ K) @ Y0_pinv
+        D = v @ v.T + W + W.T
+    return InfProjEval(
+        -np.inf, status="unbounded", unbounded_direction=D / np.linalg.norm(D), path="recession"
+    )
+
+
 def eval_p(
-    prob: InfProjProblem,
-    X: np.ndarray,
-    tol: Tolerances | None = None,
-    max_iter: int = 4000,
-    seed: int = 0,
+    prob: InfProjProblem, X: np.ndarray, max_iter: int = 4000, seed: int = 0
 ) -> InfProjEval:
     """Evaluate p(X) = inf_V phi(X, V) + h(V).
 
@@ -311,35 +339,35 @@ def eval_p(
     indicator of a spectral box, trace ball or Fantope ("spectral") and h
     linear with a positive definite slope ("weighted_nuclear"); for every
     A, h the indicator of a set with a greatest element in the Loewner
-    order ("loewner").  Every other case runs projected subgradient
-    descent (see _descent)."""
-    tol = tol or prob.tol
+    order ("loewner").  Linear h with an equality constraint is unbounded
+    below along a certified ray unless a recession test fails
+    ("recession", see _recession_path).  Every other case runs projected
+    subgradient descent (see _descent)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape != (prob.pd.n, prob.pd.m):
         raise ValueError(f"X must be {prob.pd.n}x{prob.pd.m}, got {X.shape}")
-    for path in (_spectral_path, _loewner_path, _weighted_nuclear_fast_path):
-        out = path(prob, X, tol)
+    for path in (_spectral_path, _loewner_path, _weighted_nuclear_fast_path, _recession_path):
+        out = path(prob, X)
         if out is not None:
             return out
-    return _descent(prob, X, tol, max_iter, seed)
+    return _descent(prob, X, max_iter, seed)
 
 
-def _descent(
-    prob: InfProjProblem, X: np.ndarray, tol: Tolerances, max_iter: int, seed: int
-) -> InfProjEval:
+def _descent(prob: InfProjProblem, X: np.ndarray, max_iter: int, seed: int) -> InfProjEval:
     """Projected subgradient descent on V with Barzilai-Borwein steps and
     backtracking, from the best of a seeded set of starts.  Values below
     -1e7 are reported as unbounded."""
+    tol = prob.tol
     rng = np.random.default_rng(seed)
     cheap = (
         isinstance(prob.h, Indicator)
-        and is_bounded(prob.h.set)
+        and prob.h.set.bounded
         and _is_unconstrained(prob.pd)
     )
     n_random = 6 if cheap else 40
     best_V, best_F, best_ge = None, np.inf, None
     for V in _start_candidates(prob, rng, n_random):
-        F, ge = _objective(prob, X, V, tol)
+        F, ge = _objective(prob, X, V)
         if F < best_F:
             best_V, best_F, best_ge = V, F, ge
     if best_V is None or not np.isfinite(best_F):
@@ -356,7 +384,7 @@ def _descent(
         tt = t
         for _ in range(40):
             V_new = _dom_h_project(prob.h, V - tt * g, tol)
-            F_new, ge_new = _objective(prob, X, V_new, tol)
+            F_new, ge_new = _objective(prob, X, V_new)
             step = np.linalg.norm(V_new - V)
             if F_new <= F - 1.0e-4 / max(tt, 1e-300) * step**2 and step > 0:
                 accepted = True
@@ -384,7 +412,7 @@ def _descent(
             nrm = np.linalg.norm(D)
             D = D / nrm if nrm > 0 else D
             vals = [
-                _objective(prob, X, start_V + t * D, tol)[0]
+                _objective(prob, X, start_V + t * D)[0]
                 for t in (1.0, 10.0, 100.0, 1e4, 1e6)
             ]
             if not all(b < a for a, b in zip(vals, vals[1:])):
@@ -399,9 +427,7 @@ def _descent(
     return InfProjEval(F, V=V, Y=ge.witness_Y, status="finite", iters=it)
 
 
-def dom_p_member(
-    prob: InfProjProblem, X: np.ndarray, tol: Tolerances | None = None, seed: int = 0
-):
+def dom_p_member(prob: InfProjProblem, X: np.ndarray):
     """Search for V in dom h with phi(X, V) finite, certifying X in dom p.
 
     Returns (found, V, status): status is "witness" on success,
@@ -411,16 +437,15 @@ def dom_p_member(
     greatest element Vbar in the Loewner order, where X lies in dom p iff
     phi(X, Vbar) is finite (see _loewner_path).
     """
-    tol = tol or prob.tol
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    loewner = _loewner_path(prob, X, tol)
+    loewner = _loewner_path(prob, X)
     if loewner is not None:
         if loewner.V is None:
             return False, None, "exhaustive"
         return True, loewner.V, "witness"
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for V in _start_candidates(prob, rng):
-        F, _ = _objective(prob, X, V, tol)
+        F, _ = _objective(prob, X, V)
         if np.isfinite(F):
             return True, V, "witness"
     return False, None, "exhaustive" if isinstance(prob.h, Linear) else "sampled"
@@ -430,11 +455,9 @@ def dom_p_member(
 # sigma over S intersect K_A
 
 
-def sigma_S_cap_KA(
-    prob: InfProjProblem, S: ConvexSetSpec, G: np.ndarray, tol: Tolerances | None = None
-):
+def sigma_S_cap_KA(prob: InfProjProblem, S: ConvexSetSpec, G: np.ndarray):
     """Support function of S intersect K_A.  Returns (value, witness, status)."""
-    tol = tol or prob.tol
+    tol = prob.tol
     pd = prob.pd
     if _ker_trivial(pd):
         val, W = support(S, G, tol)
@@ -446,7 +469,7 @@ def sigma_S_cap_KA(
             return np.nan, None, "undecided"
         return val, W, "exact"
     # decidable when S sits inside K_A
-    if S.inside_KA(pd, tol):
+    if S.inside_KA(pd):
         val, W = support(S, G, tol)
         return val, W, "exact"
     return np.nan, None, "undecided"
@@ -456,13 +479,13 @@ def sigma_S_cap_KA(
 # Conjugate and the lifted feasible set
 
 
-def xi_member(prob: InfProjProblem, Y: np.ndarray, tol: Tolerances | None = None):
+def xi_member(prob: InfProjProblem, Y: np.ndarray):
     """Membership of Y in the lifted feasible set
     Xi(A, B) = {Y : AY = B, YY^T/2 in dom h* + (K_A polar)}.
 
     Returns (answer, status); answer is None when status is "undecided".
     """
-    tol = tol or prob.tol
+    tol = prob.tol
     pd = prob.pd
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if np.linalg.norm(pd.A @ Y - pd.B) > tol.feas_abs * (1.0 + np.linalg.norm(pd.B)):
@@ -471,7 +494,7 @@ def xi_member(prob: InfProjProblem, Y: np.ndarray, tol: Tolerances | None = None
     h = prob.h
     if isinstance(h, Linear):
         # dom h* = {U}: G - U must be in the polar cone
-        return in_KA_polar(pd, G - h.U, tol), "exact"
+        return in_KA_polar(pd, G - h.U), "exact"
     if isinstance(h, Support):
         # dom h* = S
         if _ker_trivial(pd):
@@ -482,37 +505,36 @@ def xi_member(prob: InfProjProblem, Y: np.ndarray, tol: Tolerances | None = None
         return None, "undecided"
     # Indicator: dom h* = dom sigma_S
     S = h.set
-    if is_bounded(S):
+    if S.bounded:
         return True, "exact"
     if _ker_trivial(pd):
-        return member_dom_support(S, G, tol), "exact"
+        return _member_dom_support(S, G, tol), "exact"
     if _is_unconstrained(pd):
         # dom sigma_S plus the polar of PSD is all of S^n when the ray's
         # direction D has a negative eigenvalue
-        return psd_cap_bounded(S, tol) or member_dom_support(S, G, tol), "exact"
+        return S.psd_cap_bounded(tol) or _member_dom_support(S, G, tol), "exact"
     return None, "undecided"
 
 
-def eval_p_conj(prob: InfProjProblem, Y: np.ndarray, tol: Tolerances | None = None):
+def eval_p_conj(prob: InfProjProblem, Y: np.ndarray):
     """Conjugate p*(Y) through the lifted representation
     p*(Y) = inf{h*(W) : AY = B, YY^T/2 - W in the polar of K_A}.
 
     Returns (value, status); exact for linear h, for indicator h when
     the support of S intersect K_A is available in closed form, and for
     support-type h when the lifted membership is decidable."""
-    tol = tol or prob.tol
     pd = prob.pd
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     h = prob.h
     if isinstance(h, Indicator):
-        if not np.linalg.norm(pd.A @ Y - pd.B) <= tol.feas_abs * (1.0 + np.linalg.norm(pd.B)):
+        if not np.linalg.norm(pd.A @ Y - pd.B) <= prob.tol.feas_abs * (1.0 + np.linalg.norm(pd.B)):
             return np.inf, "exact"
-        val, _, status = sigma_S_cap_KA(prob, h.set, Y @ Y.T, tol)
+        val, _, status = sigma_S_cap_KA(prob, h.set, Y @ Y.T)
         if status != "exact":
             return np.nan, "undecided"
         return 0.5 * val, "exact"
     # h* is the indicator of {U} or of S, so p* is the indicator of Xi(A, B)
-    ans, status = xi_member(prob, Y, tol)
+    ans, status = xi_member(prob, Y)
     if status != "exact":
         return np.nan, "undecided"
     return (0.0 if ans else np.inf), "exact"
@@ -522,12 +544,7 @@ def eval_p_conj(prob: InfProjProblem, Y: np.ndarray, tol: Tolerances | None = No
 # Dual value and gap
 
 
-def dual_value(
-    prob: InfProjProblem,
-    X: np.ndarray,
-    tol: Tolerances | None = None,
-    max_iter: int = 4000,
-):
+def dual_value(prob: InfProjProblem, X: np.ndarray):
     """sup_Y <X, Y> - p*(Y), computed independently of eval_p.
 
     Returns (value, Y, status).  Exact (SVD) for the weighted nuclear
@@ -535,12 +552,10 @@ def dual_value(
     available, the dual objective at the closed-form maximizer of a
     spectral set with A = 0, concave ascent over the kernel
     parameterization otherwise; undecided otherwise."""
-    tol = tol or prob.tol
+    tol = prob.tol
     pd = prob.pd
     X = np.atleast_2d(np.asarray(X, dtype=float))
     h = prob.h
-    if isinstance(h, Support) and isinstance(h.set, Singleton):
-        h = Linear(h.set.U)
     if isinstance(h, Linear):
         if not _is_unconstrained(pd):
             return np.nan, None, "undecided"
@@ -553,7 +568,7 @@ def dual_value(
         return float(np.sum(sv_)), L @ Us @ Vt, "exact"
     if isinstance(h, Indicator):
         S = h.set
-        probe, _, status = sigma_S_cap_KA(prob, S, np.eye(pd.n), tol)
+        probe, _, status = sigma_S_cap_KA(prob, S, np.eye(pd.n))
         if status != "exact":
             return np.nan, None, "undecided"
 
@@ -562,7 +577,7 @@ def dual_value(
 
         def val_grad(Z):
             Y = Y0 + (N @ Z if kdim else 0.0)
-            sig, W, _ = sigma_S_cap_KA(prob, S, Y @ Y.T, tol)
+            sig, W, _ = sigma_S_cap_KA(prob, S, Y @ Y.T)
             if not np.isfinite(sig):
                 return -np.inf, None, None
             v = float(np.sum(X * Y)) - 0.5 * sig
@@ -574,7 +589,7 @@ def dual_value(
         if kdim == 0:
             v, _, Y = val_grad(np.zeros((0, pd.m)))
             return v, Y, "numeric"
-        spectral = _spectral_path(prob, X, tol)
+        spectral = _spectral_path(prob, X)
         if spectral is not None and spectral.Y is not None:
             # the closed form's Y = V^+ X maximizes the dual objective
             v, _, Y = val_grad(N.T @ (spectral.Y - Y0))
@@ -586,7 +601,7 @@ def dual_value(
             if g is None:
                 continue
             t = 1.0 / (1.0 + np.linalg.norm(g))
-            for _ in range(max_iter):
+            for _ in range(4000):
                 tt = t
                 moved = False
                 for _ in range(40):
@@ -611,27 +626,25 @@ def dual_value(
     return np.nan, None, "undecided"
 
 
-def dual_gap(prob: InfProjProblem, X: np.ndarray, tol: Tolerances | None = None):
+def dual_gap(prob: InfProjProblem, X: np.ndarray):
     """(p(X), dual value, gap, status)."""
-    tol = tol or prob.tol
-    pe = eval_p(prob, X, tol)
-    dv, _, status = dual_value(prob, X, tol)
+    pe = eval_p(prob, X)
+    dv, _, status = dual_value(prob, X)
     if status == "undecided" or not np.isfinite(pe.value):
         return pe.value, dv, np.nan, "undecided"
     return pe.value, dv, pe.value - dv, status
 
 
-def subdiff_p_witness(prob: InfProjProblem, X: np.ndarray, tol: Tolerances | None = None):
+def subdiff_p_witness(prob: InfProjProblem, X: np.ndarray):
     """Subgradient Y of p at X with its Fenchel gap p(X) + p*(Y) - <X, Y>.
 
     Returns (Y, gap, status)."""
-    tol = tol or prob.tol
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    pe = eval_p(prob, X, tol)
+    pe = eval_p(prob, X)
     if pe.status != "finite":
         raise ValueError(f"p(X) is not finite (status {pe.status})")
     Y = pe.Y
-    pstar, status = eval_p_conj(prob, Y, tol)
+    pstar, status = eval_p_conj(prob, Y)
     if status != "exact":
         return Y, np.nan, "undecided"
     gap = pe.value + pstar - float(np.sum(X * Y))
@@ -646,17 +659,17 @@ def _tri(flag: bool) -> str:
     return "holds" if flag else "fails"
 
 
-def cq_report(prob: InfProjProblem, tol: Tolerances | None = None) -> CQReport:
+def cq_report(prob: InfProjProblem) -> CQReport:
     """Decide the five constraint qualifications where a closed-form or
     exactly solvable criterion exists; report "undecided" otherwise."""
     try:
-        return _cq_report_impl(prob, tol)
+        return _cq_report_impl(prob)
     except NotImplementedError as exc:
         return CQReport(notes=[f"abstained: {exc}"])
 
 
-def _cq_report_impl(prob: InfProjProblem, tol: Tolerances | None = None) -> CQReport:
-    tol = tol or prob.tol
+def _cq_report_impl(prob: InfProjProblem) -> CQReport:
+    tol = prob.tol
     pd = prob.pd
     h = prob.h
     rep = CQReport()
@@ -666,7 +679,7 @@ def _cq_report_impl(prob: InfProjProblem, tol: Tolerances | None = None) -> CQRe
     ker_trivial = _ker_trivial(pd)
     # lambda(D) decides both CCQ and BPCQ for an unconstrained Support(Ray(D))
     ray_lam = None
-    if isinstance(h, Support) and not is_bounded(h.set) and unconstrained:
+    if isinstance(h, Support) and not h.set.bounded and unconstrained:
         ray_lam = np.linalg.eigvalsh(h.set.D)
         ray_floor = tol.psd_abs * (1.0 + abs(ray_lam[-1]))
 
@@ -675,7 +688,7 @@ def _cq_report_impl(prob: InfProjProblem, tol: Tolerances | None = None) -> CQRe
         rep.ccq = "holds"  # dom h is everything and I is interior
     elif isinstance(h, Support):
         S = h.set
-        if is_bounded(S):
+        if S.bounded:
             rep.ccq = "holds"
         elif ray_lam is not None:
             # dom h = {<D, V> <= 0} meets the positive definite cone iff
@@ -686,7 +699,7 @@ def _cq_report_impl(prob: InfProjProblem, tol: Tolerances | None = None) -> CQRe
                 rep.ccq = "fails"
         else:
             found = any(
-                member_dom_support(S, V, tol) and in_int_KA(pd, V, tol)
+                _member_dom_support(S, V, tol) and in_int_KA(pd, V)
                 for V in (np.eye(n) - t * S.D for t in (0.0, 0.1, 1.0, 10.0))
             )
             rep.ccq = "holds" if found else "undecided"
@@ -700,7 +713,7 @@ def _cq_report_impl(prob: InfProjProblem, tol: Tolerances | None = None) -> CQRe
             rep.ccq = "undecided"
 
     # ---- BPCQ: dom h intersect K_A nonempty and bounded
-    if isinstance(h, Linear) or (isinstance(h, Support) and is_bounded(h.set)):
+    if isinstance(h, Linear) or (isinstance(h, Support) and h.set.bounded):
         # dom h = S^n, and K_A is an unbounded cone for n >= 1
         rep.bpcq = _tri(n == 0)
     elif isinstance(h, Support):
@@ -719,15 +732,13 @@ def _cq_report_impl(prob: InfProjProblem, tol: Tolerances | None = None) -> CQRe
             s, exact = S.max_min_eig(zero, pd.N)
             nonempty = s >= -tol.psd_abs if exact else None
         # a ray is unbounded inside K_A when its direction lies in K_A
-        bounded = is_bounded(S) or not in_KA(pd, S.D, tol)
+        bounded = S.bounded or not in_KA(pd, S.D)
         if nonempty is None:
             rep.bpcq = "undecided"
         else:
             rep.bpcq = _tri(bool(nonempty) and bounded)
 
     # ---- PCQ / SPCQ
-    if isinstance(h, Support) and isinstance(h.set, Singleton):
-        h = Linear(h.set.U)
     if ker_trivial:
         C0 = 0.5 * pd.Y0 @ pd.Y0.T  # Omega_2 is the singleton {-C0}
         if isinstance(h, Linear):
@@ -736,7 +747,7 @@ def _cq_report_impl(prob: InfProjProblem, tol: Tolerances | None = None) -> CQRe
             rep.spcq = "fails" if n >= 1 else "holds"
         elif isinstance(h, Indicator):
             S = h.set
-            if is_bounded(S):
+            if S.bounded:
                 rep.pcq = rep.spcq = "holds"
             else:
                 ip = float(np.sum(S.D * C0))
@@ -772,7 +783,7 @@ def _cq_report_impl(prob: InfProjProblem, tol: Tolerances | None = None) -> CQRe
                 rep.pcq = rep.spcq = "fails"
         else:
             S = h.set
-            if is_bounded(S):
+            if S.bounded:
                 s, exact = S.max_min_eig(zero, np.eye(n))
                 if s > tol.psd_abs:
                     rep.pcq = rep.spcq = "holds"
@@ -782,7 +793,7 @@ def _cq_report_impl(prob: InfProjProblem, tol: Tolerances | None = None) -> CQRe
                 lam = np.linalg.eigvalsh(S.D)
                 rep.pcq = rep.spcq = _tri(lam[0] < -tol.psd_abs * (1 + abs(lam[-1])))
     else:
-        if isinstance(h, Indicator) and is_bounded(h.set):
+        if isinstance(h, Indicator) and h.set.bounded:
             # dom h* is all of S^n, so the perturbation set has full interior
             rep.pcq = rep.spcq = "holds"
 
@@ -811,7 +822,7 @@ def _cq_report_impl(prob: InfProjProblem, tol: Tolerances | None = None) -> CQRe
             ]
         verdict = "undecided"
         for Y in probes:
-            ans, status = xi_member(prob, Y, tol)
+            ans, status = xi_member(prob, Y)
             if status == "exact" and ans:
                 verdict = "holds"
                 break
@@ -821,9 +832,9 @@ def _cq_report_impl(prob: InfProjProblem, tol: Tolerances | None = None) -> CQRe
     return rep
 
 
-def member_dom_support(S: ConvexSetSpec, V: np.ndarray, tol: Tolerances) -> bool:
+def _member_dom_support(S: ConvexSetSpec, V: np.ndarray, tol: Tolerances) -> bool:
     """V in dom sigma_S."""
-    if is_bounded(S):
+    if S.bounded:
         return True
     D = S.D
     return float(np.sum(D * V)) <= tol.feas_abs * (1.0 + np.linalg.norm(V))

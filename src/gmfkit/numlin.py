@@ -94,14 +94,6 @@ def ker_basis(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return Vt[rank:].T.copy()
 
 
-def ker_projector(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto ker A, P = I - A^dagger A."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[1]
-    P = np.eye(n) - pinv(A, tol) @ A
-    return 0.5 * (P + P.T)
-
-
 def sym_eig(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching orthonormal eigenvectors."""
     w, Q = np.linalg.eigh(np.asarray(S, dtype=float))

@@ -19,7 +19,7 @@ import numpy as np
 from .gmf import ProblemData
 from .hset import Linear
 from .infproj import InfProjProblem, eval_p
-from .numlin import DEFAULT_TOL, Tolerances, min_eig, psd_sqrt, sym
+from .numlin import min_eig, psd_sqrt, sym
 
 
 @dataclass(frozen=True)
@@ -97,40 +97,28 @@ def _solve_x_block(fit: FitSpec, V: np.ndarray) -> np.ndarray:
 
 
 def solve_smooth(
-    fit: FitSpec,
-    pd: ProblemData,
-    Ubar: np.ndarray,
-    x0: np.ndarray | None = None,
-    v0: np.ndarray | None = None,
-    tol: Tolerances | None = None,
-    max_iter: int = 3000,
-    mu_final: float = 1e-12,
+    fit: FitSpec, pd: ProblemData, Ubar: np.ndarray, max_iter: int = 3000
 ) -> SolveTrace:
     """Minimize f(X) + phi(X, V) + <U, V> over X and V > 0.
 
-    Path-following on the log-det barrier: for a decreasing barrier
-    weight mu, minimize F(X, V) - mu log det V with warm-started
-    quasi-Newton stages.  The change of variables V = C C^T, X = C Z
-    keeps iterates in the strict interior and turns the fractional term
-    tr(X^T V^{-1} X)/2 into |Z|^2/2, so the stage objectives stay well
-    conditioned even as V loses rank along the path.  The incumbent
-    after each stage is monotone in the true objective; a final exact X
-    solve polishes the answer.  max_iter caps each barrier stage."""
-    tol = tol or DEFAULT_TOL
+    Path-following on the log-det barrier: from X = 0, V = I and for a
+    barrier weight mu decreasing to 1e-12, minimize F(X, V) - mu log det V
+    with warm-started quasi-Newton stages.  The change of variables
+    V = C C^T, X = C Z keeps iterates in the strict interior and turns
+    the fractional term tr(X^T V^{-1} X)/2 into |Z|^2/2, so the stage
+    objectives stay well conditioned even as V loses rank along the
+    path.  The incumbent after each stage is monotone in the true
+    objective; a final exact X solve polishes the answer.  max_iter caps
+    each barrier stage; the positive-definiteness test on Ubar uses pd's
+    tolerances."""
     if np.any(pd.A):
         raise ValueError("solver handles the unconstrained case (A = 0) only")
     n, m = fit.n, fit.m
     if (pd.n, pd.m) != (n, m):
         raise ValueError("fit and problem dimensions differ")
     Ubar = sym(np.asarray(Ubar, dtype=float))
-    if min_eig(Ubar) <= tol.psd_abs * (1.0 + np.linalg.norm(Ubar)):
+    if min_eig(Ubar) <= pd.tol.psd_abs * (1.0 + np.linalg.norm(Ubar)):
         raise ValueError("Ubar must be positive definite")
-    V0 = np.eye(n) if v0 is None else sym(np.asarray(v0, dtype=float))
-    if min_eig(V0) <= 0:
-        raise ValueError("v0 must be positive definite")
-    X0 = np.zeros((n, m)) if x0 is None else np.atleast_2d(np.asarray(x0, dtype=float))
-    if X0.shape != (n, m):
-        raise ValueError(f"x0 must be {n}x{m}")
 
     import scipy.optimize
 
@@ -171,12 +159,11 @@ def solve_smooth(
         return float(np.sqrt(np.linalg.norm(GX) ** 2 + np.linalg.norm(GV) ** 2))
 
     trace = SolveTrace()
-    X, V = X0, V0
+    X, V = np.zeros((n, m)), np.eye(n)
     F = _objective(fit, Ubar, X, V)
     trace.iterates.append((F, true_grad_norm(X, V), min_eig(V)))
-    C0 = psd_sqrt(V0)
-    z = np.concatenate([np.linalg.solve(C0, X0).ravel(order="F"), C0.ravel()])
-    mu = 1e-1 * (1.0 + abs(F))
+    z = np.concatenate([np.zeros(n * m), np.eye(n).ravel()])  # Z = 0, C = I
+    mu, mu_final = 1e-1 * (1.0 + abs(F)), 1e-12
     while True:
         res = scipy.optimize.minimize(
             barrier_obj,
@@ -262,20 +249,18 @@ def objective_certificate(
     Ubar: np.ndarray,
     X: np.ndarray,
     V: np.ndarray,
-    tol: Tolerances | None = None,
 ):
-    """Lower-bound check F(X, V) >= f(X) + p(X).
+    """Lower-bound check F(X, V) >= f(X) + p(X), at the default tolerances.
 
     Returns (F_value, p_value, gap); the gap is nonnegative up to
     roundoff, and small exactly when V is near the inner minimizer."""
-    tol = tol or DEFAULT_TOL
     X = np.atleast_2d(np.asarray(X, dtype=float))
     V = sym(np.asarray(V, dtype=float))
     Ubar = sym(np.asarray(Ubar, dtype=float))
     if min_eig(V) <= 0:
         raise ValueError("V must be positive definite")
     F = _objective(fit, Ubar, X, V)
-    pd = ProblemData(np.zeros((1, fit.n)), np.zeros((1, fit.m)), tol)
-    pe = eval_p(InfProjProblem(pd, Linear(Ubar)), X, tol)
+    pd = ProblemData(np.zeros((1, fit.n)), np.zeros((1, fit.m)))
+    pe = eval_p(InfProjProblem(pd, Linear(Ubar)), X)
     gap = F - (fit.value(X) + pe.value)
     return F, pe.value, gap

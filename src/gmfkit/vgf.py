@@ -21,7 +21,6 @@ from .hset import (
     Singleton,
     SpectralBox,
     TraceBall,
-    psd_cap_bounded,
     psd_cap_nonempty,
     psd_cap_support,
 )
@@ -78,13 +77,13 @@ def vgf_eval(inst: VgfInstance, Y: np.ndarray):
     return (0.5 * val if np.isfinite(val) else np.inf), V
 
 
-def vgf_conj(inst: VgfInstance, X: np.ndarray, max_iter: int = 4000):
+def vgf_conj(inst: VgfInstance, X: np.ndarray):
     """Phi*(X) by minimizing the matrix-fractional term over the set
     (in closed form for the spectral box, trace ball and Fantope).
 
     Returns (value, V); +inf when no feasible V covers the range of X."""
     X = _check_Y(inst, X)
-    pe = eval_p(inst.prob, X, inst.tol, max_iter=max_iter)
+    pe = eval_p(inst.prob, X)
     if pe.status == "infeasible":
         return np.inf, None
     if pe.status != "finite":
@@ -98,7 +97,7 @@ def vgf_subdiff(inst: VgfInstance, Y: np.ndarray):
 
     The gap uses the feasible upper bound Phi*(X) <= tr(X^T V^+ X)/2,
     tight at the support maximizer.  Returns (X, V, gap)."""
-    if not psd_cap_bounded(inst.set, inst.tol):
+    if not inst.set.psd_cap_bounded(inst.tol):
         raise ValueError(
             "subdifferential witness requires a bounded PSD slice; "
             "unbounded slices can make the subdifferential empty"
@@ -169,7 +168,7 @@ def kyfan_norm(params: KyFanParams, X: np.ndarray) -> float:
     return float(np.sum(s**params.p) ** (1.0 / params.p))
 
 
-def kyfan_vgf_identity(params: KyFanParams, X: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+def kyfan_vgf_identity(params: KyFanParams, X: np.ndarray):
     """Check |X|_{2,k}^2 / 2 against Phi over the rank-k Fantope.
 
     Requires p = 2.  Returns (lhs, rhs, ok)."""
@@ -177,7 +176,7 @@ def kyfan_vgf_identity(params: KyFanParams, X: np.ndarray, tol: Tolerances = DEF
         raise ValueError("identity holds for p = 2")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     lhs = 0.5 * kyfan_norm(params, X) ** 2
-    inst = VgfInstance(Fantope(params.k, X.shape[0]), X.shape[1], tol)
+    inst = VgfInstance(Fantope(params.k, X.shape[0]), X.shape[1])
     rhs, _ = vgf_eval(inst, X)
     ok = abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs))
     return lhs, rhs, ok

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gmfkit import cli
 from gmfkit.cli import (
     _COMMANDS,
     _COMMON,
@@ -20,6 +21,7 @@ from gmfkit.cli import (
     parse_matrix,
 )
 from gmfkit.hset import Indicator, Linear
+from gmfkit.smooth import FitSpec, solve_prox_reference
 
 
 def write(tmp_path, name, text):
@@ -217,6 +219,43 @@ def test_solve_command(tmp_path, capsys):
     assert code == 0
     assert rep["outputs"]["status"] == "Converged"
     assert rep["outputs"]["min_eig_V"] > 0
+
+
+def test_solve_honours_the_tolerance_flags(tmp_path, capsys):
+    # Ubar = lam^2 I / 2 = 4.5e-10 I is positive definite only below the
+    # default psd_abs; solve used to test it against the defaults
+    target = [[1.0, 2.0], [2.0, 4.0]]
+    d = {"target": target, "mask": [[1, 1], [1, 1]], "lam": 3e-5}
+    bundle = write(tmp_path, "comp.json", json.dumps(d))
+    assert main(["solve", "--bundle", bundle]) == 1
+    capsys.readouterr()
+    code, rep = run(capsys, ["solve", "--bundle", bundle, "--tol-psd", "1e-12"])
+    assert code == 0
+    assert rep["tolerances"]["psd_abs"] == 1e-12
+    assert rep["outputs"]["status"] == "Converged"
+    fit = FitSpec.from_mask(np.ones((2, 2), dtype=bool), np.array(target))
+    ref = solve_prox_reference(fit, np.eye(2), 3e-5)
+    assert np.allclose(rep["outputs"]["final_X"], ref, atol=1e-6)
+
+
+def test_each_bundle_is_read_once(tmp_path, capsys, monkeypatch):
+    reads = []
+    load = cli._load_json
+    monkeypatch.setattr(cli, "_load_json", lambda path: reads.append(path) or load(path))
+    d = {"A": [[0.0, 0.0]], "B": [[0.0]], "h": {"kind": "linear", "U": [[1.0, 0.0], [0.0, 1.0]]}}
+    d["tol"] = {"feas_abs": 1e-7}
+    bundle = write(tmp_path, "b.json", json.dumps(d))
+    comp = write(tmp_path, "comp.json", json.dumps({"target": [[1.0]], "mask": [[1]], "lam": 0.5}))
+    x = write(tmp_path, "x.csv", "1\n0\n")
+    for argv in (
+        ["eval-p", "--bundle", bundle, "--X", x],
+        ["cq-report", "--bundle", bundle],
+        ["solve", "--bundle", comp],
+    ):
+        reads.clear()
+        code, rep = run(capsys, argv)
+        assert code == 0
+        assert reads == [argv[2]]
 
 
 def test_oracle_compare(tmp_path, capsys):

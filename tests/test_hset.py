@@ -19,23 +19,20 @@ from gmfkit.hset import (
     Support,
     TraceBall,
     _project_capped_simplex,
-    contains_zero,
     gauge,
     h_conj,
     h_eval,
     hspec_from_json,
     hspec_to_json,
-    is_bounded,
     member,
     project,
-    psd_cap_bounded,
     psd_cap_nonempty,
     psd_cap_support,
     set_from_json,
     set_to_json,
     support,
 )
-from gmfkit.numlin import min_eig
+from gmfkit.numlin import DEFAULT_TOL, min_eig
 
 rng = np.random.default_rng(2)
 
@@ -58,20 +55,20 @@ ALL_SETS = [
 
 
 def test_boundedness_classification():
-    assert is_bounded(SpectralBox(0.0, 1.0, 2))
-    assert is_bounded(TraceBall(2.0, 3))
-    assert is_bounded(Fantope(2, 3))
-    assert is_bounded(Singleton(np.eye(2)))
-    assert is_bounded(Hull((np.zeros((2, 2)), np.eye(2))))
-    assert is_bounded(ShiftedPSDCap(np.eye(2)))
-    assert not is_bounded(Ray(np.eye(2)))
+    assert SpectralBox(0.0, 1.0, 2).bounded
+    assert TraceBall(2.0, 3).bounded
+    assert Fantope(2, 3).bounded
+    assert Singleton(np.eye(2)).bounded
+    assert Hull((np.zeros((2, 2)), np.eye(2))).bounded
+    assert ShiftedPSDCap(np.eye(2)).bounded
+    assert not Ray(np.eye(2)).bounded
 
 
 def test_contains_zero():
-    assert contains_zero(SpectralBox(0.0, 1.0, 2))
-    assert contains_zero(TraceBall(1.0, 2))
-    assert contains_zero(Ray(np.eye(2)))
-    assert not contains_zero(Singleton(np.eye(2)))
+    assert SpectralBox(0.0, 1.0, 2).contains_zero(DEFAULT_TOL)
+    assert TraceBall(1.0, 2).contains_zero(DEFAULT_TOL)
+    assert Ray(np.eye(2)).contains_zero(DEFAULT_TOL)
+    assert not Singleton(np.eye(2)).contains_zero(DEFAULT_TOL)
 
 
 def test_support_values_closed_forms():
@@ -144,8 +141,8 @@ def test_psd_cap_support_spectral_box():
 def test_psd_cap_nonempty_and_bounded():
     assert psd_cap_nonempty(SpectralBox(0.0, 1.0, 2))
     assert not psd_cap_nonempty(Singleton(-np.eye(2)))
-    assert psd_cap_bounded(TraceBall(1.0, 2))
-    assert not psd_cap_bounded(Ray(np.eye(2)))
+    assert TraceBall(1.0, 2).psd_cap_bounded(DEFAULT_TOL)
+    assert not Ray(np.eye(2)).psd_cap_bounded(DEFAULT_TOL)
 
 
 def test_member():

@@ -29,7 +29,7 @@ from gmfkit.infproj import (
     subdiff_p_witness,
     xi_member,
 )
-from gmfkit.numlin import sv
+from gmfkit.numlin import DEFAULT_TOL, sv
 from gmfkit.selftest import _rand_set
 
 rng = np.random.default_rng(3)
@@ -227,6 +227,7 @@ def test_paths_are_reported():
         (Linear(0.5 * np.eye(3)), "weighted_nuclear"),
         (Indicator(Singleton(np.eye(3))), "loewner"),
         (Indicator(Hull((np.eye(3),))), "descent"),
+        (Support(Singleton(0.5 * np.eye(3))), "weighted_nuclear"),
     ]
     for h, path in cases:
         pe = eval_p(InfProjProblem(pd, h), X)
@@ -237,6 +238,8 @@ def test_paths_are_reported():
     pd_A = ProblemData(A, np.zeros((1, 2)))
     constrained = InfProjProblem(pd_A, Indicator(Fantope(2, 3)))
     assert eval_p(constrained, X).path == "descent"
+    pe = eval_p(InfProjProblem(pd_A, Linear(np.eye(3))), X)
+    assert (pe.path, pe.status, pe.iters) == ("recession", "unbounded", 0)
 
 
 def test_spectral_closed_forms():
@@ -296,7 +299,7 @@ def spectral_instances(draw):
 def test_spectral_path_matches_descent(inst):
     prob, X = inst
     closed = eval_p(prob, X)
-    ref = _descent(prob, X, prob.tol, 4000, 0)
+    ref = _descent(prob, X, 4000, 0)
     assert closed.path == "spectral" and closed.iters == 0
     assert closed.status == ref.status
     if closed.status != "finite":
@@ -370,7 +373,7 @@ def test_p_is_nonnegative_on_psd_caps():
     # with A = 0, p >= 0; the descent used to project its zero start into
     # the cap, land on V ~ +-1e-15 I and invert it, reporting -9e14 "finite"
     for prob, X in _psd_cap_problems():
-        for pe in (eval_p(prob, X), _descent(prob, X, prob.tol, 4000, 0)):
+        for pe in (eval_p(prob, X), _descent(prob, X, 4000, 0)):
             assert pe.value >= 0.0
 
 
@@ -410,7 +413,7 @@ def _loewner_problems():
 def test_loewner_path_matches_descent(case):
     prob, X = _loewner_problems()[case]
     closed = eval_p(prob, X)
-    ref = _descent(prob, X, prob.tol, 4000, 0)
+    ref = _descent(prob, X, 4000, 0)
     spectral = isinstance(prob.h.set, SpectralBox) and not np.any(prob.pd.A)
     assert closed.path == ("spectral" if spectral else "loewner") and closed.iters == 0
     assert closed.status == ref.status
@@ -453,3 +456,146 @@ def test_linear_dual_value_factorizes_once(linalg_calls):
     assert status == "exact"
     assert value == pytest.approx(np.sum(sv(L.T @ X)), rel=1e-12)
     assert float(np.sum(X * Y)) == pytest.approx(value, rel=1e-12)
+
+
+def test_support_of_a_singleton_is_its_linear_h():
+    U = np.array([[2.0, 1.0], [1.0, 3.0]])
+    prob = InfProjProblem(unconstrained(2, 1), Support(Singleton(U)))
+    assert isinstance(prob.h, Linear) and np.array_equal(prob.h.U, U)
+
+
+def _objective_along(prob, X, D, steps):
+    """phi(X, I + sD) + h(I + sD) for each s."""
+    out = []
+    for s in steps:
+        V = np.eye(prob.pd.n) + s * D
+        out.append(eval_gmf(prob.pd, X, V).value + float(np.sum(prob.h.U * V)))
+    return out
+
+
+def _linear_problems_with_a_kernel_constraint(count=40):
+    """Linear h with A != 0, drawn as criterion 13 draws them."""
+    g = np.random.default_rng(2024)
+    out = []
+    for _ in range(count):
+        n, m = int(g.integers(1, 5)), int(g.integers(1, 4))
+        A = g.standard_normal((int(g.integers(1, 3)), n))
+        M = g.standard_normal((n, n))
+        U = M @ M.T if g.random() < 0.7 else 0.5 * (M + M.T)
+        pd = ProblemData(A, A @ g.standard_normal((n, m)))
+        out.append((InfProjProblem(pd, Linear(U)), g.standard_normal((n, m))))
+    return out
+
+
+def test_linear_h_with_an_equality_constraint_is_unbounded():
+    # with A = [1, 0] and U = I, V = diag(t, 1) keeps phi(X, V) fixed while
+    # <U, V> -> -inf as t -> -inf; the descent used to report -0.372
+    # "finite" (and -35738 with B = 0).  With U = [[0, 1], [1, 0]] and
+    # B = 0 the QQ block of U vanishes and V = [[1, t], [t, 1]] gives
+    # x2^2 / 2 + 2t; with B = 1 and U = [[1/2, 1], [1, 0]] the off-diagonal
+    # block moves N^T V Y0 too, and V = [[1, -2t], [-2t, 1 + t]] gives
+    # (x2 + 2t)^2 / (2 + 2t) - 4t
+    A, X = np.array([[1.0, 0.0]]), np.array([[0.0], [1.0]])
+    hands = [
+        ([[1.0]], np.eye(2)),
+        ([[0.0]], np.eye(2)),
+        ([[0.0]], np.array([[0.0, 1.0], [1.0, 0.0]])),
+        ([[1.0]], np.array([[0.5, 1.0], [1.0, 0.0]])),
+    ]
+    cases = [(InfProjProblem(ProblemData(A, B), Linear(U)), X) for B, U in hands]
+    for prob, X in cases + _linear_problems_with_a_kernel_constraint():
+        pe = eval_p(prob, X)
+        assert (pe.status, pe.path, pe.iters, pe.V) == ("unbounded", "recession", 0, None)
+        # certificate: the objective falls strictly along V = I + sD
+        vals = _objective_along(prob, X, pe.unbounded_direction, (0.0, 1.0, 10.0, 1e2, 1e4))
+        assert np.isfinite(vals[0])
+        assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+def test_recession_test_falls_through_when_the_slope_vanishes():
+    # ker A = {0} and U = Y0 Y0^T / 2: the objective is <X, Y0> for every V
+    A = np.array([[1.0, 1.0], [0.0, 1.0]])
+    Y0 = np.array([[1.0], [2.0]])
+    prob = InfProjProblem(ProblemData(A, A @ Y0), Linear(0.5 * Y0 @ Y0.T))
+    X = np.array([[0.5], [-1.0]])
+    pe = eval_p(prob, X)
+    assert (pe.status, pe.path) == ("finite", "descent")
+    assert pe.value == pytest.approx(float(np.sum(X * Y0)), abs=1e-9)
+    # A = [1, 0], B = 1, U = [[1/2, 1], [1, 2]]: V12 = x2 - 2 V22 gives
+    # p = x1 + 2 x2 for every V22 > 0, and N^T U N - 2 K K^T = 0 is PSD
+    prob = InfProjProblem(
+        ProblemData(np.array([[1.0, 0.0]]), np.array([[1.0]])),
+        Linear(np.array([[0.5, 1.0], [1.0, 2.0]])),
+    )
+    pe = eval_p(prob, np.array([[0.0], [1.0]]))
+    assert (pe.status, pe.path) == ("finite", "descent")
+    assert pe.value == pytest.approx(2.0, abs=1e-6)
+
+
+def test_recession_test_is_exact_when_the_qq_block_vanishes():
+    # with Q (U - Y0 Y0^T / 2) Q = 0, and in every other draw P U Q =
+    # N K Y0^T, p is finite exactly when R = P U (Q - Y0 Y0^+) = 0 and
+    # N^T U N - 2 K K^T >= 0, K = N^T U (Y0^+)^T; it then equals
+    # <X, Y0> + 2 <K, N^T X> + |(2 (N^T U N - 2 K K^T))^{1/2} N^T X (I - Y0^+ Y0)|_*,
+    # which the descent can only approach from above
+    g = np.random.default_rng(1)
+    paths = []
+    for i in range(24):
+        n, m = int(g.integers(2, 5)), int(g.integers(1, 4))
+        A = g.standard_normal((int(g.integers(1, n)), n))
+        B = A @ g.standard_normal((n, m)) if i % 3 else np.zeros((A.shape[0], m))
+        pd = ProblemData(A, B)
+        P, N, Y0 = pd.P, pd.N, pd.Y0
+        Q = np.eye(n) - P
+        M = g.standard_normal((n, n))
+        U = 0.5 * (M + M.T)
+        U = U - Q @ U @ Q + 0.5 * Y0 @ Y0.T
+        if i % 2:
+            off = N @ g.standard_normal((N.shape[1], m)) @ Y0.T
+            U = U - P @ U @ Q - Q @ U @ P + off + off.T
+        X = g.standard_normal((n, m))
+        prob = InfProjProblem(pd, Linear(U))
+        pe = eval_p(prob, X)
+        paths.append(pe.path)
+        if pe.path == "recession":
+            vals = _objective_along(prob, X, pe.unbounded_direction, (0.0, 1.0, 10.0, 1e2, 1e4))
+            assert np.isfinite(vals[0])
+            assert all(b < a for a, b in zip(vals, vals[1:]))
+            continue
+        Y0p = np.linalg.pinv(Y0)
+        assert np.linalg.norm(P @ U @ (Q - Y0 @ Y0p)) < 1e-9
+        K = N.T @ U @ Y0p.T
+        w, E = np.linalg.eigh(N.T @ U @ N - 2.0 * K @ K.T)
+        assert w[0] > -1e-9
+        L = (E * np.sqrt(2.0 * np.clip(w, 0.0, None))) @ E.T
+        M2 = N.T @ X @ (np.eye(m) - Y0p @ Y0)
+        p = float(np.sum(X * Y0) + 2.0 * np.sum(K * (N.T @ X)) + np.sum(sv(L @ M2)))
+        assert pe.status == "finite"
+        assert pe.value >= p - 1e-6 * (1.0 + abs(p))
+    assert "recession" in paths and "descent" in paths
+
+
+@settings(max_examples=75, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["linear", "indicator", "support"]))
+def test_p_is_nonnegative_without_equality_constraint(seed, kind):
+    # with A = 0, phi >= 0; h = <U, .> with U >= 0 is >= 0 on dom phi, and
+    # so are delta_S and sigma_S for 0 in S, so p >= 0
+    g = np.random.default_rng(seed)
+    n, m = int(g.integers(1, 5)), int(g.integers(1, 4))
+    if kind == "linear":
+        M = g.standard_normal((n, n))
+        h = Linear(M @ M.T)
+    elif kind == "indicator":
+        h = Indicator(_rand_set(g, n))
+    else:
+        S = _rand_set(g, n)
+        if not S.contains_zero(DEFAULT_TOL):
+            return
+        h = Support(S)
+    X = g.standard_normal((n, m))
+    # the descent reports the objective at a point of dom h, so the bound
+    # holds at every iterate; a short budget keeps the ray draws, which
+    # never stop early, from running all 4000 iterations
+    pe = eval_p(InfProjProblem(unconstrained(n, m), h), X, max_iter=200)
+    assert pe.status in ("finite", "infeasible")
+    assert pe.value >= -1e-12 * (1.0 + float(np.sum(X * X)))

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import pathlib
 
 import numpy as np
@@ -6,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmfkit.gmf import ProblemData
 from gmfkit.numlin import (
     DEFAULT_TOL,
     Tolerances,
     ker_basis,
-    ker_projector,
     max_eig,
     min_eig,
     pinv,
@@ -76,7 +77,7 @@ def test_ker_basis_trivial():
 
 def test_ker_projector_idempotent():
     A = rng.standard_normal((2, 5))
-    P = ker_projector(A)
+    P = ProblemData(A, np.zeros((2, 1))).P
     assert np.allclose(P @ P, P, atol=1e-12)
     assert np.allclose(A @ P, 0.0, atol=1e-10)
 
@@ -179,12 +180,12 @@ _SET_CLASSES = {
     "ShiftedPSDCap",
 }
 # where infproj may still test a set class: the closed-form path, the
-# per-variant descent starts and the Support(Singleton) -> Linear rewrites
+# per-variant descent starts and InfProjProblem's one rewrite of
+# Support(Singleton) as Linear
 _INFPROJ_ALLOWED = {
     "_spectral_path": {"SpectralSet"},
-    "_start_candidates": {"Hull", "Singleton", "ShiftedPSDCap", "Ray"},
-    "dual_value": {"Singleton"},
-    "_cq_report_impl": {"Singleton"},
+    "_start_candidates": {"Hull", "ShiftedPSDCap", "Ray"},
+    "__post_init__": {"Singleton"},
 }
 
 
@@ -212,4 +213,47 @@ def test_set_rules_do_not_dispatch_on_the_set_class():
     assert _set_class_isinstance(src / "hset.py") == []
     hits = _set_class_isinstance(src / "infproj.py")
     assert [(f, c) for f, c in hits if c not in _INFPROJ_ALLOWED.get(f, ())] == []
-    assert len(hits) <= 7
+    assert len(hits) <= 5
+
+
+def test_problem_objects_are_the_only_source_of_tolerances():
+    import gmfkit.cli
+    import gmfkit.gmf
+    import gmfkit.hset
+    import gmfkit.infproj
+    import gmfkit.smooth
+    import gmfkit.vgf
+
+    problem_types = {"ProblemData", "InfProjProblem"}
+    checked = []
+    for mod in (gmfkit.gmf, gmfkit.infproj, gmfkit.smooth):
+        for name, fn in vars(mod).items():
+            if name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != mod.__name__:
+                continue
+            params = inspect.signature(fn).parameters
+            if any(p.annotation in problem_types for p in params.values()):
+                checked.append(name)
+                assert "tol" not in params, name
+    for cls in gmfkit.hset._SETS.values():
+        assert list(inspect.signature(cls.inside_KA).parameters) == ["self", "pd"]
+    assert {"eval_gmf", "eval_p", "cq_report", "solve_smooth"} <= set(checked)
+    # the start point, mu floor, seed and iteration caps no caller set
+    assert list(inspect.signature(gmfkit.infproj.dom_p_member).parameters) == ["prob", "X"]
+    assert list(inspect.signature(gmfkit.infproj.dual_value).parameters) == ["prob", "X"]
+    assert list(inspect.signature(gmfkit.vgf.vgf_conj).parameters) == ["inst", "X"]
+    assert list(inspect.signature(gmfkit.smooth.solve_smooth).parameters) == [
+        "fit",
+        "pd",
+        "Ubar",
+        "max_iter",
+    ]
+    # entry points that build their own problem: the bundle's "tol" block,
+    # or the defaults
+    assert list(inspect.signature(gmfkit.cli.parse_bundle).parameters) == ["path"]
+    assert list(inspect.signature(gmfkit.smooth.objective_certificate).parameters) == [
+        "fit",
+        "Ubar",
+        "X",
+        "V",
+    ]
+    assert list(inspect.signature(gmfkit.vgf.kyfan_vgf_identity).parameters) == ["params", "X"]
