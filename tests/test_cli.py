@@ -419,3 +419,15 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     rep = json.loads(open(dest).read())
     assert rep["outputs"]["value"] == 0.25
+
+
+@pytest.mark.parametrize("U,p", [([[1.0, 0.0], [0.0, 1.0]], -np.inf), ([[0.5, 1.0], [1.0, 2.0]], 2.0)])
+def test_dual_gap_is_decided_for_linear_h_with_an_equality_constraint(tmp_path, capsys, U, p):
+    # A = [1, 0], B = 1: U = I leaves Xi(A, B) empty (p = -inf on a ray);
+    # the second U gives p = x1 + 2 x2; both used to exit 2 ("undecided")
+    bundle = write(tmp_path, "b.json", json.dumps({"A": [[1.0, 0.0]], "B": [[1.0]], "h": {"kind": "linear", "U": U}}))
+    X = write(tmp_path, "x.csv", "0\n1\n")
+    code, rep = run(capsys, ["dual-gap", "--bundle", bundle, "--X", X])
+    out = rep["outputs"]
+    assert (code, out["status"], out["gap"]) == (0, "exact", 0)
+    assert float(out["primal"]) == float(out["dual"]) == pytest.approx(p)
