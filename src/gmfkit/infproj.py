@@ -1,12 +1,13 @@
 """Infimal projection p(X) = inf_V phi(X, V) + h(V) and its calculus.
 
 Provides the primal evaluator (closed forms for spectral indicator sets,
-for indicator sets with a greatest element, for the support function of
-a ray and for linear h at every A, where a certified descent ray or the
-exact value decides whether the lifted set Xi(A, B) is empty; projected
-subgradient descent otherwise),
-the conjugate p* through the lifted set Omega(A, B), Fenchel
-subgradient certificates, and the constraint-qualification report.
+for indicator sets with a greatest element, for the support function and
+the indicator of a ray and for linear h at every A, where a certified
+descent ray or the exact value decides whether the lifted set Xi(A, B)
+is empty; projected subgradient descent otherwise),
+the conjugate p* through the lifted set Omega(A, B), the dual value
+<X, Y> - p*(Y) at the evaluator's own maximizer Y, Fenchel subgradient
+certificates, and the constraint-qualification report.
 """
 
 from __future__ import annotations
@@ -321,20 +322,30 @@ def _ray(D: np.ndarray) -> InfProjEval:
     return InfProjEval(-np.inf, status="unbounded", unbounded_direction=D / np.linalg.norm(D), path="recession")
 
 
-def _ray_support_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
-    """Exact p(X) for h = sigma_S, S the ray pos{D} (D != 0), and A = 0.
+def _ray_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
+    """Exact p(X) for h = sigma_S or delta_S, S the ray pos{D} (D != 0),
+    and A = 0, where phi(X, tV) = phi(X, V)/t >= 0.
 
-    h is the indicator of <D, V> <= 0, and phi(X, tV) = phi(X, V)/t >= 0.
-    If lambda_min(D) < 0, some W > 0 has <D, W> <= 0, so p = 0.  If
-    D >= 0, rge V must lie in ker D, so p = 0 when DX = 0 and +inf
-    otherwise.  Neither infimum is attained; Y = 0 attains the dual."""
+    sigma_S is the indicator of <D, V> <= 0.  If lambda_min(D) < 0, some
+    W > 0 has <D, W> <= 0, so p = 0.  If D >= 0, rge V must lie in ker D,
+    so p = 0 when DX = 0 and +inf otherwise.  delta_S leaves V = tD: if
+    D >= 0, p = 0 when X vanishes on ker D and +inf otherwise; else S
+    meets the PSD cone only in V = 0, so p = 0 when X = 0 and +inf
+    otherwise.  No infimum but X = 0's is attained; Y = 0 attains the
+    dual."""
     h, tol = prob.h, prob.tol
-    if not (isinstance(h, Support) and not h.set.bounded and _is_unconstrained(prob.pd)):
+    if isinstance(h, Linear) or h.set.bounded or not _is_unconstrained(prob.pd):
         return None
     D = h.set.D
-    lam = np.linalg.eigvalsh(D)
-    psd = lam[0] >= -tol.psd_abs * (1.0 + abs(lam[-1]))
-    if psd and np.linalg.norm(D @ X) > tol.feas_abs * (1.0 + np.linalg.norm(D) * np.linalg.norm(X)):
+    lam, E = np.linalg.eigh(D)
+    floor = tol.psd_abs * (1.0 + abs(lam[-1]))
+    psd = lam[0] >= -floor
+    if isinstance(h, Support):
+        feasible = not psd or np.linalg.norm(D @ X) <= tol.feas_abs * (1.0 + np.linalg.norm(D) * np.linalg.norm(X))
+    else:  # X must vanish on ker D, or on everything when D is not PSD
+        ker = E[:, lam <= floor] if psd else E
+        feasible = np.linalg.norm(ker.T @ X) <= tol.feas_abs * (1.0 + np.linalg.norm(X))
+    if not feasible:
         return InfProjEval(np.inf, status="infeasible", path="ray")
     return InfProjEval(0.0, Y=np.zeros_like(X), path="ray")
 
@@ -355,7 +366,7 @@ def eval_p(
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape != (prob.pd.n, prob.pd.m):
         raise ValueError(f"X must be {prob.pd.n}x{prob.pd.m}, got {X.shape}")
-    for path in (_spectral_path, _loewner_path, _linear_path, _ray_support_path):
+    for path in (_spectral_path, _loewner_path, _linear_path, _ray_path):
         out = path(prob, X)
         if out is not None:
             return out
@@ -556,85 +567,38 @@ def eval_p_conj(prob: InfProjProblem, Y: np.ndarray):
 
 
 def dual_value(prob: InfProjProblem, X: np.ndarray):
-    """sup_Y <X, Y> - p*(Y).
+    """sup_Y <X, Y> - p*(Y), read at the maximizer Y that eval_p returns.
 
-    Returns (value, Y, status).  Exact for linear h at every A: p* is the
-    indicator of Xi(A, B), and _linear_path gives the maximizer Y in it,
-    or value -inf (Y None) when a ray proves Xi(A, B) empty.  For
-    indicator h when sigma over S intersect K_A is available, the dual
-    objective at the closed-form maximizer of a spectral set with A = 0,
-    concave ascent over the kernel parameterization otherwise; undecided
-    otherwise."""
-    pd = prob.pd
+    Returns (value, Y, status).  For linear h, p* is the indicator of
+    Xi(A, B) and _linear_path's Y maximizes over it: the value is
+    "exact", p(X) itself, or -inf (Y None) when a ray proves Xi(A, B)
+    empty.  For every other h the value is <X, Y> - p*(Y) with p* from
+    eval_p_conj, "numeric" when p*(Y) is exact and finite: a certified
+    lower bound on p(X), equal to it wherever Y is optimal.  Every other
+    case (no Y, p*(Y) undecided or +inf) is "undecided"."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    h = prob.h
-    if isinstance(h, Linear):
-        pe = _linear_path(prob, X, with_V=False)
+    return _dual_at(prob, X, _linear_path(prob, X, with_V=False) or eval_p(prob, X))
+
+
+def _dual_at(prob: InfProjProblem, X: np.ndarray, pe: InfProjEval):
+    """The dual objective at pe's Y (see dual_value)."""
+    if isinstance(prob.h, Linear):
         return pe.value, pe.Y, "exact"
-    if isinstance(h, Indicator):
-        S = h.set
-        probe, _, status = sigma_S_cap_KA(prob, S, np.eye(pd.n))
-        if status != "exact":
-            return np.nan, None, "undecided"
-
-        N, Y0 = pd.N, pd.Y0
-        kdim = N.shape[1]
-
-        def val_grad(Z):
-            Y = Y0 + (N @ Z if kdim else 0.0)
-            sig, W, _ = sigma_S_cap_KA(prob, S, Y @ Y.T)
-            if not np.isfinite(sig):
-                return -np.inf, None, None
-            v = float(np.sum(X * Y)) - 0.5 * sig
-            if kdim == 0:
-                return v, np.zeros((0, pd.m)), Y
-            grad = N.T @ (X - W @ Y)
-            return v, grad, Y
-
-        if kdim == 0:
-            v, _, Y = val_grad(np.zeros((0, pd.m)))
-            return v, Y, "numeric"
-        spectral = _spectral_path(prob, X)
-        if spectral is not None and spectral.Y is not None:
-            # the closed form's Y = V^+ X maximizes the dual objective
-            v, _, Y = val_grad(N.T @ (spectral.Y - Y0))
-            return v, Y, "numeric"
-        best = (-np.inf, None)
-        for Z0 in (np.zeros((kdim, pd.m)), N.T @ X):
-            Z = Z0.copy()
-            v, g, Y = val_grad(Z)
-            if g is None:
-                continue
-            t = 1.0 / (1.0 + np.linalg.norm(g))
-            for _ in range(4000):
-                tt = t
-                moved = False
-                for _ in range(40):
-                    Zn = Z + tt * g
-                    vn, gn, Yn = val_grad(Zn)
-                    if gn is not None and vn >= v + 1e-12 * abs(v):
-                        moved = True
-                        break
-                    tt *= 0.5
-                if not moved:
-                    break
-                s = Zn - Z
-                y = gn - g
-                sy = -float(np.sum(s * y))
-                t = min(max(float(np.sum(s * s)) / sy, 1e-12), 1e9) if sy > 1e-300 else tt * 2
-                Z, v, g, Y = Zn, vn, gn, Yn
-                if np.linalg.norm(s) <= 1e-12 * (1.0 + np.linalg.norm(Z)):
-                    break
-            if v > best[0]:
-                best = (v, Y)
-        return best[0], best[1], "numeric"
-    return np.nan, None, "undecided"
+    if pe.Y is None:
+        return np.nan, None, "undecided"
+    pstar, status = eval_p_conj(prob, pe.Y)
+    if status != "exact" or not np.isfinite(pstar):
+        return np.nan, None, "undecided"
+    return float(np.sum(X * pe.Y)) - pstar, pe.Y, "numeric"
 
 
 def dual_gap(prob: InfProjProblem, X: np.ndarray):
-    """(p(X), dual value, gap, status); the gap is 0 when rays certify both -inf."""
+    """(p(X), dual value, gap, status) from one eval_p; the gap is 0 when
+    rays certify both -inf.  For h not linear the gap is the Fenchel gap
+    p(X) + p*(Y) - <X, Y> at eval_p's Y, as subdiff_p_witness reports."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
     pe = eval_p(prob, X)
-    dv, _, status = dual_value(prob, X)
+    dv, _, status = _dual_at(prob, X, pe)
     if status == "exact" and pe.value == dv == -np.inf:
         return pe.value, dv, 0.0, status
     if status == "undecided" or not np.isfinite(pe.value):

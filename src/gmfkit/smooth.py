@@ -44,11 +44,13 @@ class FitSpec:
         object.__setattr__(self, "A_op", A_op)
         object.__setattr__(self, "b", b)
 
-    def value(self, X: np.ndarray) -> float:
+    def value_and_grad(self, X: np.ndarray):
+        """f(X) and its gradient A_op^T r as an n x m matrix, for the
+        residual r = A_op vec(X) - b."""
         if not self.A_op.size:
-            return 0.0
+            return 0.0, np.zeros((self.n, self.m))
         r = self.A_op @ X.ravel(order="F") - self.b
-        return 0.5 * float(r @ r)
+        return 0.5 * float(r @ r), (self.A_op.T @ r).reshape((self.n, self.m), order="F")
 
     @staticmethod
     def from_mask(mask: np.ndarray, target: np.ndarray) -> "FitSpec":
@@ -77,7 +79,7 @@ def _phi_unconstrained(X: np.ndarray, V: np.ndarray) -> float:
 
 
 def _objective(fit: FitSpec, Ubar: np.ndarray, X: np.ndarray, V: np.ndarray) -> float:
-    return fit.value(X) + _phi_unconstrained(X, V) + float(np.sum(Ubar * V))
+    return fit.value_and_grad(X)[0] + _phi_unconstrained(X, V) + float(np.sum(Ubar * V))
 
 
 def _solve_x_block(fit: FitSpec, V: np.ndarray) -> np.ndarray:
@@ -129,13 +131,7 @@ def solve_smooth(
 
     def barrier_obj(z, mu):
         Z, C = split(z)
-        X = C @ Z
-        if fit.A_op.size:
-            r = fit.A_op @ X.ravel(order="F") - fit.b
-            Gf = (fit.A_op.T @ r).reshape((n, m), order="F")
-            fval = 0.5 * float(r @ r)
-        else:
-            Gf, fval = np.zeros((n, m)), 0.0
+        fval, Gf = fit.value_and_grad(C @ Z)
         F = fval + 0.5 * float(np.sum(Z * Z)) + float(np.sum(Ubar * (C @ C.T)))
         GZ = C.T @ Gf + Z
         GC = Gf @ Z.T + 2.0 * Ubar @ C
@@ -149,12 +145,7 @@ def solve_smooth(
     def true_grad_norm(X, V):
         Vi = np.linalg.inv(V)
         ViX = Vi @ X
-        if fit.A_op.size:
-            r = fit.A_op @ X.ravel(order="F") - fit.b
-            Gf = (fit.A_op.T @ r).reshape((n, m), order="F")
-        else:
-            Gf = np.zeros((n, m))
-        GX = Gf + ViX
+        GX = fit.value_and_grad(X)[1] + ViX
         GV = -0.5 * ViX @ ViX.T + Ubar
         return float(np.sqrt(np.linalg.norm(GX) ** 2 + np.linalg.norm(GV) ** 2))
 
@@ -220,12 +211,6 @@ def solve_prox_reference(
         lip = 1.0
     step = 1.0 / max(lip, 1e-15)
 
-    def grad(X):
-        if not fit.A_op.size:
-            return np.zeros((n, m))
-        r = fit.A_op @ X.ravel(order="F") - fit.b
-        return (fit.A_op.T @ r).reshape((n, m), order="F")
-
     def prox(X, thr):
         U, s, Vt = np.linalg.svd(X, full_matrices=False)
         return U @ (np.maximum(s - thr, 0.0)[:, None] * Vt)
@@ -234,7 +219,7 @@ def solve_prox_reference(
     Z = X.copy()
     t = 1.0
     for _ in range(max_iter):
-        X_new = prox(Z - step * grad(Z), lam * step)
+        X_new = prox(Z - step * fit.value_and_grad(Z)[1], lam * step)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         Z = X_new + ((t - 1.0) / t_new) * (X_new - X)
         delta = np.linalg.norm(X_new - X)
@@ -262,5 +247,5 @@ def objective_certificate(
     F = _objective(fit, Ubar, X, V)
     pd = ProblemData(np.zeros((1, fit.n)), np.zeros((1, fit.m)))
     pe = eval_p(InfProjProblem(pd, Linear(Ubar)), X)
-    gap = F - (fit.value(X) + pe.value)
+    gap = F - (fit.value_and_grad(X)[0] + pe.value)
     return F, pe.value, gap

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -605,10 +607,10 @@ def test_p_is_nonnegative_without_equality_constraint(seed, kind):
 # linear h at every A, and the support function of a ray with A = 0
 
 
-def _criterion_13_draw(seed, index):
-    """Problem `index` of selftest.criterion_13(seed), replayed."""
+def _criterion_13_problems(seed):
+    """The 500 problems of selftest.criterion_13(seed), replayed."""
     g = np.random.default_rng(seed)
-    for _ in range(index + 1):
+    for _ in range(500):
         n, m = int(g.integers(1, 5)), int(g.integers(1, 4))
         if g.random() < 0.4:
             A, B = np.zeros((1, n)), np.zeros((1, m))
@@ -622,7 +624,12 @@ def _criterion_13_draw(seed, index):
         else:
             S = _rand_set(g, n)
             h = Indicator(S) if kind == 1 else Support(S)
-    return InfProjProblem(ProblemData(A, B), h)
+        yield InfProjProblem(ProblemData(A, B), h)
+
+
+def _criterion_13_draw(seed, index):
+    """Problem `index` of selftest.criterion_13(seed)."""
+    return next(itertools.islice(_criterion_13_problems(seed), index, None))
 
 
 def test_indefinite_slope_without_equality_constraint_is_unbounded():
@@ -757,3 +764,115 @@ def test_linear_eval_p_factorizes_once(linalg_calls):
     pe = eval_p(prob, X)
     assert linalg_calls == {"eigh": 1, "svd": 1}
     assert (pe.path, pe.value) == ("weighted_nuclear", pytest.approx(np.sum(sv(L.T @ X)), rel=1e-12))
+
+
+def test_indicator_of_a_ray_without_equality_constraint():
+    pd = unconstrained(3, 2)
+    # D >= 0 and rge X in rge D: phi(X, tD) = phi(X, D)/t -> 0; the descent
+    # ran 4000 steps and reported "finite" 4.6e-6 to 1.4e-2
+    prob = InfProjProblem(pd, Indicator(Ray(np.diag([1.0, 0.0, 2.0]))))
+    X = np.array([[0.3, -1.2], [0.0, 0.0], [-0.4, 0.9]])
+    pe = eval_p(prob, X)
+    assert (pe.status, pe.value, pe.path, pe.iters, pe.V) == ("finite", 0.0, "ray", 0, None)
+    assert eval_gmf(pd, X, 1e8 * prob.h.set.D).value < 1e-7
+    d, Y, status = dual_value(prob, X)
+    assert (d, status) == (0.0, "numeric") and not np.any(Y)
+    # X off rge D: no V = tD has X in its range
+    X[1, 0] = 0.5
+    pe = eval_p(prob, X)
+    assert (pe.status, pe.value, pe.path) == ("infeasible", np.inf, "ray")
+    assert dual_value(prob, X)[1:] == (None, "undecided")
+    # D not PSD: S meets the PSD cone in V = 0 alone
+    prob = InfProjProblem(pd, Indicator(Ray(np.diag([1.0, -1.0, 2.0]))))
+    assert eval_p(prob, X).status == "infeasible"
+    pe = eval_p(prob, np.zeros((3, 2)))
+    assert (pe.status, pe.value, pe.path) == ("finite", 0.0, "ray")
+
+
+def _ray_rows_without_equality_constraint():
+    """The A = 0 problems of criterion 13 (seeds 0-4) with h built on a
+    ray, each with its X."""
+    rows = []
+    for seed in range(5):
+        for i, prob in enumerate(_criterion_13_problems(seed)):
+            if isinstance(prob.h, Linear) or not isinstance(prob.h.set, Ray) or np.any(prob.pd.A):
+                continue
+            rows.append((prob, np.random.default_rng([seed, i]).standard_normal((prob.pd.n, prob.pd.m))))
+    return rows
+
+
+def _psd_hulls(count=40):
+    """(h, X, a, b): the indicator of a hull of 2-3 vertices M M^T / n, and
+    one equality row a Y = b."""
+    g = np.random.default_rng(2024)
+    out = []
+    for _ in range(count):
+        n, m = int(g.integers(2, 4)), int(g.integers(1, 3))
+        pts = []
+        for _ in range(int(g.integers(2, 4))):
+            M = g.standard_normal((n, n))
+            pts.append(M @ M.T / n)
+        X = g.standard_normal((n, m))
+        a = g.standard_normal((1, n))
+        out.append((Indicator(Hull(tuple(pts))), X, a, a @ g.standard_normal((n, m))))
+    return out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_decided_dual_values_bound_p_on_the_ray_rows():
+    # the ascent returned 5.6e-5 against p = 8.4e-6 on three Indicator(Ray)
+    # rows and ran off to 1e154 on the infeasible ones
+    rows = _ray_rows_without_equality_constraint()
+    assert len(rows) == 90
+    decided = 0
+    for prob, X in rows:
+        p = eval_p(prob, X).value
+        d, Y, status = dual_value(prob, X)
+        if status == "undecided":
+            assert (p, Y) == (np.inf, None)
+            continue
+        decided += 1
+        assert status == "numeric"
+        assert d <= p + DEFAULT_TOL.conj_rel * (1.0 + abs(p))
+        assert d == p == 0.0
+    assert decided == 36
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("with_row", [False, True], ids=["A=0", "one-row-A"])
+def test_decided_dual_values_bound_p_on_hulls(with_row):
+    for h, X, a, b in _psd_hulls():
+        pd = ProblemData(a, b) if with_row else unconstrained(*X.shape)
+        p, d, gap, status = dual_gap(InfProjProblem(pd, h), X)
+        assert status == "numeric"
+        assert d <= p + DEFAULT_TOL.conj_rel * (1.0 + abs(p))
+
+
+def test_dual_gap_runs_the_descent_once(monkeypatch):
+    import gmfkit.infproj
+
+    calls = []
+
+    def counted(*args, _real=gmfkit.infproj._descent):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(gmfkit.infproj, "_descent", counted)
+    h, X, a, b = _psd_hulls(1)[0]
+    dual_gap(InfProjProblem(ProblemData(a, b), h), X)
+    assert len(calls) == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", ["trace-ball", "hull"])
+def test_dual_gap_is_the_fenchel_gap(case):
+    if case == "hull":
+        h, X, a, b = _psd_hulls(1)[0]
+        prob = InfProjProblem(ProblemData(a, b), h)
+    else:
+        X = np.random.default_rng(0).standard_normal((3, 2))
+        prob = InfProjProblem(unconstrained(3, 2), Indicator(TraceBall(1.0, 3)))
+    p, d, gap, status = dual_gap(prob, X)
+    _, fenchel_gap, conj_status = subdiff_p_witness(prob, X)
+    assert (status, conj_status) == ("numeric", "exact")
+    assert gap == pytest.approx(fenchel_gap, rel=1e-12, abs=1e-15)

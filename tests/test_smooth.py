@@ -30,14 +30,16 @@ def completion_instance(seed, n=5, m=5, rank=2, frac=0.8):
 
 def test_fitspec_value():
     fit = scalar_fit(3.0)
-    assert fit.value(np.array([[1.0]])) == pytest.approx(2.0)
+    value, grad = fit.value_and_grad(np.array([[1.0]]))
+    assert value == pytest.approx(2.0)
+    assert grad == pytest.approx(np.array([[-2.0]]))
 
 
 def test_from_mask_only_observed_entries():
     fit, M, mask = completion_instance(0)
     X = M.copy()
     X[~mask] = 123.0  # unobserved entries must not affect the fit
-    assert fit.value(X) == pytest.approx(0.0, abs=1e-20)
+    assert fit.value_and_grad(X)[0] == pytest.approx(0.0, abs=1e-20)
 
 
 def test_soft_threshold_oracle():
