@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 import scipy.optimize
 
-from .gmf import in_KA
+from .gmf import in_KA, in_KA_polar
 from .numlin import (
     DEFAULT_TOL,
     Tolerances,
@@ -40,15 +40,20 @@ class ConvexSetSpec:
     and gauge (for G != 0, given 0 in S) as methods on trusted arrays,
     symmetric (already passed through sym) and n x n; the module-level
     functions of the same names validate their arguments and call them.
-    The constraint-qualification rules inside_KA, dominates (below) and
-    max_min_eig are methods only:
+    The constraint-qualification rules are methods only:
 
     - inside_KA(pd): whether S lies inside K_A, within pd's tolerances;
       False where that is not known.
+    - ka_bounded(pd): whether S intersect K_A is bounded.
     - max_min_eig(C, N): (sup over V in S of lambda_min(N^T (V - C) N),
       exactness flag) for N with orthonormal columns, at least one; the
       value is a lower bound when the flag is False.  A positive value
       at C = 0 means S meets the interior of {V : N^T V N >= 0}.
+    - interior_member(C, tol): (C in ri S, C in int S), each True, False
+      or None where that is not known.
+    - covers(G, pd): whether some W in S has G - W in the polar of K_A,
+      for G positive semidefinite; None where that is not known.
+    - support_dom(): dom sigma_S, all of S^n unless S is unbounded.
 
     loewner_max() returns the greatest element of S in the Loewner order
     (V <= Vbar for every V in S, Vbar in S) or None where S has none.
@@ -58,6 +63,7 @@ class ConvexSetSpec:
 
     kind: str
     bounded = True
+    full = False  # S is all of S^n
 
     def contains_zero(self, tol: Tolerances) -> bool:
         return self.member(np.zeros((self.n, self.n)), tol)
@@ -66,11 +72,22 @@ class ConvexSetSpec:
         """Whether S intersect PSD is bounded."""
         return True
 
+    def ka_bounded(self, pd) -> bool:
+        return self.bounded
+
     def dominates(self, G: np.ndarray, tol: Tolerances) -> bool:
         """Whether some W in S satisfies W >= G (G positive
         semidefinite): sup over S of lambda_min(W - G) >= 0."""
         sup, _ = self.max_min_eig(G, np.eye(G.shape[0]))
         return sup >= -tol.psd_abs * (1.0 + np.linalg.norm(G))
+
+    def covers(self, G: np.ndarray, pd) -> bool | None:
+        # K_A polar is {0} when ker A = {0}, the negative semidefinite cone when A = 0
+        k = pd.N.shape[1]
+        return self.member(G, pd.tol) if k == 0 else self.dominates(G, pd.tol) if k == pd.n else None
+
+    def support_dom(self) -> ConvexSetSpec:
+        return Halfspace(np.zeros((self.n, self.n)))
 
     def loewner_max(self) -> np.ndarray | None:
         return None
@@ -115,6 +132,12 @@ class Singleton(ConvexSetSpec):
 
     def max_min_eig(self, C, N):
         return min_eig(N.T @ (self.U - C) @ N), True
+
+    def interior_member(self, C, tol):
+        return self.member(C, tol), False  # ri {U} = {U}, int {U} is empty
+
+    def covers(self, G, pd):
+        return in_KA_polar(pd, G - self.U)
 
     def loewner_max(self):
         return self.U.copy()
@@ -179,6 +202,16 @@ class SpectralSet(ConvexSetSpec):
         scale = 1.0 + np.linalg.norm(G)
         under_cap = max_eig(G) <= self.cap + tol.psd_abs * scale
         return under_cap and float(np.trace(G)) <= self.total + tol.feas_abs * (1.0 + self.total)
+
+    def interior_member(self, C, tol):
+        if not self.member(C, tol):
+            return False, False
+        if self.cap == self.lo or self.total == C.shape[0] * self.lo:
+            return True, False  # S is the one point lo * I
+        # otherwise S has interior: every bound holds strictly there
+        w = np.linalg.eigvalsh(C)
+        margin = min(w[0] - self.lo, self.cap - w[-1], self.total - w.sum())
+        return (True, True) if margin > tol.psd_abs * (1.0 + np.linalg.norm(C)) else (None, None)
 
     def max_min_eig(self, C, N):
         # With k = N's column count and c = min(cap, total/k), V = c*I
@@ -285,24 +318,53 @@ class Hull(ConvexSetSpec):
         # test sets used here, which never mix signs off the PSD face.
         return Hull(pts).support(G, tol)
 
-    def _combination(self, V: np.ndarray) -> np.ndarray:
-        """The convex combination of the points that fits V in least
-        squares, the unit weight sum imposed by a heavily weighted row."""
-        vecs = np.column_stack([U.ravel() for U in self.points])
-        alpha = 10.0 * (1.0 + np.linalg.norm(V))
-        Aeq = np.vstack([vecs, alpha * np.ones((1, len(self.points)))])
-        beq = np.concatenate([V.ravel(), [alpha]])
-        w, _ = scipy.optimize.nnls(Aeq, beq)
-        s = w.sum()
-        if s > 0:
-            w = w / s
-        return sum(wi * U for wi, U in zip(w, self.points))
+    def _nearest(self, V: np.ndarray) -> np.ndarray:
+        """The point of S nearest V.  One NNLS on [C; 1^T] u ~ [0; 1],
+        with columns vec(U_i - V) in C, then w = u / sum u: along u = t*w
+        the residual's minimum over t is |Cw|^2 / (1 + |Cw|^2), which
+        grows with |Cw| = |sum w_i U_i - V|."""
+        C = np.column_stack([(U - V).ravel() for U in self.points])
+        u, _ = scipy.optimize.nnls(np.vstack([C, np.ones((1, C.shape[1]))]), np.eye(C.shape[0] + 1)[-1])
+        return np.tensordot(u / u.sum(), self.points, axes=1)
 
     def member(self, V, tol):
-        return np.linalg.norm(self._combination(V) - V) <= tol.feas_abs * (1.0 + np.linalg.norm(V))
+        return np.linalg.norm(self._nearest(V) - V) <= tol.feas_abs * (1.0 + np.linalg.norm(V))
 
     def project(self, V, tol):
-        return sym(self._combination(V))
+        return sym(self._nearest(V))
+
+    def ri_weights(self, C: np.ndarray):
+        """(t, w): the largest t with C = sum w_i U_i, sum w = 1 and every
+        w_i >= t, by one LP; t = -inf (w None) off the points' affine
+        hull, nan if the LP fails.  C lies in S iff t >= 0 and in ri S iff
+        t > 0: the relative interior of a polytope is the set of its
+        combinations with positive weights."""
+        k = len(self.points)
+        iu = np.triu_indices(self.n)
+        res = scipy.optimize.linprog(
+            -np.eye(k + 1)[k],  # maximize t over (w, t)
+            A_ub=np.hstack([-np.eye(k), np.ones((k, 1))]),  # t <= w_i
+            b_ub=np.zeros(k),
+            A_eq=np.column_stack([np.append(U[iu], 1.0) for U in self.points] + [np.zeros(iu[0].size + 1)]),
+            b_eq=np.append(C[iu], 1.0),
+            bounds=(None, None),
+            method="highs",
+        )
+        if res.status != 0:  # 2: infeasible
+            return (-np.inf if res.status == 2 else np.nan), None
+        return float(res.x[k]), res.x[:k]
+
+    def interior_member(self, C, tol):
+        t, w = self.ri_weights(C)
+        if t < -tol.feas_abs:
+            return False, False
+        slack = tol.feas_abs * (1.0 + np.linalg.norm(C))
+        if not (t > tol.feas_abs and np.linalg.norm(np.tensordot(w, self.points, axes=1) - C) <= slack):
+            return None, None
+        # int S = ri S when the points' affine hull is all of S^n
+        iu = np.triu_indices(self.n)
+        diffs = [(U - self.points[0])[iu] for U in self.points]
+        return True, bool(np.linalg.matrix_rank(diffs, rtol=tol.rank_rel) == iu[0].size)
 
     def gauge(self, G, tol):
         # 0 in S, so G in t*S iff G = sum mu_i U_i with mu >= 0, sum mu <= t
@@ -381,21 +443,27 @@ class Ray(ConvexSetSpec):
     def inside_KA(self, pd):
         return in_KA(pd, self.D)
 
-    def dominates(self, G, tol):
+    def ka_bounded(self, pd):
+        return self.bounded or not in_KA(pd, self.D)
+
+    def interior_member(self, C, tol):
+        if not self.member(C, tol):
+            return False, False
         if self.bounded:
-            return np.linalg.norm(G) <= tol.feas_abs
-        floor = -tol.psd_abs * (1.0 + np.linalg.norm(G))
-        if min_eig(-G) >= floor:  # alpha = 0
+            return True, False  # S = {0}
+        # ri S = {alpha D : alpha > 0}; S has interior only in S^1
+        apex = self._coefficient(C) * np.linalg.norm(self.D) <= tol.feas_abs * (1.0 + np.linalg.norm(C))
+        ri = None if apex else True
+        return ri, ri if self.n == 1 else False
+
+    def dominates(self, G, tol):
+        # for G >= 0 (xi_member passes YY^T/2), alpha D >= G holds at
+        # alpha = 0 iff G = 0, and for large alpha iff D >= 0 and
+        # rge G lies in rge D
+        if min_eig(-G) >= -tol.psd_abs * (1.0 + np.linalg.norm(G)):
             return True
-        # for G >= 0 (xi_member passes YY^T/2) the alpha > 0 with
-        # alpha D >= G form an interval [a, inf), which the grid meets
-        # unless a > 4^19
-        alpha = 1.0
-        while alpha <= 1e12:
-            if min_eig(alpha * self.D - G) >= floor:
-                return True
-            alpha *= 4.0
-        return False
+        D = self.D
+        return min_eig(D) >= -tol.psd_abs * (1.0 + np.linalg.norm(D)) and range_contains(D, G, tol)
 
     def max_min_eig(self, C, N):
         if min_eig(N.T @ self.D @ N) > 0:
@@ -403,6 +471,9 @@ class Ray(ConvexSetSpec):
         if not np.any(C):
             return 0.0, True  # attained at alpha = 0
         return min_eig(N.T @ (self.D - C) @ N), False  # the alpha = 1 point
+
+    def support_dom(self):
+        return Halfspace(self.D)
 
 
 @dataclass(frozen=True)
@@ -472,14 +543,72 @@ class ShiftedPSDCap(ConvexSetSpec):
     def inside_KA(self, pd):
         return True
 
-    def dominates(self, G, tol):
-        return min_eig(self.U - G) >= -tol.psd_abs * (1.0 + np.linalg.norm(self.U))
+    def interior_member(self, C, tol):
+        if not self.member(C, tol):
+            return False, False
+        # ri S is {0 < V < U} on rge U (C vanishes off it), and S has
+        # interior iff U > 0
+        w, Q = np.linalg.eigh(self.U)
+        R = Q[:, w > tol.psd_abs * (1.0 + np.linalg.norm(self.U))]
+        Cr = R.T @ C @ R
+        margin = min(min_eig(Cr), min_eig(R.T @ self.U @ R - Cr))
+        ri = True if margin > tol.psd_abs * (1.0 + np.linalg.norm(C)) else None
+        return ri, ri if R.shape[1] == self.n else False
 
     def max_min_eig(self, C, N):
         return min_eig(N.T @ (self.U - C) @ N), True
 
     def loewner_max(self):
         return self.U.copy()
+
+
+@dataclass(frozen=True)
+class Halfspace(ConvexSetSpec):
+    """{V : <D, V> <= 0}, all of S^n when D = 0: dom sigma_S of the ray
+    pos{D}, and with D = 0 of every bounded S.  Internal: the constraint
+    qualifications read it as dom h or dom h*; it has no JSON tag."""
+
+    D: np.ndarray
+
+    kind = "halfspace"
+    bounded = False
+    full = property(lambda self: not np.any(self.D))
+
+    def project(self, V, tol):
+        ip = float(np.sum(self.D * V))
+        return V - (ip / float(np.sum(self.D * self.D))) * self.D if ip > 0 else V
+
+    def max_min_eig(self, C, N):
+        # V = N M N^T + W with W orthogonal to every N M N^T: unless
+        # D = N E N^T with E >= 0, E != 0, some such V meets <D, V> <= 0
+        # with M as large as wanted.  Otherwise <E, M> <= 0 caps
+        # lambda_min(M - N^T C N) at -<D, C> / tr E (M = N^T C N + sI).
+        D, E = self.D, N.T @ self.D @ N
+        scale = 1.0 + np.linalg.norm(D)
+        in_span = np.linalg.norm(D - N @ E @ N.T) <= DEFAULT_TOL.feas_abs * scale
+        if not (in_span and np.any(E) and min_eig(E) >= -DEFAULT_TOL.psd_abs * scale):
+            return np.inf, True
+        return -float(np.sum(D * C)) / float(np.trace(E)), True
+
+    def ka_bounded(self, pd):
+        # K_A holds a line unless A = 0; <D, V> <= 0 meets PSD in {0} iff D > 0
+        lam = np.linalg.eigvalsh(self.D)
+        return pd.N.shape[1] == pd.n and lam[0] > pd.tol.psd_abs * (1.0 + abs(lam[-1]))
+
+    def interior_member(self, C, tol):
+        if self.full:
+            return True, True
+        ip = float(np.sum(self.D * C))
+        thr = tol.feas_abs * (1.0 + np.linalg.norm(self.D) * np.linalg.norm(C))
+        inside = True if ip < -thr else False if ip > thr else None
+        return inside, inside
+
+    def covers(self, G, pd):
+        # W = G + N E N^T with E >= 0 needs <D, G> + <N^T D N, E> <= 0
+        D, tol = self.D, pd.tol
+        if min_eig(pd.N.T @ D @ pd.N) < -tol.psd_abs * (1.0 + np.linalg.norm(D)):
+            return True
+        return float(np.sum(D * G)) <= tol.feas_abs * (1.0 + np.linalg.norm(D) * np.linalg.norm(G))
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +676,7 @@ def _hull_max_min_eig(mats, C: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Linear:
-    """h = <U, .>"""
+    """h = <U, .>: dom h = S^n, dom h* = {U}."""
 
     U: np.ndarray
 
@@ -560,10 +689,13 @@ class Linear:
     def n(self) -> int:
         return self.U.shape[0]
 
+    dom = property(lambda self: Halfspace(np.zeros_like(self.U)))
+    conj_dom = property(lambda self: Singleton(self.U))
+
 
 @dataclass(frozen=True)
 class Indicator:
-    """h = delta_S"""
+    """h = delta_S: dom h = S, dom h* = dom sigma_S."""
 
     set: ConvexSetSpec
 
@@ -573,10 +705,13 @@ class Indicator:
     def n(self) -> int:
         return self.set.n
 
+    dom = property(lambda self: self.set)
+    conj_dom = property(lambda self: self.set.support_dom())
+
 
 @dataclass(frozen=True)
 class Support:
-    """h = sigma_S"""
+    """h = sigma_S: dom h = dom sigma_S, dom h* = S."""
 
     set: ConvexSetSpec
 
@@ -585,6 +720,9 @@ class Support:
     @property
     def n(self) -> int:
         return self.set.n
+
+    dom = property(lambda self: self.set.support_dom())
+    conj_dom = property(lambda self: self.set)
 
 
 HSpec = Linear | Indicator | Support

@@ -7,7 +7,8 @@ descent ray or the exact value decides whether the lifted set Xi(A, B)
 is empty; projected subgradient descent otherwise),
 the conjugate p* through the lifted set Omega(A, B), the dual value
 <X, Y> - p*(Y) at the evaluator's own maximizer Y, Fenchel subgradient
-certificates, and the constraint-qualification report.
+certificates, and the constraint-qualification report, where each verdict
+is one rule over the two sets dom h and dom h* (h.dom, h.conj_dom).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gmf import ProblemData, eval_gmf, in_int_KA, in_KA, in_KA_polar
+from .gmf import ProblemData, eval_gmf
 from .hset import (
     ConvexSetSpec,
     HSpec,
@@ -29,9 +30,7 @@ from .hset import (
     SpectralSet,
     Support,
     h_eval,
-    member,
     project,
-    psd_cap_nonempty,
     psd_cap_support,
     support,
 )
@@ -113,19 +112,6 @@ def _ker_trivial(pd: ProblemData) -> bool:
 # Inner minimization
 
 
-def _dom_h_project(h: HSpec, V: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Project V onto dom h."""
-    if isinstance(h, Indicator):
-        return project(h.set, V, tol)
-    if isinstance(h, Support) and not h.set.bounded:
-        # dom sigma_S of the ray pos{D}, D != 0, is the halfspace <D, V> <= 0
-        D = h.set.D
-        ip = float(np.sum(D * V))
-        if ip > 0:
-            V = V - (ip / float(np.sum(D * D))) * D
-    return V
-
-
 def _h_subgrad(h: HSpec, V: np.ndarray, tol: Tolerances) -> np.ndarray:
     if isinstance(h, Indicator):
         return np.zeros_like(V)
@@ -164,7 +150,7 @@ def _start_candidates(
     out = []
     seen = set()
     for V in raw:
-        V = _dom_h_project(h, sym(np.atleast_2d(np.asarray(V, float))), tol)
+        V = project(h.dom, np.atleast_2d(np.asarray(V, float)), tol)
         if not np.isfinite(h_eval(h, V, tol)):
             continue
         tag = hash(np.round(V, 9).tobytes())
@@ -395,6 +381,7 @@ def _descent(prob: InfProjProblem, X: np.ndarray, max_iter: int, seed: int) -> I
     start_V = best_V
 
     V, F, ge = best_V, best_F, best_ge
+    dom = prob.h.dom
     g = -0.5 * ge.witness_Y @ ge.witness_Y.T + _h_subgrad(prob.h, V, tol)
     t = 1.0 / (1.0 + np.linalg.norm(g))
     stall = 0
@@ -403,7 +390,7 @@ def _descent(prob: InfProjProblem, X: np.ndarray, max_iter: int, seed: int) -> I
         accepted = False
         tt = t
         for _ in range(40):
-            V_new = _dom_h_project(prob.h, V - tt * g, tol)
+            V_new = project(dom, V - tt * g, tol)
             F_new, ge_new = _objective(prob, X, V_new)
             step = np.linalg.norm(V_new - V)
             if F_new <= F - 1.0e-4 / max(tt, 1e-300) * step**2 and step > 0:
@@ -506,36 +493,14 @@ def xi_member(prob: InfProjProblem, Y: np.ndarray):
     Xi(A, B) = {Y : AY = B, YY^T/2 in dom h* + (K_A polar)}.
 
     Returns (answer, status); answer is None when status is "undecided".
+    After the equality test, dom h*'s covers rule decides the rest.
     """
-    tol = prob.tol
-    pd = prob.pd
+    tol, pd = prob.tol, prob.pd
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if np.linalg.norm(pd.A @ Y - pd.B) > tol.feas_abs * (1.0 + np.linalg.norm(pd.B)):
         return False, "exact"
-    G = 0.5 * Y @ Y.T
-    h = prob.h
-    if isinstance(h, Linear):
-        # dom h* = {U}: G - U must be in the polar cone
-        return in_KA_polar(pd, G - h.U), "exact"
-    if isinstance(h, Support):
-        # dom h* = S
-        if _ker_trivial(pd):
-            return member(h.set, G, tol), "exact"
-        if _is_unconstrained(pd):
-            # some W in S with G - W in the polar of PSD, i.e. W >= G
-            return h.set.dominates(sym(G, tol), tol), "exact"
-        return None, "undecided"
-    # Indicator: dom h* = dom sigma_S
-    S = h.set
-    if S.bounded:
-        return True, "exact"
-    if _ker_trivial(pd):
-        return _member_dom_support(S, G, tol), "exact"
-    if _is_unconstrained(pd):
-        # dom sigma_S plus the polar of PSD is all of S^n when the ray's
-        # direction D has a negative eigenvalue
-        return S.psd_cap_bounded(tol) or _member_dom_support(S, G, tol), "exact"
-    return None, "undecided"
+    ans = prob.h.conj_dom.covers(sym(0.5 * Y @ Y.T, tol), pd)
+    return ans, ("undecided" if ans is None else "exact")
 
 
 def eval_p_conj(prob: InfProjProblem, Y: np.ndarray):
@@ -626,148 +591,52 @@ def subdiff_p_witness(prob: InfProjProblem, X: np.ndarray):
 # Constraint qualifications
 
 
-def _tri(flag: bool) -> str:
-    return "holds" if flag else "fails"
+def _tri(flag: bool | None) -> str:
+    return "undecided" if flag is None else "holds" if flag else "fails"
+
+
+def _lambda_rule(s: float, exact: bool, tol: Tolerances) -> str:
+    """A set meets a cone's interior iff its max_min_eig s > psd_abs."""
+    return _tri(True if s > tol.psd_abs else False if exact else None)
 
 
 def cq_report(prob: InfProjProblem) -> CQReport:
-    """Decide the five constraint qualifications where a closed-form or
-    exactly solvable criterion exists; report "undecided" otherwise."""
-    try:
-        return _cq_report_impl(prob)
-    except NotImplementedError as exc:
-        return CQReport(notes=[f"abstained: {exc}"])
-
-
-def _cq_report_impl(prob: InfProjProblem) -> CQReport:
-    tol = prob.tol
-    pd = prob.pd
-    h = prob.h
+    """Decide the five constraint qualifications from dom h and dom h*
+    (h.dom, h.conj_dom), each tested against K_A and Omega_2; report
+    "undecided" where a set rule cannot decide (see the README)."""
+    tol, pd, h = prob.tol, prob.pd, prob.h
     rep = CQReport()
     n = pd.n
     zero = np.zeros((n, n))
     unconstrained = _is_unconstrained(pd)
     ker_trivial = _ker_trivial(pd)
-    # lambda(D) decides both CCQ and BPCQ for an unconstrained Support(Ray(D))
-    ray_lam = None
-    if isinstance(h, Support) and not h.set.bounded and unconstrained:
-        ray_lam = np.linalg.eigvalsh(h.set.D)
-        ray_floor = tol.psd_abs * (1.0 + abs(ray_lam[-1]))
+    dom, conj_dom = h.dom, h.conj_dom
     # for linear h, Xi(A, B) is empty exactly when _linear_path finds a ray
     lin = _linear_path(prob, np.zeros((n, pd.m)), with_V=False)
     xi_empty = lin is not None and lin.status == "unbounded"
 
     # ---- CCQ: dom h meets int K_A
-    if isinstance(h, Linear):
-        rep.ccq = "holds"  # dom h is everything and I is interior
-    elif isinstance(h, Support):
-        S = h.set
-        if S.bounded:
-            rep.ccq = "holds"
-        elif ray_lam is not None:
-            # dom h = {<D, V> <= 0} meets the positive definite cone iff
-            # lambda_min(D) < 0: V = eps*I + q q^T for its eigenvector q
-            if ray_lam[0] < -ray_floor:
-                rep.ccq = "holds"
-            elif ray_lam[0] > ray_floor:
-                rep.ccq = "fails"
-        else:
-            found = any(
-                _member_dom_support(S, V, tol) and in_int_KA(pd, V)
-                for V in (np.eye(n) - t * S.D for t in (0.0, 0.1, 1.0, 10.0))
-            )
-            rep.ccq = "holds" if found else "undecided"
-    else:
-        s, exact = (np.inf, True) if ker_trivial else h.set.max_min_eig(zero, pd.N)
-        if s > tol.psd_abs:
-            rep.ccq = "holds"
-        elif exact:
-            rep.ccq = "fails"
-        else:
-            rep.ccq = "undecided"
+    s, exact = (np.inf, True) if ker_trivial else dom.max_min_eig(zero, pd.N)
+    rep.ccq = _lambda_rule(s, exact, tol)
 
     # ---- BPCQ: dom h intersect K_A nonempty and bounded
-    if isinstance(h, Linear) or (isinstance(h, Support) and h.set.bounded):
-        # dom h = S^n, and K_A is an unbounded cone for n >= 1
-        rep.bpcq = _tri(n == 0)
-    elif isinstance(h, Support):
-        # dom h is the halfspace {<D, V> <= 0} of the ray pos{D}
-        if ray_lam is not None:
-            rep.bpcq = _tri(ray_lam[0] > ray_floor)
-        else:
-            rep.bpcq = "fails"  # the halfspace keeps a nontrivial slice of K_A
-    else:
-        S = h.set
-        if unconstrained:
-            nonempty = psd_cap_nonempty(S, tol)
-        elif ker_trivial:
-            nonempty = True
-        else:
-            s, exact = S.max_min_eig(zero, pd.N)
-            nonempty = s >= -tol.psd_abs if exact else None
-        # a ray is unbounded inside K_A when its direction lies in K_A
-        bounded = S.bounded or not in_KA(pd, S.D)
-        if nonempty is None:
-            rep.bpcq = "undecided"
-        else:
-            rep.bpcq = _tri(bool(nonempty) and bounded)
+    nonempty = True if s >= -tol.psd_abs else False if exact else None
+    rep.bpcq = _tri(nonempty if dom.ka_bounded(pd) else False)
 
-    # ---- PCQ / SPCQ
-    if isinstance(h, Linear):
-        # dom h* = {U}: 0 in Omega_2 + U needs a point of Xi(A, B)
-        if xi_empty:
-            rep.pcq = rep.spcq = "fails"
-        elif ker_trivial:  # Omega_2 is the singleton {-Y0 Y0^T / 2}, here {-U}
-            rep.pcq, rep.spcq = "holds", _tri(n == 0)
-        elif unconstrained:  # Omega_2 is the negative semidefinite cone
-            lam = np.linalg.eigvalsh(h.U)
-            rep.pcq = rep.spcq = _tri(lam[0] > tol.psd_abs * (1.0 + abs(lam[-1])))
-    elif ker_trivial:
-        C0 = 0.5 * pd.Y0 @ pd.Y0.T  # Omega_2 is the singleton {-C0}
-        if isinstance(h, Indicator):
-            S = h.set
-            if S.bounded:
-                rep.pcq = rep.spcq = "holds"
-            else:
-                ip = float(np.sum(S.D * C0))
-                thr = tol.feas_abs * (1.0 + np.linalg.norm(C0))
-                if ip < -thr:
-                    rep.pcq = rep.spcq = "holds"
-                elif ip > thr:
-                    rep.pcq = rep.spcq = "fails"
-        else:
-            s, exact = h.set.max_min_eig(C0, np.eye(n))
-            if s > tol.psd_abs:
-                rep.pcq = rep.spcq = "holds"
-            elif exact and s < -tol.psd_abs:
-                rep.pcq = rep.spcq = "fails"
-    elif unconstrained:
-        if isinstance(h, Indicator):
-            S = h.set
-            if psd_cap_nonempty(S, tol):
-                # bounded perturbation equivalence: pcq = spcq = bpcq here
-                rep.pcq = rep.spcq = rep.bpcq
-                rep.notes.append(
-                    "pcq/spcq matched to bpcq (indicator case with S meeting "
-                    "the PSD cone and no equality constraint)"
-                )
-            else:
-                rep.pcq = rep.spcq = "fails"
-        else:
-            S = h.set
-            if S.bounded:
-                s, exact = S.max_min_eig(zero, np.eye(n))
-                if s > tol.psd_abs:
-                    rep.pcq = rep.spcq = "holds"
-                elif not psd_cap_nonempty(S, tol):
-                    rep.pcq = rep.spcq = "fails"
-            else:
-                lam = np.linalg.eigvalsh(S.D)
-                rep.pcq = rep.spcq = _tri(lam[0] < -tol.psd_abs * (1 + abs(lam[-1])))
-    else:
-        if isinstance(h, Indicator) and h.set.bounded:
-            # dom h* is all of S^n, so the perturbation set has full interior
-            rep.pcq = rep.spcq = "holds"
+    # ---- PCQ / SPCQ: 0 in ri / int (Omega_2 + dom h*)
+    if xi_empty:  # -U in Omega_2 would be a point of Xi(A, B)
+        rep.pcq = rep.spcq = "fails"
+    elif ker_trivial:  # Omega_2 is the singleton {-C0}
+        ri, interior = conj_dom.interior_member(0.5 * pd.Y0 @ pd.Y0.T, tol)
+        rep.pcq, rep.spcq = _tri(ri), _tri(interior)
+    elif unconstrained and isinstance(h, Indicator):
+        # bounded perturbation equivalence: pcq = spcq = bpcq here
+        rep.pcq = rep.spcq = rep.bpcq
+        rep.notes.append("pcq/spcq matched to bpcq (indicator case with no equality constraint)")
+    elif unconstrained:  # Omega_2 is the negative semidefinite cone
+        rep.pcq = rep.spcq = _lambda_rule(*conj_dom.max_min_eig(zero, np.eye(n)), tol)
+    elif conj_dom.full:
+        rep.pcq = rep.spcq = "holds"
 
     # implication chain upgrades
     if rep.bpcq == "holds":
@@ -782,22 +651,14 @@ def _cq_report_impl(prob: InfProjProblem) -> CQReport:
     # ---- SCCQ: CCQ plus nonemptiness of Xi(A, B)
     if rep.ccq != "holds":
         rep.sccq = rep.ccq
-    elif isinstance(h, Linear):
+    elif lin is not None:
         rep.sccq = _tri(not xi_empty)
     else:
         # Y0 is the only point of {AY = B} when ker A = {0}; with A = 0,
-        # Y0 = 0 and a W in dom h* above YY^T/2 >= 0 lies above 0; otherwise
-        # xi_member's answer does not depend on Y
+        # Y0 = 0 lies in Xi(A, B) whenever some Y does (YY^T/2 >= 0)
         ans, status = xi_member(prob, pd.Y0)
-        rep.sccq = "holds" if status == "exact" and ans else "undecided"
+        decided = status == "exact" and (ans or ker_trivial or unconstrained)
+        rep.sccq = _tri(bool(ans) if decided else None)
         if rep.sccq == "undecided":
             rep.notes.append("sccq: Y0 = A^+ B is not a certified point of Xi(A, B)")
     return rep
-
-
-def _member_dom_support(S: ConvexSetSpec, V: np.ndarray, tol: Tolerances) -> bool:
-    """V in dom sigma_S."""
-    if S.bounded:
-        return True
-    D = S.D
-    return float(np.sum(D * V)) <= tol.feas_abs * (1.0 + np.linalg.norm(V))

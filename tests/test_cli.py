@@ -344,29 +344,38 @@ def test_entry_point_exit_codes(tmp_path):
 
 
 def test_undecided_exit_code(tmp_path, capsys):
-    # a hull with an indefinite vertex makes the report abstain
+    # sigma of hull{I, 0} with one equality row: PCQ and SCCQ stay undecided
     bundle = write(
         tmp_path,
         "b.json",
         json.dumps(
             {
-                "A": [[0.0, 0.0]],
-                "B": [[0.0]],
+                "A": [[1.0, 1.0, 0.0]],
+                "B": [[1.0]],
                 "h": {
-                    "kind": "indicator",
-                    "set": {
-                        "kind": "hull",
-                        "points": [
-                            [[1.0, 0.0], [0.0, -1.0]],
-                            [[0.0, 1.0], [1.0, 0.0]],
-                        ],
-                    },
+                    "kind": "support",
+                    "set": {"kind": "hull", "points": [np.eye(3).tolist(), np.zeros((3, 3)).tolist()]},
                 },
             }
         ),
     )
     code, rep = run(capsys, ["cq-report", "--bundle", bundle])
     assert code == 2
+    assert (rep["outputs"]["pcq"], rep["outputs"]["sccq"]) == ("undecided", "undecided")
+
+
+def test_hull_missing_the_psd_cone_fails_every_cq(tmp_path, capsys):
+    # lambda_min <= -1/sqrt(2) on the segment between the two points, so
+    # S meets no PSD matrix; the report used to abstain on this hull
+    hull = {"kind": "hull", "points": [[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]]}
+    bundle = write(
+        tmp_path,
+        "b.json",
+        json.dumps({"A": [[0.0, 0.0]], "B": [[0.0]], "h": {"kind": "indicator", "set": hull}}),
+    )
+    code, rep = run(capsys, ["cq-report", "--bundle", bundle])
+    assert code == 0
+    assert [rep["outputs"][k] for k in ("pcq", "spcq", "bpcq", "ccq", "sccq")] == ["fails"] * 5
 
 
 def test_conjugate_abstains_on_a_hull_without_psd_vertex(tmp_path, capsys):

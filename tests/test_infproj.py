@@ -31,6 +31,7 @@ from gmfkit.infproj import (
     subdiff_p_witness,
     xi_member,
 )
+from gmfkit.hset import project, support
 from gmfkit.numlin import DEFAULT_TOL, sv
 from gmfkit.selftest import _rand_set
 
@@ -841,11 +842,14 @@ def test_decided_dual_values_bound_p_on_the_ray_rows():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("with_row", [False, True], ids=["A=0", "one-row-A"])
 def test_decided_dual_values_bound_p_on_hulls(with_row):
+    # the gap reached 9.4e-3 (A = 0) and 3.9e-3 (one row) while the hull's
+    # projection fitted its weights with a heavily weighted row
     for h, X, a, b in _psd_hulls():
         pd = ProblemData(a, b) if with_row else unconstrained(*X.shape)
         p, d, gap, status = dual_gap(InfProjProblem(pd, h), X)
         assert status == "numeric"
         assert d <= p + DEFAULT_TOL.conj_rel * (1.0 + abs(p))
+        assert gap <= 1e-6
 
 
 def test_dual_gap_runs_the_descent_once(monkeypatch):
@@ -876,3 +880,106 @@ def test_dual_gap_is_the_fenchel_gap(case):
     _, fenchel_gap, conj_status = subdiff_p_witness(prob, X)
     assert (status, conj_status) == ("numeric", "exact")
     assert gap == pytest.approx(fenchel_gap, rel=1e-12, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# constraint qualifications read from dom h and dom h*
+
+
+def test_pcq_of_ray_support_without_constraint_needs_a_positive_definite_direction():
+    # 0 in int(pos{D} - PSD) needs D > 0; the report said "holds" whenever D
+    # had a negative eigenvalue, which is the CCQ rule
+    rep = cq_report(InfProjProblem(unconstrained(2, 1), Support(Ray(np.diag([1.0, -1.0])))))
+    assert (rep.pcq, rep.spcq) == ("fails", "fails")
+    rep = cq_report(InfProjProblem(unconstrained(2, 1), Support(Ray(np.diag([1.0, 2.0])))))
+    assert (rep.pcq, rep.spcq) == ("holds", "holds")
+
+
+def test_support_of_a_hull_missing_C0_with_trivial_kernel():
+    # A = I: Omega_2 = {-C0} with C0 = BB^T/2, which hull{2I, 3I} misses;
+    # the report said pcq = spcq = holds because 3I >= C0
+    pd = ProblemData(np.eye(2), np.array([[0.1], [0.2]]))
+    prob = InfProjProblem(pd, Support(Hull((2.0 * np.eye(2), 3.0 * np.eye(2)))))
+    rep = cq_report(prob)
+    assert (rep.pcq, rep.spcq, rep.sccq) == ("fails", "fails", "fails")
+    assert xi_member(prob, pd.Y0) == (False, "exact")
+    assert eval_p(prob, np.array([[1.0], [1.0]])).value == -np.inf
+
+
+def _criterion_13_reports(select):
+    """(problem, report) for the criterion-13 problems (seeds 0-4) that
+    select(problem) keeps."""
+    return [(p, cq_report(p)) for seed in range(5) for p in _criterion_13_problems(seed) if select(p)]
+
+
+def _int_KA_point_in_the_halfspace(D, N):
+    """Some V with N^T V N > 0 and <D, V> <= 0, from D and N alone."""
+    if N.shape[1] == 0:
+        return -D  # int K_A is all of S^n
+    P = N @ N.T
+    E = N.T @ D @ N
+    R = D - P @ D @ P  # N^T R N = 0 and <D, R> = |R|^2
+    if np.linalg.norm(R) > 1e-6:
+        return P - (max(np.trace(E), 0.0) / np.sum(R * R) + 1.0) * R
+    lam, Q = np.linalg.eigh(E)
+    if lam[0] >= 0.0:
+        assert not np.any(np.abs(E) > 1e-12)  # D = 0: every V qualifies
+        return P
+    q = N @ Q[:, :1]  # eps I + c q q^T on ker A, with eps tr E + c lam_0 < 0
+    return 1e-3 * P + (1e-3 * abs(np.trace(E)) + 1.0) / -lam[0] * q @ q.T
+
+
+def test_ccq_of_ray_support_has_an_explicit_interior_point():
+    rows = _criterion_13_reports(lambda p: isinstance(p.h, Support) and isinstance(p.h.set, Ray))
+    held = [(p, r) for p, r in rows if r.ccq == "holds"]
+    assert len(held) == 102 and all(r.ccq == "fails" for p, r in rows if r.ccq != "holds")
+    for prob, _ in held:
+        D, N = prob.h.set.D, prob.pd.N
+        V = _int_KA_point_in_the_halfspace(D, N)
+        assert N.shape[1] == 0 or np.linalg.eigvalsh(N.T @ V @ N)[0] >= 1e-4
+        assert np.sum(D * V) <= 1e-12 * (1.0 + np.linalg.norm(D) * np.linalg.norm(V))
+
+
+def test_sccq_failures_with_trivial_kernel_miss_dom_h_conj():
+    # Y0 is the only solution of AY = B, so SCCQ fails iff C0 = Y0 Y0^T/2
+    # lies outside dom h*; certify that by the support function alone
+    rows = _criterion_13_reports(lambda p: not isinstance(p.h, Linear) and p.pd.N.shape[1] == 0)
+    failed = [p for p, r in rows if r.sccq == "fails"]
+    assert len(failed) == 119
+    for prob in failed:
+        S = prob.h.set
+        C0 = 0.5 * prob.pd.Y0 @ prob.pd.Y0.T
+        if isinstance(prob.h, Indicator):  # dom h* = dom sigma_S
+            assert support(S, C0)[0] == np.inf
+            continue
+        G = C0 - project(S, C0)  # separates C0 from S = dom h*
+        assert support(S, G)[0] < np.sum(G * C0) - 1e-9
+
+
+def test_hull_relative_interior_verdicts_carry_positive_weights():
+    rows = _criterion_13_reports(
+        lambda p: isinstance(p.h, Support) and isinstance(p.h.set, Hull) and p.pd.N.shape[1] == 0
+    )
+    held = [p for p, r in rows if r.pcq == "holds"]
+    assert len(held) == 8
+    for prob in held:
+        S = prob.h.set
+        C0 = 0.5 * prob.pd.Y0 @ prob.pd.Y0.T
+        t, w = S.ri_weights(C0)
+        assert t > 0.0 and np.min(w) > 0.0 and abs(np.sum(w) - 1.0) <= 1e-9
+        assert np.linalg.norm(sum(wi * U for wi, U in zip(w, S.points)) - C0) <= 1e-8
+
+
+def test_hull_projection_is_euclidean():
+    # KKT: <V - P, U_i - P> <= 0 at every point; the weighted-row fit
+    # missed it by up to 0.085 on these draws
+    g = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(200):
+        n, k = int(g.integers(1, 4)), int(g.integers(1, 5))
+        pts = [M + M.T for M in g.standard_normal((k, n, n))]
+        R = g.standard_normal((n, n))
+        V = 2.0 * (R + R.T)
+        P = project(Hull(tuple(pts)), V)
+        worst = max(worst, max(float(np.sum((V - P) * (U - P))) for U in pts))
+    assert worst <= 1e-6

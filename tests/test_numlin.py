@@ -178,6 +178,7 @@ _SET_CLASSES = {
     "Hull",
     "Ray",
     "ShiftedPSDCap",
+    "Halfspace",
 }
 # where infproj may still test a set class: the closed-form path, the
 # per-variant descent starts and InfProjProblem's one rewrite of
@@ -214,6 +215,39 @@ def test_set_rules_do_not_dispatch_on_the_set_class():
     hits = _set_class_isinstance(src / "infproj.py")
     assert [(f, c) for f, c in hits if c not in _INFPROJ_ALLOWED.get(f, ())] == []
     assert len(hits) <= 5
+
+
+def _function_def(path, name):
+    return next(
+        fn for fn in ast.walk(ast.parse(path.read_text())) if isinstance(fn, ast.FunctionDef) and fn.name == name
+    )
+
+
+@pytest.mark.parametrize("name", ["cq_report", "xi_member"])
+def test_cq_rules_read_the_two_domains_only(name):
+    # every verdict is one rule over h.dom and h.conj_dom: no per-variant
+    # branch and no read of a ray's direction or boundedness
+    path = pathlib.Path(__file__).resolve().parents[1] / "src" / "gmfkit" / "infproj.py"
+    assert [c for f, c in _set_class_isinstance(path) if f == name] == []
+    fn = _function_def(path, name)
+    reads = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
+    assert not reads & {"D", "bounded"}
+
+
+def test_criterion_13_leaves_fewer_verdicts_undecided():
+    # seed 0 left 74/74/82/10/7 undecided (pcq/spcq/sccq/ccq/bpcq) when each
+    # CQ was written out per h kind and A shape
+    from test_infproj import _criterion_13_problems
+
+    from gmfkit.infproj import cq_report
+
+    counts = dict.fromkeys(("pcq", "spcq", "sccq", "ccq", "bpcq"), 0)
+    for prob in _criterion_13_problems(0):
+        rep = cq_report(prob)
+        for k in counts:
+            counts[k] += getattr(rep, k) == "undecided"
+    assert counts["ccq"] == counts["bpcq"] == 0
+    assert counts["pcq"] < 74 and counts["spcq"] < 74 and counts["sccq"] < 82
 
 
 def test_problem_objects_are_the_only_source_of_tolerances():
