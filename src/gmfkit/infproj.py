@@ -1,10 +1,10 @@
 """Infimal projection p(X) = inf_V phi(X, V) + h(V) and its calculus.
 
-Provides the primal evaluator (closed forms for spectral indicator sets,
-for indicator sets with a greatest element, for the support function and
-the indicator of a ray and for linear h at every A, where a certified
-descent ray or the exact value decides whether the lifted set Xi(A, B)
-is empty; projected subgradient descent otherwise),
+Provides the primal evaluator (closed forms for every h when ker A = {0},
+for the indicator and support function of spectral sets and of a ray,
+for indicator sets with a greatest element and for linear h at every A,
+where a certified ray or the exact value decides whether the lifted set
+Xi(A, B) is empty; projected subgradient descent otherwise),
 the conjugate p* through the lifted set Omega(A, B), the dual value
 <X, Y> - p*(Y) at the evaluator's own maximizer Y, Fenchel subgradient
 certificates, and the constraint-qualification report, where each verdict
@@ -29,6 +29,7 @@ from .hset import (
     Singleton,
     SpectralSet,
     Support,
+    h_conj,
     h_eval,
     project,
     psd_cap_support,
@@ -65,12 +66,12 @@ class InfProjEval:
     status is one of "finite", "infeasible" (value +inf), "unbounded"
     (value -inf).  V is the (approximate) inner minimizer, Y the
     maximizer of the underlying saddle, both None when not finite; V is
-    also None where the infimum need not be attained ("ray", and
-    "weighted_nuclear" unless A = 0 and the slope is positive definite).
-    When unbounded, unbounded_direction is a certified descent ray.
-    path names how the value was reached: "spectral", "loewner", "ray"
-    or "weighted_nuclear" (closed forms), "recession" (a certified ray),
-    all with iters = 0, or "descent", which never serves linear h.
+    also None where the infimum need not be attained (see the paths).
+    When unbounded, unbounded_direction is a descent ray, certified on
+    "recession", where it starts at V = 0 if ker A = {0}, else at I.
+    path names how the value was reached: "spectral", "loewner",
+    "conjugate", "ray" or "weighted_nuclear" (closed forms), "recession"
+    (a certified ray), all with iters = 0, or "descent" (no linear h).
     """
 
     value: float
@@ -200,43 +201,43 @@ def _water_fill(s: np.ndarray, cap: float, total: float) -> np.ndarray:
 
 
 def _spectral_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
-    """Exact p(X) for h = delta_S with S a spectral set and no equality
-    constraint.
+    """Exact p(X) for h = delta_S or sigma_S, S a spectral set, and A = 0.
 
     p then depends only on the singular values s of X = U diag(s) W^T
-    (Lewis's transfer principle): V = U diag(lam) U^T with lam from the
-    water-filling rule over the eigenvalues of S intersect PSD, and
-    Y = V^+ X = U diag(s / lam) W^T."""
+    (Lewis's transfer principle).  delta_S: V = U diag(lam) U^T with lam
+    water-filled over the eigenvalues of S intersect PSD, Y = V^+ X.
+    sigma_S: p = max over W in S of |(2W)^{1/2} X|_*, by von Neumann's
+    trace inequality sum s_i sqrt(2 mu_i) at mu = the water-filling of
+    s^2; Y = U diag(sqrt(2 mu)) W^T has YY^T/2 in S, and V =
+    U diag(s / sqrt(2 mu)) U^T attains p unless some s_i > 0 has mu_i = 0."""
     h = prob.h
-    if not (
-        isinstance(h, Indicator)
-        and isinstance(h.set, SpectralSet)
-        and _is_unconstrained(prob.pd)
-    ):
+    if isinstance(h, Linear) or not (isinstance(h.set, SpectralSet) and _is_unconstrained(prob.pd)):
         return None
     # S intersect PSD has eigenvalues in {0 <= lam_i <= cap, sum <= total};
     # a box with lo > 0 also bounds them below, which the all-cap
     # solution of a budget-free set meets
     cap, total = h.set.cap, h.set.total
-    if cap < 0.0:  # S misses the PSD cone
-        return InfProjEval(np.inf, status="infeasible", path="spectral")
     n = X.shape[0]
+    if cap < 0.0:  # S misses the PSD cone; sigma_S(tI) = t n cap
+        return _ray(np.eye(n)) if isinstance(h, Support) else InfProjEval(np.inf, status="infeasible", path="spectral")
     U, s, Wt = np.linalg.svd(X)
     k = s.size
     sn = np.zeros(n)
     sn[:k] = s
-    lam = _water_fill(sn, cap, total)
-    live = lam > 0.0
-    # the range condition rge X in rge V, with eval_gmf's slack
-    if np.linalg.norm(sn[~live]) > prob.tol.feas_abs * (1.0 + np.linalg.norm(s)):
-        return InfProjEval(np.inf, status="infeasible", path="spectral")
-    ratio = np.divide(sn, lam, out=np.zeros(n), where=live)
-    return InfProjEval(
-        0.5 * float(np.sum(sn * ratio)),
-        V=(U * lam) @ U.T,
-        Y=(U[:, :k] * ratio[:k]) @ Wt[:k],
-        path="spectral",
-    )
+    if isinstance(h, Support):  # y: Y's singular values, lam: V's eigenvalues
+        y = np.sqrt(2.0 * _water_fill(sn**2, cap, total))
+        lam = np.divide(sn, y, out=np.zeros(n), where=y > 0.0)
+        value, attained = float(sn @ y), not np.any(sn[y == 0.0])
+    else:
+        lam = _water_fill(sn, cap, total)
+        live = lam > 0.0
+        # the range condition rge X in rge V, with eval_gmf's slack
+        if np.linalg.norm(sn[~live]) > prob.tol.feas_abs * (1.0 + np.linalg.norm(s)):
+            return InfProjEval(np.inf, status="infeasible", path="spectral")
+        y = np.divide(sn, lam, out=np.zeros(n), where=live)
+        value, attained = 0.5 * float(np.sum(sn * y)), True
+    V = (U * lam) @ U.T if attained else None
+    return InfProjEval(value, V=V, Y=(U[:, :k] * y[:k]) @ Wt[:k], path="spectral")
 
 
 def _loewner_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
@@ -256,9 +257,38 @@ def _loewner_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
     return InfProjEval(ge.value, V=Vbar, Y=ge.witness_Y, path="loewner")
 
 
-def _linear_path(prob: InfProjProblem, X: np.ndarray, with_V: bool = True) -> InfProjEval | None:
-    """Exact p(X) for linear h = <U, .> at every A: a certified ray, or the
-    value with its maximizer Y, a point of Xi(A, B) (derived in the README).
+def _slope(prob: InfProjProblem) -> np.ndarray | None:
+    """The U at which _linear_path gives p: linear h's own, and at A = 0
+    for h = sigma_S the greatest element U of S, as sigma_S = <U, .> on
+    dom phi(X, .) (PSD).  None elsewhere and at ker A = {0} (see eval_p)."""
+    h, pd = prob.h, prob.pd
+    if isinstance(h, Linear) and not _ker_trivial(pd):
+        return h.U
+    return h.conj_dom.loewner_max() if isinstance(h, Support) and _is_unconstrained(pd) else None
+
+
+def _conjugate_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
+    """Exact p(X) = <X, Y0> - h*(C0), C0 = Y0 Y0^T/2, for every h when
+    ker A = {0}, where phi(X, V) = <X, Y0> - <C0, V> (see the README):
+    attained at Y0 and V = argmax <C0, V> - h(V) if h*(C0) is finite,
+    else -inf along V = td from 0, d = C0 - proj(C0) onto dom h*, once
+    the slope h(d) - <C0, d> is below -feas_abs |d|; None otherwise."""
+    pd, h, tol = prob.pd, prob.h, prob.tol
+    if not _ker_trivial(pd):
+        return None
+    C0 = sym(0.5 * pd.Y0 @ pd.Y0.T, tol)
+    conj = h_conj(h, C0, tol)
+    if np.isfinite(conj):
+        V = support(h.set, C0, tol)[1] if isinstance(h, Indicator) else np.zeros_like(C0)
+        return InfProjEval(float(np.sum(X * pd.Y0)) - conj, V=V, Y=pd.Y0, path="conjugate")
+    d = C0 - project(h.conj_dom, C0, tol)
+    return _ray(d) if h_eval(h, d, tol) - float(np.sum(C0 * d)) < -tol.feas_abs * np.linalg.norm(d) else None
+
+
+def _linear_path(prob: InfProjProblem, X: np.ndarray, U: np.ndarray, with_V: bool = True) -> InfProjEval:
+    """Exact p(X) for linear h = <U, .>, ker A != {0}, and for the h that
+    _slope reduces to it: a certified ray, or the value with its
+    maximizer Y, a point of Xi(A, B) (derived in the README).
 
     With Q = I - P, R = P U (Q - Y0 Y0^+), K = N^T U (Y0^+)^T, Pi = Y0^+ Y0
     and M = N^T U N - 2 K K^T: p = -inf along V = I + tD for
@@ -269,10 +299,8 @@ def _linear_path(prob: InfProjProblem, X: np.ndarray, with_V: bool = True) -> In
     Y = Y0 + N (2K + L Qs Ws^T (I - Pi)).  V is returned only for A = 0
     (K = 0, M = U) and U > 0, where the infimum is attained, and only
     with_V (the dual needs Y alone)."""
-    h, pd, tol = prob.h, prob.pd, prob.tol
-    if not isinstance(h, Linear):
-        return None
-    U, N, Y0 = h.U, pd.N, pd.Y0
+    pd, tol = prob.pd, prob.tol
+    N, Y0 = pd.N, pd.Y0
     free = _is_unconstrained(pd)  # N = I and Y0 = 0: K = 0, M = U
     if not free:
         Q = np.eye(pd.n) - pd.P
@@ -281,8 +309,6 @@ def _linear_path(prob: InfProjProblem, X: np.ndarray, with_V: bool = True) -> In
         D = -(Q @ (U - 0.5 * Y0 @ Y0.T) @ Q + R + R.T)
         if np.linalg.norm(D) > tol.feas_abs * (1.0 + np.linalg.norm(U) + 0.5 * np.linalg.norm(Y0) ** 2):
             return _ray(D)
-        if _ker_trivial(pd):
-            return InfProjEval(float(np.sum(X * Y0)), Y=Y0, path="weighted_nuclear")
         K = N.T @ U @ Y0_pinv.T
         off_Y0 = np.eye(pd.m) - Y0_pinv @ Y0
     mu, E = np.linalg.eigh(U if free else N.T @ U @ N - 2.0 * K @ K.T)
@@ -341,22 +367,23 @@ def eval_p(
 ) -> InfProjEval:
     """Evaluate p(X) = inf_V phi(X, V) + h(V).
 
-    Four cases have closed forms.  Without an equality constraint: h the
-    indicator of a spectral box, trace ball or Fantope ("spectral"), and
-    h the support function of a ray ("ray").  For every A: h the
-    indicator of a set with a greatest element in the Loewner order
-    ("loewner"), and linear h, which is either unbounded below along a
-    certified ray ("recession") or finite with its maximizer
-    ("weighted_nuclear"; see _linear_path).  Every other case runs
-    projected subgradient descent (see _descent)."""
+    Closed forms: at A = 0, h = delta_S or sigma_S for a spectral box,
+    trace ball or Fantope ("spectral") and for a ray ("ray"); at every A,
+    h = delta_S for S with a greatest element V in the Loewner order
+    ("loewner"); at ker A = {0}, every h ("conjugate"); and linear h at
+    every other A, or sigma_S at A = 0 for S with such a V
+    ("weighted_nuclear", see _slope).  p = -inf comes with a certified
+    ray ("recession").  Every other case runs projected subgradient
+    descent (see _descent)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape != (prob.pd.n, prob.pd.m):
         raise ValueError(f"X must be {prob.pd.n}x{prob.pd.m}, got {X.shape}")
-    for path in (_spectral_path, _loewner_path, _linear_path, _ray_path):
+    for path in (_spectral_path, _loewner_path, _conjugate_path, _ray_path):
         out = path(prob, X)
         if out is not None:
             return out
-    return _descent(prob, X, max_iter, seed)
+    U = _slope(prob)
+    return _descent(prob, X, max_iter, seed) if U is None else _linear_path(prob, X, U)
 
 
 def _descent(prob: InfProjProblem, X: np.ndarray, max_iter: int, seed: int) -> InfProjEval:
@@ -534,20 +561,22 @@ def eval_p_conj(prob: InfProjProblem, Y: np.ndarray):
 def dual_value(prob: InfProjProblem, X: np.ndarray):
     """sup_Y <X, Y> - p*(Y), read at the maximizer Y that eval_p returns.
 
-    Returns (value, Y, status).  For linear h, p* is the indicator of
-    Xi(A, B) and _linear_path's Y maximizes over it: the value is
-    "exact", p(X) itself, or -inf (Y None) when a ray proves Xi(A, B)
-    empty.  For every other h the value is <X, Y> - p*(Y) with p* from
-    eval_p_conj, "numeric" when p*(Y) is exact and finite: a certified
-    lower bound on p(X), equal to it wherever Y is optimal.  Every other
-    case (no Y, p*(Y) undecided or +inf) is "undecided"."""
+    Returns (value, Y, status).  A certified ray ("recession") makes p*
+    identically +inf, so the value is -inf (Y None), "exact", for every
+    h.  For linear h, p* is the indicator of Xi(A, B) and the closed
+    forms' Y maximizes over it: the value is "exact", p(X) itself.  For
+    every other h the value is <X, Y> - p*(Y) with p* from eval_p_conj,
+    "numeric" when p*(Y) is exact and finite: a certified lower bound on
+    p(X), equal to it wherever Y is optimal.  Every other case (no Y,
+    p*(Y) undecided or +inf) is "undecided"."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return _dual_at(prob, X, _linear_path(prob, X, with_V=False) or eval_p(prob, X))
+    U = _slope(prob)
+    return _dual_at(prob, X, eval_p(prob, X) if U is None else _linear_path(prob, X, U, with_V=False))
 
 
 def _dual_at(prob: InfProjProblem, X: np.ndarray, pe: InfProjEval):
     """The dual objective at pe's Y (see dual_value)."""
-    if isinstance(prob.h, Linear):
+    if isinstance(prob.h, Linear) or pe.path == "recession":
         return pe.value, pe.Y, "exact"
     if pe.Y is None:
         return np.nan, None, "undecided"
@@ -611,8 +640,9 @@ def cq_report(prob: InfProjProblem) -> CQReport:
     unconstrained = _is_unconstrained(pd)
     ker_trivial = _ker_trivial(pd)
     dom, conj_dom = h.dom, h.conj_dom
-    # for linear h, Xi(A, B) is empty exactly when _linear_path finds a ray
-    lin = _linear_path(prob, np.zeros((n, pd.m)), with_V=False)
+    # where _linear_path applies, Xi(A, B) is empty exactly when it finds a ray
+    U = _slope(prob)
+    lin = None if U is None else _linear_path(prob, np.zeros((n, pd.m)), U, with_V=False)
     xi_empty = lin is not None and lin.status == "unbounded"
 
     # ---- CCQ: dom h meets int K_A

@@ -20,7 +20,7 @@ from gmfkit.cli import (
     parse_bundle,
     parse_matrix,
 )
-from gmfkit.hset import Indicator, Linear
+from gmfkit.hset import Indicator, Linear, hspec_to_json
 from gmfkit.smooth import FitSpec, solve_prox_reference
 
 
@@ -440,3 +440,20 @@ def test_dual_gap_is_decided_for_linear_h_with_an_equality_constraint(tmp_path, 
     out = rep["outputs"]
     assert (code, out["status"], out["gap"]) == (0, "exact", 0)
     assert float(out["primal"]) == float(out["dual"]) == pytest.approx(p)
+
+
+def test_support_h_with_trivial_kernel_reports_its_ray(tmp_path, capsys):
+    # criterion 13, seed 0, #337: C0 = Y0 Y0^T / 2 lies outside S, so
+    # p = -inf; eval-p said "finite" after one descent step and dual-gap
+    # exited 2
+    from test_infproj import _criterion_13_row
+
+    prob, X = _criterion_13_row(0, 337)
+    doc = {"A": prob.pd.A.tolist(), "B": prob.pd.B.tolist(), "h": hspec_to_json(prob.h)}
+    bundle = write(tmp_path, "b.json", json.dumps(doc))
+    x = write(tmp_path, "x.csv", "\n".join(",".join(repr(float(v)) for v in row) for row in X))
+    code, rep = run(capsys, ["eval-p", "--bundle", bundle, "--X", x])
+    assert (code, rep["outputs"]["status"], rep["outputs"]["path"]) == (0, "unbounded", "recession")
+    assert "unbounded_direction" in rep["outputs"]
+    code, rep = run(capsys, ["dual-gap", "--bundle", bundle, "--X", x])
+    assert (code, rep["outputs"]["status"]) == (0, "exact")

@@ -31,7 +31,7 @@ from gmfkit.infproj import (
     subdiff_p_witness,
     xi_member,
 )
-from gmfkit.hset import project, support
+from gmfkit.hset import h_eval, project, support
 from gmfkit.numlin import DEFAULT_TOL, sv
 from gmfkit.selftest import _rand_set
 
@@ -253,6 +253,15 @@ def test_spectral_closed_forms():
     ball = eval_p(InfProjProblem(pd, Indicator(TraceBall(2.0, 3))), X).value
     assert box == pytest.approx(0.5 * np.sum(s**2), rel=1e-14)
     assert ball == pytest.approx(np.sum(s) ** 2 / 4.0, rel=1e-14)
+    # sigma_S: sqrt(2 hi) |X|_* for a box, sqrt(2 r) |X|_F for a trace ball,
+    # and the Fantope with k = 1, whose cap never binds, as the unit ball
+    for S, want in [
+        (SpectralBox(-0.5, 2.0, 3), 2.0 * np.sum(s)),
+        (TraceBall(2.0, 3), 2.0 * np.linalg.norm(s)),
+        (Fantope(1, 3), np.sqrt(2.0) * np.linalg.norm(s)),
+    ]:
+        pe = eval_p(InfProjProblem(pd, Support(S)), X)
+        assert (pe.path, pe.value) == ("spectral", pytest.approx(want, rel=1e-14))
 
 
 def test_spectral_infeasible_cases():
@@ -266,6 +275,10 @@ def test_spectral_infeasible_cases():
     assert eval_p(InfProjProblem(pd, Indicator(TraceBall(0.0, 2))), zero).value == 0.0
     empty = eval_p(InfProjProblem(pd, Indicator(SpectralBox(-2.0, -1.0, 2))), zero)
     assert empty.status == "infeasible"
+    # sigma_S of that box falls without bound along V = tI: sigma_S(tI) = -2t
+    pe = eval_p(InfProjProblem(pd, Support(SpectralBox(-2.0, -1.0, 2))), X)
+    assert (pe.status, pe.path) == ("unbounded", "recession")
+    assert pe.unbounded_direction == pytest.approx(np.eye(2) / np.sqrt(2.0))
 
 
 def test_spectral_path_rejects_wrong_shape():
@@ -516,13 +529,14 @@ def test_linear_h_with_an_equality_constraint_is_unbounded():
 
 
 def test_recession_test_falls_through_when_the_slope_vanishes():
-    # ker A = {0} and U = Y0 Y0^T / 2: the objective is <X, Y0> for every V
+    # ker A = {0} and U = Y0 Y0^T / 2: the objective is <X, Y0> for every V,
+    # and h*(C0) = 0 (the rule every h takes at ker A = {0})
     A = np.array([[1.0, 1.0], [0.0, 1.0]])
     Y0 = np.array([[1.0], [2.0]])
     prob = InfProjProblem(ProblemData(A, A @ Y0), Linear(0.5 * Y0 @ Y0.T))
     X = np.array([[0.5], [-1.0]])
     pe = eval_p(prob, X)
-    assert (pe.status, pe.path) == ("finite", "weighted_nuclear")
+    assert (pe.status, pe.path) == ("finite", "conjugate")
     assert pe.value == pytest.approx(float(np.sum(X * Y0)), abs=1e-9)
     # A = [1, 0], B = 1, U = [[1/2, 1], [1, 2]]: V12 = x2 - 2 V22 gives
     # p = x1 + 2 x2 for every V22 > 0, and N^T U N - 2 K K^T = 0 is PSD
@@ -597,8 +611,8 @@ def test_p_is_nonnegative_without_equality_constraint(seed, kind):
         h = Support(S)
     X = g.standard_normal((n, m))
     # the descent reports the objective at a point of dom h, so the bound
-    # holds at every iterate; a short budget keeps the ray draws, which
-    # never stop early, from running all 4000 iterations
+    # holds at every iterate; hull draws are the only ones left on the
+    # descent, and a short budget keeps them to a quarter of the time
     pe = eval_p(InfProjProblem(unconstrained(n, m), h), X, max_iter=200)
     assert pe.status in ("finite", "infeasible")
     assert pe.value >= -1e-12 * (1.0 + float(np.sum(X * X)))
@@ -983,3 +997,103 @@ def test_hull_projection_is_euclidean():
         P = project(Hull(tuple(pts)), V)
         worst = max(worst, max(float(np.sum((V - P) * (U - P))) for U in pts))
     assert worst <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# every h at ker A = {0}, and support h at A = 0: closed forms, no descent
+
+
+def _criterion_13_row(seed, index):
+    """Problem `index` of selftest.criterion_13(seed) with its X."""
+    prob = _criterion_13_draw(seed, index)
+    return prob, np.random.default_rng([seed, index]).standard_normal((prob.pd.n, prob.pd.m))
+
+
+def _values_along_the_ray(prob, X, d, steps=(1.0, 10.0, 1e2, 1e4)):
+    """phi(X, td) + h(td) for each t: the rays of the ker A = {0} rule
+    start at V = 0."""
+    return [eval_gmf(prob.pd, X, t * d).value + h_eval(prob.h, t * d) for t in steps]
+
+
+@pytest.mark.parametrize("seed,index", [(0, 161), (0, 337), (2, 274), (2, 461), (3, 174), (3, 403)])
+def test_support_h_with_trivial_kernel_is_unbounded_when_C0_misses_S(seed, index):
+    # C0 = Y0 Y0^T / 2 lies 0.0014-1.47 from S, so h*(C0) = +inf and
+    # p = -inf; the descent reported "finite" (-7.6e6 after 4000 steps on
+    # 3 #403, <X, Y0> after one step on 0 #337) and dual_gap "undecided"
+    prob, X = _criterion_13_row(seed, index)
+    assert isinstance(prob.h, Support) and prob.pd.N.shape[1] == 0
+    pe = eval_p(prob, X)
+    assert (pe.status, pe.path, pe.iters) == ("unbounded", "recession", 0)
+    vals = _values_along_the_ray(prob, X, pe.unbounded_direction)
+    assert all(b < a for a, b in zip(vals, vals[1:]))
+    assert dual_gap(prob, X) == (-np.inf, -np.inf, 0.0, "exact")
+
+
+@pytest.mark.parametrize(
+    "seed,index,path,p",
+    [(0, 234, "weighted_nuclear", 0.817035), (3, 345, "weighted_nuclear", 1.976113), (4, 465, "spectral", 2.000349)],
+)
+def test_support_h_without_equality_constraint_takes_a_closed_form(seed, index, path, p):
+    # two shifted PSD caps (greatest element U) and a trace ball: the
+    # descent stopped at 2.74055, 3.87909 and 2.38029, with dual_gap
+    # "undecided" on the first two and a gap of 1.29 on the third
+    prob, X = _criterion_13_row(seed, index)
+    assert isinstance(prob.h, Support) and not np.any(prob.pd.A)
+    assert eval_p(prob, X).path == path
+    value, _, gap, status = dual_gap(prob, X)
+    assert value == pytest.approx(p, abs=1e-6)
+    assert status == "numeric" and abs(gap) <= 1e-9 * (1.0 + abs(value))
+
+
+def _two_regime_rows(seed):
+    """The criterion-13 rows (with X) that the closed forms serve in full:
+    ker A = {0} for every h, and support h of a bounded set other than a
+    hull at A = 0."""
+    rows = []
+    for i, prob in enumerate(_criterion_13_problems(seed)):
+        h, pd = prob.h, prob.pd
+        free_support = (
+            isinstance(h, Support)
+            and isinstance(h.set, (ShiftedPSDCap, SpectralBox, TraceBall, Fantope))
+            and not np.any(pd.A)
+        )
+        if pd.N.shape[1] == 0 or free_support:
+            rows.append((prob, np.random.default_rng([seed, i]).standard_normal((pd.n, pd.m))))
+    return rows
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_closed_forms_certify_every_row_of_the_two_regimes(monkeypatch):
+    import gmfkit.infproj
+
+    descent = gmfkit.infproj._descent
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closed-form row reached the descent")
+
+    monkeypatch.setattr(gmfkit.infproj, "_descent", refuse)
+    rows = _two_regime_rows(0)
+    assert len(rows) == 147
+    tol = DEFAULT_TOL.conj_rel
+    oracle_runs = {}
+    for prob, X in rows:
+        pe = eval_p(prob, X)
+        assert pe.path != "descent"
+        if pe.status == "unbounded":
+            vals = _values_along_the_ray(prob, X, pe.unbounded_direction)
+            assert all(b < a for a, b in zip(vals, vals[1:]))
+            continue
+        p = pe.value
+        assert pe.status == "finite"
+        pstar, status = eval_p_conj(prob, pe.Y)
+        assert status == "exact"
+        assert abs(float(np.sum(X * pe.Y)) - pstar - p) <= tol * (1.0 + abs(p))
+        if pe.V is not None:
+            attained = eval_gmf(prob.pd, X, pe.V).value + h_eval(prob.h, pe.V)
+            assert abs(attained - p) <= tol * (1.0 + abs(p))
+        # the descent reports objective values, so it never lies below p
+        family = (prob.h.kind, prob.pd.N.shape[1] == 0, getattr(prob.h, "set", None).__class__)
+        if oracle_runs.setdefault(family, 0) < 2:
+            oracle_runs[family] += 1
+            assert descent(prob, X, 4000, 0).value >= p - 1e-12 * (1.0 + abs(p))
+    assert len(oracle_runs) >= 10
