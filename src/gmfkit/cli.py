@@ -222,6 +222,7 @@ def _cmd_eval_p(args, tol, bundle):
         out["V"] = pe.V
     if pe.unbounded_direction is not None:
         out["unbounded_direction"] = pe.unbounded_direction
+        out["unbounded_base"] = pe.unbounded_base
     return out, 0, [args.bundle, args.X]
 
 

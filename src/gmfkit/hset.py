@@ -261,7 +261,7 @@ class TraceBall(SpectralSet):
     total = property(lambda self: self.r)
 
     def __post_init__(self):
-        if self.r < 0:
+        if not self.r >= 0:  # NaN included
             raise ValueError("trace ball radius must be nonnegative")
 
 
@@ -592,8 +592,10 @@ class Halfspace(ConvexSetSpec):
 
     def ka_bounded(self, pd):
         # K_A holds a line unless A = 0; <D, V> <= 0 meets PSD in {0} iff D > 0
+        if self.full or pd.N.shape[1] != pd.n:
+            return False
         lam = np.linalg.eigvalsh(self.D)
-        return pd.N.shape[1] == pd.n and lam[0] > pd.tol.psd_abs * (1.0 + abs(lam[-1]))
+        return lam[0] > pd.tol.psd_abs * (1.0 + abs(lam[-1]))
 
     def interior_member(self, C, tol):
         if self.full:

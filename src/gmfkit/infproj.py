@@ -13,6 +13,7 @@ is one rule over the two sets dom h and dom h* (h.dom, h.conj_dom).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,16 +44,21 @@ _UNBOUNDED_CUTOFF = -1.0e7
 @dataclass(frozen=True)
 class InfProjProblem:
     """Data (A, B) plus the perturbation h acting on V; the tolerances
-    are pd's.  h = sigma_{U} is stored as the linear h = <U, .> it is."""
+    are pd's.  h = sigma_{U} is stored as the linear h = <U, .> it is.
+    Where _linear_path gives p, the half of it that does not depend on X
+    (a certified ray, or the factors of the slope) is computed here once
+    and kept, as ProblemData keeps P, N and Y0."""
 
     pd: ProblemData
     h: HSpec
+    _linear: InfProjEval | tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.h.n != self.pd.n:
             raise ValueError("h must act on n x n symmetric matrices")
         if isinstance(self.h, Support) and isinstance(self.h.set, Singleton):
             object.__setattr__(self, "h", Linear(self.h.set.U))
+        object.__setattr__(self, "_linear", _linear_factors(self))
 
     @property
     def tol(self) -> Tolerances:
@@ -67,8 +73,9 @@ class InfProjEval:
     (value -inf).  V is the (approximate) inner minimizer, Y the
     maximizer of the underlying saddle, both None when not finite; V is
     also None where the infimum need not be attained (see the paths).
-    When unbounded, unbounded_direction is a descent ray, certified on
-    "recession", where it starts at V = 0 if ker A = {0}, else at I.
+    When unbounded, unbounded_direction is a descent ray from the point
+    unbounded_base, certified on "recession" (V = 0 on the "conjugate"
+    rule's rays, I on the slope's and the spectral box's).
     path names how the value was reached: "spectral", "loewner",
     "conjugate", "ray" or "weighted_nuclear" (closed forms), "recession"
     (a certified ray), all with iters = 0, or "descent" (no linear h).
@@ -81,6 +88,7 @@ class InfProjEval:
     iters: int = 0
     unbounded_direction: np.ndarray | None = None
     path: str = "descent"
+    unbounded_base: np.ndarray | None = None
 
 
 @dataclass
@@ -219,7 +227,7 @@ def _spectral_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
     cap, total = h.set.cap, h.set.total
     n = X.shape[0]
     if cap < 0.0:  # S misses the PSD cone; sigma_S(tI) = t n cap
-        return _ray(np.eye(n)) if isinstance(h, Support) else InfProjEval(np.inf, status="infeasible", path="spectral")
+        return _ray(np.eye(n), np.eye(n)) if isinstance(h, Support) else InfProjEval(np.inf, status="infeasible", path="spectral")
     U, s, Wt = np.linalg.svd(X)
     k = s.size
     sn = np.zeros(n)
@@ -257,16 +265,6 @@ def _loewner_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
     return InfProjEval(ge.value, V=Vbar, Y=ge.witness_Y, path="loewner")
 
 
-def _slope(prob: InfProjProblem) -> np.ndarray | None:
-    """The U at which _linear_path gives p: linear h's own, and at A = 0
-    for h = sigma_S the greatest element U of S, as sigma_S = <U, .> on
-    dom phi(X, .) (PSD).  None elsewhere and at ker A = {0} (see eval_p)."""
-    h, pd = prob.h, prob.pd
-    if isinstance(h, Linear) and not _ker_trivial(pd):
-        return h.U
-    return h.conj_dom.loewner_max() if isinstance(h, Support) and _is_unconstrained(pd) else None
-
-
 def _conjugate_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
     """Exact p(X) = <X, Y0> - h*(C0), C0 = Y0 Y0^T/2, for every h when
     ker A = {0}, where phi(X, V) = <X, Y0> - <C0, V> (see the README):
@@ -282,13 +280,50 @@ def _conjugate_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
         V = support(h.set, C0, tol)[1] if isinstance(h, Indicator) else np.zeros_like(C0)
         return InfProjEval(float(np.sum(X * pd.Y0)) - conj, V=V, Y=pd.Y0, path="conjugate")
     d = C0 - project(h.conj_dom, C0, tol)
-    return _ray(d) if h_eval(h, d, tol) - float(np.sum(C0 * d)) < -tol.feas_abs * np.linalg.norm(d) else None
+    return _ray(d, np.zeros_like(d)) if h_eval(h, d, tol) - float(np.sum(C0 * d)) < -tol.feas_abs * np.linalg.norm(d) else None
 
 
-def _linear_path(prob: InfProjProblem, X: np.ndarray, U: np.ndarray, with_V: bool = True) -> InfProjEval:
+def _linear_factors(prob: InfProjProblem) -> InfProjEval | tuple | None:
+    """The half of _linear_path that does not depend on X, for its slope
+    U: linear h's own, and at A = 0 for h = sigma_S the greatest element
+    U of S, as sigma_S = <U, .> on dom phi(X, .) (PSD).  None without
+    such a U and at ker A = {0} (see eval_p); else the certified ray
+    (both rays are independent of X), or (L, K, off_Y0, roots) with K and
+    off_Y0 None at A = 0, where roots = (E / sqrt(mu), E) when U > 0."""
+    h, pd, tol = prob.h, prob.pd, prob.tol
+    free = _is_unconstrained(pd)  # N = I and Y0 = 0: K = 0, M = U
+    U = h.U if isinstance(h, Linear) and not _ker_trivial(pd) else None
+    if isinstance(h, Support) and free:
+        U = h.conj_dom.loewner_max()
+    if U is None:
+        return None
+    N, Y0 = pd.N, pd.Y0
+    K = off_Y0 = None
+    if not free:
+        Q = np.eye(pd.n) - pd.P
+        Y0_pinv = np.linalg.pinv(Y0, rcond=tol.rank_rel)
+        R = pd.P @ U @ (Q - Y0 @ Y0_pinv)
+        D = -(Q @ (U - 0.5 * Y0 @ Y0.T) @ Q + R + R.T)
+        if np.linalg.norm(D) > tol.feas_abs * (1.0 + np.linalg.norm(U) + 0.5 * np.linalg.norm(Y0) ** 2):
+            return _ray(D, np.eye(pd.n))
+        K = N.T @ U @ Y0_pinv.T
+        off_Y0 = np.eye(pd.m) - Y0_pinv @ Y0
+    mu, E = np.linalg.eigh(U if free else N.T @ U @ N - 2.0 * K @ K.T)
+    floor = tol.psd_abs * (1.0 + max(abs(mu[0]), abs(mu[-1])))
+    if mu[0] < -floor:
+        v = N @ E[:, :1]
+        W = np.zeros_like(U) if free else -2.0 * v @ (E[:, :1].T @ K) @ Y0_pinv
+        return _ray(v @ v.T + W + W.T, np.eye(pd.n))
+    lam = mu if mu[0] > floor else np.where(mu > floor, mu, 0.0)  # 0 inside the floor
+    L = (E * np.sqrt(2.0 * lam)) @ E.T
+    return L, K, off_Y0, ((E / np.sqrt(mu), E) if free and mu[0] > floor else None)
+
+
+def _linear_path(prob: InfProjProblem, X: np.ndarray, with_V: bool = True) -> InfProjEval:
     """Exact p(X) for linear h = <U, .>, ker A != {0}, and for the h that
-    _slope reduces to it: a certified ray, or the value with its
-    maximizer Y, a point of Xi(A, B) (derived in the README).
+    _linear_factors reduces to it: a certified ray, or the value with its
+    maximizer Y, a point of Xi(A, B) (derived in the README).  One SVD per
+    X; everything else comes from prob's factors.
 
     With Q = I - P, R = P U (Q - Y0 Y0^+), K = N^T U (Y0^+)^T, Pi = Y0^+ Y0
     and M = N^T U N - 2 K K^T: p = -inf along V = I + tD for
@@ -299,39 +334,25 @@ def _linear_path(prob: InfProjProblem, X: np.ndarray, U: np.ndarray, with_V: boo
     Y = Y0 + N (2K + L Qs Ws^T (I - Pi)).  V is returned only for A = 0
     (K = 0, M = U) and U > 0, where the infimum is attained, and only
     with_V (the dual needs Y alone)."""
-    pd, tol = prob.pd, prob.tol
-    N, Y0 = pd.N, pd.Y0
-    free = _is_unconstrained(pd)  # N = I and Y0 = 0: K = 0, M = U
-    if not free:
-        Q = np.eye(pd.n) - pd.P
-        Y0_pinv = np.linalg.pinv(Y0, rcond=tol.rank_rel)
-        R = pd.P @ U @ (Q - Y0 @ Y0_pinv)
-        D = -(Q @ (U - 0.5 * Y0 @ Y0.T) @ Q + R + R.T)
-        if np.linalg.norm(D) > tol.feas_abs * (1.0 + np.linalg.norm(U) + 0.5 * np.linalg.norm(Y0) ** 2):
-            return _ray(D)
-        K = N.T @ U @ Y0_pinv.T
-        off_Y0 = np.eye(pd.m) - Y0_pinv @ Y0
-    mu, E = np.linalg.eigh(U if free else N.T @ U @ N - 2.0 * K @ K.T)
-    floor = tol.psd_abs * (1.0 + max(abs(mu[0]), abs(mu[-1])))
-    if mu[0] < -floor:
-        v = N @ E[:, :1]
-        W = np.zeros_like(U) if free else -2.0 * v @ (E[:, :1].T @ K) @ Y0_pinv
-        return _ray(v @ v.T + W + W.T)
-    lam = mu if mu[0] > floor else np.where(mu > floor, mu, 0.0)  # 0 inside the floor
-    L = (E * np.sqrt(2.0 * lam)) @ E.T
-    Qs, s, Wt = np.linalg.svd(L @ (X if free else N.T @ X @ off_Y0), full_matrices=False)
-    if free:
-        Rinv_Q = (E / np.sqrt(mu)) @ (E.T @ Qs) if with_V and mu[0] > floor else None
-        V = None if Rinv_Q is None else sym((Rinv_Q * (0.5 * s)) @ Rinv_Q.T)
-        return InfProjEval(float(s.sum()), V=V, Y=L @ Qs @ Wt, path="weighted_nuclear")
+    if not isinstance(prob._linear, tuple):  # the ray, copied so no caller can alter prob's
+        return copy.deepcopy(prob._linear)
+    L, K, off_Y0, roots = prob._linear
+    N, Y0 = prob.pd.N, prob.pd.Y0
+    Qs, s, Wt = np.linalg.svd(L @ (X if K is None else N.T @ X @ off_Y0), full_matrices=False)
+    if K is None:
+        Rinv_Q = roots[0] @ (roots[1].T @ Qs) if with_V and roots is not None else None
+        W = None if Rinv_Q is None else (Rinv_Q * (0.5 * s)) @ Rinv_Q.T  # symmetric by construction
+        return InfProjEval(float(s.sum()), V=None if W is None else 0.5 * (W + W.T), Y=L @ Qs @ Wt, path="weighted_nuclear")
     value = float(np.sum(X * Y0)) + 2.0 * float(np.sum(K * (N.T @ X))) + float(s.sum())
     # off_Y0 keeps singular vectors of rounding-level singular values off rge Y0^T
     Y = Y0 + N @ (2.0 * K + L @ Qs @ Wt @ off_Y0)
     return InfProjEval(value, Y=Y, path="weighted_nuclear")
 
 
-def _ray(D: np.ndarray) -> InfProjEval:
-    return InfProjEval(-np.inf, status="unbounded", unbounded_direction=D / np.linalg.norm(D), path="recession")
+def _ray(D: np.ndarray, base: np.ndarray) -> InfProjEval:
+    return InfProjEval(
+        -np.inf, status="unbounded", unbounded_direction=D / np.linalg.norm(D), path="recession", unbounded_base=base
+    )
 
 
 def _ray_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
@@ -372,7 +393,7 @@ def eval_p(
     h = delta_S for S with a greatest element V in the Loewner order
     ("loewner"); at ker A = {0}, every h ("conjugate"); and linear h at
     every other A, or sigma_S at A = 0 for S with such a V
-    ("weighted_nuclear", see _slope).  p = -inf comes with a certified
+    ("weighted_nuclear", see _linear_factors).  p = -inf comes with a certified
     ray ("recession").  Every other case runs projected subgradient
     descent (see _descent)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -382,8 +403,7 @@ def eval_p(
         out = path(prob, X)
         if out is not None:
             return out
-    U = _slope(prob)
-    return _descent(prob, X, max_iter, seed) if U is None else _linear_path(prob, X, U)
+    return _descent(prob, X, max_iter, seed) if prob._linear is None else _linear_path(prob, X)
 
 
 def _descent(prob: InfProjProblem, X: np.ndarray, max_iter: int, seed: int) -> InfProjEval:
@@ -452,7 +472,7 @@ def _descent(prob: InfProjProblem, X: np.ndarray, max_iter: int, seed: int) -> I
             if not all(b < a for a, b in zip(vals, vals[1:])):
                 D = None
             return InfProjEval(
-                -np.inf, status="unbounded", iters=it, unbounded_direction=D
+                -np.inf, status="unbounded", iters=it, unbounded_direction=D, unbounded_base=None if D is None else start_V
             )
         if stall >= 8:
             break
@@ -570,8 +590,7 @@ def dual_value(prob: InfProjProblem, X: np.ndarray):
     p(X), equal to it wherever Y is optimal.  Every other case (no Y,
     p*(Y) undecided or +inf) is "undecided"."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    U = _slope(prob)
-    return _dual_at(prob, X, eval_p(prob, X) if U is None else _linear_path(prob, X, U, with_V=False))
+    return _dual_at(prob, X, eval_p(prob, X) if prob._linear is None else _linear_path(prob, X, with_V=False))
 
 
 def _dual_at(prob: InfProjProblem, X: np.ndarray, pe: InfProjEval):
@@ -641,9 +660,8 @@ def cq_report(prob: InfProjProblem) -> CQReport:
     ker_trivial = _ker_trivial(pd)
     dom, conj_dom = h.dom, h.conj_dom
     # where _linear_path applies, Xi(A, B) is empty exactly when it finds a ray
-    U = _slope(prob)
-    lin = None if U is None else _linear_path(prob, np.zeros((n, pd.m)), U, with_V=False)
-    xi_empty = lin is not None and lin.status == "unbounded"
+    lin = prob._linear
+    xi_empty = isinstance(lin, InfProjEval)
 
     # ---- CCQ: dom h meets int K_A
     s, exact = (np.inf, True) if ker_trivial else dom.max_min_eig(zero, pd.N)

@@ -48,11 +48,14 @@ DEFAULT_TOL = Tolerances()
 
 
 def sym(S: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Return the symmetrized copy (S + S^T)/2, checking S is nearly symmetric."""
+    """Return the symmetrized copy (S + S^T)/2, checking S is finite and
+    nearly symmetric."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {S.shape}")
     scale = 1.0 + np.max(np.abs(S)) if S.size else 1.0
+    if not scale < np.inf:  # NaN fails every comparison
+        raise ValueError("matrix must be finite")
     if np.max(np.abs(S - S.T), initial=0.0) > tol.feas_abs * scale:
         raise ValueError("matrix is not symmetric within feas_abs")
     return 0.5 * (S + S.T)

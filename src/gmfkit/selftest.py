@@ -114,10 +114,9 @@ def criterion_03(seed=0):
         return False, f"status {pe.status}, no certificate"
     D = pe.unbounded_direction
     # certificate: the objective decreases without bound along the ray
-    base = np.eye(1) if pe.V is None else pe.V
     vals = []
     for t in (1.0, 1e2, 1e4):
-        V = base + t * D
+        V = pe.unbounded_base + t * D
         vals.append(eval_gmf(pd, [[1.0]], V).value - float(V[0, 0]))
     descending = vals[0] > vals[1] > vals[2]
     rep = cq_report(prob)

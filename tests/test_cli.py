@@ -96,6 +96,14 @@ def test_parse_bundle_unknown_tag(tmp_path):
         parse_bundle(p)
 
 
+def test_bundle_with_non_finite_h_data_exits_1(tmp_path, capsys):
+    # eval-p used to exit 0 with value 0: the symmetry check passed NaN
+    bundle = write(tmp_path, "b.json", '{"A": [[0, 0]], "B": [[0]], "h": {"kind": "linear", "U": [[NaN, 0], [0, 1]]}}')
+    x = write(tmp_path, "x.csv", "1\n2\n")
+    code, _ = run(capsys, ["eval-p", "--bundle", bundle, "--X", x])
+    assert code == 1
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -455,5 +463,6 @@ def test_support_h_with_trivial_kernel_reports_its_ray(tmp_path, capsys):
     code, rep = run(capsys, ["eval-p", "--bundle", bundle, "--X", x])
     assert (code, rep["outputs"]["status"], rep["outputs"]["path"]) == (0, "unbounded", "recession")
     assert "unbounded_direction" in rep["outputs"]
+    assert not np.any(rep["outputs"]["unbounded_base"])  # the ray starts at V = 0
     code, rep = run(capsys, ["dual-gap", "--bundle", bundle, "--X", x])
     assert (code, rep["outputs"]["status"]) == (0, "exact")

@@ -410,3 +410,21 @@ def test_fantope_projection_hits_the_trace_budget():
     P = project(Fantope(2, 4), V)
     assert np.trace(P) == pytest.approx(2.0, abs=1e-14)
     assert np.allclose(P, np.diag([1.0, 0.6, 0.4, 0.0]), atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda M: Linear(M),
+        lambda M: Singleton(M),
+        lambda M: Hull([np.eye(2), M]),
+        lambda M: Ray(M),
+        lambda M: ShiftedPSDCap(M),
+        lambda M: TraceBall(float(M[0, 0]), 2),
+    ],
+    ids=["linear", "singleton", "hull", "ray", "psd_cap", "trace_ball"],
+)
+def test_non_finite_data_is_rejected(make):
+    # each of these used to accept a NaN entry; linear h then read p = 0
+    with pytest.raises(ValueError):
+        make(np.array([[np.nan, 0.0], [0.0, 1.0]]))

@@ -461,17 +461,22 @@ def test_ccq_of_ray_support_without_constraint(D, ccq):
 
 
 def test_linear_dual_value_factorizes_once(linalg_calls):
+    # the problem keeps the eigendecomposition of U; each X costs one SVD
     g = np.random.default_rng(4)
     n, m = 5, 3
     L = np.linalg.qr(g.standard_normal((n, n)))[0] * g.uniform(0.5, 1.5, n)
-    prob = InfProjProblem(unconstrained(n, m), Linear(0.5 * L @ L.T))
-    X = g.standard_normal((n, m))
+    pd, h = unconstrained(n, m), Linear(0.5 * L @ L.T)
     linalg_calls.clear()
-    value, Y, status = dual_value(prob, X)
-    assert linalg_calls == {"eigh": 1, "svd": 1}
-    assert status == "exact"
-    assert value == pytest.approx(np.sum(sv(L.T @ X)), rel=1e-12)
-    assert float(np.sum(X * Y)) == pytest.approx(value, rel=1e-12)
+    prob = InfProjProblem(pd, h)
+    assert linalg_calls == {"eigh": 1}
+    for _ in range(3):
+        X = g.standard_normal((n, m))
+        linalg_calls.clear()
+        value, Y, status = dual_value(prob, X)
+        assert linalg_calls == {"svd": 1}
+        assert status == "exact"
+        assert value == pytest.approx(np.sum(sv(L.T @ X)), rel=1e-12)
+        assert float(np.sum(X * Y)) == pytest.approx(value, rel=1e-12)
 
 
 def test_support_of_a_singleton_is_its_linear_h():
@@ -773,12 +778,66 @@ def test_linear_eval_p_factorizes_once(linalg_calls):
     g = np.random.default_rng(4)
     n, m = 5, 3
     L = np.linalg.qr(g.standard_normal((n, n)))[0] * g.uniform(0.5, 1.5, n)
-    prob = InfProjProblem(unconstrained(n, m), Linear(0.5 * L @ L.T))
-    X = g.standard_normal((n, m))
+    pd, h = unconstrained(n, m), Linear(0.5 * L @ L.T)
     linalg_calls.clear()
-    pe = eval_p(prob, X)
-    assert linalg_calls == {"eigh": 1, "svd": 1}
-    assert (pe.path, pe.value) == ("weighted_nuclear", pytest.approx(np.sum(sv(L.T @ X)), rel=1e-12))
+    prob = InfProjProblem(pd, h)
+    assert linalg_calls == {"eigh": 1}
+    for _ in range(3):
+        X = g.standard_normal((n, m))
+        linalg_calls.clear()
+        pe = eval_p(prob, X)
+        assert linalg_calls == {"svd": 1}
+        assert (pe.path, pe.value) == ("weighted_nuclear", pytest.approx(np.sum(sv(L.T @ X)), rel=1e-12))
+        assert pe.V is not None
+
+
+def test_linear_h_with_an_equality_constraint_factorizes_once_per_X(linalg_calls):
+    # pinv(Y0), the eigh of M and the SVD used to run on every call
+    finite = 0
+    for prob, X in _finite_linear_problems(1):
+        for f in (eval_p, dual_value):
+            linalg_calls.clear()
+            out = f(prob, X)
+            unbounded = (out.value if f is eval_p else out[0]) == -np.inf
+            assert linalg_calls == ({} if unbounded else {"svd": 1})
+            finite += not unbounded
+    assert finite >= 10
+
+
+def test_cq_report_on_linear_h_with_an_equality_constraint_factorizes_nothing(linalg_calls):
+    # the verdicts read the problem's ray; the report used to run
+    # _linear_path at X = 0 (a pinv, an eigh and an SVD) and an eigvalsh
+    # for BPCQ
+    verdicts = set()
+    for prob, _ in _finite_linear_problems(1) + _linear_problems_with_a_kernel_constraint(10):
+        linalg_calls.clear()
+        rep = cq_report(prob)
+        assert linalg_calls == {}
+        verdicts.add(rep.sccq)
+    assert verdicts == {"holds", "fails"}
+
+
+def test_a_problem_reused_over_many_X_matches_a_fresh_one_per_X():
+    g = np.random.default_rng(11)
+    L = g.standard_normal((4, 4))
+    probs = [p for p, _ in _finite_linear_problems(2, 6)] + [
+        InfProjProblem(unconstrained(4, 2), Linear(0.5 * L @ L.T)),
+        InfProjProblem(unconstrained(4, 2), Support(ShiftedPSDCap(0.5 * L @ L.T))),
+        _criterion_13_draw(0, 21),
+    ]
+    for prob in probs:
+        for _ in range(3):
+            X = g.standard_normal((prob.pd.n, prob.pd.m))
+            fresh = InfProjProblem(prob.pd, prob.h)
+            for f in (eval_p, dual_value):
+                a, b = f(prob, X), f(fresh, X)
+                a, b = (list(vars(a).values()), vars(b).values()) if f is eval_p else (a, b)
+                for x, y in zip(a, b):
+                    same = x is y is None or x == y if not isinstance(x, np.ndarray) else x.tobytes() == y.tobytes()
+                    assert same
+                for x in a:  # a caller that writes into an output leaves prob as it was
+                    if isinstance(x, np.ndarray):
+                        x[...] = np.nan
 
 
 def test_indicator_of_a_ray_without_equality_constraint():
@@ -1027,6 +1086,27 @@ def test_support_h_with_trivial_kernel_is_unbounded_when_C0_misses_S(seed, index
     vals = _values_along_the_ray(prob, X, pe.unbounded_direction)
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert dual_gap(prob, X) == (-np.inf, -np.inf, 0.0, "exact")
+
+
+@pytest.mark.parametrize("case", ["conjugate", "slope_D", "slope_M", "spectral_box"])
+def test_every_certified_ray_falls_from_its_base(case):
+    # unbounded_base is V = 0 on the ker A = {0} rule's rays and I on the
+    # slope's and the spectral box's; callers used to guess it
+    if case == "conjugate":
+        prob, X = _criterion_13_row(0, 337)
+    elif case == "slope_D":  # Xi(A, B) empty: the ray V = I + tD
+        prob = InfProjProblem(ProblemData(np.array([[1.0, 0.0]]), np.array([[1.0]])), Linear(np.eye(2)))
+        X = np.array([[0.0], [1.0]])
+    elif case == "slope_M":  # an indefinite U at A = 0: an eigenvector of M
+        prob, X = _criterion_13_row(0, 21)
+    else:
+        prob, X = InfProjProblem(unconstrained(2, 1), Support(SpectralBox(-2.0, -1.0, 2))), np.ones((2, 1))
+    pe = eval_p(prob, X)
+    assert (pe.status, pe.path) == ("unbounded", "recession")
+    base, d = pe.unbounded_base, pe.unbounded_direction
+    assert np.array_equal(base, np.zeros_like(d) if case == "conjugate" else np.eye(prob.pd.n))
+    vals = [eval_gmf(prob.pd, X, base + t * d).value + h_eval(prob.h, base + t * d) for t in (1.0, 10.0, 1e2, 1e4)]
+    assert np.isfinite(vals[0]) and all(b < a for a, b in zip(vals, vals[1:]))
 
 
 @pytest.mark.parametrize(

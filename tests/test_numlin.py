@@ -37,6 +37,17 @@ def test_sym_accepts_and_rejects():
         sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sym_rejects_non_finite_entries(bad, recwarn):
+    # max|S - S^T| > tol is False for NaN, so a NaN matrix passed as symmetric
+    for i, j in ((0, 0), (0, 1)):
+        S = np.eye(2)
+        S[i, j] = S[j, i] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sym(S)
+    assert not recwarn.list
+
+
 def test_sym_symmetrizes_small_noise():
     S = rand_sym(3)
     noisy = S + 1e-12 * np.triu(np.ones((3, 3)), 1)
