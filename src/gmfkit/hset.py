@@ -592,10 +592,8 @@ class Halfspace(ConvexSetSpec):
 
     def ka_bounded(self, pd):
         # K_A holds a line unless A = 0; <D, V> <= 0 meets PSD in {0} iff D > 0
-        if self.full or pd.N.shape[1] != pd.n:
-            return False
         lam = np.linalg.eigvalsh(self.D)
-        return lam[0] > pd.tol.psd_abs * (1.0 + abs(lam[-1]))
+        return pd.N.shape[1] == pd.n and lam[0] > pd.tol.psd_abs * (1.0 + abs(lam[-1]))
 
     def interior_member(self, C, tol):
         if self.full:

@@ -13,8 +13,9 @@ is one rule over the two sets dom h and dom h* (h.dom, h.conj_dom).
 
 from __future__ import annotations
 
-import copy
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,20 +46,21 @@ _UNBOUNDED_CUTOFF = -1.0e7
 class InfProjProblem:
     """Data (A, B) plus the perturbation h acting on V; the tolerances
     are pd's.  h = sigma_{U} is stored as the linear h = <U, .> it is.
-    Where _linear_path gives p, the half of it that does not depend on X
-    (a certified ray, or the factors of the slope) is computed here once
-    and kept, as ProblemData keeps P, N and Y0."""
+    _linear, the half of _linear_path's p that does not depend on X, is
+    computed the first time a caller reads it and kept."""
 
     pd: ProblemData
     h: HSpec
-    _linear: InfProjEval | tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.h.n != self.pd.n:
             raise ValueError("h must act on n x n symmetric matrices")
         if isinstance(self.h, Support) and isinstance(self.h.set, Singleton):
             object.__setattr__(self, "h", Linear(self.h.set.U))
-        object.__setattr__(self, "_linear", _linear_factors(self))
+
+    @cached_property
+    def _linear(self) -> np.ndarray | _Slope | None:
+        return _linear_factors(self)
 
     @property
     def tol(self) -> Tolerances:
@@ -283,13 +285,17 @@ def _conjugate_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
     return _ray(d, np.zeros_like(d)) if h_eval(h, d, tol) - float(np.sum(C0 * d)) < -tol.feas_abs * np.linalg.norm(d) else None
 
 
-def _linear_factors(prob: InfProjProblem) -> InfProjEval | tuple | None:
-    """The half of _linear_path that does not depend on X, for its slope
-    U: linear h's own, and at A = 0 for h = sigma_S the greatest element
-    U of S, as sigma_S = <U, .> on dom phi(X, .) (PSD).  None without
-    such a U and at ker A = {0} (see eval_p); else the certified ray
-    (both rays are independent of X), or (L, K, off_Y0, roots) with K and
-    off_Y0 None at A = 0, where roots = (E / sqrt(mu), E) when U > 0."""
+# what _linear_path reads at each X: L = (2M)^{1/2}; K and off_Y0 = I - Pi
+# unless free (A = 0: N = I, K = 0, M = U); when free and U > 0, E and
+# E / sqrt(mu) from U's eigendecomposition give V, else both are None
+_Slope = namedtuple("_Slope", "free L K off_Y0 E E_root_inv")
+
+
+def _linear_factors(prob: InfProjProblem) -> np.ndarray | _Slope | None:
+    """The X-independent half of _linear_path for its slope U: linear h's
+    own, and at A = 0 for h = sigma_S the greatest element U of S (sigma_S
+    = <U, .> on dom phi(X, .), PSD).  None without such a U and at
+    ker A = {0}; else the D of a certified ray V = I + tD, or _Slope."""
     h, pd, tol = prob.h, prob.pd, prob.tol
     free = _is_unconstrained(pd)  # N = I and Y0 = 0: K = 0, M = U
     U = h.U if isinstance(h, Linear) and not _ker_trivial(pd) else None
@@ -305,7 +311,7 @@ def _linear_factors(prob: InfProjProblem) -> InfProjEval | tuple | None:
         R = pd.P @ U @ (Q - Y0 @ Y0_pinv)
         D = -(Q @ (U - 0.5 * Y0 @ Y0.T) @ Q + R + R.T)
         if np.linalg.norm(D) > tol.feas_abs * (1.0 + np.linalg.norm(U) + 0.5 * np.linalg.norm(Y0) ** 2):
-            return _ray(D, np.eye(pd.n))
+            return D
         K = N.T @ U @ Y0_pinv.T
         off_Y0 = np.eye(pd.m) - Y0_pinv @ Y0
     mu, E = np.linalg.eigh(U if free else N.T @ U @ N - 2.0 * K @ K.T)
@@ -313,17 +319,16 @@ def _linear_factors(prob: InfProjProblem) -> InfProjEval | tuple | None:
     if mu[0] < -floor:
         v = N @ E[:, :1]
         W = np.zeros_like(U) if free else -2.0 * v @ (E[:, :1].T @ K) @ Y0_pinv
-        return _ray(v @ v.T + W + W.T, np.eye(pd.n))
+        return v @ v.T + W + W.T
     lam = mu if mu[0] > floor else np.where(mu > floor, mu, 0.0)  # 0 inside the floor
     L = (E * np.sqrt(2.0 * lam)) @ E.T
-    return L, K, off_Y0, ((E / np.sqrt(mu), E) if free and mu[0] > floor else None)
+    return _Slope(free, L, K, off_Y0, *((E, E / np.sqrt(mu)) if free and mu[0] > floor else (None, None)))
 
 
 def _linear_path(prob: InfProjProblem, X: np.ndarray, with_V: bool = True) -> InfProjEval:
     """Exact p(X) for linear h = <U, .>, ker A != {0}, and for the h that
     _linear_factors reduces to it: a certified ray, or the value with its
-    maximizer Y, a point of Xi(A, B) (derived in the README).  One SVD per
-    X; everything else comes from prob's factors.
+    maximizer Y, a point of Xi(A, B) (derived in the README); one SVD per X.
 
     With Q = I - P, R = P U (Q - Y0 Y0^+), K = N^T U (Y0^+)^T, Pi = Y0^+ Y0
     and M = N^T U N - 2 K K^T: p = -inf along V = I + tD for
@@ -334,13 +339,14 @@ def _linear_path(prob: InfProjProblem, X: np.ndarray, with_V: bool = True) -> In
     Y = Y0 + N (2K + L Qs Ws^T (I - Pi)).  V is returned only for A = 0
     (K = 0, M = U) and U > 0, where the infimum is attained, and only
     with_V (the dual needs Y alone)."""
-    if not isinstance(prob._linear, tuple):  # the ray, copied so no caller can alter prob's
-        return copy.deepcopy(prob._linear)
-    L, K, off_Y0, roots = prob._linear
+    f = prob._linear
+    if isinstance(f, np.ndarray):  # the ray's D, normalized afresh so no caller can alter prob's
+        return _ray(f, np.eye(prob.pd.n))
+    L, K, off_Y0 = f.L, f.K, f.off_Y0
     N, Y0 = prob.pd.N, prob.pd.Y0
-    Qs, s, Wt = np.linalg.svd(L @ (X if K is None else N.T @ X @ off_Y0), full_matrices=False)
-    if K is None:
-        Rinv_Q = roots[0] @ (roots[1].T @ Qs) if with_V and roots is not None else None
+    Qs, s, Wt = np.linalg.svd(L @ (X if f.free else N.T @ X @ off_Y0), full_matrices=False)
+    if f.free:
+        Rinv_Q = f.E_root_inv @ (f.E.T @ Qs) if with_V and f.E is not None else None
         W = None if Rinv_Q is None else (Rinv_Q * (0.5 * s)) @ Rinv_Q.T  # symmetric by construction
         return InfProjEval(float(s.sum()), V=None if W is None else 0.5 * (W + W.T), Y=L @ Qs @ Wt, path="weighted_nuclear")
     value = float(np.sum(X * Y0)) + 2.0 * float(np.sum(K * (N.T @ X))) + float(s.sum())
@@ -350,9 +356,8 @@ def _linear_path(prob: InfProjProblem, X: np.ndarray, with_V: bool = True) -> In
 
 
 def _ray(D: np.ndarray, base: np.ndarray) -> InfProjEval:
-    return InfProjEval(
-        -np.inf, status="unbounded", unbounded_direction=D / np.linalg.norm(D), path="recession", unbounded_base=base
-    )
+    d = D / np.linalg.norm(D)
+    return InfProjEval(-np.inf, status="unbounded", unbounded_direction=d, path="recession", unbounded_base=base)
 
 
 def _ray_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
@@ -661,7 +666,7 @@ def cq_report(prob: InfProjProblem) -> CQReport:
     dom, conj_dom = h.dom, h.conj_dom
     # where _linear_path applies, Xi(A, B) is empty exactly when it finds a ray
     lin = prob._linear
-    xi_empty = isinstance(lin, InfProjEval)
+    xi_empty = isinstance(lin, np.ndarray)  # a ray
 
     # ---- CCQ: dom h meets int K_A
     s, exact = (np.inf, True) if ker_trivial else dom.max_min_eig(zero, pd.N)

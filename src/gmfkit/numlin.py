@@ -48,8 +48,7 @@ DEFAULT_TOL = Tolerances()
 
 
 def sym(S: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Return the symmetrized copy (S + S^T)/2, checking S is finite and
-    nearly symmetric."""
+    """Return the symmetrized copy (S + S^T)/2, checking S is finite and nearly symmetric."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {S.shape}")

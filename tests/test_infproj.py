@@ -461,19 +461,20 @@ def test_ccq_of_ray_support_without_constraint(D, ccq):
 
 
 def test_linear_dual_value_factorizes_once(linalg_calls):
-    # the problem keeps the eigendecomposition of U; each X costs one SVD
+    # the first call factors U and the problem keeps it; each later X
+    # costs one SVD
     g = np.random.default_rng(4)
     n, m = 5, 3
     L = np.linalg.qr(g.standard_normal((n, n)))[0] * g.uniform(0.5, 1.5, n)
     pd, h = unconstrained(n, m), Linear(0.5 * L @ L.T)
     linalg_calls.clear()
     prob = InfProjProblem(pd, h)
-    assert linalg_calls == {"eigh": 1}
-    for _ in range(3):
+    assert linalg_calls == {}
+    for i in range(3):
         X = g.standard_normal((n, m))
         linalg_calls.clear()
         value, Y, status = dual_value(prob, X)
-        assert linalg_calls == {"svd": 1}
+        assert linalg_calls == ({"eigh": 1, "svd": 1} if i == 0 else {"svd": 1})
         assert status == "exact"
         assert value == pytest.approx(np.sum(sv(L.T @ X)), rel=1e-12)
         assert float(np.sum(X * Y)) == pytest.approx(value, rel=1e-12)
@@ -781,20 +782,23 @@ def test_linear_eval_p_factorizes_once(linalg_calls):
     pd, h = unconstrained(n, m), Linear(0.5 * L @ L.T)
     linalg_calls.clear()
     prob = InfProjProblem(pd, h)
-    assert linalg_calls == {"eigh": 1}
-    for _ in range(3):
+    assert linalg_calls == {}
+    for i in range(3):
         X = g.standard_normal((n, m))
         linalg_calls.clear()
         pe = eval_p(prob, X)
-        assert linalg_calls == {"svd": 1}
+        assert linalg_calls == ({"eigh": 1, "svd": 1} if i == 0 else {"svd": 1})
         assert (pe.path, pe.value) == ("weighted_nuclear", pytest.approx(np.sum(sv(L.T @ X)), rel=1e-12))
         assert pe.V is not None
 
 
 def test_linear_h_with_an_equality_constraint_factorizes_once_per_X(linalg_calls):
-    # pinv(Y0), the eigh of M and the SVD used to run on every call
+    # pinv(Y0), the eigh of M and the SVD used to run on every call; now
+    # the first call builds the problem's factors and each later X costs
+    # one SVD
     finite = 0
     for prob, X in _finite_linear_problems(1):
+        eval_p(prob, X)
         for f in (eval_p, dual_value):
             linalg_calls.clear()
             out = f(prob, X)
@@ -804,17 +808,32 @@ def test_linear_h_with_an_equality_constraint_factorizes_once_per_X(linalg_calls
     assert finite >= 10
 
 
-def test_cq_report_on_linear_h_with_an_equality_constraint_factorizes_nothing(linalg_calls):
-    # the verdicts read the problem's ray; the report used to run
-    # _linear_path at X = 0 (a pinv, an eigh and an SVD) and an eigvalsh
-    # for BPCQ
+def test_cq_report_on_linear_h_reads_the_problem_s_ray(linalg_calls):
+    # the report used to run _linear_path at X = 0 (a pinv, an eigh and an
+    # SVD); on a problem whose factors eval_p has built, only BPCQ's
+    # eigvalsh of dom h's normal remains
     verdicts = set()
-    for prob, _ in _finite_linear_problems(1) + _linear_problems_with_a_kernel_constraint(10):
+    for prob, X in _finite_linear_problems(1) + _linear_problems_with_a_kernel_constraint(10):
+        eval_p(prob, X)
         linalg_calls.clear()
         rep = cq_report(prob)
-        assert linalg_calls == {}
+        assert linalg_calls == {"eigh": 1}
         verdicts.add(rep.sccq)
     assert verdicts == {"holds", "fails"}
+
+
+def test_problems_that_never_read_the_slope_do_not_factor_it(linalg_calls):
+    # building a problem factors nothing, so a problem that an earlier
+    # closed form answers never pays for its slope
+    pd, X = unconstrained(4, 2), np.ones((4, 2))
+    linalg_calls.clear()
+    box = InfProjProblem(pd, Support(SpectralBox(0.0, 1.0, 4)))
+    lin = InfProjProblem(pd, Linear(np.eye(4)))
+    assert linalg_calls == {}
+    assert eval_p(box, X).path == "spectral"
+    assert linalg_calls == {"svd": 1}
+    assert eval_p(lin, X).path == "weighted_nuclear"
+    assert linalg_calls == {"svd": 2, "eigh": 1}
 
 
 def test_a_problem_reused_over_many_X_matches_a_fresh_one_per_X():
