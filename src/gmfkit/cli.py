@@ -154,8 +154,6 @@ def _bundle_problem(path: str, d: dict, tol: Tolerances) -> InfProjProblem:
         h = hspec_from_json(d["h"])
     except (KeyError, ValueError, TypeError) as exc:
         raise CliError(f"{path}: bad bundle: {exc}") from exc
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-        raise CliError(f"{path}: non-finite entries")
     try:
         return InfProjProblem(ProblemData(A, B, tol), h)
     except ValueError as exc:
@@ -435,10 +433,7 @@ def main(argv=None) -> int:
         bundle = _load_json(args.bundle) if getattr(args, "bundle", None) else {}
         tol = _tolerances(args, bundle)
         outputs, code, inputs = _COMMANDS[args.command][0](args, tol, bundle)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except (CliError, ValueError, NotImplementedError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = {

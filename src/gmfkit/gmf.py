@@ -22,6 +22,7 @@ from .numlin import (
     ker_basis,
     max_eig,
     min_eig,
+    _rect,
     pinv,
     sym,
 )
@@ -90,35 +91,33 @@ class GmfEval:
 
 
 def bordered_matrix(pd: ProblemData, V: np.ndarray) -> np.ndarray:
-    V = sym(V, pd.tol)
-    n, ell = pd.n, pd.ell
-    M = np.zeros((n + ell, n + ell))
-    M[:n, :n] = V
-    M[:n, n:] = pd.A.T
-    M[n:, :n] = pd.A
-    return M
+    """M(V) = [[V, A^T], [A, 0]]."""
+    V = sym(V, pd.tol, pd.n)
+    return np.block([[V, pd.A.T], [pd.A, np.zeros((pd.ell, pd.ell))]])
 
 
 def in_KA(pd: ProblemData, V: np.ndarray) -> bool:
     """V positive semidefinite on ker A."""
-    if pd.N.shape[1] == 0:
-        return True
-    V = sym(V, pd.tol)
-    return min_eig(pd.N.T @ V @ pd.N) >= -pd.tol.psd_abs
+    return _in_KA(pd, sym(V, pd.tol, pd.n))
+
+
+def _in_KA(pd: ProblemData, V: np.ndarray) -> bool:
+    return min_eig(pd.N.T @ V @ pd.N) >= -pd.tol.psd_abs  # +inf when ker A = {0}
 
 
 def in_int_KA(pd: ProblemData, V: np.ndarray) -> bool:
     """V positive definite on ker A (strictly, by psd_abs)."""
-    if pd.N.shape[1] == 0:
-        return True
-    V = sym(V, pd.tol)
+    V = sym(V, pd.tol, pd.n)
     return min_eig(pd.N.T @ V @ pd.N) >= pd.tol.psd_abs
 
 
 def in_KA_polar(pd: ProblemData, W: np.ndarray) -> bool:
     """W in the polar cone: W = PWP and W negative semidefinite."""
+    return _in_KA_polar(pd, sym(W, pd.tol, pd.n))
+
+
+def _in_KA_polar(pd: ProblemData, W: np.ndarray) -> bool:
     tol = pd.tol
-    W = sym(W, tol)
     scale = 1.0 + np.linalg.norm(W)
     if np.linalg.norm(W - pd.P @ W @ pd.P) > tol.feas_abs * scale:
         return False
@@ -128,10 +127,11 @@ def in_KA_polar(pd: ProblemData, W: np.ndarray) -> bool:
 def in_omega(pd: ProblemData, Y: np.ndarray, W: np.ndarray) -> bool:
     """(Y, W) in the closed convex hull of the graph set:
     AY = B and YY^T/2 + W in the polar of K_A."""
-    Y = np.asarray(Y, dtype=float)
+    Y = _rect(Y, (pd.n, pd.m), "Y")
+    G = 0.5 * Y @ Y.T + sym(W, pd.tol, pd.n)
     if np.linalg.norm(pd.A @ Y - pd.B) > pd.tol.feas_abs * (1.0 + np.linalg.norm(pd.B)):
         return False
-    return in_KA_polar(pd, 0.5 * Y @ Y.T + sym(W, pd.tol))
+    return _in_KA_polar(pd, 0.5 * (G + G.T))
 
 
 def eval_gmf(pd: ProblemData, X: np.ndarray, V: np.ndarray) -> GmfEval:
@@ -148,11 +148,12 @@ def eval_gmf(pd: ProblemData, X: np.ndarray, V: np.ndarray) -> GmfEval:
     over the others, attained at Y = Y0 + N Q diag(1/lam) Q^T R.  The multiplier
     mu = (A^+)^T (X - V Y) satisfies V Y + A^T mu = X.  When ker A = {0},
     Y = Y0 and no factorization is needed."""
+    return _eval_gmf(pd, _rect(X, (pd.n, pd.m)), sym(V, pd.tol, pd.n))
+
+
+def _eval_gmf(pd: ProblemData, X: np.ndarray, V: np.ndarray) -> GmfEval:
+    """eval_gmf on a trusted X and symmetric V."""
     tol = pd.tol
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape != (pd.n, pd.m):
-        raise ValueError(f"X must be {pd.n}x{pd.m}, got {X.shape}")
-    V = sym(V, tol)
     N, Y = pd.N, pd.Y0
     VY = V @ Y
     value = float(np.sum(Y * (X - 0.5 * VY)))
@@ -190,12 +191,12 @@ def eval_gmf_oracle(pd: ProblemData, X: np.ndarray, V: np.ndarray) -> GmfEval:
     M(V) [Y; mu] = [X; B] with M(V) = [[V, A^T], [A, 0]], so
     phi = <[X; B], M(V)^+ [X; B]>/2 from one SVD of the (n + l)^2 matrix.
     Requires V positive definite on ker A."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    V = sym(V, pd.tol)
-    if not in_int_KA(pd, V):
+    X = _rect(X, (pd.n, pd.m))
+    M = bordered_matrix(pd, V)  # the one check of V, which is M's corner
+    if not min_eig(pd.N.T @ M[: pd.n, : pd.n] @ pd.N) >= pd.tol.psd_abs:
         raise ValueError("oracle requires interior point")
     rhs = np.vstack([X, pd.B])
-    Z = pinv(bordered_matrix(pd, V), pd.tol) @ rhs
+    Z = pinv(M, pd.tol) @ rhs
     return GmfEval(
         0.5 * float(np.sum(rhs * Z)), witness_Y=Z[: pd.n], witness_multiplier=Z[pd.n :]
     )

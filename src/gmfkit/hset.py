@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 import scipy.optimize
 
-from .gmf import in_KA, in_KA_polar
+from .gmf import _in_KA, _in_KA_polar
 from .numlin import (
     DEFAULT_TOL,
     Tolerances,
@@ -37,9 +37,9 @@ class ConvexSetSpec:
     """A closed convex set S of n x n symmetric matrices.
 
     Each variant implements support, psd_cap_support, member, project
-    and gauge (for G != 0, given 0 in S) as methods on trusted arrays,
-    symmetric (already passed through sym) and n x n; the module-level
-    functions of the same names validate their arguments and call them.
+    and gauge (for G != 0, given 0 in S) as methods on trusted arrays:
+    symmetric and n x n, either passed through sym by the module-level
+    functions of the same names or computed by the library itself.
     The constraint-qualification rules are methods only:
 
     - inside_KA(pd): whether S lies inside K_A, within pd's tolerances;
@@ -128,7 +128,7 @@ class Singleton(ConvexSetSpec):
         return 0.0 if self.member(G, tol) else np.inf
 
     def inside_KA(self, pd):
-        return in_KA(pd, self.U)
+        return _in_KA(pd, self.U)
 
     def max_min_eig(self, C, N):
         return min_eig(N.T @ (self.U - C) @ N), True
@@ -137,7 +137,7 @@ class Singleton(ConvexSetSpec):
         return self.member(C, tol), False  # ri {U} = {U}, int {U} is empty
 
     def covers(self, G, pd):
-        return in_KA_polar(pd, G - self.U)
+        return _in_KA_polar(pd, G - self.U)
 
     def loewner_max(self):
         return self.U.copy()
@@ -306,17 +306,16 @@ class Hull(ConvexSetSpec):
         return vals[j], self.points[j]
 
     def psd_cap_support(self, G, tol):
-        psd_flags = [
-            min_eig(U) >= -tol.psd_abs * (1.0 + np.linalg.norm(U)) for U in self.points
-        ]
-        if all(psd_flags):
-            return self.support(G, tol)
-        if not any(psd_flags):
-            raise NotImplementedError("support over a mixed hull intersected with the PSD cone")
-        pts = [U for U, ok in zip(self.points, psd_flags) if ok]
-        # PSD vertices span only part of the intersection; exact for the
-        # test sets used here, which never mix signs off the PSD face.
-        return Hull(pts).support(G, tol)
+        # sigma_S(G), the largest vertex value, bounds the support of S
+        # intersect PSD from above and each PSD vertex's value from below:
+        # the bracket closes only where a PSD vertex attains sigma_S(G),
+        # within feas_abs (maximizers of the dual sit on such ties)
+        vals = [float(np.sum(U * G)) for U in self.points]
+        psd = [j for j, U in enumerate(self.points) if min_eig(U) >= -tol.psd_abs * (1.0 + np.linalg.norm(U))]
+        j, top = max(psd, key=vals.__getitem__, default=None), max(vals)
+        if j is None or vals[j] < top - tol.feas_abs * (1.0 + abs(top)):
+            raise NotImplementedError("support over a hull intersected with the PSD cone: no PSD vertex attains it")
+        return vals[j], self.points[j]
 
     def _nearest(self, V: np.ndarray) -> np.ndarray:
         """The point of S nearest V.  One NNLS on [C; 1^T] u ~ [0; 1],
@@ -331,7 +330,8 @@ class Hull(ConvexSetSpec):
         return np.linalg.norm(self._nearest(V) - V) <= tol.feas_abs * (1.0 + np.linalg.norm(V))
 
     def project(self, V, tol):
-        return sym(self._nearest(V))
+        P = self._nearest(V)
+        return 0.5 * (P + P.T)
 
     def ri_weights(self, C: np.ndarray):
         """(t, w): the largest t with C = sum w_i U_i, sum w = 1 and every
@@ -383,7 +383,7 @@ class Hull(ConvexSetSpec):
         return float(res.fun)
 
     def inside_KA(self, pd):
-        return all(in_KA(pd, U) for U in self.points)
+        return all(_in_KA(pd, U) for U in self.points)
 
     def max_min_eig(self, C, N):
         return _hull_max_min_eig([N.T @ U @ N for U in self.points], N.T @ C @ N), True
@@ -441,10 +441,10 @@ class Ray(ConvexSetSpec):
         return 0.0 if self.member(G, tol) else np.inf
 
     def inside_KA(self, pd):
-        return in_KA(pd, self.D)
+        return _in_KA(pd, self.D)
 
     def ka_bounded(self, pd):
-        return self.bounded or not in_KA(pd, self.D)
+        return self.bounded or not _in_KA(pd, self.D)
 
     def interior_member(self, C, tol):
         if not self.member(C, tol):
@@ -501,8 +501,8 @@ class ShiftedPSDCap(ConvexSetSpec):
         R = psd_sqrt(self.U)
         w, Q = sym_eig(R @ G @ R)
         Pi = (Q * (w > 0.0)) @ Q.T
-        V = sym(R @ Pi @ R)
-        return float(np.sum(np.clip(w, 0.0, None))), V
+        V = R @ Pi @ R
+        return float(np.sum(np.clip(w, 0.0, None))), 0.5 * (V + V.T)
 
     def psd_cap_support(self, G, tol):
         return self.support(G, tol)
@@ -530,7 +530,7 @@ class ShiftedPSDCap(ConvexSetSpec):
                 X = Xn
                 break
             X = Xn
-        return sym(X)
+        return 0.5 * (X + X.T)
 
     def gauge(self, G, tol):
         # G in t*S iff 0 <= G <= t*U
@@ -683,14 +683,18 @@ class Linear:
     kind = "linear"
 
     def __post_init__(self):
-        object.__setattr__(self, "U", sym(self.U))
+        S = Singleton(self.U)  # the one check of U
+        object.__setattr__(self, "U", S.U)
+        object.__setattr__(self, "conj_dom", S)
 
-    @property
-    def n(self) -> int:
-        return self.U.shape[0]
-
+    n = property(lambda self: self.U.shape[0])
     dom = property(lambda self: Halfspace(np.zeros_like(self.U)))
-    conj_dom = property(lambda self: Singleton(self.U))
+
+    def value(self, V, tol):
+        return float(np.sum(self.U * V))
+
+    def conj(self, W, tol):
+        return 0.0 if self.conj_dom.member(W, tol) else np.inf
 
 
 @dataclass(frozen=True)
@@ -700,13 +704,15 @@ class Indicator:
     set: ConvexSetSpec
 
     kind = "indicator"
-
-    @property
-    def n(self) -> int:
-        return self.set.n
-
+    n = property(lambda self: self.set.n)
     dom = property(lambda self: self.set)
     conj_dom = property(lambda self: self.set.support_dom())
+
+    def value(self, V, tol):
+        return 0.0 if self.set.member(V, tol) else np.inf
+
+    def conj(self, W, tol):
+        return self.set.support(W, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -716,27 +722,22 @@ class Support:
     set: ConvexSetSpec
 
     kind = "support"
-
-    @property
-    def n(self) -> int:
-        return self.set.n
-
+    n = property(lambda self: self.set.n)
     dom = property(lambda self: self.set.support_dom())
     conj_dom = property(lambda self: self.set)
+
+    def value(self, V, tol):
+        return self.set.support(V, tol)[0]
+
+    def conj(self, W, tol):
+        return 0.0 if self.set.member(W, tol) else np.inf
 
 
 HSpec = Linear | Indicator | Support
 
 
 # ---------------------------------------------------------------------------
-# The set rules at the validation boundary
-
-
-def _checked(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances) -> np.ndarray:
-    G = sym(G, tol)
-    if G.shape[0] != S.n:
-        raise ValueError("dimension mismatch")
-    return G
+# The set and h rules at the validation boundary
 
 
 def support(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances = DEFAULT_TOL):
@@ -744,26 +745,26 @@ def support(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances = DEFAULT_TOL):
 
     Returns (value, witness); witness is None when the value is +inf.
     """
-    return S.support(_checked(S, G, tol), tol)
+    return S.support(sym(G, tol, S.n), tol)
 
 
 def psd_cap_support(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     """sigma_{S \\cap PSD}(G) with maximizer; -inf if the intersection is empty."""
-    return S.psd_cap_support(_checked(S, G, tol), tol)
+    return S.psd_cap_support(sym(G, tol, S.n), tol)
 
 
 def psd_cap_nonempty(S: ConvexSetSpec, tol: Tolerances = DEFAULT_TOL) -> bool:
-    val, _ = psd_cap_support(S, np.zeros((S.n, S.n)), tol)
+    val, _ = S.psd_cap_support(np.zeros((S.n, S.n)), tol)
     return np.isfinite(val)
 
 
 def member(S: ConvexSetSpec, V: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return S.member(sym(V, tol), tol)
+    return S.member(sym(V, tol, S.n), tol)
 
 
 def project(S: ConvexSetSpec, V: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Euclidean projection onto S (Dykstra for the general cap)."""
-    return S.project(sym(V, tol), tol)
+    return S.project(sym(V, tol, S.n), tol)
 
 
 def gauge(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -771,7 +772,7 @@ def gauge(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> flo
 
     Exact for every variant, and +inf when G lies outside the cone
     generated by S."""
-    G = sym(G, tol)
+    G = sym(G, tol, S.n)
     if not S.contains_zero(tol):
         raise ValueError("gauge requires 0 in S")
     if not np.any(np.abs(G) > 0.0):
@@ -779,27 +780,14 @@ def gauge(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> flo
     return S.gauge(G, tol)
 
 
-# ---------------------------------------------------------------------------
-# h and h*
-
-
 def h_eval(h: HSpec, V: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
-    V = sym(V, tol)
-    if isinstance(h, Linear):
-        return float(np.sum(h.U * V))
-    if isinstance(h, Indicator):
-        return 0.0 if member(h.set, V, tol) else np.inf
-    if isinstance(h, Support):
-        return support(h.set, V, tol)[0]
-    raise TypeError(f"unknown h variant {type(h).__name__}")
+    return h.value(sym(V, tol, h.n), tol)
 
 
 def h_conj(h: HSpec, W: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
     """Conjugate of h: Linear(U)* = delta_{U}, Indicator(S)* = sigma_S,
     Support(S)* = delta_S."""
-    if isinstance(h, Linear):
-        return h_eval(Indicator(Singleton(h.U)), W, tol)
-    return h_eval(Support(h.set) if isinstance(h, Indicator) else Indicator(h.set), W, tol)
+    return h.conj(sym(W, tol, h.n), tol)
 
 
 # ---------------------------------------------------------------------------

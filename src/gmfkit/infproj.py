@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gmf import ProblemData, eval_gmf
+from .gmf import ProblemData, _eval_gmf
 from .hset import (
     ConvexSetSpec,
     HSpec,
@@ -31,13 +31,8 @@ from .hset import (
     Singleton,
     SpectralSet,
     Support,
-    h_conj,
-    h_eval,
-    project,
-    psd_cap_support,
-    support,
 )
-from .numlin import Tolerances, sym
+from .numlin import Tolerances, _rect
 
 _UNBOUNDED_CUTOFF = -1.0e7
 
@@ -126,7 +121,7 @@ def _ker_trivial(pd: ProblemData) -> bool:
 def _h_subgrad(h: HSpec, V: np.ndarray, tol: Tolerances) -> np.ndarray:
     if isinstance(h, Indicator):
         return np.zeros_like(V)
-    _, W = support(h.set, V, tol)
+    _, W = h.set.support(0.5 * (V + V.T), tol)
     if W is None:
         raise ValueError("h(V) is infinite")
     return W
@@ -147,7 +142,7 @@ def _start_candidates(
         if hull:
             raw.extend(S.points)
             w = np.full(len(S.points), 1.0 / len(S.points))
-            raw.append(sym(sum(wi * U for wi, U in zip(w, S.points))))
+            raw.append(sum(wi * U for wi, U in zip(w, S.points)))
         if isinstance(S, ShiftedPSDCap):
             raw.extend([S.U, 0.5 * S.U])
         if isinstance(S, Ray):
@@ -157,12 +152,12 @@ def _start_candidates(
         raw.append(R @ R.T)
         if hull:
             w = rng.dirichlet(np.ones(len(h.set.points)))
-            raw.append(sym(sum(wi * U for wi, U in zip(w, h.set.points))))
+            raw.append(sum(wi * U for wi, U in zip(w, h.set.points)))
     out = []
     seen = set()
     for V in raw:
-        V = project(h.dom, np.atleast_2d(np.asarray(V, float)), tol)
-        if not np.isfinite(h_eval(h, V, tol)):
+        V = h.dom.project(0.5 * (V + V.T), tol)
+        if not np.isfinite(h.value(0.5 * (V + V.T), tol)):
             continue
         tag = hash(np.round(V, 9).tobytes())
         if tag in seen:
@@ -173,11 +168,13 @@ def _start_candidates(
 
 
 def _objective(prob: InfProjProblem, X: np.ndarray, V: np.ndarray):
-    ge = eval_gmf(prob.pd, X, V)
+    """phi(X, V) + h(V) at the symmetric part of V, which projections
+    return symmetric only up to rounding."""
+    V = 0.5 * (V + V.T)
+    ge = _eval_gmf(prob.pd, X, V)
     if not np.isfinite(ge.value):
         return np.inf, ge
-    hv = h_eval(prob.h, V, prob.tol)
-    return ge.value + hv, ge
+    return ge.value + prob.h.value(V, prob.tol), ge
 
 
 def _water_fill(s: np.ndarray, cap: float, total: float) -> np.ndarray:
@@ -261,7 +258,7 @@ def _loewner_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
     Vbar = h.set.loewner_max() if isinstance(h, Indicator) else None
     if Vbar is None:
         return None
-    ge = eval_gmf(prob.pd, X, Vbar)
+    ge = _eval_gmf(prob.pd, X, Vbar)
     if not np.isfinite(ge.value):
         return InfProjEval(np.inf, status="infeasible", path="loewner")
     return InfProjEval(ge.value, V=Vbar, Y=ge.witness_Y, path="loewner")
@@ -276,13 +273,15 @@ def _conjugate_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
     pd, h, tol = prob.pd, prob.h, prob.tol
     if not _ker_trivial(pd):
         return None
-    C0 = sym(0.5 * pd.Y0 @ pd.Y0.T, tol)
-    conj = h_conj(h, C0, tol)
+    C0 = 0.5 * pd.Y0 @ pd.Y0.T
+    C0 = 0.5 * (C0 + C0.T)
+    # h* = sigma_S for the indicator, whose maximizer is V
+    conj, V = h.set.support(C0, tol) if isinstance(h, Indicator) else (h.conj(C0, tol), np.zeros_like(C0))
     if np.isfinite(conj):
-        V = support(h.set, C0, tol)[1] if isinstance(h, Indicator) else np.zeros_like(C0)
         return InfProjEval(float(np.sum(X * pd.Y0)) - conj, V=V, Y=pd.Y0, path="conjugate")
-    d = C0 - project(h.conj_dom, C0, tol)
-    return _ray(d, np.zeros_like(d)) if h_eval(h, d, tol) - float(np.sum(C0 * d)) < -tol.feas_abs * np.linalg.norm(d) else None
+    d = C0 - h.conj_dom.project(C0, tol)
+    hd = h.value(0.5 * (d + d.T), tol)
+    return _ray(d, np.zeros_like(d)) if hd - float(np.sum(C0 * d)) < -tol.feas_abs * np.linalg.norm(d) else None
 
 
 # what _linear_path reads at each X: L = (2M)^{1/2}; K and off_Y0 = I - Pi
@@ -401,9 +400,11 @@ def eval_p(
     ("weighted_nuclear", see _linear_factors).  p = -inf comes with a certified
     ray ("recession").  Every other case runs projected subgradient
     descent (see _descent)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape != (prob.pd.n, prob.pd.m):
-        raise ValueError(f"X must be {prob.pd.n}x{prob.pd.m}, got {X.shape}")
+    return _eval_p(prob, _rect(X, (prob.pd.n, prob.pd.m)), max_iter, seed)
+
+
+def _eval_p(prob: InfProjProblem, X: np.ndarray, max_iter: int = 4000, seed: int = 0) -> InfProjEval:
+    """eval_p on a trusted X."""
     for path in (_spectral_path, _loewner_path, _conjugate_path, _ray_path):
         out = path(prob, X)
         if out is not None:
@@ -442,7 +443,8 @@ def _descent(prob: InfProjProblem, X: np.ndarray, max_iter: int, seed: int) -> I
         accepted = False
         tt = t
         for _ in range(40):
-            V_new = project(dom, V - tt * g, tol)
+            V_new = V - tt * g
+            V_new = dom.project(0.5 * (V_new + V_new.T), tol)
             F_new, ge_new = _objective(prob, X, V_new)
             step = np.linalg.norm(V_new - V)
             if F_new <= F - 1.0e-4 / max(tt, 1e-300) * step**2 and step > 0:
@@ -496,7 +498,7 @@ def dom_p_member(prob: InfProjProblem, X: np.ndarray):
     element Vbar in the Loewner order, where X lies in dom p iff
     phi(X, Vbar) is finite (see _loewner_path); V = I witnesses linear h.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = _rect(X, (prob.pd.n, prob.pd.m))
     if isinstance(prob.h, Linear):
         return True, np.eye(prob.pd.n), "witness"
     loewner = _loewner_path(prob, X)
@@ -517,21 +519,22 @@ def dom_p_member(prob: InfProjProblem, X: np.ndarray):
 
 
 def sigma_S_cap_KA(prob: InfProjProblem, S: ConvexSetSpec, G: np.ndarray):
-    """Support function of S intersect K_A.  Returns (value, witness, status)."""
+    """Support function of S intersect K_A at a symmetric G the caller
+    computed.  Returns (value, witness, status)."""
     tol = prob.tol
     pd = prob.pd
     if _ker_trivial(pd):
-        val, W = support(S, G, tol)
+        val, W = S.support(G, tol)
         return val, W, "exact"
     if _is_unconstrained(pd):
         try:
-            val, W = psd_cap_support(S, G, tol)
+            val, W = S.psd_cap_support(G, tol)
         except NotImplementedError:
             return np.nan, None, "undecided"
         return val, W, "exact"
     # decidable when S sits inside K_A
     if S.inside_KA(pd):
-        val, W = support(S, G, tol)
+        val, W = S.support(G, tol)
         return val, W, "exact"
     return np.nan, None, "undecided"
 
@@ -547,11 +550,15 @@ def xi_member(prob: InfProjProblem, Y: np.ndarray):
     Returns (answer, status); answer is None when status is "undecided".
     After the equality test, dom h*'s covers rule decides the rest.
     """
-    tol, pd = prob.tol, prob.pd
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if np.linalg.norm(pd.A @ Y - pd.B) > tol.feas_abs * (1.0 + np.linalg.norm(pd.B)):
+    return _xi_member(prob, _rect(Y, (prob.pd.n, prob.pd.m), "Y"))
+
+
+def _xi_member(prob: InfProjProblem, Y: np.ndarray):
+    pd = prob.pd
+    if np.linalg.norm(pd.A @ Y - pd.B) > pd.tol.feas_abs * (1.0 + np.linalg.norm(pd.B)):
         return False, "exact"
-    ans = prob.h.conj_dom.covers(sym(0.5 * Y @ Y.T, tol), pd)
+    G = 0.5 * Y @ Y.T
+    ans = prob.h.conj_dom.covers(0.5 * (G + G.T), pd)
     return ans, ("undecided" if ans is None else "exact")
 
 
@@ -562,18 +569,21 @@ def eval_p_conj(prob: InfProjProblem, Y: np.ndarray):
     Returns (value, status); exact for linear h, for indicator h when
     the support of S intersect K_A is available in closed form, and for
     support-type h when the lifted membership is decidable."""
-    pd = prob.pd
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    h = prob.h
+    return _eval_p_conj(prob, _rect(Y, (prob.pd.n, prob.pd.m), "Y"))
+
+
+def _eval_p_conj(prob: InfProjProblem, Y: np.ndarray):
+    pd, h = prob.pd, prob.h
     if isinstance(h, Indicator):
         if not np.linalg.norm(pd.A @ Y - pd.B) <= prob.tol.feas_abs * (1.0 + np.linalg.norm(pd.B)):
             return np.inf, "exact"
-        val, _, status = sigma_S_cap_KA(prob, h.set, Y @ Y.T)
+        G = Y @ Y.T
+        val, _, status = sigma_S_cap_KA(prob, h.set, 0.5 * (G + G.T))
         if status != "exact":
             return np.nan, "undecided"
         return 0.5 * val, "exact"
     # h* is the indicator of {U} or of S, so p* is the indicator of Xi(A, B)
-    ans, status = xi_member(prob, Y)
+    ans, status = _xi_member(prob, Y)
     if status != "exact":
         return np.nan, "undecided"
     return (0.0 if ans else np.inf), "exact"
@@ -594,8 +604,8 @@ def dual_value(prob: InfProjProblem, X: np.ndarray):
     "numeric" when p*(Y) is exact and finite: a certified lower bound on
     p(X), equal to it wherever Y is optimal.  Every other case (no Y,
     p*(Y) undecided or +inf) is "undecided"."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return _dual_at(prob, X, eval_p(prob, X) if prob._linear is None else _linear_path(prob, X, with_V=False))
+    X = _rect(X, (prob.pd.n, prob.pd.m))
+    return _dual_at(prob, X, _eval_p(prob, X) if prob._linear is None else _linear_path(prob, X, with_V=False))
 
 
 def _dual_at(prob: InfProjProblem, X: np.ndarray, pe: InfProjEval):
@@ -604,7 +614,7 @@ def _dual_at(prob: InfProjProblem, X: np.ndarray, pe: InfProjEval):
         return pe.value, pe.Y, "exact"
     if pe.Y is None:
         return np.nan, None, "undecided"
-    pstar, status = eval_p_conj(prob, pe.Y)
+    pstar, status = _eval_p_conj(prob, pe.Y)
     if status != "exact" or not np.isfinite(pstar):
         return np.nan, None, "undecided"
     return float(np.sum(X * pe.Y)) - pstar, pe.Y, "numeric"
@@ -614,8 +624,8 @@ def dual_gap(prob: InfProjProblem, X: np.ndarray):
     """(p(X), dual value, gap, status) from one eval_p; the gap is 0 when
     rays certify both -inf.  For h not linear the gap is the Fenchel gap
     p(X) + p*(Y) - <X, Y> at eval_p's Y, as subdiff_p_witness reports."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    pe = eval_p(prob, X)
+    X = _rect(X, (prob.pd.n, prob.pd.m))
+    pe = _eval_p(prob, X)
     dv, _, status = _dual_at(prob, X, pe)
     if status == "exact" and pe.value == dv == -np.inf:
         return pe.value, dv, 0.0, status
@@ -628,12 +638,12 @@ def subdiff_p_witness(prob: InfProjProblem, X: np.ndarray):
     """Subgradient Y of p at X with its Fenchel gap p(X) + p*(Y) - <X, Y>.
 
     Returns (Y, gap, status)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    pe = eval_p(prob, X)
+    X = _rect(X, (prob.pd.n, prob.pd.m))
+    pe = _eval_p(prob, X)
     if pe.status != "finite":
         raise ValueError(f"p(X) is not finite (status {pe.status})")
     Y = pe.Y
-    pstar, status = eval_p_conj(prob, Y)
+    pstar, status = _eval_p_conj(prob, Y)
     if status != "exact":
         return Y, np.nan, "undecided"
     gap = pe.value + pstar - float(np.sum(X * Y))
@@ -709,7 +719,7 @@ def cq_report(prob: InfProjProblem) -> CQReport:
     else:
         # Y0 is the only point of {AY = B} when ker A = {0}; with A = 0,
         # Y0 = 0 lies in Xi(A, B) whenever some Y does (YY^T/2 >= 0)
-        ans, status = xi_member(prob, pd.Y0)
+        ans, status = _xi_member(prob, pd.Y0)
         decided = status == "exact" and (ans or ker_trivial or unconstrained)
         rep.sccq = _tri(bool(ans) if decided else None)
         if rep.sccq == "undecided":

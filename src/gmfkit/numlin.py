@@ -47,11 +47,17 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-def sym(S: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Return the symmetrized copy (S + S^T)/2, checking S is finite and nearly symmetric."""
+# The validation boundary: a public function checks each matrix it receives
+# from outside once, a symmetric one by sym and a rectangular one by _rect,
+# and hands trusted arrays to everything behind it.
+
+
+def sym(S: np.ndarray, tol: Tolerances = DEFAULT_TOL, n: int | None = None) -> np.ndarray:
+    """Return the symmetrized copy (S + S^T)/2, checking S is square (n x n
+    when n is given), finite and nearly symmetric."""
     S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {S.shape}")
+    if S.ndim != 2 or S.shape[0] != S.shape[1] or n not in (None, S.shape[0]):
+        raise ValueError(f"expected a {'square' if n is None else f'{n}x{n}'} matrix, got shape {S.shape}")
     scale = 1.0 + np.max(np.abs(S)) if S.size else 1.0
     if not scale < np.inf:  # NaN fails every comparison
         raise ValueError("matrix must be finite")
@@ -60,10 +66,19 @@ def sym(S: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
+def _rect(M, shape: tuple[int, int] | None = None, name: str = "X") -> np.ndarray:
+    """M as a 2-D float array, checked to be finite and of the given shape."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    if shape is not None and M.shape != shape:
+        raise ValueError(f"{name} must be {shape[0]}x{shape[1]}, got {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name} must be finite")
+    return M
+
+
 def pinv(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse with singular values below
     rank_rel * sigma_max treated as zero."""
-    M = np.asarray(M, dtype=float)
     if M.size == 0:
         return M.T.copy()
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
@@ -74,19 +89,12 @@ def pinv(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 def range_contains(M: np.ndarray, C: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff every column of C lies in the column space of M."""
-    M = np.asarray(M, dtype=float)
-    C = np.asarray(C, dtype=float)
-    if C.ndim == 1:
-        C = C[:, None]
-    if M.shape[0] != C.shape[0]:
-        raise ValueError(f"row counts differ: {M.shape[0]} vs {C.shape[0]}")
     resid = C - M @ (pinv(M, tol) @ C)
     return np.linalg.norm(resid) <= tol.feas_abs * (1.0 + np.linalg.norm(C))
 
 
 def ker_basis(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of ker A as columns (n x k); k may be 0."""
-    A = np.asarray(A, dtype=float)
     n = A.shape[1]
     if A.size == 0 or not np.any(A):
         return np.eye(n)
@@ -98,29 +106,25 @@ def ker_basis(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 def sym_eig(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching orthonormal eigenvectors."""
-    w, Q = np.linalg.eigh(np.asarray(S, dtype=float))
+    w, Q = np.linalg.eigh(S)
     order = np.argsort(w)[::-1]
     return w[order], Q[:, order]
 
 
 def min_eig(S: np.ndarray) -> float:
-    if np.asarray(S).size == 0:
-        return np.inf
-    return float(np.linalg.eigvalsh(np.asarray(S, dtype=float))[0])
+    return float(np.linalg.eigvalsh(S)[0]) if S.size else np.inf
 
 
 def max_eig(S: np.ndarray) -> float:
-    if np.asarray(S).size == 0:
-        return -np.inf
-    return float(np.linalg.eigvalsh(np.asarray(S, dtype=float))[-1])
+    return float(np.linalg.eigvalsh(S)[-1]) if S.size else -np.inf
 
 
 def sv(M: np.ndarray) -> np.ndarray:
     """Singular values, descending; length min(rows, cols)."""
-    return np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
+    return np.linalg.svd(M, compute_uv=False)
 
 
 def psd_sqrt(S: np.ndarray) -> np.ndarray:
     """Symmetric square root of a (numerically) PSD matrix."""
-    w, Q = np.linalg.eigh(np.asarray(S, dtype=float))
+    w, Q = np.linalg.eigh(S)
     return (Q * np.sqrt(np.clip(w, 0.0, None))) @ Q.T

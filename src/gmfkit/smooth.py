@@ -18,8 +18,8 @@ import numpy as np
 
 from .gmf import ProblemData
 from .hset import Linear
-from .infproj import InfProjProblem, eval_p
-from .numlin import min_eig, psd_sqrt, sym
+from .infproj import InfProjProblem, _eval_p
+from .numlin import _rect, min_eig, psd_sqrt, sym
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def solve_smooth(
         )
         Z_new, C = split(res.x)
         X_new = C @ Z_new
-        V_new = sym(C @ C.T)
+        V_new = C @ C.T  # numpy forms C C^T exactly symmetric
         # evaluate through the factors; solving with a nearly singular
         # V would pollute the incumbent comparison
         F_new = barrier_obj(res.x, 0.0)[0]
@@ -239,13 +239,13 @@ def objective_certificate(
 
     Returns (F_value, p_value, gap); the gap is nonnegative up to
     roundoff, and small exactly when V is near the inner minimizer."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    V = sym(np.asarray(V, dtype=float))
-    Ubar = sym(np.asarray(Ubar, dtype=float))
+    X = _rect(X, (fit.n, fit.m))
+    V = sym(V, n=fit.n)
+    h = Linear(Ubar)  # the one check of Ubar
     if min_eig(V) <= 0:
         raise ValueError("V must be positive definite")
-    F = _objective(fit, Ubar, X, V)
+    F = _objective(fit, h.U, X, V)
     pd = ProblemData(np.zeros((1, fit.n)), np.zeros((1, fit.m)))
-    pe = eval_p(InfProjProblem(pd, Linear(Ubar)), X)
+    pe = _eval_p(InfProjProblem(pd, h), X)
     gap = F - (fit.value_and_grad(X)[0] + pe.value)
     return F, pe.value, gap

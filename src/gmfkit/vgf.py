@@ -22,10 +22,9 @@ from .hset import (
     SpectralBox,
     TraceBall,
     psd_cap_nonempty,
-    psd_cap_support,
 )
-from .infproj import InfProjProblem, eval_p
-from .numlin import DEFAULT_TOL, Tolerances, psd_sqrt, sv
+from .infproj import InfProjProblem, _eval_p
+from .numlin import DEFAULT_TOL, Tolerances, _rect, psd_sqrt, sv
 
 
 @dataclass(frozen=True)
@@ -63,17 +62,14 @@ class KyFanParams:
             raise ValueError("need k >= 1")
 
 
-def _check_Y(inst: VgfInstance, Y) -> np.ndarray:
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if Y.shape != (inst.n, inst.m):
-        raise ValueError(f"expected {inst.n}x{inst.m}, got {Y.shape}")
-    return Y
-
-
 def vgf_eval(inst: VgfInstance, Y: np.ndarray):
     """Phi(Y) with the maximizing V.  Returns (value, V)."""
-    Y = _check_Y(inst, Y)
-    val, V = psd_cap_support(inst.set, Y @ Y.T, inst.tol)
+    return _vgf_eval(inst, _rect(Y, (inst.n, inst.m), "Y"))
+
+
+def _vgf_eval(inst: VgfInstance, Y: np.ndarray):
+    G = Y @ Y.T
+    val, V = inst.set.psd_cap_support(0.5 * (G + G.T), inst.tol)
     return (0.5 * val if np.isfinite(val) else np.inf), V
 
 
@@ -82,8 +78,7 @@ def vgf_conj(inst: VgfInstance, X: np.ndarray):
     (in closed form for the spectral box, trace ball and Fantope).
 
     Returns (value, V); +inf when no feasible V covers the range of X."""
-    X = _check_Y(inst, X)
-    pe = eval_p(inst.prob, X)
+    pe = _eval_p(inst.prob, _rect(X, (inst.n, inst.m)))
     if pe.status == "infeasible":
         return np.inf, None
     if pe.status != "finite":
@@ -102,8 +97,8 @@ def vgf_subdiff(inst: VgfInstance, Y: np.ndarray):
             "subdifferential witness requires a bounded PSD slice; "
             "unbounded slices can make the subdifferential empty"
         )
-    Y = _check_Y(inst, Y)
-    phi, V = vgf_eval(inst, Y)
+    Y = _rect(Y, (inst.n, inst.m), "Y")
+    phi, V = _vgf_eval(inst, Y)
     if not np.isfinite(phi):
         raise ValueError("Y outside dom Phi")
     X = V @ Y
@@ -115,11 +110,12 @@ def vgf_subdiff(inst: VgfInstance, Y: np.ndarray):
 def gauge_factor_sup(inst: VgfInstance, Y: np.ndarray) -> float:
     """sigma_F(Y) = sup{|L^T Y|_F : L L^T in the PSD slice of the set},
     the support radius of the factor set behind Phi."""
-    Y = _check_Y(inst, Y)
-    val, _ = psd_cap_support(inst.set, Y @ Y.T, inst.tol)
-    if not np.isfinite(val):
-        return np.inf
-    return float(np.sqrt(max(val, 0.0)))
+    return _sigma_F(_vgf_eval(inst, _rect(Y, (inst.n, inst.m), "Y"))[0])
+
+
+def _sigma_F(phi: float) -> float:
+    """sigma_F(Y) = (2 Phi(Y))^{1/2}."""
+    return float(np.sqrt(max(2.0 * phi, 0.0))) if np.isfinite(phi) else np.inf
 
 
 def vgf_gauge_decomp(inst: VgfInstance, Y: np.ndarray):
@@ -127,9 +123,10 @@ def vgf_gauge_decomp(inst: VgfInstance, Y: np.ndarray):
 
     Returns (sigma_F value, consistent flag) plus per-variant closed
     forms in the detail dict."""
-    Y = _check_Y(inst, Y)
+    Y = _rect(Y, (inst.n, inst.m), "Y")
     S = inst.set
-    generic = gauge_factor_sup(inst, Y)
+    phi, _ = _vgf_eval(inst, Y)
+    generic = _sigma_F(phi)
     closed = None
     if isinstance(S, SpectralBox) and S.lo <= 0.0 <= S.hi:
         closed = float(np.sqrt(S.hi) * np.linalg.norm(Y))
@@ -137,14 +134,13 @@ def vgf_gauge_decomp(inst: VgfInstance, Y: np.ndarray):
         s = sv(Y)
         closed = float(np.sqrt(S.r) * (s[0] if s.size else 0.0))
     elif isinstance(S, Fantope):
-        closed = kyfan_norm(KyFanParams(2.0, S.k), Y)
+        closed = _kyfan(KyFanParams(2.0, S.k), Y)
     elif isinstance(S, Singleton):
         closed = float(np.linalg.norm(psd_sqrt(S.U) @ Y))
     elif isinstance(S, ShiftedPSDCap):
         R = psd_sqrt(S.U)
         lam = np.clip(np.linalg.eigvalsh(R @ Y @ Y.T @ R), 0.0, None)
         closed = float(np.sqrt(np.sum(lam)))
-    phi, _ = vgf_eval(inst, Y)
     if np.isfinite(phi):
         consistent = abs(phi - 0.5 * generic**2) <= inst.tol.conj_rel * (1.0 + abs(phi))
     else:
@@ -159,7 +155,10 @@ def vgf_gauge_decomp(inst: VgfInstance, Y: np.ndarray):
 
 def kyfan_norm(params: KyFanParams, X: np.ndarray) -> float:
     """(sum of the p-th powers of the k largest singular values)^(1/p)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return _kyfan(params, _rect(X))
+
+
+def _kyfan(params: KyFanParams, X: np.ndarray) -> float:
     if params.k > min(X.shape):
         raise ValueError("need k <= min(n, m)")
     s = sv(X)[: params.k]
@@ -174,9 +173,9 @@ def kyfan_vgf_identity(params: KyFanParams, X: np.ndarray):
     Requires p = 2.  Returns (lhs, rhs, ok)."""
     if params.p != 2:
         raise ValueError("identity holds for p = 2")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    lhs = 0.5 * kyfan_norm(params, X) ** 2
+    X = _rect(X)
+    lhs = 0.5 * _kyfan(params, X) ** 2
     inst = VgfInstance(Fantope(params.k, X.shape[0]), X.shape[1])
-    rhs, _ = vgf_eval(inst, X)
+    rhs, _ = _vgf_eval(inst, X)
     ok = abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs))
     return lhs, rhs, ok

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import numpy as np
@@ -18,3 +19,21 @@ def linalg_calls(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return counts
+
+
+@pytest.fixture
+def sym_calls(monkeypatch):
+    """Records the shape of each matrix passed to the checked numlin.sym
+    from here on, through every gmfkit module's binding of it."""
+    import gmfkit.numlin
+
+    real, shapes = gmfkit.numlin.sym, []
+
+    def counted(S, *args, **kwargs):
+        shapes.append(np.shape(S))
+        return real(S, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "gmfkit" and getattr(mod, "sym", None) is real:
+            monkeypatch.setattr(mod, "sym", counted)
+    return shapes

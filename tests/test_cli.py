@@ -403,6 +403,24 @@ def test_conjugate_abstains_on_a_hull_without_psd_vertex(tmp_path, capsys):
     assert rep["outputs"]["status"] == "undecided"
 
 
+def test_vgf_on_a_hull_without_psd_vertex_exits_1(tmp_path, capsys):
+    # the instance's nonemptiness test raised NotImplementedError through main
+    h = {"kind": "indicator", "set": {"kind": "hull", "points": [[[-1.0, 0.0], [0.0, -1.0]]]}}
+    bundle = write(tmp_path, "b.json", json.dumps({"A": [[0.0, 0.0]], "B": [[0.0]], "h": h}))
+    y = write(tmp_path, "y.csv", "1\n0.5\n")
+    assert main(["vgf", "--bundle", bundle, "--Y", y]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_conjugate_at_a_Y_of_the_wrong_width_exits_1(tmp_path, capsys):
+    # A Y - B broadcast the 2 x 1 Y against B of width 2: value 0, "exact", exit 0
+    h = {"kind": "linear", "U": [[0.5, 0.0], [0.0, 1.0]]}
+    bundle = write(tmp_path, "b.json", json.dumps({"A": [[1.0, 0.0]], "B": [[1.0, 2.0]], "h": h}))
+    y = write(tmp_path, "y.csv", "1\n0\n")
+    code, rep = run(capsys, ["conjugate", "--bundle", bundle, "--Y", y])
+    assert (code, rep) == (1, None)
+
+
 def test_determinism_excluding_wall_time(tmp_path, capsys):
     bundle = write(
         tmp_path,

@@ -127,6 +127,28 @@ def test_eval_p_conj_indicator_support_form():
     assert val == pytest.approx(want, rel=1e-9)
 
 
+def test_eval_p_conj_abstains_where_no_psd_vertex_attains_the_hull_support():
+    # hull{diag(2, -1), diag(0, 1), diag(-1, -1)} at A = 0 and Y = (sqrt 2, 0):
+    # the best PSD vertex gave (0.0, "exact"), but diag(1, 0) is in S cap
+    # PSD and gives p*(Y) = <diag(1, 0), YY^T>/2 = 1
+    S = Hull((np.diag([2.0, -1.0]), np.diag([0.0, 1.0]), np.diag([-1.0, -1.0])))
+    prob = InfProjProblem(unconstrained(2, 1), Indicator(S))
+    val, status = eval_p_conj(prob, np.array([[np.sqrt(2.0)], [0.0]]))
+    assert status == "undecided" and np.isnan(val)
+    assert eval_p_conj(prob, np.array([[0.0], [1.0]])) == (0.5, "exact")
+
+
+def test_conjugate_path_takes_one_support_for_indicator_h(monkeypatch):
+    # sigma_S(C0) was computed once for h*(C0) and again for its maximizer V
+    calls = []
+    real = TraceBall.support
+    monkeypatch.setattr(TraceBall, "support", lambda S, G, tol: calls.append(G) or real(S, G, tol))
+    prob = InfProjProblem(ProblemData(np.eye(2), np.array([[1.0], [0.5]])), Indicator(TraceBall(1.0, 2)))
+    pe = eval_p(prob, np.array([[1.0], [2.0]]))
+    assert pe.path == "conjugate" and np.isfinite(pe.value)
+    assert len(calls) == 1
+
+
 def test_dual_gap_zero_nuclear():
     prob = InfProjProblem(unconstrained(3, 2), Linear(0.5 * np.eye(3)))
     X = rng.standard_normal((3, 2))
