@@ -118,10 +118,9 @@ def in_KA_polar(pd: ProblemData, W: np.ndarray) -> bool:
 
 def _in_KA_polar(pd: ProblemData, W: np.ndarray) -> bool:
     tol = pd.tol
-    scale = 1.0 + np.linalg.norm(W)
-    if np.linalg.norm(W - pd.P @ W @ pd.P) > tol.feas_abs * scale:
+    if np.linalg.norm(W - pd.P @ W @ pd.P) > tol.feas_abs * (1.0 + np.linalg.norm(W)):
         return False
-    return max_eig(W) <= tol.psd_abs * scale
+    return max_eig(W) <= tol.psd_abs
 
 
 def in_omega(pd: ProblemData, Y: np.ndarray, W: np.ndarray) -> bool:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
-import scipy.optimize
 
 from .gmf import _in_KA, _in_KA_polar
 from .numlin import (
@@ -45,10 +44,11 @@ class ConvexSetSpec:
     - inside_KA(pd): whether S lies inside K_A, within pd's tolerances;
       False where that is not known.
     - ka_bounded(pd): whether S intersect K_A is bounded.
-    - max_min_eig(C, N): (sup over V in S of lambda_min(N^T (V - C) N),
-      exactness flag) for N with orthonormal columns, at least one; the
-      value is a lower bound when the flag is False.  A positive value
-      at C = 0 means S meets the interior of {V : N^T V N >= 0}.
+    - max_min_eig(C, N, tol): (sup over V in S of
+      lambda_min(N^T (V - C) N), exactness flag) for N with orthonormal
+      columns, at least one; the value is a lower bound when the flag is
+      False.  A value above psd_abs at C = 0 means S meets the interior
+      of {V : N^T V N >= 0}.
     - interior_member(C, tol): (C in ri S, C in int S), each True, False
       or None where that is not known.
     - covers(G, pd): whether some W in S has G - W in the polar of K_A,
@@ -78,8 +78,8 @@ class ConvexSetSpec:
     def dominates(self, G: np.ndarray, tol: Tolerances) -> bool:
         """Whether some W in S satisfies W >= G (G positive
         semidefinite): sup over S of lambda_min(W - G) >= 0."""
-        sup, _ = self.max_min_eig(G, np.eye(G.shape[0]))
-        return sup >= -tol.psd_abs * (1.0 + np.linalg.norm(G))
+        sup, _ = self.max_min_eig(G, np.eye(G.shape[0]), tol)
+        return sup >= -tol.psd_abs
 
     def covers(self, G: np.ndarray, pd) -> bool | None:
         # K_A polar is {0} when ker A = {0}, the negative semidefinite cone when A = 0
@@ -113,7 +113,7 @@ class Singleton(ConvexSetSpec):
         return float(np.sum(self.U * G)), self.U
 
     def psd_cap_support(self, G, tol):
-        if min_eig(self.U) < -tol.psd_abs * (1.0 + np.linalg.norm(self.U)):
+        if min_eig(self.U) < -tol.psd_abs:
             return -np.inf, None
         return self.support(G, tol)
 
@@ -130,7 +130,7 @@ class Singleton(ConvexSetSpec):
     def inside_KA(self, pd):
         return _in_KA(pd, self.U)
 
-    def max_min_eig(self, C, N):
+    def max_min_eig(self, C, N, tol):
         return min_eig(N.T @ (self.U - C) @ N), True
 
     def interior_member(self, C, tol):
@@ -171,10 +171,9 @@ class SpectralSet(ConvexSetSpec):
 
     def member(self, V, tol):
         w = np.linalg.eigvalsh(V)
-        scale = 1.0 + np.linalg.norm(V)
         return (
-            w[0] >= self.lo - tol.psd_abs * scale
-            and w[-1] <= self.cap + tol.psd_abs * scale
+            w[0] >= self.lo - tol.psd_abs
+            and w[-1] <= self.cap + tol.psd_abs
             and w.sum() <= self.total + tol.feas_abs * (1.0 + self.total)
         )
 
@@ -186,11 +185,10 @@ class SpectralSet(ConvexSetSpec):
 
     def gauge(self, G, tol):
         # G in t*S iff lambda_max <= t*cap, lambda_min >= t*lo, sum <= t*total
-        slack = tol.psd_abs * (1.0 + np.linalg.norm(G))
         w = np.linalg.eigvalsh(G)
         num = np.array([w[-1], -w[0], w.sum()])
         den = np.array([self.cap, -self.lo, self.total])
-        if np.any((num > slack) & (den == 0.0)):
+        if np.any((num > tol.psd_abs) & (den == 0.0)):
             return np.inf
         return max(0.0, float(np.max(np.divide(num, den, out=np.zeros(3), where=den > 0.0))))
 
@@ -199,8 +197,7 @@ class SpectralSet(ConvexSetSpec):
 
     def dominates(self, G, tol):
         # W = G when G's eigenvalues fit the caps (W = hi * I for a box)
-        scale = 1.0 + np.linalg.norm(G)
-        under_cap = max_eig(G) <= self.cap + tol.psd_abs * scale
+        under_cap = max_eig(G) <= self.cap + tol.psd_abs
         return under_cap and float(np.trace(G)) <= self.total + tol.feas_abs * (1.0 + self.total)
 
     def interior_member(self, C, tol):
@@ -211,9 +208,9 @@ class SpectralSet(ConvexSetSpec):
         # otherwise S has interior: every bound holds strictly there
         w = np.linalg.eigvalsh(C)
         margin = min(w[0] - self.lo, self.cap - w[-1], self.total - w.sum())
-        return (True, True) if margin > tol.psd_abs * (1.0 + np.linalg.norm(C)) else (None, None)
+        return (True, True) if margin > tol.psd_abs else (None, None)
 
-    def max_min_eig(self, C, N):
+    def max_min_eig(self, C, N, tol):
         # With k = N's column count and c = min(cap, total/k), V = c*I
         # (total = inf) or V = c*N N^T (lo = 0) lies in S and gives
         # N^T V N = c*I.  Nothing does better at C = 0: lambda_min(N^T V N)
@@ -311,7 +308,7 @@ class Hull(ConvexSetSpec):
         # the bracket closes only where a PSD vertex attains sigma_S(G),
         # within feas_abs (maximizers of the dual sit on such ties)
         vals = [float(np.sum(U * G)) for U in self.points]
-        psd = [j for j, U in enumerate(self.points) if min_eig(U) >= -tol.psd_abs * (1.0 + np.linalg.norm(U))]
+        psd = [j for j, U in enumerate(self.points) if min_eig(U) >= -tol.psd_abs]
         j, top = max(psd, key=vals.__getitem__, default=None), max(vals)
         if j is None or vals[j] < top - tol.feas_abs * (1.0 + abs(top)):
             raise NotImplementedError("support over a hull intersected with the PSD cone: no PSD vertex attains it")
@@ -322,6 +319,8 @@ class Hull(ConvexSetSpec):
         with columns vec(U_i - V) in C, then w = u / sum u: along u = t*w
         the residual's minimum over t is |Cw|^2 / (1 + |Cw|^2), which
         grows with |Cw| = |sum w_i U_i - V|."""
+        import scipy.optimize
+
         C = np.column_stack([(U - V).ravel() for U in self.points])
         u, _ = scipy.optimize.nnls(np.vstack([C, np.ones((1, C.shape[1]))]), np.eye(C.shape[0] + 1)[-1])
         return np.tensordot(u / u.sum(), self.points, axes=1)
@@ -339,6 +338,8 @@ class Hull(ConvexSetSpec):
         hull, nan if the LP fails.  C lies in S iff t >= 0 and in ri S iff
         t > 0: the relative interior of a polytope is the set of its
         combinations with positive weights."""
+        import scipy.optimize
+
         k = len(self.points)
         iu = np.triu_indices(self.n)
         res = scipy.optimize.linprog(
@@ -368,6 +369,8 @@ class Hull(ConvexSetSpec):
 
     def gauge(self, G, tol):
         # 0 in S, so G in t*S iff G = sum mu_i U_i with mu >= 0, sum mu <= t
+        import scipy.optimize
+
         iu = np.triu_indices(self.n)
         res = scipy.optimize.linprog(
             np.ones(len(self.points)),
@@ -385,7 +388,7 @@ class Hull(ConvexSetSpec):
     def inside_KA(self, pd):
         return all(_in_KA(pd, U) for U in self.points)
 
-    def max_min_eig(self, C, N):
+    def max_min_eig(self, C, N, tol):
         return _hull_max_min_eig([N.T @ U @ N for U in self.points], N.T @ C @ N), True
 
 
@@ -419,8 +422,7 @@ class Ray(ConvexSetSpec):
         return self.support(G, tol)
 
     def psd_cap_bounded(self, tol):
-        D = self.D
-        return self.bounded or min_eig(D) < -tol.psd_abs * (1.0 + np.linalg.norm(D))
+        return self.bounded or min_eig(self.D) < -tol.psd_abs
 
     def _coefficient(self, V) -> float:
         return max(0.0, float(np.sum(self.D * V) / np.sum(self.D * self.D)))
@@ -460,13 +462,12 @@ class Ray(ConvexSetSpec):
         # for G >= 0 (xi_member passes YY^T/2), alpha D >= G holds at
         # alpha = 0 iff G = 0, and for large alpha iff D >= 0 and
         # rge G lies in rge D
-        if min_eig(-G) >= -tol.psd_abs * (1.0 + np.linalg.norm(G)):
+        if min_eig(-G) >= -tol.psd_abs:
             return True
-        D = self.D
-        return min_eig(D) >= -tol.psd_abs * (1.0 + np.linalg.norm(D)) and range_contains(D, G, tol)
+        return min_eig(self.D) >= -tol.psd_abs and range_contains(self.D, G, tol)
 
-    def max_min_eig(self, C, N):
-        if min_eig(N.T @ self.D @ N) > 0:
+    def max_min_eig(self, C, N, tol):
+        if min_eig(N.T @ self.D @ N) > tol.psd_abs:
             return np.inf, True
         if not np.any(C):
             return 0.0, True  # attained at alpha = 0
@@ -486,7 +487,7 @@ class ShiftedPSDCap(ConvexSetSpec):
 
     def __post_init__(self):
         U = sym(self.U)
-        if min_eig(U) < -DEFAULT_TOL.psd_abs * (1.0 + np.linalg.norm(U)):
+        if min_eig(U) < -DEFAULT_TOL.psd_abs:
             raise ValueError("cap bound U must be positive semidefinite")
         object.__setattr__(self, "U", U)
 
@@ -508,11 +509,7 @@ class ShiftedPSDCap(ConvexSetSpec):
         return self.support(G, tol)
 
     def member(self, V, tol):
-        su = 1.0 + np.linalg.norm(self.U)
-        return (
-            min_eig(V) >= -tol.psd_abs * (1.0 + np.linalg.norm(V))
-            and min_eig(self.U - V) >= -tol.psd_abs * su
-        )
+        return min_eig(V) >= -tol.psd_abs and min_eig(self.U - V) >= -tol.psd_abs
 
     def project(self, V, tol):
         """Dykstra's alternating projections onto PSD and U - PSD."""
@@ -534,8 +531,7 @@ class ShiftedPSDCap(ConvexSetSpec):
 
     def gauge(self, G, tol):
         # G in t*S iff 0 <= G <= t*U
-        slack = tol.psd_abs * (1.0 + np.linalg.norm(G))
-        if min_eig(G) < -slack or not range_contains(self.U, G, tol):
+        if min_eig(G) < -tol.psd_abs or not range_contains(self.U, G, tol):
             return np.inf
         Rp = pinv(psd_sqrt(self.U), tol)
         return max(0.0, max_eig(Rp @ G @ Rp))
@@ -549,13 +545,13 @@ class ShiftedPSDCap(ConvexSetSpec):
         # ri S is {0 < V < U} on rge U (C vanishes off it), and S has
         # interior iff U > 0
         w, Q = np.linalg.eigh(self.U)
-        R = Q[:, w > tol.psd_abs * (1.0 + np.linalg.norm(self.U))]
+        R = Q[:, w > tol.psd_abs]
         Cr = R.T @ C @ R
         margin = min(min_eig(Cr), min_eig(R.T @ self.U @ R - Cr))
-        ri = True if margin > tol.psd_abs * (1.0 + np.linalg.norm(C)) else None
+        ri = True if margin > tol.psd_abs else None
         return ri, ri if R.shape[1] == self.n else False
 
-    def max_min_eig(self, C, N):
+    def max_min_eig(self, C, N, tol):
         return min_eig(N.T @ (self.U - C) @ N), True
 
     def loewner_max(self):
@@ -578,22 +574,20 @@ class Halfspace(ConvexSetSpec):
         ip = float(np.sum(self.D * V))
         return V - (ip / float(np.sum(self.D * self.D))) * self.D if ip > 0 else V
 
-    def max_min_eig(self, C, N):
+    def max_min_eig(self, C, N, tol):
         # V = N M N^T + W with W orthogonal to every N M N^T: unless
         # D = N E N^T with E >= 0, E != 0, some such V meets <D, V> <= 0
         # with M as large as wanted.  Otherwise <E, M> <= 0 caps
         # lambda_min(M - N^T C N) at -<D, C> / tr E (M = N^T C N + sI).
         D, E = self.D, N.T @ self.D @ N
-        scale = 1.0 + np.linalg.norm(D)
-        in_span = np.linalg.norm(D - N @ E @ N.T) <= DEFAULT_TOL.feas_abs * scale
-        if not (in_span and np.any(E) and min_eig(E) >= -DEFAULT_TOL.psd_abs * scale):
+        in_span = np.linalg.norm(D - N @ E @ N.T) <= tol.feas_abs * (1.0 + np.linalg.norm(D))
+        if not (in_span and np.any(E) and min_eig(E) >= -tol.psd_abs):
             return np.inf, True
         return -float(np.sum(D * C)) / float(np.trace(E)), True
 
     def ka_bounded(self, pd):
         # K_A holds a line unless A = 0; <D, V> <= 0 meets PSD in {0} iff D > 0
-        lam = np.linalg.eigvalsh(self.D)
-        return pd.N.shape[1] == pd.n and lam[0] > pd.tol.psd_abs * (1.0 + abs(lam[-1]))
+        return pd.N.shape[1] == pd.n and min_eig(self.D) > pd.tol.psd_abs
 
     def interior_member(self, C, tol):
         if self.full:
@@ -606,7 +600,7 @@ class Halfspace(ConvexSetSpec):
     def covers(self, G, pd):
         # W = G + N E N^T with E >= 0 needs <D, G> + <N^T D N, E> <= 0
         D, tol = self.D, pd.tol
-        if min_eig(pd.N.T @ D @ pd.N) < -tol.psd_abs * (1.0 + np.linalg.norm(D)):
+        if min_eig(pd.N.T @ D @ pd.N) < -tol.psd_abs:
             return True
         return float(np.sum(D * G)) <= tol.feas_abs * (1.0 + np.linalg.norm(D) * np.linalg.norm(G))
 
@@ -652,6 +646,8 @@ def _hull_max_min_eig(mats, C: np.ndarray) -> float:
     """max over the simplex of lambda_min(sum w_i M_i - C), by SLSQP from
     the uniform weights and five seeded Dirichlet draws.  The objective is
     nonsmooth, so this is a local search that no dual bound certifies."""
+    import scipy.optimize
+
     k = len(mats)
     flat = np.reshape(mats, (k, -1))
     cons = [{"type": "eq", "fun": lambda w: np.sum(w) - 1.0}]

@@ -118,15 +118,6 @@ def _ker_trivial(pd: ProblemData) -> bool:
 # Inner minimization
 
 
-def _h_subgrad(h: HSpec, V: np.ndarray, tol: Tolerances) -> np.ndarray:
-    if isinstance(h, Indicator):
-        return np.zeros_like(V)
-    _, W = h.set.support(0.5 * (V + V.T), tol)
-    if W is None:
-        raise ValueError("h(V) is infinite")
-    return W
-
-
 def _start_candidates(
     prob: InfProjProblem, rng: np.random.Generator, n_random: int = 40
 ):
@@ -168,13 +159,18 @@ def _start_candidates(
 
 
 def _objective(prob: InfProjProblem, X: np.ndarray, V: np.ndarray):
-    """phi(X, V) + h(V) at the symmetric part of V, which projections
-    return symmetric only up to rounding."""
+    """(phi(X, V) + h(V), phi's evaluation, a subgradient of h at V) at
+    the symmetric part of V, which projections return symmetric only up
+    to rounding.  The subgradient is the maximizer of the support call
+    that gives sigma_S(V), or 0 for indicator h (the descent never runs
+    linear h); None where phi(X, V) or sigma_S(V) is infinite."""
     V = 0.5 * (V + V.T)
     ge = _eval_gmf(prob.pd, X, V)
     if not np.isfinite(ge.value):
-        return np.inf, ge
-    return ge.value + prob.h.value(V, prob.tol), ge
+        return np.inf, ge, None
+    h = prob.h
+    hv, W = h.set.support(V, prob.tol) if isinstance(h, Support) else (h.value(V, prob.tol), np.zeros_like(V))
+    return ge.value + hv, ge, W
 
 
 def _water_fill(s: np.ndarray, cap: float, total: float) -> np.ndarray:
@@ -314,14 +310,13 @@ def _linear_factors(prob: InfProjProblem) -> np.ndarray | _Slope | None:
         K = N.T @ U @ Y0_pinv.T
         off_Y0 = np.eye(pd.m) - Y0_pinv @ Y0
     mu, E = np.linalg.eigh(U if free else N.T @ U @ N - 2.0 * K @ K.T)
-    floor = tol.psd_abs * (1.0 + max(abs(mu[0]), abs(mu[-1])))
-    if mu[0] < -floor:
+    if mu[0] < -tol.psd_abs:
         v = N @ E[:, :1]
         W = np.zeros_like(U) if free else -2.0 * v @ (E[:, :1].T @ K) @ Y0_pinv
         return v @ v.T + W + W.T
-    lam = mu if mu[0] > floor else np.where(mu > floor, mu, 0.0)  # 0 inside the floor
+    lam = np.where(mu > tol.psd_abs, mu, 0.0)  # 0 inside the floor
     L = (E * np.sqrt(2.0 * lam)) @ E.T
-    return _Slope(free, L, K, off_Y0, *((E, E / np.sqrt(mu)) if free and mu[0] > floor else (None, None)))
+    return _Slope(free, L, K, off_Y0, *((E, E / np.sqrt(mu)) if free and mu[0] > tol.psd_abs else (None, None)))
 
 
 def _linear_path(prob: InfProjProblem, X: np.ndarray, with_V: bool = True) -> InfProjEval:
@@ -375,12 +370,11 @@ def _ray_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
         return None
     D = h.set.D
     lam, E = np.linalg.eigh(D)
-    floor = tol.psd_abs * (1.0 + abs(lam[-1]))
-    psd = lam[0] >= -floor
+    psd = lam[0] >= -tol.psd_abs
     if isinstance(h, Support):
         feasible = not psd or np.linalg.norm(D @ X) <= tol.feas_abs * (1.0 + np.linalg.norm(D) * np.linalg.norm(X))
     else:  # X must vanish on ker D, or on everything when D is not PSD
-        ker = E[:, lam <= floor] if psd else E
+        ker = E[:, lam <= tol.psd_abs] if psd else E
         feasible = np.linalg.norm(ker.T @ X) <= tol.feas_abs * (1.0 + np.linalg.norm(X))
     if not feasible:
         return InfProjEval(np.inf, status="infeasible", path="ray")
@@ -424,18 +418,18 @@ def _descent(prob: InfProjProblem, X: np.ndarray, max_iter: int, seed: int) -> I
         and _is_unconstrained(prob.pd)
     )
     n_random = 6 if cheap else 40
-    best_V, best_F, best_ge = None, np.inf, None
+    best = None, np.inf, None, None
     for V in _start_candidates(prob, rng, n_random):
-        F, ge = _objective(prob, X, V)
-        if F < best_F:
-            best_V, best_F, best_ge = V, F, ge
-    if best_V is None or not np.isfinite(best_F):
+        F, ge, W = _objective(prob, X, V)
+        if F < best[1]:
+            best = V, F, ge, W
+    V, F, ge, W = best
+    if V is None or not np.isfinite(F):
         return InfProjEval(np.inf, status="infeasible")
-    start_V = best_V
+    start_V = V
 
-    V, F, ge = best_V, best_F, best_ge
     dom = prob.h.dom
-    g = -0.5 * ge.witness_Y @ ge.witness_Y.T + _h_subgrad(prob.h, V, tol)
+    g = -0.5 * ge.witness_Y @ ge.witness_Y.T + W
     t = 1.0 / (1.0 + np.linalg.norm(g))
     stall = 0
     it = 0
@@ -445,7 +439,7 @@ def _descent(prob: InfProjProblem, X: np.ndarray, max_iter: int, seed: int) -> I
         for _ in range(40):
             V_new = V - tt * g
             V_new = dom.project(0.5 * (V_new + V_new.T), tol)
-            F_new, ge_new = _objective(prob, X, V_new)
+            F_new, ge_new, W_new = _objective(prob, X, V_new)
             step = np.linalg.norm(V_new - V)
             if F_new <= F - 1.0e-4 / max(tt, 1e-300) * step**2 and step > 0:
                 accepted = True
@@ -453,9 +447,7 @@ def _descent(prob: InfProjProblem, X: np.ndarray, max_iter: int, seed: int) -> I
             tt *= 0.5
         if not accepted:
             break
-        g_new = -0.5 * ge_new.witness_Y @ ge_new.witness_Y.T + _h_subgrad(
-            prob.h, V_new, tol
-        )
+        g_new = -0.5 * ge_new.witness_Y @ ge_new.witness_Y.T + W_new
         s = V_new - V
         y = g_new - g
         sy = float(np.sum(s * y))
@@ -508,8 +500,7 @@ def dom_p_member(prob: InfProjProblem, X: np.ndarray):
         return True, loewner.V, "witness"
     rng = np.random.default_rng(0)
     for V in _start_candidates(prob, rng):
-        F, _ = _objective(prob, X, V)
-        if np.isfinite(F):
+        if np.isfinite(_objective(prob, X, V)[0]):
             return True, V, "witness"
     return False, None, "sampled"
 
@@ -679,7 +670,7 @@ def cq_report(prob: InfProjProblem) -> CQReport:
     xi_empty = isinstance(lin, np.ndarray)  # a ray
 
     # ---- CCQ: dom h meets int K_A
-    s, exact = (np.inf, True) if ker_trivial else dom.max_min_eig(zero, pd.N)
+    s, exact = (np.inf, True) if ker_trivial else dom.max_min_eig(zero, pd.N, tol)
     rep.ccq = _lambda_rule(s, exact, tol)
 
     # ---- BPCQ: dom h intersect K_A nonempty and bounded
@@ -697,7 +688,7 @@ def cq_report(prob: InfProjProblem) -> CQReport:
         rep.pcq = rep.spcq = rep.bpcq
         rep.notes.append("pcq/spcq matched to bpcq (indicator case with no equality constraint)")
     elif unconstrained:  # Omega_2 is the negative semidefinite cone
-        rep.pcq = rep.spcq = _lambda_rule(*conj_dom.max_min_eig(zero, np.eye(n)), tol)
+        rep.pcq = rep.spcq = _lambda_rule(*conj_dom.max_min_eig(zero, np.eye(n), tol), tol)
     elif conj_dom.full:
         rep.pcq = rep.spcq = "holds"
 

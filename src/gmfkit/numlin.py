@@ -17,7 +17,7 @@ class Tolerances:
     """Shared numerical tolerances.
 
     rank_rel : relative singular-value cutoff for rank decisions
-    psd_abs  : eigenvalue slack for semidefiniteness tests
+    psd_abs  : eigenvalue floor for semidefiniteness tests, never scaled
     feas_abs : residual slack for feasibility/range tests
     conj_rel : relative tolerance for conjugacy certificates
     """

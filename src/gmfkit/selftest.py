@@ -488,14 +488,9 @@ def _rand_set(rng, n):
     return ShiftedPSDCap(M @ M.T + 0.1 * np.eye(n))
 
 
-def criterion_13(seed=0):
-    """Constraint qualification implications hold on 500 random
-    problems: boundedness implies the strong primal condition implies
-    the primal condition, and with no equality constraint the three
-    coincide for indicator h."""
+def criterion_13_problems(seed=0):
+    """The 500 random problems of criterion_13(seed), drawn in order."""
     rng = np.random.default_rng(seed)
-    order = {"fails": 0, "holds": 1}
-    violations = 0
     for _ in range(500):
         n = int(rng.integers(1, 5))
         m = int(rng.integers(1, 4))
@@ -514,13 +509,23 @@ def criterion_13(seed=0):
             h = Indicator(_rand_set(rng, n))
         else:
             h = Support(_rand_set(rng, n))
-        prob = InfProjProblem(ProblemData(A, B), h)
+        yield InfProjProblem(ProblemData(A, B), h)
+
+
+def criterion_13(seed=0):
+    """Constraint qualification implications hold on 500 random
+    problems: boundedness implies the strong primal condition implies
+    the primal condition, and with no equality constraint the three
+    coincide for indicator h."""
+    order = {"fails": 0, "holds": 1}
+    violations = 0
+    for prob in criterion_13_problems(seed):
         rep = cq_report(prob)
         chain = [rep.bpcq, rep.spcq, rep.pcq]
         for a, b in zip(chain, chain[1:]):
             if a in order and b in order and order[a] > order[b]:
                 violations += 1
-        if not np.any(A) and not np.any(B) and isinstance(h, Indicator):
+        if not np.any(prob.pd.A) and not np.any(prob.pd.B) and isinstance(prob.h, Indicator):
             decided = [v for v in chain if v in order]
             if len({order[v] for v in decided}) > 1:
                 violations += 1

@@ -190,15 +190,10 @@ def solve_smooth(
     return trace
 
 
-def solve_prox_reference(
-    fit: FitSpec,
-    L: np.ndarray,
-    lam: float,
-    x0: np.ndarray | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 20000,
-) -> np.ndarray:
-    """Accelerated proximal gradient on f(X) + lam * |X|_* (FISTA).
+def solve_prox_reference(fit: FitSpec, L: np.ndarray, lam: float) -> np.ndarray:
+    """Accelerated proximal gradient on f(X) + lam * |X|_* (FISTA) from
+    X = 0, until a step moves X by at most 1e-12 (1 + |X|) or after 20000
+    steps.
 
     The exact singular-value-thresholding prox requires L = I."""
     n, m = fit.n, fit.m
@@ -215,16 +210,16 @@ def solve_prox_reference(
         U, s, Vt = np.linalg.svd(X, full_matrices=False)
         return U @ (np.maximum(s - thr, 0.0)[:, None] * Vt)
 
-    X = np.zeros((n, m)) if x0 is None else np.atleast_2d(np.asarray(x0, dtype=float))
+    X = np.zeros((n, m))
     Z = X.copy()
     t = 1.0
-    for _ in range(max_iter):
+    for _ in range(20000):
         X_new = prox(Z - step * fit.value_and_grad(Z)[1], lam * step)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         Z = X_new + ((t - 1.0) / t_new) * (X_new - X)
         delta = np.linalg.norm(X_new - X)
         X, t = X_new, t_new
-        if delta <= tol * (1.0 + np.linalg.norm(X)):
+        if delta <= 1e-12 * (1.0 + np.linalg.norm(X)):
             break
     return X
 

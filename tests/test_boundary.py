@@ -53,7 +53,7 @@ def test_a_descent_objective_checks_nothing(sym_calls):
     # eval_gmf, h_eval and the set rule each checked the same V: 3 calls
     prob = InfProjProblem(unconstrained(2, 1), Support(Hull((np.eye(2), np.diag([2.0, 0.5])))))
     sym_calls.clear()
-    F, ge = _objective(prob, np.array([[1.0], [2.0]]), np.diag([1.0, 3.0]))
+    F, ge, _ = _objective(prob, np.array([[1.0], [2.0]]), np.diag([1.0, 3.0]))
     assert np.isfinite(F) and np.isfinite(ge.value)
     assert sym_calls == []
 

@@ -484,3 +484,56 @@ def test_support_h_with_trivial_kernel_reports_its_ray(tmp_path, capsys):
     assert not np.any(rep["outputs"]["unbounded_base"])  # the ray starts at V = 0
     code, rep = run(capsys, ["dual-gap", "--bundle", bundle, "--X", x])
     assert (code, rep["outputs"]["status"]) == (0, "exact")
+
+
+def test_subdiff_reports_a_subgradient_with_its_gap(tmp_path, capsys):
+    # p = |L X|_* with L = (2U)^{1/2} = I: a subgradient Y of the nuclear
+    # norm at X = (3, 4)^T is X / |X|
+    bundle = write(
+        tmp_path, "b.json", json.dumps({"A": [[0.0, 0.0]], "B": [[0.0]], "h": {"kind": "linear", "U": [[0.5, 0.0], [0.0, 0.5]]}})
+    )
+    x = write(tmp_path, "x.csv", "3\n4\n")
+    code, rep = run(capsys, ["subdiff", "--bundle", bundle, "--X", x])
+    out = rep["outputs"]
+    assert (code, set(out), out["status"]) == (0, {"Y", "fenchel_gap", "status"}, "exact")
+    assert np.allclose(out["Y"], [[0.6], [0.8]])
+    assert abs(out["fenchel_gap"]) <= 1e-9
+
+
+def test_vgf_reports_the_value_and_its_maximizer(tmp_path, capsys):
+    # over the trace ball of radius 2, Phi(Y) = r |Y|_2^2 / 2 = 25
+    ball = {"kind": "trace_ball", "r": 2.0, "n": 2}
+    bundle = write(tmp_path, "b.json", json.dumps({"A": [[0.0, 0.0]], "B": [[0.0]], "h": {"kind": "indicator", "set": ball}}))
+    y = write(tmp_path, "y.csv", "3\n4\n")
+    code, rep = run(capsys, ["vgf", "--bundle", bundle, "--Y", y])
+    out = rep["outputs"]
+    assert (code, set(out)) == (0, {"value", "V"})
+    assert out["value"] == pytest.approx(25.0, rel=1e-12)
+    assert np.allclose(out["V"], 2.0 * np.array([[9.0, 12.0], [12.0, 16.0]]) / 25.0)
+
+
+def test_gauge_check_agrees_with_the_closed_form(tmp_path, capsys):
+    box = {"kind": "spectral_box", "lo": 0.0, "hi": 1.0, "n": 2}
+    bundle = write(tmp_path, "b.json", json.dumps({"A": [[0.0, 0.0]], "B": [[0.0]], "h": {"kind": "indicator", "set": box}}))
+    y = write(tmp_path, "y.csv", "3,0\n0,4\n")
+    code, rep = run(capsys, ["gauge-check", "--bundle", bundle, "--Y", y])
+    out = rep["outputs"]
+    assert (code, set(out), out["consistent"]) == (0, {"gauge", "consistent", "detail"}, True)
+    assert out["gauge"] == pytest.approx(5.0, rel=1e-9)  # the Frobenius norm
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_selftest_exit_code_and_log(tmp_path, capsys, monkeypatch, fail):
+    import gmfkit.selftest
+
+    criteria = [("cheap pass", lambda seed: (True, f"seed {seed}"))]
+    if fail:
+        criteria.append(("cheap fail", lambda seed: (False, "bad")))
+    monkeypatch.setattr(gmfkit.selftest, "CRITERIA", criteria)
+    dest = str(tmp_path / "report.json")
+    code = main(["selftest", "--seed", "4", "--out", dest])
+    log = ["criterion 01 cheap pass: PASS (seed 4)"] + ["criterion 02 cheap fail: FAIL (bad)"] * fail
+    assert code == int(fail)
+    assert capsys.readouterr().out.splitlines() == log
+    rep = json.loads(open(dest).read())
+    assert rep["outputs"] == {"all_pass": not fail, "log": log}

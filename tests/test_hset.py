@@ -275,7 +275,7 @@ def test_max_min_eig_bounds_every_member(S):
         N, _ = np.linalg.qr(g.standard_normal((n, int(g.integers(1, n + 1)))))
         M = g.standard_normal((n, n))
         C = M @ M.T if trial % 2 else np.zeros((n, n))
-        val, exact = S.max_min_eig(C, N)
+        val, exact = S.max_min_eig(C, N, DEFAULT_TOL)
         ref = _max_min_eig_closed_form(S, C, N)
         if ref is not None:
             assert exact and val == ref

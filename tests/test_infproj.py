@@ -32,8 +32,8 @@ from gmfkit.infproj import (
     xi_member,
 )
 from gmfkit.hset import h_eval, project, support
-from gmfkit.numlin import DEFAULT_TOL, sv
-from gmfkit.selftest import _rand_set
+from gmfkit.numlin import DEFAULT_TOL, Tolerances, sv
+from gmfkit.selftest import _rand_set, criterion_13_problems
 
 rng = np.random.default_rng(3)
 
@@ -147,6 +147,19 @@ def test_conjugate_path_takes_one_support_for_indicator_h(monkeypatch):
     pe = eval_p(prob, np.array([[1.0], [2.0]]))
     assert pe.path == "conjugate" and np.isfinite(pe.value)
     assert len(calls) == 1
+
+
+def test_the_descent_takes_each_support_once_per_accepted_V(monkeypatch):
+    # the objective took sigma_S(V) and a second support call took its
+    # maximizer for the subgradient: 257 calls
+    calls = []
+    real = Hull.support
+    monkeypatch.setattr(Hull, "support", lambda S, G, tol: calls.append(G) or real(S, G, tol))
+    S = Hull((np.eye(2), np.diag([2.0, -0.5]), np.array([[0.5, 0.3], [0.3, 1.0]])))
+    pe = eval_p(InfProjProblem(unconstrained(2, 1), Support(S)), np.array([[1.0], [2.0]]))
+    assert (pe.path, pe.iters) == ("descent", 37)
+    assert pe.value == pytest.approx(3.3786163821115665, rel=1e-12)
+    assert len(calls) == 220
 
 
 def test_dual_gap_zero_nuclear():
@@ -650,29 +663,9 @@ def test_p_is_nonnegative_without_equality_constraint(seed, kind):
 # linear h at every A, and the support function of a ray with A = 0
 
 
-def _criterion_13_problems(seed):
-    """The 500 problems of selftest.criterion_13(seed), replayed."""
-    g = np.random.default_rng(seed)
-    for _ in range(500):
-        n, m = int(g.integers(1, 5)), int(g.integers(1, 4))
-        if g.random() < 0.4:
-            A, B = np.zeros((1, n)), np.zeros((1, m))
-        else:
-            A = g.standard_normal((int(g.integers(1, 3)), n))
-            B = A @ g.standard_normal((n, m))
-        kind = int(g.integers(3))
-        if kind == 0:
-            M = g.standard_normal((n, n))
-            h = Linear(M @ M.T if g.random() < 0.7 else 0.5 * (M + M.T))
-        else:
-            S = _rand_set(g, n)
-            h = Indicator(S) if kind == 1 else Support(S)
-        yield InfProjProblem(ProblemData(A, B), h)
-
-
 def _criterion_13_draw(seed, index):
     """Problem `index` of selftest.criterion_13(seed)."""
-    return next(itertools.islice(_criterion_13_problems(seed), index, None))
+    return next(itertools.islice(criterion_13_problems(seed), index, None))
 
 
 def test_indefinite_slope_without_equality_constraint_is_unbounded():
@@ -832,14 +825,14 @@ def test_linear_h_with_an_equality_constraint_factorizes_once_per_X(linalg_calls
 
 def test_cq_report_on_linear_h_reads_the_problem_s_ray(linalg_calls):
     # the report used to run _linear_path at X = 0 (a pinv, an eigh and an
-    # SVD); on a problem whose factors eval_p has built, only BPCQ's
-    # eigvalsh of dom h's normal remains
+    # SVD); on a problem whose factors eval_p has built, with A != 0, it
+    # factors nothing (BPCQ tests dom h's normal for D > 0 only at A = 0)
     verdicts = set()
     for prob, X in _finite_linear_problems(1) + _linear_problems_with_a_kernel_constraint(10):
         eval_p(prob, X)
         linalg_calls.clear()
         rep = cq_report(prob)
-        assert linalg_calls == {"eigh": 1}
+        assert linalg_calls == {}
         verdicts.add(rep.sccq)
     assert verdicts == {"holds", "fails"}
 
@@ -909,7 +902,7 @@ def _ray_rows_without_equality_constraint():
     ray, each with its X."""
     rows = []
     for seed in range(5):
-        for i, prob in enumerate(_criterion_13_problems(seed)):
+        for i, prob in enumerate(criterion_13_problems(seed)):
             if isinstance(prob.h, Linear) or not isinstance(prob.h.set, Ray) or np.any(prob.pd.A):
                 continue
             rows.append((prob, np.random.default_rng([seed, i]).standard_normal((prob.pd.n, prob.pd.m))))
@@ -1020,10 +1013,47 @@ def test_support_of_a_hull_missing_C0_with_trivial_kernel():
     assert eval_p(prob, np.array([[1.0], [1.0]])).value == -np.inf
 
 
+def test_a_psd_ray_of_rank_one_less_misses_the_interior_on_every_rotation():
+    # D = Q diag(1, 2, 0) Q^T: both verdicts followed the sign of D's
+    # rounding-level eigenvalue and read "holds" on about half the rotations
+    g = np.random.default_rng(0)
+    for _ in range(50):
+        Q, _ = np.linalg.qr(g.standard_normal((3, 3)))
+        D = Q @ np.diag([1.0, 2.0, 0.0]) @ Q.T
+        assert cq_report(InfProjProblem(unconstrained(3, 1), Indicator(Ray(D)))).ccq == "fails"
+        assert cq_report(InfProjProblem(unconstrained(3, 1), Support(Ray(D)))).pcq == "fails"
+
+
+def test_a_singleton_below_the_psd_floor_has_no_point_in_the_cone():
+    # U's eigenvalue -5e-9 lies below -psd_abs, which eval_gmf reads as
+    # U outside the PSD cone; the conjugate scaled the floor by |U| and
+    # read it as inside
+    from gmfkit.vgf import VgfInstance
+
+    U = np.diag([10.0, -5e-9])
+    prob = InfProjProblem(unconstrained(2, 1), Indicator(Singleton(U)))
+    g = np.random.default_rng(0)
+    for Z in [np.ones((2, 1))] + [g.standard_normal((2, 1)) for _ in range(5)]:
+        assert eval_p(prob, Z).value == np.inf  # p is +inf at every X
+        assert eval_p_conj(prob, Z) == (-np.inf, "exact")  # so p* is -inf at every Y
+    with pytest.raises(ValueError, match="meet the PSD cone"):
+        VgfInstance(Singleton(U), 1)
+
+
+def test_ccq_of_a_ray_support_reads_the_floor_the_ray_path_reads():
+    # D = diag(1, -5e-7) with psd_abs = 1e-6: the "ray" path takes D >= 0
+    # (X off ker D is infeasible), so <D, V> <= 0 misses int PSD; CCQ held
+    # because Halfspace compared with the default psd_abs
+    pd = ProblemData(np.zeros((1, 2)), np.zeros((1, 1)), Tolerances(psd_abs=1e-6))
+    prob = InfProjProblem(pd, Support(Ray(np.diag([1.0, -5e-7]))))
+    assert eval_p(prob, np.array([[1.0], [0.0]])).status == "infeasible"
+    assert cq_report(prob).ccq == "fails"
+
+
 def _criterion_13_reports(select):
     """(problem, report) for the criterion-13 problems (seeds 0-4) that
     select(problem) keeps."""
-    return [(p, cq_report(p)) for seed in range(5) for p in _criterion_13_problems(seed) if select(p)]
+    return [(p, cq_report(p)) for seed in range(5) for p in criterion_13_problems(seed) if select(p)]
 
 
 def _int_KA_point_in_the_halfspace(D, N):
@@ -1171,7 +1201,7 @@ def _two_regime_rows(seed):
     ker A = {0} for every h, and support h of a bounded set other than a
     hull at A = 0."""
     rows = []
-    for i, prob in enumerate(_criterion_13_problems(seed)):
+    for i, prob in enumerate(criterion_13_problems(seed)):
         h, pd = prob.h, prob.pd
         free_support = (
             isinstance(h, Support)

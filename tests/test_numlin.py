@@ -1,6 +1,7 @@
 import ast
 import inspect
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -228,6 +229,26 @@ def test_set_rules_do_not_dispatch_on_the_set_class():
     assert len(hits) <= 5
 
 
+def test_every_psd_test_compares_with_the_unscaled_floor():
+    # an eigenvalue is nonnegative from -psd_abs, positive above psd_abs and
+    # zero in between, whatever the size of the matrix; constructors, which
+    # have no problem, read the default tolerances, and every rule the
+    # tolerances it is passed
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "gmfkit"
+    for name in ("hset.py", "infproj.py", "gmf.py"):
+        text = (src / name).read_text()
+        assert not re.search(r"psd_abs\s*\*|\*\s*[\w.]*psd_abs", text), name
+        readers = {
+            fn.name
+            for fn in ast.walk(ast.parse(text))
+            if isinstance(fn, ast.FunctionDef)
+            for stmt in fn.body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and node.id == "DEFAULT_TOL"
+        }
+        assert readers <= {"__init__", "__post_init__"}, name
+
+
 def _function_def(path, name):
     return next(
         fn for fn in ast.walk(ast.parse(path.read_text())) if isinstance(fn, ast.FunctionDef) and fn.name == name
@@ -248,12 +269,11 @@ def test_cq_rules_read_the_two_domains_only(name):
 def test_criterion_13_leaves_fewer_verdicts_undecided():
     # seed 0 left 74/74/82/10/7 undecided (pcq/spcq/sccq/ccq/bpcq) when each
     # CQ was written out per h kind and A shape
-    from test_infproj import _criterion_13_problems
-
     from gmfkit.infproj import cq_report
+    from gmfkit.selftest import criterion_13_problems
 
     counts = dict.fromkeys(("pcq", "spcq", "sccq", "ccq", "bpcq"), 0)
-    for prob in _criterion_13_problems(0):
+    for prob in criterion_13_problems(0):
         rep = cq_report(prob)
         for k in counts:
             counts[k] += getattr(rep, k) == "undecided"
