@@ -9,7 +9,7 @@ decidable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -57,6 +57,8 @@ class ConvexSetSpec:
 
     loewner_max() returns the greatest element of S in the Loewner order
     (V <= Vbar for every V in S, Vbar in S) or None where S has none.
+    greatest(free) returns the U in S with sigma_S = <U, .> on K_A, or
+    None: at A = 0 (free), where K_A is PSD, loewner_max() is such a U.
 
     `kind` is the variant's JSON tag; the JSON fields are the dataclass
     fields."""
@@ -91,6 +93,9 @@ class ConvexSetSpec:
 
     def loewner_max(self) -> np.ndarray | None:
         return None
+
+    def greatest(self, free: bool) -> np.ndarray | None:
+        return self.loewner_max() if free else None
 
 
 @dataclass(frozen=True)
@@ -141,6 +146,9 @@ class Singleton(ConvexSetSpec):
 
     def loewner_max(self):
         return self.U.copy()
+
+    def greatest(self, free):
+        return self.U
 
 
 class SpectralSet(ConvexSetSpec):
@@ -671,29 +679,6 @@ def _hull_max_min_eig(mats, C: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class Linear:
-    """h = <U, .>: dom h = S^n, dom h* = {U}."""
-
-    U: np.ndarray
-
-    kind = "linear"
-
-    def __post_init__(self):
-        S = Singleton(self.U)  # the one check of U
-        object.__setattr__(self, "U", S.U)
-        object.__setattr__(self, "conj_dom", S)
-
-    n = property(lambda self: self.U.shape[0])
-    dom = property(lambda self: Halfspace(np.zeros_like(self.U)))
-
-    def value(self, V, tol):
-        return float(np.sum(self.U * V))
-
-    def conj(self, W, tol):
-        return 0.0 if self.conj_dom.member(W, tol) else np.inf
-
-
-@dataclass(frozen=True)
 class Indicator:
     """h = delta_S: dom h = S, dom h* = dom sigma_S."""
 
@@ -705,10 +690,10 @@ class Indicator:
     conj_dom = property(lambda self: self.set.support_dom())
 
     def value(self, V, tol):
-        return 0.0 if self.set.member(V, tol) else np.inf
+        return (0.0 if self.set.member(V, tol) else np.inf), np.zeros_like(V)
 
     def conj(self, W, tol):
-        return self.set.support(W, tol)[0]
+        return self.set.support(W, tol)
 
 
 @dataclass(frozen=True)
@@ -723,10 +708,25 @@ class Support:
     conj_dom = property(lambda self: self.set)
 
     def value(self, V, tol):
-        return self.set.support(V, tol)[0]
+        return self.set.support(V, tol)
 
     def conj(self, W, tol):
-        return 0.0 if self.set.member(W, tol) else np.inf
+        return (0.0 if self.set.member(W, tol) else np.inf), np.zeros_like(W)
+
+
+@dataclass(frozen=True)
+class Linear(Support):
+    """h = <U, .> = sigma_{U}: dom h = S^n, dom h* = {U}."""
+
+    U: np.ndarray
+    set: ConvexSetSpec = field(init=False, repr=False, compare=False)
+
+    kind = "linear"
+
+    def __post_init__(self):
+        S = Singleton(self.U)  # the one check of U
+        object.__setattr__(self, "U", S.U)
+        object.__setattr__(self, "set", S)
 
 
 HSpec = Linear | Indicator | Support
@@ -777,23 +777,26 @@ def gauge(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> flo
 
 
 def h_eval(h: HSpec, V: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
-    return h.value(sym(V, tol, h.n), tol)
+    """h(V); h.value(V, tol) also returns a subgradient of h at V."""
+    return h.value(sym(V, tol, h.n), tol)[0]
 
 
 def h_conj(h: HSpec, W: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
     """Conjugate of h: Linear(U)* = delta_{U}, Indicator(S)* = sigma_S,
-    Support(S)* = delta_S."""
-    return h.conj(sym(W, tol, h.n), tol)
+    Support(S)* = delta_S; h.conj(W, tol) also returns a V attaining
+    h*(W) = <W, V> - h(V)."""
+    return h.conj(sym(W, tol, h.n), tol)[0]
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization: {"kind": tag, field: value, ...} over the dataclass fields
+# JSON serialization: {"kind": tag, field: value, ...} over the dataclass init fields
 
 
 def _to_json(obj) -> dict:
     out = {"kind": obj.kind}
     for f in fields(obj):
-        out[f.name] = _JSON_FIELDS[f.type][0](getattr(obj, f.name))
+        if f.init:
+            out[f.name] = _JSON_FIELDS[f.type][0](getattr(obj, f.name))
     return out
 
 
@@ -802,7 +805,7 @@ def _from_json(variants: dict, d: dict, what: str):
     if kind not in variants:
         raise ValueError(f"unknown {what} tag {kind!r}")
     cls = variants[kind]
-    return cls(*(_JSON_FIELDS[f.type][1](d[f.name]) for f in fields(cls)))
+    return cls(*(_JSON_FIELDS[f.type][1](d[f.name]) for f in fields(cls) if f.init))
 
 
 def set_to_json(S: ConvexSetSpec) -> dict:

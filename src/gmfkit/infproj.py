@@ -40,7 +40,7 @@ _UNBOUNDED_CUTOFF = -1.0e7
 @dataclass(frozen=True)
 class InfProjProblem:
     """Data (A, B) plus the perturbation h acting on V; the tolerances
-    are pd's.  h = sigma_{U} is stored as the linear h = <U, .> it is.
+    are pd's.  h = sigma_{U} is stored as the Linear h = <U, .> it is.
     _linear, the half of _linear_path's p that does not depend on X, is
     computed the first time a caller reads it and kept."""
 
@@ -50,11 +50,11 @@ class InfProjProblem:
     def __post_init__(self):
         if self.h.n != self.pd.n:
             raise ValueError("h must act on n x n symmetric matrices")
-        if isinstance(self.h, Support) and isinstance(self.h.set, Singleton):
+        if type(self.h) is Support and isinstance(self.h.set, Singleton):
             object.__setattr__(self, "h", Linear(self.h.set.U))
 
     @cached_property
-    def _linear(self) -> np.ndarray | _Slope | None:
+    def _linear(self) -> _Slope | None:
         return _linear_factors(self)
 
     @property
@@ -127,29 +127,26 @@ def _start_candidates(
     tol = prob.tol
     eye = np.eye(n)
     raw = [eye, 0.1 * eye, 10.0 * eye, prob.pd.P, np.zeros((n, n))]
-    hull = isinstance(h, (Indicator, Support)) and isinstance(h.set, Hull)
-    if isinstance(h, (Indicator, Support)):
-        S = h.set
-        if hull:
-            raw.extend(S.points)
-            w = np.full(len(S.points), 1.0 / len(S.points))
-            raw.append(sum(wi * U for wi, U in zip(w, S.points)))
-        if isinstance(S, ShiftedPSDCap):
-            raw.extend([S.U, 0.5 * S.U])
-        if isinstance(S, Ray):
-            raw.extend([S.D, 2.0 * S.D])
+    S = h.set
+    hull = isinstance(S, Hull)
+    if hull:
+        raw.extend(S.points)
+        w = np.full(len(S.points), 1.0 / len(S.points))
+        raw.append(sum(wi * U for wi, U in zip(w, S.points)))
+    if isinstance(S, ShiftedPSDCap):
+        raw.extend([S.U, 0.5 * S.U])
+    if isinstance(S, Ray):
+        raw.extend([S.D, 2.0 * S.D])
     for _ in range(n_random):
         R = rng.standard_normal((n, n))
         raw.append(R @ R.T)
         if hull:
-            w = rng.dirichlet(np.ones(len(h.set.points)))
-            raw.append(sum(wi * U for wi, U in zip(w, h.set.points)))
+            w = rng.dirichlet(np.ones(len(S.points)))
+            raw.append(sum(wi * U for wi, U in zip(w, S.points)))
     out = []
     seen = set()
     for V in raw:
         V = h.dom.project(0.5 * (V + V.T), tol)
-        if not np.isfinite(h.value(0.5 * (V + V.T), tol)):
-            continue
         tag = hash(np.round(V, 9).tobytes())
         if tag in seen:
             continue
@@ -161,15 +158,13 @@ def _start_candidates(
 def _objective(prob: InfProjProblem, X: np.ndarray, V: np.ndarray):
     """(phi(X, V) + h(V), phi's evaluation, a subgradient of h at V) at
     the symmetric part of V, which projections return symmetric only up
-    to rounding.  The subgradient is the maximizer of the support call
-    that gives sigma_S(V), or 0 for indicator h (the descent never runs
-    linear h); None where phi(X, V) or sigma_S(V) is infinite."""
+    to rounding; the subgradient is None where phi(X, V) or sigma_S(V)
+    is infinite."""
     V = 0.5 * (V + V.T)
     ge = _eval_gmf(prob.pd, X, V)
     if not np.isfinite(ge.value):
         return np.inf, ge, None
-    h = prob.h
-    hv, W = h.set.support(V, prob.tol) if isinstance(h, Support) else (h.value(V, prob.tol), np.zeros_like(V))
+    hv, W = prob.h.value(V, prob.tol)
     return ge.value + hv, ge, W
 
 
@@ -214,7 +209,7 @@ def _spectral_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
     s^2; Y = U diag(sqrt(2 mu)) W^T has YY^T/2 in S, and V =
     U diag(s / sqrt(2 mu)) U^T attains p unless some s_i > 0 has mu_i = 0."""
     h = prob.h
-    if isinstance(h, Linear) or not (isinstance(h.set, SpectralSet) and _is_unconstrained(prob.pd)):
+    if not (isinstance(h.set, SpectralSet) and _is_unconstrained(prob.pd)):
         return None
     # S intersect PSD has eigenvalues in {0 <= lam_i <= cap, sum <= total};
     # a box with lo > 0 also bounds them below, which the all-cap
@@ -250,8 +245,7 @@ def _loewner_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
     phi(X, .) is a supremum over Y of <X, Y> - <YY^T, V>/2, so it is
     nonincreasing in that order: phi(X, V) >= phi(X, Vbar) on all of S,
     +inf included."""
-    h = prob.h
-    Vbar = h.set.loewner_max() if isinstance(h, Indicator) else None
+    Vbar = prob.h.dom.loewner_max()
     if Vbar is None:
         return None
     ge = _eval_gmf(prob.pd, X, Vbar)
@@ -271,31 +265,29 @@ def _conjugate_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
         return None
     C0 = 0.5 * pd.Y0 @ pd.Y0.T
     C0 = 0.5 * (C0 + C0.T)
-    # h* = sigma_S for the indicator, whose maximizer is V
-    conj, V = h.set.support(C0, tol) if isinstance(h, Indicator) else (h.conj(C0, tol), np.zeros_like(C0))
+    conj, V = h.conj(C0, tol)
     if np.isfinite(conj):
         return InfProjEval(float(np.sum(X * pd.Y0)) - conj, V=V, Y=pd.Y0, path="conjugate")
     d = C0 - h.conj_dom.project(C0, tol)
-    hd = h.value(0.5 * (d + d.T), tol)
+    hd = h.value(0.5 * (d + d.T), tol)[0]
     return _ray(d, np.zeros_like(d)) if hd - float(np.sum(C0 * d)) < -tol.feas_abs * np.linalg.norm(d) else None
 
 
-# what _linear_path reads at each X: L = (2M)^{1/2}; K and off_Y0 = I - Pi
-# unless free (A = 0: N = I, K = 0, M = U); when free and U > 0, E and
-# E / sqrt(mu) from U's eigendecomposition give V, else both are None
-_Slope = namedtuple("_Slope", "free L K off_Y0 E E_root_inv")
+# what _linear_path reads at each X: the D of a certified ray V = I + tD
+# and nothing else, or L = (2M)^{1/2}; K and off_Y0 = I - Pi unless free
+# (A = 0: N = I, K = 0, M = U); when free and U > 0, E and E / sqrt(mu)
+# from U's eigendecomposition give V, else both are None
+_Slope = namedtuple("_Slope", "ray free L K off_Y0 E E_root_inv", defaults=(None,) * 6)
 
 
-def _linear_factors(prob: InfProjProblem) -> np.ndarray | _Slope | None:
-    """The X-independent half of _linear_path for its slope U: linear h's
-    own, and at A = 0 for h = sigma_S the greatest element U of S (sigma_S
-    = <U, .> on dom phi(X, .), PSD).  None without such a U and at
-    ker A = {0}; else the D of a certified ray V = I + tD, or _Slope."""
+def _linear_factors(prob: InfProjProblem) -> _Slope | None:
+    """The X-independent half of _linear_path for its slope U, the element
+    of dom h* = S with sigma_S = <U, .> on K_A (S.greatest): linear h's
+    own, and at A = 0 the greatest element of S in the Loewner order
+    (K_A is then PSD).  None without such a U and at ker A = {0}."""
     h, pd, tol = prob.h, prob.pd, prob.tol
     free = _is_unconstrained(pd)  # N = I and Y0 = 0: K = 0, M = U
-    U = h.U if isinstance(h, Linear) and not _ker_trivial(pd) else None
-    if isinstance(h, Support) and free:
-        U = h.conj_dom.loewner_max()
+    U = None if _ker_trivial(pd) else h.conj_dom.greatest(free)
     if U is None:
         return None
     N, Y0 = pd.N, pd.Y0
@@ -306,17 +298,17 @@ def _linear_factors(prob: InfProjProblem) -> np.ndarray | _Slope | None:
         R = pd.P @ U @ (Q - Y0 @ Y0_pinv)
         D = -(Q @ (U - 0.5 * Y0 @ Y0.T) @ Q + R + R.T)
         if np.linalg.norm(D) > tol.feas_abs * (1.0 + np.linalg.norm(U) + 0.5 * np.linalg.norm(Y0) ** 2):
-            return D
+            return _Slope(D)
         K = N.T @ U @ Y0_pinv.T
         off_Y0 = np.eye(pd.m) - Y0_pinv @ Y0
     mu, E = np.linalg.eigh(U if free else N.T @ U @ N - 2.0 * K @ K.T)
     if mu[0] < -tol.psd_abs:
         v = N @ E[:, :1]
         W = np.zeros_like(U) if free else -2.0 * v @ (E[:, :1].T @ K) @ Y0_pinv
-        return v @ v.T + W + W.T
+        return _Slope(v @ v.T + W + W.T)
     lam = np.where(mu > tol.psd_abs, mu, 0.0)  # 0 inside the floor
     L = (E * np.sqrt(2.0 * lam)) @ E.T
-    return _Slope(free, L, K, off_Y0, *((E, E / np.sqrt(mu)) if free and mu[0] > tol.psd_abs else (None, None)))
+    return _Slope(None, free, L, K, off_Y0, *((E, E / np.sqrt(mu)) if free and mu[0] > tol.psd_abs else (None, None)))
 
 
 def _linear_path(prob: InfProjProblem, X: np.ndarray, with_V: bool = True) -> InfProjEval:
@@ -334,8 +326,8 @@ def _linear_path(prob: InfProjProblem, X: np.ndarray, with_V: bool = True) -> In
     (K = 0, M = U) and U > 0, where the infimum is attained, and only
     with_V (the dual needs Y alone)."""
     f = prob._linear
-    if isinstance(f, np.ndarray):  # the ray's D, normalized afresh so no caller can alter prob's
-        return _ray(f, np.eye(prob.pd.n))
+    if f.ray is not None:  # normalized afresh, so no caller can alter prob's
+        return _ray(f.ray, np.eye(prob.pd.n))
     L, K, off_Y0 = f.L, f.K, f.off_Y0
     N, Y0 = prob.pd.N, prob.pd.Y0
     Qs, s, Wt = np.linalg.svd(L @ (X if f.free else N.T @ X @ off_Y0), full_matrices=False)
@@ -366,7 +358,7 @@ def _ray_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
     otherwise.  No infimum but X = 0's is attained; Y = 0 attains the
     dual."""
     h, tol = prob.h, prob.tol
-    if isinstance(h, Linear) or h.set.bounded or not _is_unconstrained(prob.pd):
+    if h.set.bounded or not _is_unconstrained(prob.pd):
         return None
     D = h.set.D
     lam, E = np.linalg.eigh(D)
@@ -488,10 +480,11 @@ def dom_p_member(prob: InfProjProblem, X: np.ndarray):
     negative answer is evidence rather than proof), and "exhaustive" on a
     failure that is proof: h the indicator of a set with a greatest
     element Vbar in the Loewner order, where X lies in dom p iff
-    phi(X, Vbar) is finite (see _loewner_path); V = I witnesses linear h.
+    phi(X, Vbar) is finite (see _loewner_path); V = I witnesses every h
+    with dom h = S^n, phi(X, .) being finite at positive definite V.
     """
     X = _rect(X, (prob.pd.n, prob.pd.m))
-    if isinstance(prob.h, Linear):
+    if prob.h.dom.full:
         return True, np.eye(prob.pd.n), "witness"
     loewner = _loewner_path(prob, X)
     if loewner is not None:
@@ -667,7 +660,7 @@ def cq_report(prob: InfProjProblem) -> CQReport:
     dom, conj_dom = h.dom, h.conj_dom
     # where _linear_path applies, Xi(A, B) is empty exactly when it finds a ray
     lin = prob._linear
-    xi_empty = isinstance(lin, np.ndarray)  # a ray
+    xi_empty = lin is not None and lin.ray is not None
 
     # ---- CCQ: dom h meets int K_A
     s, exact = (np.inf, True) if ker_trivial else dom.max_min_eig(zero, pd.N, tol)

@@ -308,6 +308,44 @@ def test_h_eval_and_conj():
     assert h_conj(hs, 0.5 * np.eye(2)) == 0.0
 
 
+PAIR_HS = (
+    [Linear(np.array([[2.0, -1.0], [-1.0, 0.5]]))]
+    + [Indicator(S) for S in ALL_SETS + [Ray(np.diag([1.0, -1.0]))]]
+    + [Support(S) for S in ALL_SETS + [Ray(np.diag([1.0, -1.0]))]]
+)
+
+
+@pytest.mark.parametrize("h", PAIR_HS, ids=lambda h: f"{h.kind}-{h.set.kind}")
+def test_h_value_returns_a_subgradient_and_conj_a_maximizer(h):
+    g = np.random.default_rng(11)
+    tol = DEFAULT_TOL
+    # points of dom h and of dom h*, by projecting random matrices
+    dom = [h.dom.project(3.0 * rand_sym(2), tol) for _ in range(12)]
+    conj_dom = [h.conj_dom.project(3.0 * g.standard_normal() * rand_sym(2), tol) for _ in range(12)]
+    for V in dom:
+        hv, G = h.value(V, tol)
+        assert np.isfinite(hv)
+        for V2 in dom:
+            # h(V') >= h(V) + <G, V' - V>
+            assert h.value(V2, tol)[0] >= hv + float(np.sum(G * (V2 - V))) - 1e-7 * (1.0 + np.linalg.norm(V2 - V))
+    for W in conj_dom:
+        c, V = h.conj(W, tol)
+        assert np.isfinite(c)
+        # h*(W) = <W, V> - h(V)
+        assert float(np.sum(W * V)) - h.value(V, tol)[0] == pytest.approx(c, abs=1e-7 * (1.0 + abs(c)))
+
+
+def test_linear_is_the_support_function_of_its_slope():
+    U = np.array([[2.0, -1.0], [-1.0, 0.5]])
+    h = Linear(U)
+    assert isinstance(h, Support) and type(h.set) is Singleton
+    assert np.array_equal(h.set.U, U) and h.set.U is h.U
+    assert repr(h).startswith("Linear(U=")
+    assert hspec_to_json(h) == {"kind": "linear", "U": U.tolist()}
+    h2 = hspec_from_json(hspec_to_json(h))
+    assert type(h2) is Linear and np.array_equal(h2.U, U) and np.array_equal(h2.set.U, U)
+
+
 def test_set_json_roundtrip():
     for S in ALL_SETS:
         S2 = set_from_json(set_to_json(S))

@@ -200,10 +200,22 @@ _INFPROJ_ALLOWED = {
     "_start_candidates": {"Hull", "ShiftedPSDCap", "Ray"},
     "__post_init__": {"Singleton"},
 }
+_H_CLASSES = {"Linear", "Indicator", "Support", "ndarray"}
+# where infproj may still test an h class: the descent's cheaper start set
+# for indicators, and the branches whose formula differs by h
+_INFPROJ_H_ALLOWED = {
+    "_descent": {"Indicator"},
+    "_spectral_path": {"Support"},
+    "_ray_path": {"Support"},
+    "_eval_p_conj": {"Indicator"},
+    "_dual_at": {"Linear"},
+    "cq_report": {"Indicator"},
+}
 
 
-def _set_class_isinstance(path):
-    """(enclosing function, set class) of each isinstance test on a set class."""
+def _set_class_isinstance(path, classes=_SET_CLASSES):
+    """(enclosing function, class) of each isinstance test on one of classes
+    (a set class unless told otherwise)."""
     tree = ast.parse(path.read_text())
     hits = []
     for fn in ast.walk(tree):
@@ -216,8 +228,8 @@ def _set_class_isinstance(path):
                 and node.func.id == "isinstance"
             ):
                 continue
-            names = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
-            hits.extend((fn.name, name) for name in sorted(names & _SET_CLASSES))
+            names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+            hits.extend((fn.name, name) for name in sorted(names & classes))
     return hits
 
 
@@ -227,6 +239,21 @@ def test_set_rules_do_not_dispatch_on_the_set_class():
     hits = _set_class_isinstance(src / "infproj.py")
     assert [(f, c) for f, c in hits if c not in _INFPROJ_ALLOWED.get(f, ())] == []
     assert len(hits) <= 5
+
+
+def test_infproj_tests_the_h_class_only_where_the_formula_differs():
+    from gmfkit.infproj import _Slope
+    from gmfkit.selftest import criterion_13_problems
+
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "gmfkit"
+    hits = _set_class_isinstance(src / "infproj.py", _H_CLASSES)
+    assert [(f, c) for f, c in hits if c not in _INFPROJ_H_ALLOWED.get(f, ())] == []
+    assert len(hits) <= 7
+    # _linear has one type: the ray or the slope's factors, or None
+    lins = [prob._linear for prob in criterion_13_problems(0)]
+    assert all(lin is None or type(lin) is _Slope for lin in lins)
+    assert any(lin is not None and lin.ray is not None for lin in lins)
+    assert any(lin is not None and lin.ray is None for lin in lins)
 
 
 def test_every_psd_test_compares_with_the_unscaled_floor():
