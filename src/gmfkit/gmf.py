@@ -28,7 +28,7 @@ from .numlin import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemData:
     """The pair (A, B) with rge B contained in rge A, plus cached helpers."""
 
@@ -73,6 +73,16 @@ class ProblemData:
     @property
     def ell(self) -> int:
         return self.A.shape[0]
+
+    @property
+    def unconstrained(self) -> bool:
+        """A = 0: N = I and K_A is the PSD cone."""
+        return self.N.shape[1] == self.n
+
+    @property
+    def ker_trivial(self) -> bool:
+        """ker A = {0}: N has no columns and K_A is all of S^n."""
+        return self.N.shape[1] == 0
 
 
 @dataclass

@@ -48,7 +48,9 @@ class ConvexSetSpec:
       lambda_min(N^T (V - C) N), exactness flag) for N with orthonormal
       columns, at least one; the value is a lower bound when the flag is
       False.  A value above psd_abs at C = 0 means S meets the interior
-      of {V : N^T V N >= 0}.
+      of {V : N^T V N >= 0}.  The base rule serves the sets with a
+      greatest element: lambda_min(N^T (V - C) N) grows with V in the
+      Loewner order, so loewner_max() attains the sup, exactly.
     - interior_member(C, tol): (C in ri S, C in int S), each True, False
       or None where that is not known.
     - covers(G, pd): whether some W in S has G - W in the polar of K_A,
@@ -70,10 +72,6 @@ class ConvexSetSpec:
     def contains_zero(self, tol: Tolerances) -> bool:
         return self.member(np.zeros((self.n, self.n)), tol)
 
-    def psd_cap_bounded(self, tol: Tolerances) -> bool:
-        """Whether S intersect PSD is bounded."""
-        return True
-
     def ka_bounded(self, pd) -> bool:
         return self.bounded
 
@@ -83,10 +81,12 @@ class ConvexSetSpec:
         sup, _ = self.max_min_eig(G, np.eye(G.shape[0]), tol)
         return sup >= -tol.psd_abs
 
+    def max_min_eig(self, C: np.ndarray, N: np.ndarray, tol: Tolerances):
+        return min_eig(N.T @ (self.loewner_max() - C) @ N), True
+
     def covers(self, G: np.ndarray, pd) -> bool | None:
         # K_A polar is {0} when ker A = {0}, the negative semidefinite cone when A = 0
-        k = pd.N.shape[1]
-        return self.member(G, pd.tol) if k == 0 else self.dominates(G, pd.tol) if k == pd.n else None
+        return self.member(G, pd.tol) if pd.ker_trivial else self.dominates(G, pd.tol) if pd.unconstrained else None
 
     def support_dom(self) -> ConvexSetSpec:
         return Halfspace(np.zeros((self.n, self.n)))
@@ -98,7 +98,7 @@ class ConvexSetSpec:
         return self.loewner_max() if free else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Singleton(ConvexSetSpec):
     U: np.ndarray
 
@@ -134,9 +134,6 @@ class Singleton(ConvexSetSpec):
 
     def inside_KA(self, pd):
         return _in_KA(pd, self.U)
-
-    def max_min_eig(self, C, N, tol):
-        return min_eig(N.T @ (self.U - C) @ N), True
 
     def interior_member(self, C, tol):
         return self.member(C, tol), False  # ri {U} = {U}, int {U} is empty
@@ -287,7 +284,7 @@ class Fantope(SpectralSet):
             raise ValueError("need 1 <= k <= n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hull(ConvexSetSpec):
     """Convex hull of finitely many symmetric matrices."""
 
@@ -400,7 +397,7 @@ class Hull(ConvexSetSpec):
         return _hull_max_min_eig([N.T @ U @ N for U in self.points], N.T @ C @ N), True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ray(ConvexSetSpec):
     """pos{D} = {alpha * D : alpha >= 0}."""
 
@@ -424,13 +421,10 @@ class Ray(ConvexSetSpec):
         return np.inf, None
 
     def psd_cap_support(self, G, tol):
-        # S cap PSD is {0} when bounded, the whole ray otherwise
-        if self.psd_cap_bounded(tol):
+        # S cap PSD is {0} when D = 0 or D is not PSD, the whole ray otherwise
+        if self.bounded or min_eig(self.D) < -tol.psd_abs:
             return 0.0, np.zeros((self.n, self.n))
         return self.support(G, tol)
-
-    def psd_cap_bounded(self, tol):
-        return self.bounded or min_eig(self.D) < -tol.psd_abs
 
     def _coefficient(self, V) -> float:
         return max(0.0, float(np.sum(self.D * V) / np.sum(self.D * self.D)))
@@ -485,7 +479,7 @@ class Ray(ConvexSetSpec):
         return Halfspace(self.D)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShiftedPSDCap(ConvexSetSpec):
     """{V : 0 <= V <= U}."""
 
@@ -559,14 +553,11 @@ class ShiftedPSDCap(ConvexSetSpec):
         ri = True if margin > tol.psd_abs else None
         return ri, ri if R.shape[1] == self.n else False
 
-    def max_min_eig(self, C, N, tol):
-        return min_eig(N.T @ (self.U - C) @ N), True
-
     def loewner_max(self):
         return self.U.copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Halfspace(ConvexSetSpec):
     """{V : <D, V> <= 0}, all of S^n when D = 0: dom sigma_S of the ray
     pos{D}, and with D = 0 of every bounded S.  Internal: the constraint
@@ -595,7 +586,7 @@ class Halfspace(ConvexSetSpec):
 
     def ka_bounded(self, pd):
         # K_A holds a line unless A = 0; <D, V> <= 0 meets PSD in {0} iff D > 0
-        return pd.N.shape[1] == pd.n and min_eig(self.D) > pd.tol.psd_abs
+        return pd.unconstrained and min_eig(self.D) > pd.tol.psd_abs
 
     def interior_member(self, C, tol):
         if self.full:
@@ -714,7 +705,7 @@ class Support:
         return (0.0 if self.set.member(W, tol) else np.inf), np.zeros_like(W)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Linear(Support):
     """h = <U, .> = sigma_{U}: dom h = S^n, dom h* = {U}."""
 

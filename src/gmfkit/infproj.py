@@ -106,14 +106,6 @@ class CQReport:
     notes: list = field(default_factory=list)
 
 
-def _is_unconstrained(pd: ProblemData) -> bool:
-    return pd.A.size == 0 or not np.any(pd.A)
-
-
-def _ker_trivial(pd: ProblemData) -> bool:
-    return pd.N.shape[1] == 0
-
-
 # ---------------------------------------------------------------------------
 # Inner minimization
 
@@ -209,7 +201,7 @@ def _spectral_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
     s^2; Y = U diag(sqrt(2 mu)) W^T has YY^T/2 in S, and V =
     U diag(s / sqrt(2 mu)) U^T attains p unless some s_i > 0 has mu_i = 0."""
     h = prob.h
-    if not (isinstance(h.set, SpectralSet) and _is_unconstrained(prob.pd)):
+    if not (isinstance(h.set, SpectralSet) and prob.pd.unconstrained):
         return None
     # S intersect PSD has eigenvalues in {0 <= lam_i <= cap, sum <= total};
     # a box with lo > 0 also bounds them below, which the all-cap
@@ -261,7 +253,7 @@ def _conjugate_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
     else -inf along V = td from 0, d = C0 - proj(C0) onto dom h*, once
     the slope h(d) - <C0, d> is below -feas_abs |d|; None otherwise."""
     pd, h, tol = prob.pd, prob.h, prob.tol
-    if not _ker_trivial(pd):
+    if not pd.ker_trivial:
         return None
     C0 = 0.5 * pd.Y0 @ pd.Y0.T
     C0 = 0.5 * (C0 + C0.T)
@@ -286,8 +278,8 @@ def _linear_factors(prob: InfProjProblem) -> _Slope | None:
     own, and at A = 0 the greatest element of S in the Loewner order
     (K_A is then PSD).  None without such a U and at ker A = {0}."""
     h, pd, tol = prob.h, prob.pd, prob.tol
-    free = _is_unconstrained(pd)  # N = I and Y0 = 0: K = 0, M = U
-    U = None if _ker_trivial(pd) else h.conj_dom.greatest(free)
+    free = pd.unconstrained  # N = I and Y0 = 0: K = 0, M = U
+    U = None if pd.ker_trivial else h.conj_dom.greatest(free)
     if U is None:
         return None
     N, Y0 = pd.N, pd.Y0
@@ -358,7 +350,7 @@ def _ray_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
     otherwise.  No infimum but X = 0's is attained; Y = 0 attains the
     dual."""
     h, tol = prob.h, prob.tol
-    if h.set.bounded or not _is_unconstrained(prob.pd):
+    if h.set.bounded or not prob.pd.unconstrained:
         return None
     D = h.set.D
     lam, E = np.linalg.eigh(D)
@@ -407,7 +399,7 @@ def _descent(prob: InfProjProblem, X: np.ndarray, max_iter: int, seed: int) -> I
     cheap = (
         isinstance(prob.h, Indicator)
         and prob.h.set.bounded
-        and _is_unconstrained(prob.pd)
+        and prob.pd.unconstrained
     )
     n_random = 6 if cheap else 40
     best = None, np.inf, None, None
@@ -507,10 +499,10 @@ def sigma_S_cap_KA(prob: InfProjProblem, S: ConvexSetSpec, G: np.ndarray):
     computed.  Returns (value, witness, status)."""
     tol = prob.tol
     pd = prob.pd
-    if _ker_trivial(pd):
+    if pd.ker_trivial:
         val, W = S.support(G, tol)
         return val, W, "exact"
-    if _is_unconstrained(pd):
+    if pd.unconstrained:
         try:
             val, W = S.psd_cap_support(G, tol)
         except NotImplementedError:
@@ -655,15 +647,13 @@ def cq_report(prob: InfProjProblem) -> CQReport:
     rep = CQReport()
     n = pd.n
     zero = np.zeros((n, n))
-    unconstrained = _is_unconstrained(pd)
-    ker_trivial = _ker_trivial(pd)
     dom, conj_dom = h.dom, h.conj_dom
     # where _linear_path applies, Xi(A, B) is empty exactly when it finds a ray
     lin = prob._linear
     xi_empty = lin is not None and lin.ray is not None
 
     # ---- CCQ: dom h meets int K_A
-    s, exact = (np.inf, True) if ker_trivial else dom.max_min_eig(zero, pd.N, tol)
+    s, exact = (np.inf, True) if pd.ker_trivial else dom.max_min_eig(zero, pd.N, tol)
     rep.ccq = _lambda_rule(s, exact, tol)
 
     # ---- BPCQ: dom h intersect K_A nonempty and bounded
@@ -673,14 +663,14 @@ def cq_report(prob: InfProjProblem) -> CQReport:
     # ---- PCQ / SPCQ: 0 in ri / int (Omega_2 + dom h*)
     if xi_empty:  # -U in Omega_2 would be a point of Xi(A, B)
         rep.pcq = rep.spcq = "fails"
-    elif ker_trivial:  # Omega_2 is the singleton {-C0}
+    elif pd.ker_trivial:  # Omega_2 is the singleton {-C0}
         ri, interior = conj_dom.interior_member(0.5 * pd.Y0 @ pd.Y0.T, tol)
         rep.pcq, rep.spcq = _tri(ri), _tri(interior)
-    elif unconstrained and isinstance(h, Indicator):
+    elif pd.unconstrained and isinstance(h, Indicator):
         # bounded perturbation equivalence: pcq = spcq = bpcq here
         rep.pcq = rep.spcq = rep.bpcq
         rep.notes.append("pcq/spcq matched to bpcq (indicator case with no equality constraint)")
-    elif unconstrained:  # Omega_2 is the negative semidefinite cone
+    elif pd.unconstrained:  # Omega_2 is the negative semidefinite cone
         rep.pcq = rep.spcq = _lambda_rule(*conj_dom.max_min_eig(zero, np.eye(n), tol), tol)
     elif conj_dom.full:
         rep.pcq = rep.spcq = "holds"
@@ -704,7 +694,7 @@ def cq_report(prob: InfProjProblem) -> CQReport:
         # Y0 is the only point of {AY = B} when ker A = {0}; with A = 0,
         # Y0 = 0 lies in Xi(A, B) whenever some Y does (YY^T/2 >= 0)
         ans, status = _xi_member(prob, pd.Y0)
-        decided = status == "exact" and (ans or ker_trivial or unconstrained)
+        decided = status == "exact" and (ans or pd.ker_trivial or pd.unconstrained)
         rep.sccq = _tri(bool(ans) if decided else None)
         if rep.sccq == "undecided":
             rep.notes.append("sccq: Y0 = A^+ B is not a certified point of Xi(A, B)")

@@ -62,10 +62,7 @@ def _rand_interior_instance(rng, n_max=6, m_max=6, l_max=3):
     pd = ProblemData(A, B)
     X = rng.standard_normal((n, m))
     V = _rand_sym(rng, n)
-    if pd.N.shape[1] > 0:
-        t = min_eig(pd.N.T @ V @ pd.N)
-    else:
-        t = np.inf
+    t = min_eig(pd.N.T @ V @ pd.N)  # +inf when ker A = {0}
     if t < 0.3:
         V = V + (0.3 - t) * np.eye(n)
     return pd, X, V
@@ -525,7 +522,7 @@ def criterion_13(seed=0):
         for a, b in zip(chain, chain[1:]):
             if a in order and b in order and order[a] > order[b]:
                 violations += 1
-        if not np.any(prob.pd.A) and not np.any(prob.pd.B) and isinstance(prob.h, Indicator):
+        if prob.pd.unconstrained and not np.any(prob.pd.B) and isinstance(prob.h, Indicator):
             decided = [v for v in chain if v in order]
             if len({order[v] for v in decided}) > 1:
                 violations += 1

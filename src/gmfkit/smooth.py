@@ -5,8 +5,7 @@ which is jointly smooth on the open set V > 0.  With no equality
 constraint phi(X, V) = tr(X^T V^{-1} X)/2.  The solver follows the
 log-det barrier path in (X, V): each stage minimizes the barriered
 objective with a quasi-Newton method through the factorization
-V = C C^T, the barrier weight is driven to zero geometrically, and a
-final exact linear solve in X polishes the answer.
+V = C C^T, and the barrier weight is driven to zero geometrically.
 An accelerated proximal-gradient reference solver validates results.
 """
 
@@ -19,10 +18,10 @@ import numpy as np
 from .gmf import ProblemData
 from .hset import Linear
 from .infproj import InfProjProblem, _eval_p
-from .numlin import _rect, min_eig, psd_sqrt, sym
+from .numlin import _rect, min_eig, sym
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitSpec:
     """Quadratic data fit f(X) = |A_op vec(X) - b|^2 / 2.
 
@@ -74,30 +73,6 @@ class SolveTrace:
     status: str = "IterCap"
 
 
-def _phi_unconstrained(X: np.ndarray, V: np.ndarray) -> float:
-    return 0.5 * float(np.sum(X * np.linalg.solve(V, X)))
-
-
-def _objective(fit: FitSpec, Ubar: np.ndarray, X: np.ndarray, V: np.ndarray) -> float:
-    return fit.value_and_grad(X)[0] + _phi_unconstrained(X, V) + float(np.sum(Ubar * V))
-
-
-def _solve_x_block(fit: FitSpec, V: np.ndarray) -> np.ndarray:
-    """Exact minimizer of f(X) + phi(X, V) for fixed V > 0.
-
-    Substituting X = V^{1/2} Z turns the quadratic into
-    |G z - b|^2 / 2 + |z|^2 / 2 with G = A_op (I (x) V^{1/2}), whose
-    normal system stays well conditioned as V approaches singularity."""
-    n, m = fit.n, fit.m
-    R = psd_sqrt(V)
-    if not fit.A_op.size:
-        return np.zeros((n, m))
-    Gk = np.kron(np.eye(m), R)
-    G = fit.A_op @ Gk
-    z = np.linalg.solve(G.T @ G + np.eye(n * m), G.T @ fit.b)
-    return (Gk @ z).reshape((n, m), order="F")
-
-
 def solve_smooth(
     fit: FitSpec, pd: ProblemData, Ubar: np.ndarray, max_iter: int = 3000
 ) -> SolveTrace:
@@ -110,16 +85,16 @@ def solve_smooth(
     the fractional term tr(X^T V^{-1} X)/2 into |Z|^2/2, so the stage
     objectives stay well conditioned even as V loses rank along the
     path.  The incumbent after each stage is monotone in the true
-    objective; a final exact X solve polishes the answer.  max_iter caps
-    each barrier stage; the positive-definiteness test on Ubar uses pd's
-    tolerances."""
-    if np.any(pd.A):
+    objective, and the answer is the last incumbent (C Z, C C^T).
+    max_iter caps each barrier stage; the positive-definiteness test on
+    Ubar uses pd's tolerances."""
+    if not pd.unconstrained:
         raise ValueError("solver handles the unconstrained case (A = 0) only")
     n, m = fit.n, fit.m
     if (pd.n, pd.m) != (n, m):
         raise ValueError("fit and problem dimensions differ")
     Ubar = sym(np.asarray(Ubar, dtype=float))
-    if min_eig(Ubar) <= pd.tol.psd_abs * (1.0 + np.linalg.norm(Ubar)):
+    if min_eig(Ubar) <= pd.tol.psd_abs:
         raise ValueError("Ubar must be positive definite")
 
     import scipy.optimize
@@ -131,11 +106,12 @@ def solve_smooth(
 
     def barrier_obj(z, mu):
         Z, C = split(z)
+        V = C @ C.T
         fval, Gf = fit.value_and_grad(C @ Z)
-        F = fval + 0.5 * float(np.sum(Z * Z)) + float(np.sum(Ubar * (C @ C.T)))
+        F = fval + 0.5 * float(np.sum(Z * Z)) + float(np.sum(Ubar * V))
         GZ = C.T @ Gf + Z
         GC = Gf @ Z.T + 2.0 * Ubar @ C
-        sign, logdet = np.linalg.slogdet(C @ C.T)
+        sign, logdet = np.linalg.slogdet(V)
         if sign <= 0:
             return 1e15, np.zeros_like(z)
         F -= mu * logdet
@@ -151,9 +127,9 @@ def solve_smooth(
 
     trace = SolveTrace()
     X, V = np.zeros((n, m)), np.eye(n)
-    F = _objective(fit, Ubar, X, V)
-    trace.iterates.append((F, true_grad_norm(X, V), min_eig(V)))
     z = np.concatenate([np.zeros(n * m), np.eye(n).ravel()])  # Z = 0, C = I
+    F = barrier_obj(z, 0.0)[0]
+    trace.iterates.append((F, true_grad_norm(X, V), min_eig(V)))
     mu, mu_final = 1e-1 * (1.0 + abs(F)), 1e-12
     while True:
         res = scipy.optimize.minimize(
@@ -177,11 +153,6 @@ def solve_smooth(
         if mu <= mu_final:
             break
         mu = max(mu * 0.1, mu_final)
-    X_new = _solve_x_block(fit, V)
-    F_new = _objective(fit, Ubar, X_new, V)
-    if F_new <= F:
-        X, F = X_new, F_new
-        trace.iterates.append((F, true_grad_norm(X, V), min_eig(V)))
     trace.final_X, trace.final_V = X, V
     if not np.all(np.isfinite(X)):
         trace.status = "Diverged"
@@ -239,8 +210,9 @@ def objective_certificate(
     h = Linear(Ubar)  # the one check of Ubar
     if min_eig(V) <= 0:
         raise ValueError("V must be positive definite")
-    F = _objective(fit, h.U, X, V)
+    f = fit.value_and_grad(X)[0]
+    F = f + 0.5 * float(np.sum(X * np.linalg.solve(V, X))) + float(np.sum(h.U * V))  # phi = tr(X^T V^-1 X)/2
     pd = ProblemData(np.zeros((1, fit.n)), np.zeros((1, fit.m)))
     pe = _eval_p(InfProjProblem(pd, h), X)
-    gap = F - (fit.value_and_grad(X)[0] + pe.value)
+    gap = F - (f + pe.value)
     return F, pe.value, gap

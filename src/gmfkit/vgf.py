@@ -92,7 +92,7 @@ def vgf_subdiff(inst: VgfInstance, Y: np.ndarray):
 
     The gap uses the feasible upper bound Phi*(X) <= tr(X^T V^+ X)/2,
     tight at the support maximizer.  Returns (X, V, gap)."""
-    if not inst.set.psd_cap_bounded(inst.tol):
+    if not inst.set.ka_bounded(inst.prob.pd):
         raise ValueError(
             "subdifferential witness requires a bounded PSD slice; "
             "unbounded slices can make the subdifferential empty"

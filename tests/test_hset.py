@@ -6,8 +6,10 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmfkit.gmf import ProblemData
 from gmfkit.hset import (
     Fantope,
+    Halfspace,
     Hull,
     Indicator,
     Linear,
@@ -32,7 +34,9 @@ from gmfkit.hset import (
     set_to_json,
     support,
 )
+from gmfkit.infproj import InfProjProblem
 from gmfkit.numlin import DEFAULT_TOL, min_eig
+from gmfkit.smooth import FitSpec
 
 rng = np.random.default_rng(2)
 
@@ -155,8 +159,9 @@ def test_psd_cap_support_of_a_mixed_hull_needs_a_psd_vertex_at_the_maximum():
 def test_psd_cap_nonempty_and_bounded():
     assert psd_cap_nonempty(SpectralBox(0.0, 1.0, 2))
     assert not psd_cap_nonempty(Singleton(-np.eye(2)))
-    assert TraceBall(1.0, 2).psd_cap_bounded(DEFAULT_TOL)
-    assert not Ray(np.eye(2)).psd_cap_bounded(DEFAULT_TOL)
+    free = ProblemData(np.zeros((1, 2)), np.zeros((1, 1)))  # K_A is the PSD cone
+    assert TraceBall(1.0, 2).ka_bounded(free)
+    assert not Ray(np.eye(2)).ka_bounded(free)
 
 
 def test_member():
@@ -344,6 +349,29 @@ def test_linear_is_the_support_function_of_its_slope():
     assert hspec_to_json(h) == {"kind": "linear", "U": U.tolist()}
     h2 = hspec_from_json(hspec_to_json(h))
     assert type(h2) is Linear and np.array_equal(h2.U, U) and np.array_equal(h2.set.U, U)
+
+
+def test_equality_and_hash_never_raise():
+    # variants holding arrays compare by identity; the spectral sets by value
+    built = []
+    for S in ALL_SETS:
+        built.append((S, set_from_json(set_to_json(S))))
+        for h in (Indicator, Support):
+            built.append((h(S), hspec_from_json(hspec_to_json(h(S)))))
+    U = np.diag([2.0, 1.0])
+    built += [
+        (Linear(U), Linear(U.copy())),
+        (Halfspace(U), Halfspace(U.copy())),
+        (ProblemData(np.zeros((1, 2)), np.zeros((1, 1))), ProblemData(np.zeros((1, 2)), np.zeros((1, 1)))),
+        (FitSpec(np.eye(4), np.ones(4), 2, 2), FitSpec(np.eye(4), np.ones(4), 2, 2)),
+        (
+            InfProjProblem(ProblemData(np.zeros((1, 2)), np.zeros((1, 1))), Linear(U)),
+            InfProjProblem(ProblemData(np.zeros((1, 2)), np.zeros((1, 1))), Linear(U)),
+        ),
+    ]
+    for a, b in built:
+        assert a == a and isinstance(a == b, bool) and hash(a) == hash(a), a
+    assert Indicator(TraceBall(1.0, 2)) == Indicator(TraceBall(1.0, 2))
 
 
 def test_set_json_roundtrip():

@@ -262,7 +262,7 @@ def test_every_psd_test_compares_with_the_unscaled_floor():
     # have no problem, read the default tolerances, and every rule the
     # tolerances it is passed
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "gmfkit"
-    for name in ("hset.py", "infproj.py", "gmf.py"):
+    for name in ("hset.py", "infproj.py", "gmf.py", "smooth.py"):
         text = (src / name).read_text()
         assert not re.search(r"psd_abs\s*\*|\*\s*[\w.]*psd_abs", text), name
         readers = {
@@ -274,6 +274,34 @@ def test_every_psd_test_compares_with_the_unscaled_floor():
             if isinstance(node, ast.Name) and node.id == "DEFAULT_TOL"
         }
         assert readers <= {"__init__", "__post_init__"}, name
+
+
+def test_only_problem_data_decides_the_regime_of_a():
+    # A = 0 and ker A = {0} are read off ProblemData.unconstrained and
+    # .ker_trivial, never re-derived from N's width or A's entries
+    free, full_rank = ProblemData(np.zeros((1, 3)), np.zeros((1, 2))), ProblemData(np.eye(3), np.ones((3, 2)))
+    assert free.unconstrained and not free.ker_trivial
+    assert full_rank.ker_trivial and not full_rank.unconstrained
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "gmfkit"
+    hits = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "gmf.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            n_width = (
+                isinstance(node, ast.Attribute)
+                and node.attr == "shape"
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "N"
+            )
+            any_of_a = (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "np.any"
+                and any(isinstance(a, ast.Attribute) and a.attr == "A" for a in node.args)
+            )
+            if n_width or any_of_a:
+                hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []
 
 
 def _function_def(path, name):
