@@ -12,6 +12,7 @@ An accelerated proximal-gradient reference solver validates results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,11 @@ class FitSpec:
     """Quadratic data fit f(X) = |A_op vec(X) - b|^2 / 2.
 
     A_op acts on the column-major vectorization of the n x m variable;
-    an empty A_op (0 rows) encodes f = 0."""
+    an empty A_op (0 rows) encodes f = 0.  A row selection (each row a
+    single 1.0, in distinct columns), as `from_mask` and identity fits
+    build, is applied by index: the fit reads the selected entries of X
+    and scatters the residual into the gradient, which for finite X
+    gives the dense product's bits at O(nm) instead of O(rows nm)."""
 
     A_op: np.ndarray
     b: np.ndarray
@@ -43,13 +48,35 @@ class FitSpec:
         object.__setattr__(self, "A_op", A_op)
         object.__setattr__(self, "b", b)
 
+    @cached_property
+    def _entries(self):
+        """(row, column) of X for each entry of vec(X) that A_op selects,
+        or None when A_op is not a row selection.  Found on first use,
+        not at construction: the test reads every entry of A_op, which
+        building a fit from a mask does not."""
+        A_op = self.A_op
+        cols = A_op.argmax(axis=1)
+        rows = np.arange(A_op.shape[0])
+        if (
+            np.count_nonzero(A_op) == rows.size
+            and np.all(A_op[rows, cols] == 1.0)
+            and np.unique(cols).size == cols.size
+        ):
+            return np.unravel_index(cols, (self.n, self.m), order="F")
+        return None
+
     def value_and_grad(self, X: np.ndarray):
         """f(X) and its gradient A_op^T r as an n x m matrix, for the
         residual r = A_op vec(X) - b."""
         if not self.A_op.size:
             return 0.0, np.zeros((self.n, self.m))
-        r = self.A_op @ X.ravel(order="F") - self.b
-        return 0.5 * float(r @ r), (self.A_op.T @ r).reshape((self.n, self.m), order="F")
+        if self._entries is None:
+            r = self.A_op @ X.ravel(order="F") - self.b
+            return 0.5 * float(r @ r), (self.A_op.T @ r).reshape((self.n, self.m), order="F")
+        r = X[self._entries] - self.b
+        G = np.zeros((self.n, self.m))
+        G[self._entries] = r
+        return 0.5 * float(r @ r), G
 
     @staticmethod
     def from_mask(mask: np.ndarray, target: np.ndarray) -> "FitSpec":

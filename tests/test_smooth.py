@@ -115,3 +115,76 @@ def test_zero_data_solution_is_zero():
     fit = FitSpec(A_op=np.zeros((0, 4)), b=np.zeros(0), n=2, m=2)
     tr = solve_smooth(fit, unconstrained(2, 2), 0.5 * np.eye(2))
     assert np.linalg.norm(tr.final_X) <= 1e-8
+
+
+def dense_value_and_grad(fit, X):
+    r = fit.A_op @ X.ravel(order="F") - fit.b
+    return 0.5 * float(r @ r), (fit.A_op.T @ r).reshape((fit.n, fit.m), order="F")
+
+
+@pytest.mark.parametrize(
+    "shape, mask_rule",
+    [
+        ((3, 5), "random"),
+        ((5, 3), "empty_row"),
+        ((4, 4), "full"),
+        ((1, 1), "full"),
+    ],
+)
+def test_selection_by_index_matches_dense_product(shape, mask_rule):
+    g = np.random.default_rng(11)
+    mask = g.random(shape) < 0.6
+    if mask_rule == "empty_row":
+        mask[1] = False
+    elif mask_rule == "full":
+        mask[:] = True
+    fit = FitSpec.from_mask(mask, g.standard_normal(shape))
+    assert fit._entries is not None
+    for _ in range(5):
+        X = g.standard_normal(shape)
+        value, grad = fit.value_and_grad(X)
+        dense_value, dense_grad = dense_value_and_grad(fit, X)
+        assert value == dense_value
+        assert np.array_equal(grad, dense_grad)
+
+
+def test_identity_fit_is_a_selection():
+    fit = FitSpec(np.eye(6), np.arange(6.0), 2, 3)
+    assert fit._entries is not None
+    X = rng.standard_normal((2, 3))
+    value, grad = fit.value_and_grad(X)
+    dense_value, dense_grad = dense_value_and_grad(fit, X)
+    assert value == dense_value
+    assert np.array_equal(grad, dense_grad)
+
+
+@pytest.mark.parametrize("kind", ["scaled_row", "gaussian", "repeated_column"])
+def test_other_operators_take_the_dense_product(kind):
+    g = np.random.default_rng(12)
+    n, m = 3, 2
+    if kind == "scaled_row":
+        A = np.eye(n * m)[:4]
+        A[2] *= 2.0
+    elif kind == "gaussian":
+        A = g.standard_normal((5, n * m))
+    else:
+        A = np.eye(n * m)[[0, 3, 3]]
+    fit = FitSpec(A, g.standard_normal(A.shape[0]), n, m)
+    assert fit._entries is None
+    X = g.standard_normal((n, m))
+    value, grad = fit.value_and_grad(X)
+    h = 1e-6
+    fd = np.zeros((n, m))
+    for i in range(n):
+        for j in range(m):
+            E = np.zeros((n, m))
+            E[i, j] = h
+            fd[i, j] = (fit.value_and_grad(X + E)[0] - fit.value_and_grad(X - E)[0]) / (2 * h)
+    assert np.allclose(grad, fd, rtol=1e-6, atol=1e-6)
+
+
+def test_empty_fit_is_zero():
+    fit = FitSpec(A_op=np.zeros((0, 6)), b=np.zeros(0), n=2, m=3)
+    value, grad = fit.value_and_grad(rng.standard_normal((2, 3)))
+    assert value == 0.0
+    assert np.array_equal(grad, np.zeros((2, 3)))
