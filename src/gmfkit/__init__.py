@@ -54,6 +54,7 @@ from .numlin import DEFAULT_TOL, Tolerances
 from .smooth import (
     FitSpec,
     SolveTrace,
+    StageLog,
     objective_certificate,
     solve_prox_reference,
     solve_smooth,

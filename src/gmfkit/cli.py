@@ -317,6 +317,9 @@ def _cmd_solve(args, tol, bundle):
         "grad_norm": g,
         "min_eig_V": me,
         "stages": len(tr.iterates),
+        "stage_log": [st._asdict() for st in tr.stages],
+        "nfev": sum(st.nfev for st in tr.stages),
+        "dual_gap": tr.dual_gap,
     }
     return out, 0 if tr.status == "Converged" else 2, [args.bundle]
 

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .gmf import ProblemData
 from .hset import Linear
 from .infproj import InfProjProblem, _eval_p
-from .numlin import _rect, min_eig, sym
+from .numlin import _rect, min_eig, sv, sym
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,14 +91,31 @@ class FitSpec:
         return FitSpec(A_op, b, n, m)
 
 
+class StageLog(NamedTuple):
+    """One barrier stage: its weight mu, the L-BFGS-B gradient tolerance,
+    and the iterations, objective evaluations and termination message
+    that L-BFGS-B reported."""
+
+    mu: float
+    gtol: float
+    nit: int
+    nfev: int
+    message: str
+
+
 @dataclass
 class SolveTrace:
-    """Iteration log: (objective, gradient norm, min eigenvalue of V)."""
+    """Iteration log: (objective, gradient norm, min eigenvalue of V) at
+    the start and after each stage; `stages` holds one StageLog per
+    stage, and `dual_gap` is P(X) - D(r) >= 0 at the final X (see
+    `_dual_gap`), NaN when X is not finite."""
 
     iterates: list = field(default_factory=list)
     final_X: np.ndarray | None = None
     final_V: np.ndarray | None = None
     status: str = "IterCap"
+    stages: list = field(default_factory=list)
+    dual_gap: float = np.nan
 
 
 def solve_smooth(
@@ -111,10 +129,17 @@ def solve_smooth(
     V = C C^T, X = C Z keeps iterates in the strict interior and turns
     the fractional term tr(X^T V^{-1} X)/2 into |Z|^2/2, so the stage
     objectives stay well conditioned even as V loses rank along the
-    path.  The incumbent after each stage is monotone in the true
+    path.  mu starts at 0.1 (1 + |F(0, I)|) and shrinks by 0.01 per
+    stage.  A stage above mu = 1e-12 is solved only as far as its mu
+    needs: L-BFGS-B stops once the projected gradient's largest entry is
+    at most mu.  The last stage, at mu = 1e-12, runs with gtol 1e-14
+    until it can make no more progress, so it sets the answer's
+    accuracy.  The incumbent after each stage is monotone in the true
     objective, and the answer is the last incumbent (C Z, C C^T).
-    max_iter caps each barrier stage; the positive-definiteness test on
-    Ubar uses pd's tolerances."""
+    max_iter caps each barrier stage; the status is "Diverged" if X is
+    not finite, else "IterCap" if a stage stopped at the cap, else
+    "Converged".  The positive-definiteness test on Ubar uses pd's
+    tolerances."""
     if not pd.unconstrained:
         raise ValueError("solver handles the unconstrained case (A = 0) only")
     n, m = fit.n, fit.m
@@ -158,15 +183,20 @@ def solve_smooth(
     F = barrier_obj(z, 0.0)[0]
     trace.iterates.append((F, true_grad_norm(X, V), min_eig(V)))
     mu, mu_final = 1e-1 * (1.0 + abs(F)), 1e-12
+    capped = False
     while True:
+        last = mu <= mu_final
+        gtol = 1e-14 if last else mu
         res = scipy.optimize.minimize(
             barrier_obj,
             z,
             args=(mu,),
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": max_iter, "ftol": 0.0, "gtol": 1e-14},
+            options={"maxiter": max_iter, "ftol": 0.0, "gtol": gtol},
         )
+        trace.stages.append(StageLog(float(mu), gtol, int(res.nit), int(res.nfev), str(res.message)))
+        capped |= res.status == 1  # iteration or evaluation limit
         Z_new, C = split(res.x)
         X_new = C @ Z_new
         V_new = C @ C.T  # numpy forms C C^T exactly symmetric
@@ -177,15 +207,36 @@ def solve_smooth(
             X, V, F = X_new, V_new, F_new
             z = res.x
         trace.iterates.append((F, true_grad_norm(X, V), min_eig(V)))
-        if mu <= mu_final:
+        if last:
             break
-        mu = max(mu * 0.1, mu_final)
+        mu = max(mu * 0.01, mu_final)
     trace.final_X, trace.final_V = X, V
     if not np.all(np.isfinite(X)):
         trace.status = "Diverged"
     else:
-        trace.status = "Converged"
+        trace.dual_gap = _dual_gap(fit, Ubar, X)
+        trace.status = "IterCap" if capped else "Converged"
     return trace
+
+
+def _dual_gap(fit: FitSpec, Ubar: np.ndarray, X: np.ndarray) -> float:
+    """P(X) - D(r) >= 0 for P = f + p, with the residual r scaled into
+    the dual feasible set.
+
+    With Ubar = R R^T, p(X) = sqrt(2) |R^T X|_* and p* is the indicator
+    of |R^{-1} Lam|_2 <= sqrt(2).  The Fenchel dual of f + p is
+    D(r) = -|r|^2/2 - <b, r> over -A^T r in dom p*; the residual
+    r0 = A vec(X) - b scaled by t = min(1, sqrt(2) / |R^{-1} A^T r0|_2)
+    is feasible, and <b, r0> = <X, A^T r0> - |r0|^2 needs no more than
+    f and its gradient at X.  The gap vanishes at the optimum, where
+    -A^T r0 is a subgradient of p at X."""
+    R = np.linalg.cholesky(Ubar)
+    fval, G = fit.value_and_grad(X)
+    pval = np.sqrt(2.0) * float(np.sum(sv(R.T @ X)))
+    dual_norm = float(sv(np.linalg.solve(R, G))[0])
+    t = 1.0 if dual_norm <= np.sqrt(2.0) else np.sqrt(2.0) / dual_norm
+    dval = -t * t * fval - t * (float(np.sum(X * G)) - 2.0 * fval)
+    return fval + pval - dval
 
 
 def solve_prox_reference(fit: FitSpec, L: np.ndarray, lam: float) -> np.ndarray:

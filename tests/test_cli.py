@@ -225,8 +225,26 @@ def test_solve_command(tmp_path, capsys):
     )
     code, rep = run(capsys, ["solve", "--bundle", bundle])
     assert code == 0
-    assert rep["outputs"]["status"] == "Converged"
-    assert rep["outputs"]["min_eig_V"] > 0
+    out = rep["outputs"]
+    assert out["status"] == "Converged"
+    assert out["min_eig_V"] > 0
+    assert len(out["stage_log"]) == out["stages"] - 1
+    assert set(out["stage_log"][0]) == {"mu", "gtol", "nit", "nfev", "message"}
+    assert out["stage_log"][-1]["gtol"] == 1e-14
+    assert out["nfev"] == sum(st["nfev"] for st in out["stage_log"])
+    assert 0.0 <= out["dual_gap"] <= 1e-6
+
+
+def test_solve_stopped_at_the_stage_cap_exits_2(tmp_path, capsys):
+    g = np.random.default_rng(8)
+    target = g.standard_normal((5, 2)) @ g.standard_normal((2, 5))
+    mask = g.random((5, 5)) < 0.8
+    d = {"target": target.tolist(), "mask": mask.astype(int).tolist(), "lam": 0.4}
+    bundle = write(tmp_path, "comp.json", json.dumps(d))
+    code, rep = run(capsys, ["solve", "--bundle", bundle, "--max-iter", "2"])
+    assert code == 2
+    assert rep["outputs"]["status"] == "IterCap"
+    assert max(st["nit"] for st in rep["outputs"]["stage_log"]) == 2
 
 
 def test_solve_honours_the_tolerance_flags(tmp_path, capsys):

@@ -5,6 +5,7 @@ from gmfkit.gmf import ProblemData
 from gmfkit.numlin import sv
 from gmfkit.smooth import (
     FitSpec,
+    _dual_gap,
     objective_certificate,
     solve_prox_reference,
     solve_smooth,
@@ -127,7 +128,7 @@ def dense_value_and_grad(fit, X):
     [
         ((3, 5), "random"),
         ((5, 3), "empty_row"),
-        ((4, 4), "full"),
+        ((4, 4), "full"),  # A_op = np.eye(16)
         ((1, 1), "full"),
     ],
 )
@@ -146,16 +147,6 @@ def test_selection_by_index_matches_dense_product(shape, mask_rule):
         dense_value, dense_grad = dense_value_and_grad(fit, X)
         assert value == dense_value
         assert np.array_equal(grad, dense_grad)
-
-
-def test_identity_fit_is_a_selection():
-    fit = FitSpec(np.eye(6), np.arange(6.0), 2, 3)
-    assert fit._entries is not None
-    X = rng.standard_normal((2, 3))
-    value, grad = fit.value_and_grad(X)
-    dense_value, dense_grad = dense_value_and_grad(fit, X)
-    assert value == dense_value
-    assert np.array_equal(grad, dense_grad)
 
 
 @pytest.mark.parametrize("kind", ["scaled_row", "gaussian", "repeated_column"])
@@ -188,3 +179,42 @@ def test_empty_fit_is_zero():
     value, grad = fit.value_and_grad(rng.standard_normal((2, 3)))
     assert value == 0.0
     assert np.array_equal(grad, np.zeros((2, 3)))
+
+
+def test_stage_cap_is_reported():
+    fit, _, _ = completion_instance(8)
+    tr = solve_smooth(fit, unconstrained(5, 5), 0.5 * 0.16 * np.eye(5), max_iter=2)
+    assert tr.status == "IterCap"
+    assert any(st.nit == 2 and "LIMIT" in st.message for st in tr.stages)
+
+
+def test_evaluation_budget_and_last_stage():
+    # the solver that ran every stage to gtol 1e-14 and cut mu by 0.1 per
+    # stage needed 1230 objective evaluations over 15 stages here
+    fit, _, _ = completion_instance(7, n=12, m=12)
+    lam = 0.4
+    tr = solve_smooth(fit, unconstrained(12, 12), 0.5 * lam * lam * np.eye(12))
+    assert tr.status == "Converged"
+    assert sum(st.nfev for st in tr.stages) <= 1230 // 2
+    assert len(tr.iterates) == len(tr.stages) + 1
+    assert [st.gtol for st in tr.stages[:-1]] == [st.mu for st in tr.stages[:-1]]
+    assert (tr.stages[-1].mu, tr.stages[-1].gtol) == (1e-12, 1e-14)
+    Xr = solve_prox_reference(fit, np.eye(12), lam)
+    assert np.linalg.norm(tr.final_X - Xr) <= 1e-4 * (1 + np.linalg.norm(Xr))
+
+
+def test_dual_gap_bounds_the_primal_suboptimality():
+    fit, _, _ = completion_instance(9, n=4, m=6)
+    g = np.random.default_rng(9)
+    B = g.standard_normal((4, 4))
+    Ubar = 0.05 * (B @ B.T + np.eye(4))
+    tr = solve_smooth(fit, unconstrained(4, 6), Ubar)
+    F, p, _ = objective_certificate(fit, Ubar, tr.final_X, tr.final_V)
+    P = fit.value_and_grad(tr.final_X)[0] + p
+    assert 0.0 <= tr.dual_gap <= 1e-6 * (1.0 + abs(P))
+    # weak duality: at any X the gap bounds P(X) - P(X*) from above
+    for _ in range(5):
+        X = tr.final_X + 0.1 * g.standard_normal((4, 6))
+        _, pX, _ = objective_certificate(fit, Ubar, X, np.eye(4))
+        PX = fit.value_and_grad(X)[0] + pX
+        assert _dual_gap(fit, Ubar, X) >= PX - P - 1e-12
