@@ -309,14 +309,13 @@ def _cmd_solve(args, tol, bundle):
     fit = FitSpec.from_mask(mask, target)
     pd = ProblemData(np.zeros((1, n)), np.zeros((1, m)), tol)
     tr = solve_smooth(fit, pd, 0.5 * lam * lam * np.eye(n), max_iter=args.max_iter)
-    F, g, me = tr.iterates[-1]
+    F, me = tr.iterates[-1]
     out = {
         "status": tr.status,
         "final_X": tr.final_X,
         "objective": F,
-        "grad_norm": g,
         "min_eig_V": me,
-        "stages": len(tr.iterates),
+        "stages": len(tr.stages),
         "stage_log": [st._asdict() for st in tr.stages],
         "nfev": sum(st.nfev for st in tr.stages),
         "dual_gap": tr.dual_gap,

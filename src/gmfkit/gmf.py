@@ -16,16 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numlin import (
-    DEFAULT_TOL,
-    Tolerances,
-    ker_basis,
-    max_eig,
-    min_eig,
-    _rect,
-    pinv,
-    sym,
-)
+from .numlin import DEFAULT_TOL, Tolerances, _rect, max_eig, min_eig, sym
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,18 +38,26 @@ class ProblemData:
             raise ValueError("A and B must have the same number of rows")
         if not np.all(np.isfinite(A)) or not np.all(np.isfinite(B)):
             raise ValueError("A and B must be finite")
-        # one pinv of A gives the range test (range_contains's residual and
-        # slack), the projector I - A^+ A onto ker A, Y0 = A^+ B and, kept
-        # as A_pinv, eval_gmf's multiplier
-        Ap = pinv(A, self.tol)
+        # one full SVD A = U diag(s) V^T gives r = #{s > rank_rel s[0]} = rank A,
+        # N = V's last n - r columns and A^+ = V_r diag(1/s_r) U_r^T; A^+ gives
+        # the range test, the projector I - A^+ A onto ker A, Y0 = A^+ B and
+        # eval_gmf's multiplier.  A = 0 factors nothing
+        n = A.shape[1]
+        if np.any(A):
+            U, s, Vt = np.linalg.svd(A)
+            r = int(np.sum(s > self.tol.rank_rel * s[0]))
+            N = Vt[r:].T.copy()
+            Ap = (Vt[:r].T * (1.0 / s[:r])) @ U[:, :r].T
+        else:
+            N, Ap = np.eye(n), np.zeros((n, A.shape[0]))
         Y0 = Ap @ B
         if np.linalg.norm(B - A @ Y0) > self.tol.feas_abs * (1.0 + np.linalg.norm(B)):
             raise ValueError("rge B must be contained in rge A")
-        P = np.eye(A.shape[1]) - Ap @ A
+        P = np.eye(n) - Ap @ A
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "P", 0.5 * (P + P.T))
-        object.__setattr__(self, "N", ker_basis(A, self.tol))
+        object.__setattr__(self, "N", N)
         object.__setattr__(self, "Y0", Y0)
         object.__setattr__(self, "A_pinv", Ap)
 
@@ -205,7 +204,7 @@ def eval_gmf_oracle(pd: ProblemData, X: np.ndarray, V: np.ndarray) -> GmfEval:
     if not min_eig(pd.N.T @ M[: pd.n, : pd.n] @ pd.N) >= pd.tol.psd_abs:
         raise ValueError("oracle requires interior point")
     rhs = np.vstack([X, pd.B])
-    Z = pinv(M, pd.tol) @ rhs
+    Z = np.linalg.pinv(M, rcond=pd.tol.rank_rel) @ rhs
     return GmfEval(
         0.5 * float(np.sum(rhs * Z)), witness_Y=Z[: pd.n], witness_multiplier=Z[pd.n :]
     )

@@ -15,17 +15,7 @@ from functools import partial
 import numpy as np
 
 from .gmf import _in_KA, _in_KA_polar
-from .numlin import (
-    DEFAULT_TOL,
-    Tolerances,
-    max_eig,
-    min_eig,
-    pinv,
-    psd_sqrt,
-    range_contains,
-    sym,
-    sym_eig,
-)
+from .numlin import DEFAULT_TOL, Tolerances, max_eig, min_eig, psd_sqrt, sym, sym_eig
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +165,10 @@ class SpectralSet(ConvexSetSpec):
         return _spectral_support(G, max(self.lo, 0.0), self.cap, self.total)
 
     def member(self, V, tol):
-        w = np.linalg.eigvalsh(V)
+        return self._fits(np.linalg.eigvalsh(V), tol)
+
+    def _fits(self, w, tol):
+        """Whether the ascending eigenvalues w meet every bound."""
         return (
             w[0] >= self.lo - tol.psd_abs
             and w[-1] <= self.cap + tol.psd_abs
@@ -206,12 +199,12 @@ class SpectralSet(ConvexSetSpec):
         return under_cap and float(np.trace(G)) <= self.total + tol.feas_abs * (1.0 + self.total)
 
     def interior_member(self, C, tol):
-        if not self.member(C, tol):
+        w = np.linalg.eigvalsh(C)
+        if not self._fits(w, tol):
             return False, False
         if self.cap == self.lo or self.total == C.shape[0] * self.lo:
             return True, False  # S is the one point lo * I
         # otherwise S has interior: every bound holds strictly there
-        w = np.linalg.eigvalsh(C)
         margin = min(w[0] - self.lo, self.cap - w[-1], self.total - w.sum())
         return (True, True) if margin > tol.psd_abs else (None, None)
 
@@ -463,10 +456,15 @@ class Ray(ConvexSetSpec):
     def dominates(self, G, tol):
         # for G >= 0 (xi_member passes YY^T/2), alpha D >= G holds at
         # alpha = 0 iff G = 0, and for large alpha iff D >= 0 and
-        # rge G lies in rge D
+        # G has no part along D's eigenvectors with |lambda| at most
+        # rank_rel * max |lambda| (rge G lies in rge D)
         if min_eig(-G) >= -tol.psd_abs:
             return True
-        return min_eig(self.D) >= -tol.psd_abs and range_contains(self.D, G, tol)
+        lam, E = np.linalg.eigh(self.D)
+        if lam[0] < -tol.psd_abs:
+            return False
+        off = E[:, np.abs(lam) <= tol.rank_rel * np.max(np.abs(lam))]
+        return np.linalg.norm(off.T @ G) <= tol.feas_abs * (1.0 + np.linalg.norm(G))
 
     def max_min_eig(self, C, N, tol):
         if min_eig(N.T @ self.D @ N) > tol.psd_abs:
@@ -532,11 +530,17 @@ class ShiftedPSDCap(ConvexSetSpec):
         return 0.5 * (X + X.T)
 
     def gauge(self, G, tol):
-        # G in t*S iff 0 <= G <= t*U
-        if min_eig(G) < -tol.psd_abs or not range_contains(self.U, G, tol):
+        # G in t*S iff 0 <= G <= t*U: G >= 0 vanishes off rge U, and on it
+        # t is lambda_max(U^{+1/2} G U^{+1/2}).  One eigendecomposition
+        # U = Q diag(w) Q^T gives both, rge U from the w > rank_rel * w_max
+        if min_eig(G) < -tol.psd_abs:
             return np.inf
-        Rp = pinv(psd_sqrt(self.U), tol)
-        return max(0.0, max_eig(Rp @ G @ Rp))
+        w, Q = np.linalg.eigh(self.U)
+        live = w > tol.rank_rel * w[-1]
+        if np.linalg.norm(Q[:, ~live].T @ G) > tol.feas_abs * (1.0 + np.linalg.norm(G)):
+            return np.inf
+        R = Q[:, live] / np.sqrt(w[live])  # U^{+1/2} = R Q_live^T
+        return max(0.0, max_eig(R.T @ G @ R))
 
     def inside_KA(self, pd):
         return True

@@ -268,8 +268,9 @@ def _conjugate_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
 # what _linear_path reads at each X: the D of a certified ray V = I + tD
 # and nothing else, or L = (2M)^{1/2}; K and off_Y0 = I - Pi unless free
 # (A = 0: N = I, K = 0, M = U); when free and U > 0, E and E / sqrt(mu)
-# from U's eigendecomposition give V, else both are None
-_Slope = namedtuple("_Slope", "ray free L K off_Y0 E E_root_inv", defaults=(None,) * 6)
+# from U's eigendecomposition give V, else both are None; mu_min is
+# lambda_min(M), which cq_report reads at A = 0 as U's
+_Slope = namedtuple("_Slope", "ray free L K off_Y0 E E_root_inv mu_min", defaults=(None,) * 7)
 
 
 def _linear_factors(prob: InfProjProblem) -> _Slope | None:
@@ -300,7 +301,8 @@ def _linear_factors(prob: InfProjProblem) -> _Slope | None:
         return _Slope(v @ v.T + W + W.T)
     lam = np.where(mu > tol.psd_abs, mu, 0.0)  # 0 inside the floor
     L = (E * np.sqrt(2.0 * lam)) @ E.T
-    return _Slope(None, free, L, K, off_Y0, *((E, E / np.sqrt(mu)) if free and mu[0] > tol.psd_abs else (None, None)))
+    E, E_root_inv = (E, E / np.sqrt(mu)) if free and mu[0] > tol.psd_abs else (None, None)
+    return _Slope(None, free, L, K, off_Y0, E, E_root_inv, float(mu[0]))
 
 
 def _linear_path(prob: InfProjProblem, X: np.ndarray, with_V: bool = True) -> InfProjEval:
@@ -671,7 +673,10 @@ def cq_report(prob: InfProjProblem) -> CQReport:
         rep.pcq = rep.spcq = rep.bpcq
         rep.notes.append("pcq/spcq matched to bpcq (indicator case with no equality constraint)")
     elif pd.unconstrained:  # Omega_2 is the negative semidefinite cone
-        rep.pcq = rep.spcq = _lambda_rule(*conj_dom.max_min_eig(zero, np.eye(n), tol), tol)
+        # a slope U is conj_dom's greatest element, so its lambda_min,
+        # which _linear_factors took, is conj_dom's max_min_eig at C = 0
+        s_exact = conj_dom.max_min_eig(zero, np.eye(n), tol) if lin is None else (lin.mu_min, True)
+        rep.pcq = rep.spcq = _lambda_rule(*s_exact, tol)
     elif conj_dom.full:
         rep.pcq = rep.spcq = "holds"
 

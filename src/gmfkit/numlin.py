@@ -1,8 +1,10 @@
-"""Dense linear-algebra primitives with explicit rank tolerances.
+"""Shared tolerances, the validation boundary and small dense helpers.
 
-Everything downstream (cone tests, bordered-matrix evaluation, norms)
-funnels through the handful of routines here so that rank decisions are
-made with a single relative cutoff.
+Rank decisions use one relative cutoff, rank_rel times the largest
+singular value (or largest |eigenvalue|), but each is taken where its
+factorization is: ProblemData reads rank A, ker A and A^+ off one SVD of
+A, and a set rule reads a range off the eigendecomposition it already
+holds, so no rule factors one matrix twice.
 """
 
 from __future__ import annotations
@@ -74,34 +76,6 @@ def _rect(M, shape: tuple[int, int] | None = None, name: str = "X") -> np.ndarra
     if not np.isfinite(M).all():
         raise ValueError(f"{name} must be finite")
     return M
-
-
-def pinv(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with singular values below
-    rank_rel * sigma_max treated as zero."""
-    if M.size == 0:
-        return M.T.copy()
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    cutoff = tol.rank_rel * (s[0] if s.size else 0.0)
-    inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return (Vt.T * inv) @ U.T
-
-
-def range_contains(M: np.ndarray, C: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff every column of C lies in the column space of M."""
-    resid = C - M @ (pinv(M, tol) @ C)
-    return np.linalg.norm(resid) <= tol.feas_abs * (1.0 + np.linalg.norm(C))
-
-
-def ker_basis(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of ker A as columns (n x k); k may be 0."""
-    n = A.shape[1]
-    if A.size == 0 or not np.any(A):
-        return np.eye(n)
-    _, s, Vt = np.linalg.svd(A)
-    cutoff = tol.rank_rel * s[0]
-    rank = int(np.sum(s > cutoff))
-    return Vt[rank:].T.copy()
 
 
 def sym_eig(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

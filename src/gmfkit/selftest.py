@@ -447,10 +447,10 @@ def criterion_12(seed=0):
         d = float(np.linalg.norm(tr.final_X - Xr))
         lim = 1e-4 * (1.0 + float(np.linalg.norm(Xr)))
         worst = max(worst, d / lim)
-        Fs = [f for f, _, _ in tr.iterates]
+        Fs = [f for f, _ in tr.iterates]
         if any(Fs[i + 1] > Fs[i] + 1e-12 for i in range(len(Fs) - 1)):
             bad.append("non-monotone trace")
-        if any(me <= 0 for _, _, me in tr.iterates):
+        if any(me <= 0 for _, me in tr.iterates):
             bad.append("non-interior iterate")
     if worst > 1.0:
         bad.append(f"agreement ratio {worst:.2f}")

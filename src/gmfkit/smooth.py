@@ -105,10 +105,10 @@ class StageLog(NamedTuple):
 
 @dataclass
 class SolveTrace:
-    """Iteration log: (objective, gradient norm, min eigenvalue of V) at
-    the start and after each stage; `stages` holds one StageLog per
-    stage, and `dual_gap` is P(X) - D(r) >= 0 at the final X (see
-    `_dual_gap`), NaN when X is not finite."""
+    """Iteration log: (objective, min eigenvalue of V) at the start and
+    after each stage; `stages` holds one StageLog per stage, and
+    `dual_gap` is P(X) - D(r) >= 0 at the final X (see `_dual_gap`), NaN
+    when X is not finite."""
 
     iterates: list = field(default_factory=list)
     final_X: np.ndarray | None = None
@@ -170,18 +170,11 @@ def solve_smooth(
         GC -= 2.0 * mu * np.linalg.inv(C).T
         return F, np.concatenate([GZ.ravel(order="F"), GC.ravel()])
 
-    def true_grad_norm(X, V):
-        Vi = np.linalg.inv(V)
-        ViX = Vi @ X
-        GX = fit.value_and_grad(X)[1] + ViX
-        GV = -0.5 * ViX @ ViX.T + Ubar
-        return float(np.sqrt(np.linalg.norm(GX) ** 2 + np.linalg.norm(GV) ** 2))
-
     trace = SolveTrace()
     X, V = np.zeros((n, m)), np.eye(n)
     z = np.concatenate([np.zeros(n * m), np.eye(n).ravel()])  # Z = 0, C = I
     F = barrier_obj(z, 0.0)[0]
-    trace.iterates.append((F, true_grad_norm(X, V), min_eig(V)))
+    trace.iterates.append((F, min_eig(V)))
     mu, mu_final = 1e-1 * (1.0 + abs(F)), 1e-12
     capped = False
     while True:
@@ -206,7 +199,7 @@ def solve_smooth(
         if F_new <= F:
             X, V, F = X_new, V_new, F_new
             z = res.x
-        trace.iterates.append((F, true_grad_norm(X, V), min_eig(V)))
+        trace.iterates.append((F, min_eig(V)))
         if last:
             break
         mu = max(mu * 0.01, mu_final)
@@ -244,15 +237,14 @@ def solve_prox_reference(fit: FitSpec, L: np.ndarray, lam: float) -> np.ndarray:
     X = 0, until a step moves X by at most 1e-12 (1 + |X|) or after 20000
     steps.
 
-    The exact singular-value-thresholding prox requires L = I."""
+    The exact singular-value-thresholding prox requires L = I.  The step
+    is 1 / |A_op|_2^2, where |A_op|_2 = 1 for a nonempty row selection
+    (orthonormal rows) and takes an SVD of A_op otherwise."""
     n, m = fit.n, fit.m
     L = np.atleast_2d(np.asarray(L, dtype=float))
     if not np.allclose(L, np.eye(n), atol=1e-12):
         raise ValueError("reference supports identity weight only")
-    if fit.A_op.size:
-        lip = float(np.linalg.norm(fit.A_op, 2) ** 2)
-    else:
-        lip = 1.0
+    lip = float(np.linalg.norm(fit.A_op, 2) ** 2) if fit.A_op.size and fit._entries is None else 1.0
     step = 1.0 / max(lip, 1e-15)
 
     def prox(X, thr):

@@ -21,6 +21,38 @@ def linalg_calls(monkeypatch):
     return counts
 
 
+_FACTORIZATIONS = (
+    "eigh", "eigvalsh", "eig", "eigvals", "svd", "pinv", "cholesky", "qr",
+    "inv", "solve", "lstsq", "slogdet", "det", "matrix_rank",
+)
+
+
+class _Inputs(Counter):
+    """Counts each numpy.linalg factorization by the bytes of the matrix
+    it factors, whichever function factors it."""
+
+    def repeats(self):
+        """(shape, count) of each matrix factored more than once."""
+        return [(shape, c) for (shape, _), c in self.items() if c > 1]
+
+
+@pytest.fixture
+def linalg_inputs(monkeypatch):
+    """Records every numpy.linalg factorization from here on, keyed by its
+    input matrix's shape and bytes; repeats() lists the matrices factored
+    twice or more since the last clear()."""
+    inputs = _Inputs()
+    for name in _FACTORIZATIONS:
+
+        def recorded(a, *args, _fn=getattr(np.linalg, name), **kwargs):
+            a = np.asarray(a, dtype=float)
+            inputs[(a.shape, np.ascontiguousarray(a).tobytes())] += 1
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return inputs
+
+
 @pytest.fixture
 def sym_calls(monkeypatch):
     """Records the shape of each matrix passed to the checked numlin.sym

@@ -228,7 +228,8 @@ def test_solve_command(tmp_path, capsys):
     out = rep["outputs"]
     assert out["status"] == "Converged"
     assert out["min_eig_V"] > 0
-    assert len(out["stage_log"]) == out["stages"] - 1
+    assert len(out["stage_log"]) == out["stages"]
+    assert "grad_norm" not in out
     assert set(out["stage_log"][0]) == {"mu", "gtol", "nit", "nfev", "message"}
     assert out["stage_log"][-1]["gtol"] == 1e-14
     assert out["nfev"] == sum(st["nfev"] for st in out["stage_log"])

@@ -508,3 +508,77 @@ def test_non_finite_data_is_rejected(make):
     # each of these used to accept a NaN entry; linear h then read p = 0
     with pytest.raises(ValueError):
         make(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def _rotation(n, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return q
+
+
+def test_ray_dominates_needs_a_psd_direction_whose_range_holds_g():
+    tol = DEFAULT_TOL
+    Q = _rotation(3, 1)
+    D = Q @ np.diag([2.0, 0.5, 0.0]) @ Q.T  # singular and PSD
+    on = Q @ np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 0.0]]) @ Q.T
+    off = Q @ np.diag([1.0, 0.0, 1e-3]) @ Q.T
+    assert Ray(D).dominates(on, tol)  # alpha D >= G for alpha large
+    assert not Ray(D).dominates(off, tol)  # G reaches ker D
+    assert Ray(D).dominates(np.zeros((3, 3)), tol)  # alpha = 0
+    # D not PSD: alpha D >= G >= 0 only at alpha = 0, G = 0
+    indefinite = Q @ np.diag([2.0, 0.5, -1.0]) @ Q.T
+    assert not Ray(indefinite).dominates(on, tol)
+    assert Ray(indefinite).dominates(np.zeros((3, 3)), tol)
+    # the zero ray {0} dominates G = 0 only
+    assert not Ray(np.zeros((3, 3))).dominates(on, tol)
+
+
+def test_psd_cap_gauge_of_a_singular_cap():
+    import scipy.linalg
+
+    Q = _rotation(3, 2)
+    U = Q @ np.diag([2.0, 0.5, 0.0]) @ Q.T
+    block = np.array([[1.0, 0.4], [0.4, 0.3]])
+    G = Q[:, :2] @ block @ Q[:, :2].T  # PSD, on rge U
+    t = gauge(ShiftedPSDCap(U), G)
+    # the least t with t U >= G: the top generalized eigenvalue on rge U
+    ref = scipy.linalg.eigh(block, np.diag([2.0, 0.5]), eigvals_only=True)[-1]
+    assert t == pytest.approx(ref, rel=1e-12)
+    assert min_eig(t * U - G) >= -1e-12
+    assert gauge(ShiftedPSDCap(U), G + 1e-3 * np.outer(Q[:, 2], Q[:, 2])) == np.inf  # off rge U
+    assert gauge(ShiftedPSDCap(U), -G) == np.inf  # not PSD
+
+
+def test_psd_cap_gauge_reads_rge_u_with_one_cutoff():
+    # lambda = 1e-12 <= rank_rel * lambda_max is off rge U for the range
+    # test, and so it is not inverted either: G's 1e-9 along it lies
+    # within feas_abs of rge U, and the gauge is that of U's live block
+    U = np.diag([1.0, 1e-12])
+    assert gauge(ShiftedPSDCap(U), np.diag([1.0, 1e-9])) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "S, C",
+    [
+        (SpectralBox(-1.0, 2.0, 3), np.diag([0.5, -0.5, 1.0])),
+        (TraceBall(3.0, 3), np.diag([0.5, 0.2, 1.0])),
+        (Fantope(2, 3), np.diag([0.5, 0.2, 0.6])),
+    ],
+    ids=["box", "trace_ball", "fantope"],
+)
+def test_spectral_interior_member_factors_c_once(S, C, linalg_inputs):
+    Q = _rotation(3, 3)
+    assert S.interior_member(Q @ C @ Q.T, DEFAULT_TOL) == (True, True)
+    assert linalg_inputs.repeats() == []
+
+
+def test_ray_dominates_and_psd_cap_gauge_factor_once(linalg_inputs):
+    Q = _rotation(3, 4)
+    D = Q @ np.diag([2.0, 0.5, 0.0]) @ Q.T
+    G = Q @ np.diag([1.0, 0.5, 0.0]) @ Q.T
+    S, cap = Ray(D), ShiftedPSDCap(D)
+    linalg_inputs.clear()
+    assert S.dominates(G, DEFAULT_TOL)
+    assert linalg_inputs.repeats() == []
+    linalg_inputs.clear()
+    assert cap.gauge(G, DEFAULT_TOL) == pytest.approx(1.0, rel=1e-12)
+    assert linalg_inputs.repeats() == []

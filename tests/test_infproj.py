@@ -516,6 +516,27 @@ def test_linear_dual_value_factorizes_once(linalg_calls):
         assert float(np.sum(X * Y)) == pytest.approx(value, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "make, pcq",
+    [
+        (lambda M: Linear(M @ M.T + np.eye(3)), "holds"),
+        (lambda M: Linear(M[:, :2] @ M[:, :2].T), "fails"),  # U singular
+        (lambda M: Support(SpectralBox(-1.0, 2.0, 3)), "holds"),
+        (lambda M: Support(ShiftedPSDCap(M @ M.T)), "holds"),
+    ],
+    ids=["linear", "linear_singular", "support_box", "support_psd_cap"],
+)
+def test_cq_report_at_a_zero_reads_the_slope_s_spectrum(make, pcq, linalg_inputs):
+    # _linear_factors takes eigh(U) of the slope U, the greatest element of
+    # dom h*; PCQ/SPCQ read lambda_min(U) from it instead of a second eigvalsh
+    M = np.random.default_rng(5).standard_normal((3, 3))
+    prob = InfProjProblem(unconstrained(3, 2), make(M))
+    linalg_inputs.clear()
+    rep = cq_report(prob)
+    assert linalg_inputs.repeats() == []
+    assert rep.pcq == rep.spcq == pcq
+
+
 def test_support_of_a_singleton_is_its_linear_h():
     U = np.array([[2.0, 1.0], [1.0, 3.0]])
     prob = InfProjProblem(unconstrained(2, 1), Support(Singleton(U)))
@@ -1249,3 +1270,62 @@ def test_closed_forms_certify_every_row_of_the_two_regimes(monkeypatch):
             oracle_runs[family] += 1
             assert descent(prob, X, 4000, 0).value >= p - 1e-12 * (1.0 + abs(p))
     assert len(oracle_runs) >= 10
+
+
+# A = e_1^T with n = 3: ker A is spanned by e_2, e_3, so V lies in K_A iff
+# its lower 2 x 2 block is PSD; every Y with AY = B has first row B
+_A1, _B1 = np.array([[1.0, 0.0, 0.0]]), np.array([[1.0, 2.0]])
+_Y1 = np.array([[1.0, 2.0], [0.3, -0.2], [0.1, 0.4]])
+_G1 = _Y1 @ _Y1.T
+
+
+@pytest.mark.parametrize(
+    "S, half_sigma",
+    [
+        (Singleton(np.diag([-1.0, 1.0, 2.0])), 0.5 * float(np.sum(np.diag([-1.0, 1.0, 2.0]) * _G1))),
+        (Singleton(np.diag([1.0, -1.0, 1.0])), None),
+        (SpectralBox(0.0, 2.0, 3), float(np.trace(_G1))),  # 2 tr G / 2
+        (SpectralBox(-1.0, 2.0, 3), None),
+        (TraceBall(3.0, 3), 1.5 * float(np.linalg.eigvalsh(_G1)[-1])),
+        (Fantope(1, 3), 0.5 * float(np.linalg.eigvalsh(_G1)[-1])),
+        (Ray(np.diag([-1.0, 1.0, 0.0])), 0.0),  # <D, G> < 0: only V = 0 counts
+        (Ray(np.diag([1.0, -1.0, 1.0])), None),
+        (ShiftedPSDCap(np.diag([1.0, 2.0, 0.5])), 0.5 * float(np.sum(np.diag([1.0, 2.0, 0.5]) * _G1))),
+    ],
+    ids=["singleton_in", "singleton_out", "box_lo0", "box_lo_neg", "trace_ball", "fantope", "ray_in", "ray_out", "psd_cap"],
+)
+def test_indicator_conjugate_with_a_kernel_constraint(S, half_sigma):
+    # p*(Y) = sigma_{S cap K_A}(YY^T)/2, exact where S lies inside K_A and
+    # undecided where it does not
+    prob = InfProjProblem(ProblemData(_A1, _B1), Indicator(S))
+    value, status = eval_p_conj(prob, _Y1)
+    if half_sigma is None:
+        assert np.isnan(value) and status == "undecided"
+    else:
+        assert status == "exact" and value == pytest.approx(half_sigma, rel=1e-12, abs=1e-14)
+    # off AY = B, p* is +inf whatever S is
+    assert eval_p_conj(prob, np.zeros((3, 2))) == (np.inf, "exact")
+
+
+@pytest.mark.parametrize("h", [Linear(np.diag([1.0, -2.0, 0.5])), Support(TraceBall(1.0, 3))], ids=["linear", "support"])
+def test_dom_p_member_witnesses_a_full_domain_with_the_identity(h):
+    found, V, status = dom_p_member(InfProjProblem(ProblemData(_A1, _B1), h), _Y1)
+    assert (found, status) == (True, "witness") and np.array_equal(V, np.eye(3))
+
+
+def test_the_zero_ray_is_the_point_zero():
+    S, tol, V = Ray(np.zeros((2, 2))), DEFAULT_TOL, np.array([[1.0, 0.5], [0.5, -2.0]])
+    assert S.member(np.zeros((2, 2)), tol) and not S.member(V, tol)
+    assert np.array_equal(S.project(V, tol), np.zeros((2, 2)))
+    value, W = S.psd_cap_support(V, tol)
+    assert value == 0.0 and np.array_equal(W, np.zeros((2, 2)))
+    assert S.interior_member(np.zeros((2, 2)), tol) == (True, False)
+    assert S.interior_member(V, tol) == (False, False)
+
+
+def test_xi_member_of_a_ray_indicator_with_indefinite_kernel_curvature():
+    # dom h* = {V : <D, V> <= 0}; N^T D N = diag(1, -1) is indefinite, so
+    # W = G + N E N^T with E >= 0 large along e_3 meets <D, W> <= 0
+    prob = InfProjProblem(ProblemData(_A1, _B1), Indicator(Ray(np.diag([5.0, 1.0, -1.0]))))
+    assert xi_member(prob, _Y1) == (True, "exact")
+    assert xi_member(prob, np.zeros((3, 2))) == (False, "exact")

@@ -12,12 +12,9 @@ from gmfkit.gmf import ProblemData
 from gmfkit.numlin import (
     DEFAULT_TOL,
     Tolerances,
-    ker_basis,
     max_eig,
     min_eig,
-    pinv,
     psd_sqrt,
-    range_contains,
     sv,
     sym,
     sym_eig,
@@ -56,35 +53,63 @@ def test_sym_symmetrizes_small_noise():
     assert np.allclose(out, out.T)
 
 
-def test_pinv_matches_numpy_on_full_rank():
+def _problem(A, m=1):
+    return ProblemData(A, np.zeros((np.atleast_2d(A).shape[0], m)))
+
+
+def test_problem_data_pinv_is_the_inverse_of_an_invertible_a():
     M = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-    assert np.allclose(pinv(M), np.linalg.inv(M), atol=1e-10)
+    assert np.allclose(_problem(M).A_pinv, np.linalg.inv(M), atol=1e-10)
 
 
-def test_pinv_rank_deficient():
+def test_problem_data_pinv_of_a_rank_deficient_a():
     u = rng.standard_normal((3, 1))
     M = u @ u.T
-    P = pinv(M)
+    P = _problem(M).A_pinv
     assert np.allclose(M @ P @ M, M, atol=1e-10)
+    assert np.allclose(P @ M @ P, P, atol=1e-10)
+    # A = 0 factors nothing: A^+ = 0 and N = I
+    pd = _problem(np.zeros((2, 3)))
+    assert np.array_equal(pd.A_pinv, np.zeros((3, 2))) and np.array_equal(pd.N, np.eye(3))
 
 
-def test_range_contains():
+def test_problem_data_rejects_b_off_the_range_of_a():
     A = np.array([[1.0, 0.0], [0.0, 0.0]])
-    assert range_contains(A, np.array([[2.0], [0.0]]))
-    assert not range_contains(A, np.array([[0.0], [1.0]]))
+    ProblemData(A, np.array([[2.0], [0.0]]))
+    with pytest.raises(ValueError, match="rge B"):
+        ProblemData(A, np.array([[0.0], [1.0]]))
 
 
-def test_ker_basis_orthonormal():
+def test_problem_data_kernel_basis_orthonormal():
     A = np.array([[1.0, 1.0, 0.0]])
-    N = ker_basis(A)
+    N = _problem(A).N
     assert N.shape == (3, 2)
     assert np.allclose(N.T @ N, np.eye(2), atol=1e-12)
     assert np.allclose(A @ N, 0.0, atol=1e-12)
 
 
-def test_ker_basis_trivial():
-    N = ker_basis(np.eye(2))
-    assert N.shape == (2, 0)
+def test_problem_data_kernel_basis_empty_for_invertible_a():
+    pd = _problem(np.eye(2))
+    assert pd.N.shape == (2, 0) and pd.ker_trivial
+
+
+def test_problem_data_factors_a_once(linalg_calls):
+    # one SVD of A gives rank, N and A^+; A = 0 takes none
+    ProblemData(rng.standard_normal((2, 4)), np.zeros((2, 1)))
+    assert linalg_calls == {"svd": 1}
+    linalg_calls.clear()
+    ProblemData(np.zeros((1, 3)), np.zeros((1, 2)))
+    assert linalg_calls == {}
+
+
+def test_problem_data_factors_no_matrix_twice(linalg_inputs):
+    from gmfkit.selftest import criterion_13_problems
+
+    pairs = [(prob.pd.A, prob.pd.B) for prob in criterion_13_problems(0)]
+    for A, B in pairs:
+        linalg_inputs.clear()
+        ProblemData(A, B)
+        assert linalg_inputs.repeats() == []
 
 
 def test_ker_projector_idempotent():
@@ -137,12 +162,13 @@ def test_psd_sqrt_property(n, seed):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**31 - 1))
-def test_pinv_penrose_property(nr, nc, seed):
+def test_problem_data_pinv_penrose_property(nr, nc, seed):
     g = np.random.default_rng(seed)
     M = g.standard_normal((nr, nc))
-    P = pinv(M)
+    P = _problem(M).A_pinv
     assert np.allclose(M @ P @ M, M, atol=1e-8)
     assert np.allclose(P @ M @ P, P, atol=1e-8)
+    assert np.allclose(M @ P, (M @ P).T, atol=1e-8) and np.allclose(P @ M, (P @ M).T, atol=1e-8)
 
 
 def test_tolerances_dict_roundtrip():

@@ -61,9 +61,9 @@ def test_soft_threshold_zero_region():
 def test_trace_monotone_and_interior():
     fit, _, _ = completion_instance(1)
     tr = solve_smooth(fit, unconstrained(5, 5), 0.5 * 0.25 * np.eye(5))
-    Fs = [f for f, _, _ in tr.iterates]
+    Fs = [f for f, _ in tr.iterates]
     assert all(b <= a + 1e-12 for a, b in zip(Fs, Fs[1:]))
-    assert all(me > 0 for _, _, me in tr.iterates)
+    assert all(me > 0 for _, me in tr.iterates)
 
 
 def test_agreement_with_prox_reference():

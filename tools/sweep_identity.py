@@ -1,0 +1,128 @@
+"""Record the criterion-13 sweep's outputs from one source tree, and
+compare two such records row by row.
+
+    python tools/sweep_identity.py dump SRC OUT [--seeds 0-4]
+    python tools/sweep_identity.py compare A B
+
+`dump` imports gmfkit from the directory SRC (the `src` folder of a
+checkout), pins BLAS to one thread, and for every problem i of
+`selftest.criterion_13_problems(seed)` evaluates at
+X = default_rng([seed, i]).standard_normal((n, m)):
+
+- eval_p: path, status, value, iters, V, Y, unbounded_direction and
+  unbounded_base;
+- eval_p_conj at eval_p's Y (when there is one);
+- dual_value;
+- every cq_report verdict and its notes;
+- dom_p_member.
+
+It pickles one dict per row to OUT.  `compare` prints, per field, the
+rows whose values differ (NaN equal to NaN, arrays by value and shape)
+and exits 1 when any row differs, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import pickle
+import sys
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _seeds(spec: str) -> list[int]:
+    out = []
+    for part in spec.split(","):
+        lo, _, hi = part.partition("-")
+        out.extend(range(int(lo), int(hi or lo) + 1))
+    return out
+
+
+def _row(prob, X):
+    from gmfkit.infproj import cq_report, dom_p_member, dual_value, eval_p, eval_p_conj
+
+    row = {}
+    pe = eval_p(prob, X)
+    for name in ("path", "status", "value", "iters", "V", "Y", "unbounded_direction", "unbounded_base"):
+        row[f"eval_p.{name}"] = getattr(pe, name)
+    row["eval_p_conj"] = None if pe.Y is None else eval_p_conj(prob, pe.Y)
+    row["dual_value"] = dual_value(prob, X)
+    rep = cq_report(prob)
+    for name in ("pcq", "spcq", "bpcq", "ccq", "sccq", "notes"):
+        row[f"cq.{name}"] = getattr(rep, name)
+    row["dom_p_member"] = dom_p_member(prob, X)
+    return row
+
+
+def dump(src: str, out: str, seeds: list[int]) -> None:
+    for var in _THREAD_VARS:  # before numpy loads BLAS
+        os.environ[var] = "1"
+    sys.path.insert(0, os.path.abspath(src))
+    import numpy as np
+
+    from gmfkit.selftest import criterion_13_problems
+
+    rows = {}
+    for seed in seeds:
+        for i, prob in enumerate(criterion_13_problems(seed)):
+            X = np.random.default_rng([seed, i]).standard_normal((prob.pd.n, prob.pd.m))
+            rows[(seed, i)] = _row(prob, X)
+        print(f"seed {seed}: {i + 1} rows", file=sys.stderr)
+    with open(out, "wb") as f:
+        pickle.dump(rows, f)
+
+
+def _same(a, b) -> bool:
+    import numpy as np
+
+    if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, (np.ndarray, float, np.floating)) or isinstance(b, (np.ndarray, float, np.floating)):
+        if a is None or b is None:
+            return a is b
+        a, b = np.asarray(a), np.asarray(b)
+        return a.shape == b.shape and bool(np.array_equal(a, b, equal_nan=True))
+    return a == b
+
+
+def compare(path_a: str, path_b: str) -> int:
+    with open(path_a, "rb") as f:
+        a = pickle.load(f)
+    with open(path_b, "rb") as f:
+        b = pickle.load(f)
+    if a.keys() != b.keys():
+        print(f"row sets differ: {len(a)} against {len(b)} rows")
+        return 1
+    diffs = {}
+    for key in a:
+        for field in a[key].keys() | b[key].keys():
+            if not _same(a[key].get(field), b[key].get(field)):
+                diffs.setdefault(field, []).append(key)
+    for field in sorted(diffs):
+        keys = diffs[field]
+        shown = ", ".join(f"{s}/{i}" for s, i in keys[:10])
+        print(f"{field}: {len(keys)} rows differ ({shown}{', ...' if len(keys) > 10 else ''})")
+    print(f"{len(a)} rows, {sum(map(len, diffs.values()))} differing fields")
+    return 1 if diffs else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    d = sub.add_parser("dump", help="record the sweep's outputs from one source tree")
+    d.add_argument("src", help="directory holding the gmfkit package")
+    d.add_argument("out", help="pickle file to write")
+    d.add_argument("--seeds", default="0-4", help="seeds, as in 0-4 or 0,2 (default 0-4)")
+    c = sub.add_parser("compare", help="print the rows that differ between two records")
+    c.add_argument("a")
+    c.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.cmd == "dump":
+        dump(args.src, args.out, _seeds(args.seeds))
+        return 0
+    return compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
