@@ -532,7 +532,7 @@ class ShiftedPSDCap(ConvexSetSpec):
     def gauge(self, G, tol):
         # G in t*S iff 0 <= G <= t*U: G >= 0 vanishes off rge U, and on it
         # t is lambda_max(U^{+1/2} G U^{+1/2}).  One eigendecomposition
-        # U = Q diag(w) Q^T gives both, rge U from the w > rank_rel * w_max
+        # U = Q diag(w) Q^T gives both; rge U is spanned by w > rank_rel * w_max
         if min_eig(G) < -tol.psd_abs:
             return np.inf
         w, Q = np.linalg.eigh(self.U)
