@@ -41,15 +41,12 @@ class ProblemData:
         # one full SVD A = U diag(s) V^T gives r = #{s > rank_rel s[0]} = rank A,
         # N = V's last n - r columns and A^+ = V_r diag(1/s_r) U_r^T; A^+ gives
         # the range test, the projector I - A^+ A onto ker A, Y0 = A^+ B and
-        # eval_gmf's multiplier.  A = 0 factors nothing
+        # eval_gmf's multiplier.  At A = 0 (r = 0) N = I is set, not read off V
         n = A.shape[1]
-        if np.any(A):
-            U, s, Vt = np.linalg.svd(A)
-            r = int(np.sum(s > self.tol.rank_rel * s[0]))
-            N = Vt[r:].T.copy()
-            Ap = (Vt[:r].T * (1.0 / s[:r])) @ U[:, :r].T
-        else:
-            N, Ap = np.eye(n), np.zeros((n, A.shape[0]))
+        U, s, Vt = np.linalg.svd(A)
+        r = int(np.sum(s > self.tol.rank_rel * np.max(s, initial=0.0)))
+        N = Vt[r:].T.copy() if r else np.eye(n)
+        Ap = (Vt[:r].T * (1.0 / s[:r])) @ U[:, :r].T
         Y0 = Ap @ B
         if np.linalg.norm(B - A @ Y0) > self.tol.feas_abs * (1.0 + np.linalg.norm(B)):
             raise ValueError("rge B must be contained in rge A")

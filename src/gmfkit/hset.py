@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .gmf import _in_KA, _in_KA_polar
-from .numlin import DEFAULT_TOL, Tolerances, max_eig, min_eig, psd_sqrt, sym, sym_eig
+from .numlin import DEFAULT_TOL, Tolerances, live_range, max_eig, min_eig, psd_sqrt, sym, sym_eig
 
 
 # ---------------------------------------------------------------------------
@@ -455,16 +455,12 @@ class Ray(ConvexSetSpec):
 
     def dominates(self, G, tol):
         # for G >= 0 (xi_member passes YY^T/2), alpha D >= G holds at
-        # alpha = 0 iff G = 0, and for large alpha iff D >= 0 and
-        # G has no part along D's eigenvectors with |lambda| at most
-        # rank_rel * max |lambda| (rge G lies in rge D)
+        # alpha = 0 iff G = 0, and for large alpha iff D >= 0 and rge G
+        # lies in rge D; one eigh of D gives both
         if min_eig(-G) >= -tol.psd_abs:
             return True
         lam, E = np.linalg.eigh(self.D)
-        if lam[0] < -tol.psd_abs:
-            return False
-        off = E[:, np.abs(lam) <= tol.rank_rel * np.max(np.abs(lam))]
-        return np.linalg.norm(off.T @ G) <= tol.feas_abs * (1.0 + np.linalg.norm(G))
+        return lam[0] >= -tol.psd_abs and live_range(lam, E, G, tol) is not None
 
     def max_min_eig(self, C, N, tol):
         if min_eig(N.T @ self.D @ N) > tol.psd_abs:
@@ -532,12 +528,12 @@ class ShiftedPSDCap(ConvexSetSpec):
     def gauge(self, G, tol):
         # G in t*S iff 0 <= G <= t*U: G >= 0 vanishes off rge U, and on it
         # t is lambda_max(U^{+1/2} G U^{+1/2}).  One eigendecomposition
-        # U = Q diag(w) Q^T gives both; rge U is spanned by w > rank_rel * w_max
+        # U = Q diag(w) Q^T gives both
         if min_eig(G) < -tol.psd_abs:
             return np.inf
         w, Q = np.linalg.eigh(self.U)
-        live = w > tol.rank_rel * w[-1]
-        if np.linalg.norm(Q[:, ~live].T @ G) > tol.feas_abs * (1.0 + np.linalg.norm(G)):
+        live = live_range(w, Q, G, tol)
+        if live is None:
             return np.inf
         R = Q[:, live] / np.sqrt(w[live])  # U^{+1/2} = R Q_live^T
         return max(0.0, max_eig(R.T @ G @ R))

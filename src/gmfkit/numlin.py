@@ -4,7 +4,7 @@ Rank decisions use one relative cutoff, rank_rel times the largest
 singular value (or largest |eigenvalue|), but each is taken where its
 factorization is: ProblemData reads rank A, ker A and A^+ off one SVD of
 A, and a set rule reads a range off the eigendecomposition it already
-holds, so no rule factors one matrix twice.
+holds (live_range), so no rule factors one matrix twice.
 """
 
 from __future__ import annotations
@@ -83,6 +83,14 @@ def sym_eig(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, Q = np.linalg.eigh(S)
     order = np.argsort(w)[::-1]
     return w[order], Q[:, order]
+
+
+def live_range(w: np.ndarray, Q: np.ndarray, G: np.ndarray, tol: Tolerances):
+    """Mask of the eigenvalues w > rank_rel * max |w| of a PSD Q diag(w) Q^T,
+    whose eigenvectors span its range; None if G has a part off that range."""
+    live = w > tol.rank_rel * np.max(np.abs(w), initial=0.0)
+    off = np.linalg.norm(Q[:, ~live].T @ G) > tol.feas_abs * (1.0 + np.linalg.norm(G))
+    return None if off else live
 
 
 def min_eig(S: np.ndarray) -> float:

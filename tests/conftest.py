@@ -5,31 +5,18 @@ import numpy as np
 import pytest
 
 
-@pytest.fixture
-def linalg_calls(monkeypatch):
-    """Counts numpy.linalg factorizations from here on: "eigh" counts eigh
-    and eigvalsh, "svd" counts svd and pinv (whose SVD calls numpy's
-    internal svd, not the patched one)."""
-    counts = Counter()
-    for name, key in (("eigh", "eigh"), ("eigvalsh", "eigh"), ("svd", "svd"), ("pinv", "svd")):
-
-        def counted(*args, _fn=getattr(np.linalg, name), _key=key, **kwargs):
-            counts[_key] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return counts
-
-
 _FACTORIZATIONS = (
     "eigh", "eigvalsh", "eig", "eigvals", "svd", "pinv", "cholesky", "qr",
     "inv", "solve", "lstsq", "slogdet", "det", "matrix_rank",
 )
+# linalg_calls' keys: "eigh" counts eigh and eigvalsh, "svd" counts svd and
+# pinv (whose SVD calls numpy's internal svd, not the patched one)
+_CALL_KEYS = {"eigh": "eigh", "eigvalsh": "eigh", "svd": "svd", "pinv": "svd"}
 
 
 class _Inputs(Counter):
-    """Counts each numpy.linalg factorization by the bytes of the matrix
-    it factors, whichever function factors it."""
+    """Counts each numpy.linalg factorization by the shape and bytes of the
+    matrix it factors, whichever function factors it."""
 
     def repeats(self):
         """(shape, count) of each matrix factored more than once."""
@@ -37,20 +24,35 @@ class _Inputs(Counter):
 
 
 @pytest.fixture
-def linalg_inputs(monkeypatch):
-    """Records every numpy.linalg factorization from here on, keyed by its
-    input matrix's shape and bytes; repeats() lists the matrices factored
-    twice or more since the last clear()."""
-    inputs = _Inputs()
+def _linalg_record(monkeypatch):
+    """Patches each numpy.linalg factorization once and tallies every call
+    from here on twice: by linalg_calls' key and by input matrix."""
+    calls, inputs = Counter(), _Inputs()
     for name in _FACTORIZATIONS:
 
-        def recorded(a, *args, _fn=getattr(np.linalg, name), **kwargs):
-            a = np.asarray(a, dtype=float)
-            inputs[(a.shape, np.ascontiguousarray(a).tobytes())] += 1
+        def recorded(a, *args, _fn=getattr(np.linalg, name), _key=_CALL_KEYS.get(name), **kwargs):
+            if _key:
+                calls[_key] += 1
+            b = np.ascontiguousarray(a, dtype=float)
+            inputs[(b.shape, b.tobytes())] += 1
             return _fn(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recorded)
-    return inputs
+    return calls, inputs
+
+
+@pytest.fixture
+def linalg_calls(_linalg_record):
+    """Counts numpy.linalg factorizations from here on, by _CALL_KEYS."""
+    return _linalg_record[0]
+
+
+@pytest.fixture
+def linalg_inputs(_linalg_record):
+    """The numpy.linalg factorizations from here on, keyed by input matrix;
+    repeats() lists the matrices factored twice or more since the last
+    clear()."""
+    return _linalg_record[1]
 
 
 @pytest.fixture
