@@ -13,7 +13,6 @@ import argparse
 import functools
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -377,7 +376,7 @@ _FLAGS = {
     "k": ("--k", {"type": int, "default": 1}),
     "max_iter": ("--max-iter", {"type": int, "default": 4000}),
     "out": ("--out", {}),
-    "seed": ("--seed", {"type": int}),
+    "seed": ("--seed", {"type": int, "default": 0}),
     "rank_rel": ("--tol-rank", {"type": float}),
     "psd_abs": ("--tol-psd", {"type": float}),
     "feas_abs": ("--tol-feas", {"type": float}),
@@ -429,8 +428,6 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         t0 = time.time()
-        if args.seed is None:
-            args.seed = int(os.environ.get("GMFKIT_SEED", "0"))
         # the one read of the bundle: tolerances and handler both use it
         bundle = _load_json(args.bundle) if getattr(args, "bundle", None) else {}
         tol = _tolerances(args, bundle)

@@ -48,15 +48,19 @@ class ProblemData:
         N = Vt[r:].T.copy() if r else np.eye(n)
         Ap = (Vt[:r].T * (1.0 / s[:r])) @ U[:, :r].T
         Y0 = Ap @ B
-        if np.linalg.norm(B - A @ Y0) > self.tol.feas_abs * (1.0 + np.linalg.norm(B)):
-            raise ValueError("rge B must be contained in rge A")
-        P = np.eye(n) - Ap @ A
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
+        if not self.solves(Y0):
+            raise ValueError("rge B must be contained in rge A")
+        P = np.eye(n) - Ap @ A
         object.__setattr__(self, "P", 0.5 * (P + P.T))
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "Y0", Y0)
         object.__setattr__(self, "A_pinv", Ap)
+
+    def solves(self, Y: np.ndarray) -> bool:
+        """Whether AY = B, within feas_abs (1 + |B|)."""
+        return np.linalg.norm(self.A @ Y - self.B) <= self.tol.feas_abs * (1.0 + np.linalg.norm(self.B))
 
     @property
     def n(self) -> int:
@@ -134,7 +138,7 @@ def in_omega(pd: ProblemData, Y: np.ndarray, W: np.ndarray) -> bool:
     AY = B and YY^T/2 + W in the polar of K_A."""
     Y = _rect(Y, (pd.n, pd.m), "Y")
     G = 0.5 * Y @ Y.T + sym(W, pd.tol, pd.n)
-    if np.linalg.norm(pd.A @ Y - pd.B) > pd.tol.feas_abs * (1.0 + np.linalg.norm(pd.B)):
+    if not pd.solves(Y):
         return False
     return _in_KA_polar(pd, 0.5 * (G + G.T))
 

@@ -34,13 +34,14 @@ class ConvexSetSpec:
     - inside_KA(pd): whether S lies inside K_A, within pd's tolerances;
       False where that is not known.
     - ka_bounded(pd): whether S intersect K_A is bounded.
-    - max_min_eig(C, N, tol): (sup over V in S of
-      lambda_min(N^T (V - C) N), exactness flag) for N with orthonormal
-      columns, at least one; the value is a lower bound when the flag is
-      False.  A value above psd_abs at C = 0 means S meets the interior
-      of {V : N^T V N >= 0}.  The base rule serves the sets with a
-      greatest element: lambda_min(N^T (V - C) N) grows with V in the
-      Loewner order, so loewner_max() attains the sup, exactly.
+    - max_min_eig(N, tol): the sup over V in S of lambda_min(N^T V N),
+      for N with orthonormal columns, at least one.  A value above
+      psd_abs means S meets the interior of {V : N^T V N >= 0}, one of
+      at least -psd_abs that S meets the cone.  The base rule serves the
+      sets with a greatest element: lambda_min(N^T V N) grows with V in
+      the Loewner order, so loewner_max() attains the sup.
+    - dominates(G, tol): whether some W in S has W >= G, for G positive
+      semidefinite; the base rule reads it off loewner_max().
     - interior_member(C, tol): (C in ri S, C in int S), each True, False
       or None where that is not known.
     - covers(G, pd): whether some W in S has G - W in the polar of K_A,
@@ -66,13 +67,10 @@ class ConvexSetSpec:
         return self.bounded
 
     def dominates(self, G: np.ndarray, tol: Tolerances) -> bool:
-        """Whether some W in S satisfies W >= G (G positive
-        semidefinite): sup over S of lambda_min(W - G) >= 0."""
-        sup, _ = self.max_min_eig(G, np.eye(G.shape[0]), tol)
-        return sup >= -tol.psd_abs
+        return min_eig(self.loewner_max() - G) >= -tol.psd_abs
 
-    def max_min_eig(self, C: np.ndarray, N: np.ndarray, tol: Tolerances):
-        return min_eig(N.T @ (self.loewner_max() - C) @ N), True
+    def max_min_eig(self, N: np.ndarray, tol: Tolerances) -> float:
+        return min_eig(N.T @ self.loewner_max() @ N)
 
     def covers(self, G: np.ndarray, pd) -> bool | None:
         # K_A polar is {0} when ker A = {0}, the negative semidefinite cone when A = 0
@@ -100,9 +98,6 @@ class Singleton(ConvexSetSpec):
     @property
     def n(self) -> int:
         return self.U.shape[0]
-
-    def contains_zero(self, tol):
-        return not np.any(np.abs(self.U) > tol.feas_abs)
 
     def support(self, G, tol):
         return float(np.sum(self.U * G)), self.U
@@ -151,9 +146,6 @@ class SpectralSet(ConvexSetSpec):
     lo: float
     cap: float
     total: float
-
-    def contains_zero(self, tol):
-        return self.lo <= 0.0 <= self.cap
 
     def support(self, G, tol):
         return _spectral_support(G, self.lo, self.cap, self.total)
@@ -208,17 +200,13 @@ class SpectralSet(ConvexSetSpec):
         margin = min(w[0] - self.lo, self.cap - w[-1], self.total - w.sum())
         return (True, True) if margin > tol.psd_abs else (None, None)
 
-    def max_min_eig(self, C, N, tol):
+    def max_min_eig(self, N, tol):
         # With k = N's column count and c = min(cap, total/k), V = c*I
         # (total = inf) or V = c*N N^T (lo = 0) lies in S and gives
-        # N^T V N = c*I.  Nothing does better at C = 0: lambda_min(N^T V N)
-        # is at most lambda_max(V) <= cap and, for lo = 0, at most
-        # tr(N^T V N)/k <= total/k.  With C != 0 and a finite budget, c*I
-        # gives only a lower bound.
-        k = N.shape[1]
-        c = min(self.cap, self.total / k)
-        exact = bool(np.isinf(self.total) or not np.any(C))
-        return min_eig(c * np.eye(k) - N.T @ C @ N), exact
+        # N^T V N = c*I.  Nothing does better: lambda_min(N^T V N) is at
+        # most lambda_max(V) <= cap and, for lo = 0, at most
+        # tr(N^T V N)/k <= total/k.
+        return float(min(self.cap, self.total / N.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -386,8 +374,11 @@ class Hull(ConvexSetSpec):
     def inside_KA(self, pd):
         return all(_in_KA(pd, U) for U in self.points)
 
-    def max_min_eig(self, C, N, tol):
-        return _hull_max_min_eig([N.T @ U @ N for U in self.points], N.T @ C @ N), True
+    def dominates(self, G, tol):
+        return _hull_max_min_eig(self.points, G) >= -tol.psd_abs
+
+    def max_min_eig(self, N, tol):
+        return _hull_max_min_eig([N.T @ U @ N for U in self.points])
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,12 +453,9 @@ class Ray(ConvexSetSpec):
         lam, E = np.linalg.eigh(self.D)
         return lam[0] >= -tol.psd_abs and live_range(lam, E, G, tol) is not None
 
-    def max_min_eig(self, C, N, tol):
-        if min_eig(N.T @ self.D @ N) > tol.psd_abs:
-            return np.inf, True
-        if not np.any(C):
-            return 0.0, True  # attained at alpha = 0
-        return min_eig(N.T @ (self.D - C) @ N), False  # the alpha = 1 point
+    def max_min_eig(self, N, tol):
+        # alpha -> +inf when N^T D N > 0 (past the floor), else alpha = 0
+        return np.inf if min_eig(N.T @ self.D @ N) > tol.psd_abs else 0.0
 
     def support_dom(self):
         return Halfspace(self.D)
@@ -490,9 +478,6 @@ class ShiftedPSDCap(ConvexSetSpec):
     @property
     def n(self) -> int:
         return self.U.shape[0]
-
-    def contains_zero(self, tol):
-        return True
 
     def support(self, G, tol):
         R = psd_sqrt(self.U)
@@ -573,16 +558,14 @@ class Halfspace(ConvexSetSpec):
         ip = float(np.sum(self.D * V))
         return V - (ip / float(np.sum(self.D * self.D))) * self.D if ip > 0 else V
 
-    def max_min_eig(self, C, N, tol):
+    def max_min_eig(self, N, tol):
         # V = N M N^T + W with W orthogonal to every N M N^T: unless
         # D = N E N^T with E >= 0, E != 0, some such V meets <D, V> <= 0
         # with M as large as wanted.  Otherwise <E, M> <= 0 caps
-        # lambda_min(M - N^T C N) at -<D, C> / tr E (M = N^T C N + sI).
+        # lambda_min(M) at 0, which M = 0 attains.
         D, E = self.D, N.T @ self.D @ N
         in_span = np.linalg.norm(D - N @ E @ N.T) <= tol.feas_abs * (1.0 + np.linalg.norm(D))
-        if not (in_span and np.any(E) and min_eig(E) >= -tol.psd_abs):
-            return np.inf, True
-        return -float(np.sum(D * C)) / float(np.trace(E)), True
+        return 0.0 if in_span and np.any(E) and min_eig(E) >= -tol.psd_abs else np.inf
 
     def ka_bounded(self, pd):
         # K_A holds a line unless A = 0; <D, V> <= 0 meets PSD in {0} iff D > 0
@@ -641,20 +624,20 @@ def _project_capped_simplex(w, cap, total):
     return np.clip(w - tau, 0.0, cap)
 
 
-def _hull_max_min_eig(mats, C: np.ndarray) -> float:
+def _hull_max_min_eig(mats, C=0.0) -> float:
     """max over the simplex of lambda_min(sum w_i M_i - C), by SLSQP from
     the uniform weights and five seeded Dirichlet draws.  The objective is
     nonsmooth, so this is a local search that no dual bound certifies."""
     import scipy.optimize
 
-    k = len(mats)
+    k, shape = len(mats), mats[0].shape
     flat = np.reshape(mats, (k, -1))
     cons = [{"type": "eq", "fun": lambda w: np.sum(w) - 1.0}]
     rng = np.random.default_rng(0)
     starts = [np.full(k, 1.0 / k)] + [rng.dirichlet(np.ones(k)) for _ in range(5)]
     best = min(
         scipy.optimize.minimize(
-            lambda w: -min_eig((w @ flat).reshape(C.shape) - C),
+            lambda w: -min_eig((w @ flat).reshape(shape) - C),
             w0,
             bounds=[(0.0, 1.0)] * k,
             constraints=cons,

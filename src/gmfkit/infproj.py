@@ -21,7 +21,6 @@ import numpy as np
 
 from .gmf import ProblemData, _eval_gmf
 from .hset import (
-    ConvexSetSpec,
     HSpec,
     Hull,
     Indicator,
@@ -493,31 +492,6 @@ def dom_p_member(prob: InfProjProblem, X: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# sigma over S intersect K_A
-
-
-def sigma_S_cap_KA(prob: InfProjProblem, S: ConvexSetSpec, G: np.ndarray):
-    """Support function of S intersect K_A at a symmetric G the caller
-    computed.  Returns (value, witness, status)."""
-    tol = prob.tol
-    pd = prob.pd
-    if pd.ker_trivial:
-        val, W = S.support(G, tol)
-        return val, W, "exact"
-    if pd.unconstrained:
-        try:
-            val, W = S.psd_cap_support(G, tol)
-        except NotImplementedError:
-            return np.nan, None, "undecided"
-        return val, W, "exact"
-    # decidable when S sits inside K_A
-    if S.inside_KA(pd):
-        val, W = S.support(G, tol)
-        return val, W, "exact"
-    return np.nan, None, "undecided"
-
-
-# ---------------------------------------------------------------------------
 # Conjugate and the lifted feasible set
 
 
@@ -533,7 +507,7 @@ def xi_member(prob: InfProjProblem, Y: np.ndarray):
 
 def _xi_member(prob: InfProjProblem, Y: np.ndarray):
     pd = prob.pd
-    if np.linalg.norm(pd.A @ Y - pd.B) > pd.tol.feas_abs * (1.0 + np.linalg.norm(pd.B)):
+    if not pd.solves(Y):
         return False, "exact"
     G = 0.5 * Y @ Y.T
     ans = prob.h.conj_dom.covers(0.5 * (G + G.T), pd)
@@ -544,20 +518,28 @@ def eval_p_conj(prob: InfProjProblem, Y: np.ndarray):
     """Conjugate p*(Y) through the lifted representation
     p*(Y) = inf{h*(W) : AY = B, YY^T/2 - W in the polar of K_A}.
 
-    Returns (value, status); exact for linear h, for indicator h when
-    the support of S intersect K_A is available in closed form, and for
-    support-type h when the lifted membership is decidable."""
+    Returns (value, status); exact for linear h, for indicator h where
+    sigma over S intersect K_A has a rule (sigma_S at ker A = {0} or
+    with S inside K_A, psd_cap_support at A = 0), and for support-type
+    h when the lifted membership is decidable."""
     return _eval_p_conj(prob, _rect(Y, (prob.pd.n, prob.pd.m), "Y"))
 
 
 def _eval_p_conj(prob: InfProjProblem, Y: np.ndarray):
-    pd, h = prob.pd, prob.h
+    pd, h, tol = prob.pd, prob.h, prob.tol
     if isinstance(h, Indicator):
-        if not np.linalg.norm(pd.A @ Y - pd.B) <= prob.tol.feas_abs * (1.0 + np.linalg.norm(pd.B)):
+        if not pd.solves(Y):
             return np.inf, "exact"
         G = Y @ Y.T
-        val, _, status = sigma_S_cap_KA(prob, h.set, 0.5 * (G + G.T))
-        if status != "exact":
+        G = 0.5 * (G + G.T)
+        if pd.unconstrained:
+            try:
+                val, _ = h.set.psd_cap_support(G, tol)
+            except NotImplementedError:
+                return np.nan, "undecided"
+        elif pd.ker_trivial or h.set.inside_KA(pd):
+            val, _ = h.set.support(G, tol)
+        else:
             return np.nan, "undecided"
         return 0.5 * val, "exact"
     # h* is the indicator of {U} or of S, so p* is the indicator of Xi(A, B)
@@ -636,31 +618,23 @@ def _tri(flag: bool | None) -> str:
     return "undecided" if flag is None else "holds" if flag else "fails"
 
 
-def _lambda_rule(s: float, exact: bool, tol: Tolerances) -> str:
-    """A set meets a cone's interior iff its max_min_eig s > psd_abs."""
-    return _tri(True if s > tol.psd_abs else False if exact else None)
-
-
 def cq_report(prob: InfProjProblem) -> CQReport:
     """Decide the five constraint qualifications from dom h and dom h*
     (h.dom, h.conj_dom), each tested against K_A and Omega_2; report
     "undecided" where a set rule cannot decide (see the README)."""
     tol, pd, h = prob.tol, prob.pd, prob.h
     rep = CQReport()
-    n = pd.n
-    zero = np.zeros((n, n))
     dom, conj_dom = h.dom, h.conj_dom
     # where _linear_path applies, Xi(A, B) is empty exactly when it finds a ray
     lin = prob._linear
     xi_empty = lin is not None and lin.ray is not None
 
     # ---- CCQ: dom h meets int K_A
-    s, exact = (np.inf, True) if pd.ker_trivial else dom.max_min_eig(zero, pd.N, tol)
-    rep.ccq = _lambda_rule(s, exact, tol)
+    s = np.inf if pd.ker_trivial else dom.max_min_eig(pd.N, tol)
+    rep.ccq = _tri(s > tol.psd_abs)
 
     # ---- BPCQ: dom h intersect K_A nonempty and bounded
-    nonempty = True if s >= -tol.psd_abs else False if exact else None
-    rep.bpcq = _tri(nonempty if dom.ka_bounded(pd) else False)
+    rep.bpcq = _tri(s >= -tol.psd_abs and dom.ka_bounded(pd))
 
     # ---- PCQ / SPCQ: 0 in ri / int (Omega_2 + dom h*)
     if xi_empty:  # -U in Omega_2 would be a point of Xi(A, B)
@@ -674,9 +648,9 @@ def cq_report(prob: InfProjProblem) -> CQReport:
         rep.notes.append("pcq/spcq matched to bpcq (indicator case with no equality constraint)")
     elif pd.unconstrained:  # Omega_2 is the negative semidefinite cone
         # a slope U is conj_dom's greatest element, so its lambda_min,
-        # which _linear_factors took, is conj_dom's max_min_eig at C = 0
-        s_exact = conj_dom.max_min_eig(zero, np.eye(n), tol) if lin is None else (lin.mu_min, True)
-        rep.pcq = rep.spcq = _lambda_rule(*s_exact, tol)
+        # which _linear_factors took, is conj_dom's max_min_eig
+        s = conj_dom.max_min_eig(np.eye(pd.n), tol) if lin is None else lin.mu_min
+        rep.pcq = rep.spcq = _tri(s > tol.psd_abs)
     elif conj_dom.full:
         rep.pcq = rep.spcq = "holds"
 
@@ -687,8 +661,6 @@ def cq_report(prob: InfProjProblem) -> CQReport:
         rep.pcq = "holds"
     if rep.pcq == "fails":
         rep.spcq = "fails"
-    if rep.spcq == "fails" and rep.bpcq == "undecided":
-        rep.bpcq = "fails"
 
     # ---- SCCQ: CCQ plus nonemptiness of Xi(A, B)
     if rep.ccq != "holds":

@@ -343,14 +343,10 @@ def test_each_subcommand_takes_exactly_its_flags(command, capsys):
 
 def test_seed_default_is_read_on_every_call(tmp_path, capsys, monkeypatch):
     x = write(tmp_path, "x.csv", "3,0\n0,4\n")
-    seeds = []
-    for value in ("5", "9"):
-        monkeypatch.setenv("GMFKIT_SEED", value)
-        seeds.append(run(capsys, ["kyfan", "--X", x])[1]["seed"])
-    seeds.append(run(capsys, ["kyfan", "--X", x, "--seed", "3"])[1]["seed"])
-    monkeypatch.delenv("GMFKIT_SEED")
-    seeds.append(run(capsys, ["kyfan", "--X", x])[1]["seed"])
-    assert seeds == [5, 9, 3, 0]
+    # the seed comes from --seed alone, never from the environment
+    monkeypatch.setenv("GMFKIT_SEED", "5")
+    seeds = [run(capsys, ["kyfan", "--X", x] + flag)[1]["seed"] for flag in ([], ["--seed", "3"], [])]
+    assert seeds == [0, 3, 0]
 
 
 def test_entry_point_exit_codes(tmp_path):

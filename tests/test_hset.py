@@ -35,7 +35,7 @@ from gmfkit.hset import (
     support,
 )
 from gmfkit.infproj import InfProjProblem
-from gmfkit.numlin import DEFAULT_TOL, min_eig
+from gmfkit.numlin import DEFAULT_TOL, max_eig, min_eig
 from gmfkit.smooth import FitSpec
 
 rng = np.random.default_rng(2)
@@ -73,6 +73,18 @@ def test_contains_zero():
     assert TraceBall(1.0, 2).contains_zero(DEFAULT_TOL)
     assert Ray(np.eye(2)).contains_zero(DEFAULT_TOL)
     assert not Singleton(np.eye(2)).contains_zero(DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("S", ALL_SETS, ids=lambda S: type(S).__name__)
+def test_contains_zero_is_member_of_zero(S):
+    assert S.contains_zero(DEFAULT_TOL) == S.member(np.zeros((S.n, S.n)), DEFAULT_TOL)
+
+
+def test_interior_member_of_a_point_and_at_a_vertex():
+    # the box [I, I] is the one point I: ri S = S, int S is empty
+    assert SpectralBox(1.0, 1.0, 2).interior_member(np.eye(2), DEFAULT_TOL) == (True, False)
+    # a vertex's weight is 0, within feas_abs of the LP's ri test: undecided
+    assert Hull((np.zeros((2, 2)), np.eye(2))).interior_member(np.zeros((2, 2)), DEFAULT_TOL) == (None, None)
 
 
 def test_support_values_closed_forms():
@@ -258,14 +270,13 @@ def test_gauge_scales_onto_the_boundary(kind, seed):
         assert not member(S, G / (0.99 * g))
 
 
-def _max_min_eig_closed_form(S, C, N):
-    """sup over S of lambda_min(N^T (V - C) N) where a closed form is known."""
+def _max_min_eig_closed_form(S, N):
+    """sup over S of lambda_min(N^T V N) where a closed form is known."""
     if isinstance(S, (Singleton, ShiftedPSDCap)):
-        return min_eig(N.T @ (S.U - C) @ N)
-    zero = not np.any(C)
-    if isinstance(S, Ray) and (zero or min_eig(N.T @ S.D @ N) > 0):
+        return min_eig(N.T @ S.U @ N)
+    if isinstance(S, Ray):
         return np.inf if min_eig(N.T @ S.D @ N) > 0 else 0.0
-    if isinstance(S, SpectralSet) and zero:
+    if isinstance(S, SpectralSet):
         return min(S.cap, S.total / N.shape[1])
     return None
 
@@ -276,20 +287,25 @@ def _max_min_eig_closed_form(S, C, N):
 def test_max_min_eig_bounds_every_member(S):
     g = np.random.default_rng(3)
     n = S.n
+    dominated = set()
     for trial in range(12):
         N, _ = np.linalg.qr(g.standard_normal((n, int(g.integers(1, n + 1)))))
         M = g.standard_normal((n, n))
-        C = M @ M.T if trial % 2 else np.zeros((n, n))
-        val, exact = S.max_min_eig(C, N, DEFAULT_TOL)
-        ref = _max_min_eig_closed_form(S, C, N)
-        if ref is not None:
-            assert exact and val == ref
-        if not exact:
+        if trial % 2:  # some W in S has W >= G iff the greatest element does
+            if isinstance(S, (Singleton, ShiftedPSDCap)):
+                G = (0.5 if trial % 4 == 1 else 3.0) * M @ M.T / max_eig(M @ M.T)
+                dominated.add(S.dominates(G, DEFAULT_TOL))
+                assert S.dominates(G, DEFAULT_TOL) == (min_eig(S.U - G) >= -DEFAULT_TOL.psd_abs)
             continue
+        val = S.max_min_eig(N, DEFAULT_TOL)
+        ref = _max_min_eig_closed_form(S, N)
+        if ref is not None:
+            assert val == ref
         for _ in range(10):
             R = 2.0 * g.standard_normal((n, n))
             V = project(S, R + R.T)
-            assert val >= min_eig(N.T @ (V - C) @ N) - 1e-7
+            assert val >= min_eig(N.T @ V @ N) - 1e-7
+    assert dominated in ({True, False}, set())
 
 
 def test_h_eval_and_conj():

@@ -1329,3 +1329,18 @@ def test_xi_member_of_a_ray_indicator_with_indefinite_kernel_curvature():
     prob = InfProjProblem(ProblemData(_A1, _B1), Indicator(Ray(np.diag([5.0, 1.0, -1.0]))))
     assert xi_member(prob, _Y1) == (True, "exact")
     assert xi_member(prob, np.zeros((3, 2))) == (False, "exact")
+
+
+def test_subdiff_and_dual_gap_report_what_they_cannot_certify():
+    X = np.array([[1.0], [0.0]])
+    empty = InfProjProblem(unconstrained(2, 1), Indicator(SpectralBox(-2.0, -1.0, 2)))
+    with pytest.raises(ValueError, match="not finite"):
+        subdiff_p_witness(empty, X)
+    # the box [-I, I] does not lie inside K_A for A = [1, 0], so p*(Y) has no rule
+    pd = ProblemData(np.array([[1.0, 0.0]]), np.array([[1.0]]))
+    prob = InfProjProblem(pd, Indicator(SpectralBox(-1.0, 1.0, 2)))
+    assert eval_p(prob, X).status == "finite"
+    Y, gap, status = subdiff_p_witness(prob, X)
+    assert Y is not None and np.isnan(gap) and status == "undecided"
+    p, dv, gap, status = dual_gap(prob, X)
+    assert p == pytest.approx(0.5) and np.isnan(dv) and np.isnan(gap) and status == "undecided"

@@ -330,6 +330,29 @@ def test_only_problem_data_decides_the_regime_of_a():
     assert hits == []
 
 
+def _trailing_name(node):
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_only_problem_data_forms_the_residual_ay_minus_b():
+    # AY = B is one rule, ProblemData.solves; no other module writes A @ Y - B
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "gmfkit"
+    hits = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+                pairs = ((node.left, node.right), (node.right, node.left))
+                if any(
+                    isinstance(p, ast.BinOp)
+                    and isinstance(p.op, ast.MatMult)
+                    and _trailing_name(p.left) == "A"
+                    and _trailing_name(q) == "B"
+                    for p, q in pairs
+                ):
+                    hits.append(path.name)
+    assert hits == ["gmf.py"]
+
+
 def _function_def(path, name):
     return next(
         fn for fn in ast.walk(ast.parse(path.read_text())) if isinstance(fn, ast.FunctionDef) and fn.name == name

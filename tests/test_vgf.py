@@ -147,3 +147,8 @@ def test_triangle_inequality_via_sqrt():
     Y2 = rng.standard_normal((3, 2))
     f = lambda Y: np.sqrt(2.0 * vgf_eval(inst, Y)[0])
     assert f(Y1 + Y2) <= f(Y1) + f(Y2) + 1e-10
+
+
+def test_vgf_conj_is_infinite_where_no_point_covers_the_range_of_x():
+    inst = VgfInstance(Singleton(np.diag([1.0, 0.0])), 1)
+    assert vgf_conj(inst, np.array([[0.0], [1.0]])) == (np.inf, None)

@@ -14,7 +14,9 @@ X = default_rng([seed, i]).standard_normal((n, m)):
 - eval_p_conj at eval_p's Y (when there is one);
 - dual_value;
 - every cq_report verdict and its notes;
-- dom_p_member.
+- dom_p_member;
+- for S = h.set and G = XX^T/2: S.contains_zero, S.dominates(G) and
+  hset.gauge(S, G), or the class name of the exception gauge raises.
 
 It pickles one dict per row to OUT.  `compare` prints, per field, the
 rows whose values differ (NaN equal to NaN, arrays by value and shape)
@@ -40,6 +42,7 @@ def _seeds(spec: str) -> list[int]:
 
 
 def _row(prob, X):
+    from gmfkit.hset import gauge
     from gmfkit.infproj import cq_report, dom_p_member, dual_value, eval_p, eval_p_conj
 
     row = {}
@@ -52,6 +55,14 @@ def _row(prob, X):
     for name in ("pcq", "spcq", "bpcq", "ccq", "sccq", "notes"):
         row[f"cq.{name}"] = getattr(rep, name)
     row["dom_p_member"] = dom_p_member(prob, X)
+    S, tol, G = prob.h.set, prob.tol, 0.5 * X @ X.T
+    G = 0.5 * (G + G.T)
+    row["set.contains_zero"] = S.contains_zero(tol)
+    row["set.dominates"] = S.dominates(G, tol)
+    try:
+        row["set.gauge"] = gauge(S, G, tol)
+    except Exception as exc:
+        row["set.gauge"] = type(exc).__name__
     return row
 
 
