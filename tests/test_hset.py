@@ -294,8 +294,9 @@ def test_max_min_eig_bounds_every_member(S):
         if trial % 2:  # some W in S has W >= G iff the greatest element does
             if isinstance(S, (Singleton, ShiftedPSDCap)):
                 G = (0.5 if trial % 4 == 1 else 3.0) * M @ M.T / max_eig(M @ M.T)
-                dominated.add(S.dominates(G, DEFAULT_TOL))
-                assert S.dominates(G, DEFAULT_TOL) == (min_eig(S.U - G) >= -DEFAULT_TOL.psd_abs)
+                got = S.dominates(G, DEFAULT_TOL)
+                dominated.add(got)
+                assert got == (min_eig(S.U - G) >= -DEFAULT_TOL.psd_abs)
             continue
         val = S.max_min_eig(N, DEFAULT_TOL)
         ref = _max_min_eig_closed_form(S, N)
