@@ -142,7 +142,7 @@ def parse_bundle(path: str) -> InfProjProblem:
     """JSON problem bundle -> InfProjProblem, with the tolerances of the
     bundle's "tol" block."""
     d = _load_json(path)
-    return _bundle_problem(path, d, Tolerances.from_dict(d.get("tol", {})))
+    return _bundle_problem(path, d, _tolerances(d))
 
 
 def _bundle_problem(path: str, d: dict, tol: Tolerances) -> InfProjProblem:
@@ -209,12 +209,7 @@ def _cmd_eval_p(args, tol, bundle):
     prob = _bundle_problem(args.bundle, bundle, tol)
     X = parse_matrix(args.X)
     pe = eval_p(prob, X, max_iter=args.max_iter, seed=args.seed)
-    out = {
-        "value": pe.value,
-        "status": pe.status,
-        "iters": pe.iters,
-        "path": pe.path,
-    }
+    out = {"value": pe.value, "status": pe.status, "iters": pe.iters, "path": pe.path}
     if pe.V is not None:
         out["V"] = pe.V
     if pe.unbounded_direction is not None:
@@ -251,17 +246,9 @@ def _cmd_subdiff(args, tol, bundle):
 def _cmd_cq_report(args, tol, bundle):
     prob = _bundle_problem(args.bundle, bundle, tol)
     rep = cq_report(prob)
-    out = {
-        "pcq": rep.pcq,
-        "spcq": rep.spcq,
-        "bpcq": rep.bpcq,
-        "ccq": rep.ccq,
-        "sccq": rep.sccq,
-        "notes": list(rep.notes),
-    }
-    verdicts = [rep.pcq, rep.spcq, rep.bpcq, rep.ccq, rep.sccq]
-    code = 2 if "undecided" in verdicts else 0
-    return out, code, [args.bundle]
+    out = {name: getattr(rep, name) for name in ("pcq", "spcq", "bpcq", "ccq", "sccq")}
+    code = 2 if "undecided" in out.values() else 0
+    return {**out, "notes": list(rep.notes)}, code, [args.bundle]
 
 
 def _vgf_instance(args, Y, tol, bundle):
@@ -300,8 +287,10 @@ def _cmd_solve(args, tol, bundle):
         target = np.array(bundle["target"], dtype=float)
         mask = np.array(bundle["mask"], dtype=bool)
         lam = float(bundle["lam"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise CliError(f"{args.bundle}: {exc}") from exc
+    if not (np.isfinite(lam) and lam > 0.0):  # Ubar = lam^2/2 I would hide the sign
+        raise CliError(f"{args.bundle}: lam must be finite and positive, got {lam}")
     if mask.shape != target.shape:
         raise CliError("mask and target dimensions differ")
     n, m = target.shape
@@ -342,9 +331,7 @@ def _cmd_selftest(args, tol, bundle):
     buf = io.StringIO()
     ok = run_all(args.seed, stream=buf)
     sys.stdout.write(buf.getvalue())
-    return {"all_pass": bool(ok), "log": buf.getvalue().splitlines()}, (
-        0 if ok else 1
-    ), []
+    return {"all_pass": bool(ok), "log": buf.getvalue().splitlines()}, 0 if ok else 1, []
 
 
 # command -> (handler, the flags it requires, its optional flags), by dest
@@ -414,10 +401,10 @@ def _build_parser() -> _Parser:
     return ap
 
 
-def _tolerances(args, bundle: dict) -> Tolerances:
+def _tolerances(bundle: dict, /, **flags) -> Tolerances:
     """A --tol-* flag that is given sets its field; the bundle's "tol"
     block, if any, sets the others, and the defaults the rest."""
-    given = {k: v for k, v in vars(args).items() if v is not None}
+    given = {k: v for k, v in flags.items() if v is not None}
     try:
         return Tolerances.from_dict({**bundle.get("tol", {}), **given})
     except (TypeError, ValueError) as exc:
@@ -430,7 +417,7 @@ def main(argv=None) -> int:
         t0 = time.time()
         # the one read of the bundle: tolerances and handler both use it
         bundle = _load_json(args.bundle) if getattr(args, "bundle", None) else {}
-        tol = _tolerances(args, bundle)
+        tol = _tolerances(bundle, **vars(args))
         outputs, code, inputs = _COMMANDS[args.command][0](args, tol, bundle)
     except (CliError, ValueError, NotImplementedError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

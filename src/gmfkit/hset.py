@@ -35,13 +35,16 @@ class ConvexSetSpec:
       False where that is not known.
     - ka_bounded(pd): whether S intersect K_A is bounded.
     - max_min_eig(N, tol): the sup over V in S of lambda_min(N^T V N),
-      for N with orthonormal columns, at least one.  A value above
-      psd_abs means S meets the interior of {V : N^T V N >= 0}, one of
-      at least -psd_abs that S meets the cone.  The base rule serves the
-      sets with a greatest element: lambda_min(N^T V N) grows with V in
-      the Loewner order, so loewner_max() attains the sup.
+      for N with orthonormal columns, at least one; Hull's is an upper
+      bound on the same side of +-psd_abs as the sup, or nan where that
+      side is not known.  A value above psd_abs means S meets the
+      interior of {V : N^T V N >= 0}, one of at least -psd_abs that S
+      meets the cone.  The base rule serves the sets with a greatest
+      element: lambda_min(N^T V N) grows with V in the Loewner order, so
+      loewner_max() attains the sup.
     - dominates(G, tol): whether some W in S has W >= G, for G positive
-      semidefinite; the base rule reads it off loewner_max().
+      semidefinite; None (Hull only) where that is not known.  The base
+      rule reads it off loewner_max().
     - interior_member(C, tol): (C in ri S, C in int S), each True, False
       or None where that is not known.
     - covers(G, pd): whether some W in S has G - W in the polar of K_A,
@@ -147,6 +150,10 @@ class SpectralSet(ConvexSetSpec):
     cap: float
     total: float
 
+    def __post_init__(self):
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+
     def support(self, G, tol):
         return _spectral_support(G, self.lo, self.cap, self.total)
 
@@ -222,10 +229,9 @@ class SpectralBox(SpectralSet):
     total = np.inf
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
-            raise ValueError("spectral box bounds must be finite")
-        if self.lo > self.hi:
-            raise ValueError("need lo <= hi")
+        super().__post_init__()
+        if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.lo <= self.hi):
+            raise ValueError("spectral box bounds must be finite, with lo <= hi")
 
     def loewner_max(self):
         return self.hi * np.eye(self.n)
@@ -244,6 +250,7 @@ class TraceBall(SpectralSet):
     total = property(lambda self: self.r)
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.r >= 0:  # NaN included
             raise ValueError("trace ball radius must be nonnegative")
 
@@ -261,8 +268,9 @@ class Fantope(SpectralSet):
     total = property(lambda self: float(self.k))
 
     def __post_init__(self):
-        if not (1 <= self.k <= self.n):
-            raise ValueError("need 1 <= k <= n")
+        super().__post_init__()
+        if not (isinstance(self.k, (int, np.integer)) and 1 <= self.k <= self.n):
+            raise ValueError("need an integer k with 1 <= k <= n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,8 +283,8 @@ class Hull(ConvexSetSpec):
 
     def __init__(self, points):
         pts = tuple(sym(U) for U in points)
-        if not pts:
-            raise ValueError("hull needs at least one point")
+        if len({U.shape for U in pts}) != 1:
+            raise ValueError("hull needs at least one point, all of one shape")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -375,10 +383,11 @@ class Hull(ConvexSetSpec):
         return all(_in_KA(pd, U) for U in self.points)
 
     def dominates(self, G, tol):
-        return _hull_max_min_eig(self.points, G) >= -tol.psd_abs
+        s = _hull_max_min_eig(self.points, tol, G)
+        return None if np.isnan(s) else s >= -tol.psd_abs
 
     def max_min_eig(self, N, tol):
-        return _hull_max_min_eig([N.T @ U @ N for U in self.points])
+        return _hull_max_min_eig([N.T @ U @ N for U in self.points], tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -624,28 +633,35 @@ def _project_capped_simplex(w, cap, total):
     return np.clip(w - tau, 0.0, cap)
 
 
-def _hull_max_min_eig(mats, C=0.0) -> float:
-    """max over the simplex of lambda_min(sum w_i M_i - C), by SLSQP from
-    the uniform weights and five seeded Dirichlet draws.  The objective is
-    nonsmooth, so this is a local search that no dual bound certifies."""
+_MAX_CUTS = 50  # after this many cuts, or a failed LP, the hull's max_min_eig is nan (undecided)
+
+
+def _hull_max_min_eig(mats, tol: Tolerances, C=0.0) -> float:
+    """Hull.max_min_eig for s = max over the simplex of lambda_min(sum w_i D_i),
+    D_i = M_i - C, by Kelley's cutting planes: lambda_min's eigenvector q at
+    w cuts s <= c.w, c_i = q^T D_i q; an LP maximizes the least cut over the
+    simplex, and its duals y give s <= max_i (y^T c)_i at any LP slack."""
     import scipy.optimize
 
-    k, shape = len(mats), mats[0].shape
-    flat = np.reshape(mats, (k, -1))
-    cons = [{"type": "eq", "fun": lambda w: np.sum(w) - 1.0}]
-    rng = np.random.default_rng(0)
-    starts = [np.full(k, 1.0 / k)] + [rng.dirichlet(np.ones(k)) for _ in range(5)]
-    best = min(
-        scipy.optimize.minimize(
-            lambda w: -min_eig((w @ flat).reshape(shape) - C),
-            w0,
-            bounds=[(0.0, 1.0)] * k,
-            constraints=cons,
-            method="SLSQP",
-        ).fun
-        for w0 in starts
-    )
-    return -best
+    D = np.asarray(mats) - C
+    k = len(D)
+    w, lo, cuts = np.full(k, 1.0 / k), -np.inf, []
+    for _ in range(_MAX_CUTS):
+        lam, Q = np.linalg.eigh(np.tensordot(w, D, axes=1))
+        lo = max(lo, lam[0])
+        cuts.append(np.einsum("i,kij,j->k", Q[:, 0], D, Q[:, 0]))
+        res = scipy.optimize.linprog(  # max t over (w, t): t <= c.w for every cut, w in the simplex
+            -np.eye(k + 1)[k], A_ub=np.column_stack([-np.array(cuts), np.ones(len(cuts))]), b_ub=np.zeros(len(cuts)),
+            A_eq=[[1.0] * k + [0.0]], b_eq=[1.0], bounds=[(0.0, None)] * k + [(None, None)], method="highs"
+        )
+        if res.status != 0:
+            return np.nan
+        y = np.clip(-res.ineqlin.marginals, 0.0, None)
+        hi = float(np.max(y @ cuts) / y.sum())
+        if hi < -tol.psd_abs or lo > tol.psd_abs or (lo >= -tol.psd_abs and hi <= tol.psd_abs):
+            return hi
+        w = res.x[:k]
+    return np.nan
 
 
 # ---------------------------------------------------------------------------
@@ -806,7 +822,7 @@ _HSPECS = {cls.kind: cls for cls in (Linear, Indicator, Support)}
 # field annotation -> (to JSON, from JSON)
 _JSON_FIELDS = {
     "float": (lambda v: v, float),
-    "int": (lambda v: v, int),
+    "int": (int, lambda v: v),  # the constructor refuses a non-integer
     "np.ndarray": (np.ndarray.tolist, partial(np.array, dtype=float)),
     "tuple": (lambda pts: [U.tolist() for U in pts], lambda pts: [np.array(U, float) for U in pts]),
     "ConvexSetSpec": (set_to_json, set_from_json),

@@ -631,10 +631,11 @@ def cq_report(prob: InfProjProblem) -> CQReport:
 
     # ---- CCQ: dom h meets int K_A
     s = np.inf if pd.ker_trivial else dom.max_min_eig(pd.N, tol)
-    rep.ccq = _tri(s > tol.psd_abs)
+    known = not np.isnan(s)  # nan: a hull's cuts left the side of +-psd_abs open
+    rep.ccq = _tri(s > tol.psd_abs if known else None)
 
     # ---- BPCQ: dom h intersect K_A nonempty and bounded
-    rep.bpcq = _tri(s >= -tol.psd_abs and dom.ka_bounded(pd))
+    rep.bpcq = _tri(s >= -tol.psd_abs and dom.ka_bounded(pd) if known else None)
 
     # ---- PCQ / SPCQ: 0 in ri / int (Omega_2 + dom h*)
     if xi_empty:  # -U in Omega_2 would be a point of Xi(A, B)
@@ -650,7 +651,7 @@ def cq_report(prob: InfProjProblem) -> CQReport:
         # a slope U is conj_dom's greatest element, so its lambda_min,
         # which _linear_factors took, is conj_dom's max_min_eig
         s = conj_dom.max_min_eig(np.eye(pd.n), tol) if lin is None else lin.mu_min
-        rep.pcq = rep.spcq = _tri(s > tol.psd_abs)
+        rep.pcq = rep.spcq = _tri(None if np.isnan(s) else s > tol.psd_abs)
     elif conj_dom.full:
         rep.pcq = rep.spcq = "holds"
 

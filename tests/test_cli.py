@@ -552,3 +552,49 @@ def test_selftest_exit_code_and_log(tmp_path, capsys, monkeypatch, fail):
     assert capsys.readouterr().out.splitlines() == log
     rep = json.loads(open(dest).read())
     assert rep["outputs"] == {"all_pass": not fail, "log": log}
+
+
+@pytest.mark.parametrize("tol", [[1e-9], "1e-9", None])
+def test_a_tol_block_that_is_not_an_object_is_refused(tmp_path, capsys, tol):
+    d = {"A": [[0.0, 0.0]], "B": [[0.0]], "h": {"kind": "linear", "U": [[1.0, 0.0], [0.0, 1.0]]}, "tol": tol}
+    bundle = write(tmp_path, "b.json", json.dumps(d))
+    with pytest.raises(CliError, match="bad tolerances"):
+        parse_bundle(bundle)
+    assert main(["cq-report", "--bundle", bundle]) == 1
+    assert "bad tolerances" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "lam, message",
+    [
+        (-0.4, "lam must be finite and positive"),
+        (0.0, "lam must be finite"),
+        (float("inf"), "lam must be finite"),
+        (None, "float()"),
+    ],
+)
+def test_solve_refuses_a_lam_that_is_not_positive(tmp_path, capsys, lam, message):
+    # Ubar = lam^2/2 I: lam = -0.4 used to solve the lam = 0.4 problem, and
+    # a null lam escaped main as a TypeError
+    d = {"target": [[1.0, 2.0], [2.0, 4.0]], "mask": [[1, 1], [1, 1]], "lam": lam}
+    bundle = write(tmp_path, "comp.json", json.dumps(d))
+    assert main(["solve", "--bundle", bundle]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "S, message",
+    [
+        ({"kind": "hull", "points": [np.eye(2).tolist(), np.eye(3).tolist()]}, "one shape"),
+        ({"kind": "trace_ball", "r": 1.0, "n": 2.5}, "positive integer"),
+        ({"kind": "fantope", "k": 1.5, "n": 2}, "integer k"),
+    ],
+    ids=["hull-shapes", "trace-ball-n", "fantope-k"],
+)
+def test_a_bundle_with_a_malformed_set_is_refused(tmp_path, capsys, S, message):
+    # the hull used to reach a numpy matmul error, and int() truncated n and k
+    d = {"A": [[0.0, 0.0]], "B": [[0.0]], "h": {"kind": "indicator", "set": S}}
+    bundle = write(tmp_path, "b.json", json.dumps(d))
+    assert main(["cq-report", "--bundle", bundle]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "matmul" not in err

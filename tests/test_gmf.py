@@ -246,3 +246,19 @@ def test_wide_spectrum_interior_points_are_finite(w):
     assert np.allclose(Y[:, 0], 1.0 / np.array(w), rtol=1e-12)
     if w[0] > 1e3 * Tolerances().rank_rel * w[1]:  # inside the oracle's rank cutoff
         assert eval_gmf_oracle(pd, X, V).value == pytest.approx(exact, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: ProblemData(np.zeros((2, 2)), np.zeros((1, 1))), "same number of rows"),
+        (lambda: ProblemData(np.array([[np.nan, 0.0]]), np.zeros((1, 1))), "finite"),
+        (lambda: ProblemData(np.zeros((1, 2)), np.array([[np.inf]])), "finite"),
+        # V = I is interior at A = 0, but |X|^2 overflows to phi = +inf
+        (lambda: grad_gmf(ProblemData(np.zeros((1, 2)), np.zeros((1, 1))), np.array([[1e200], [0.0]]), np.eye(2)), "outside dom phi"),
+    ],
+    ids=["row-count", "A-finite", "B-finite", "grad-outside-dom"],
+)
+def test_gmf_refuses_bad_data(call, match):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=match):
+        call()

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -599,3 +600,31 @@ def test_ray_dominates_and_psd_cap_gauge_factor_once(linalg_inputs):
     linalg_inputs.clear()
     assert cap.gauge(G, DEFAULT_TOL) == pytest.approx(1.0, rel=1e-12)
     assert linalg_inputs.repeats() == []
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: SpectralBox(np.nan, 1.0, 2), "finite"),
+        (lambda: SpectralBox(1.0, 0.0, 2), "lo <= hi"),
+        (lambda: SpectralBox(0.0, 1.0, 2.5), "positive integer"),
+        (lambda: TraceBall(1.0, -2), "positive integer"),
+        (lambda: Fantope(1, 0), "positive integer"),
+        (lambda: Fantope(1.5, 3), "integer k"),
+        (lambda: Hull(()), "at least one point"),
+        (lambda: Hull((np.eye(2), np.eye(3))), "one shape"),
+        (lambda: ShiftedPSDCap(np.diag([1.0, -1.0])), "positive semidefinite"),
+        (lambda: gauge(Hull((np.eye(2), 2.0 * np.eye(2))), np.eye(2)), "0 in S"),
+    ],
+    ids=["box-nan", "box-order", "box-n", "ball-n", "fantope-n", "fantope-k", "hull-empty", "hull-shapes", "cap-U", "gauge-0"],
+)
+def test_sets_refuse_bad_data(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_spectral_sets_take_numpy_integers():
+    n, k = np.int64(3), np.int32(2)
+    for S in (SpectralBox(0.0, 1.0, n), TraceBall(1.0, n), Fantope(k, n)):
+        assert S.n == 3 and S.member(np.zeros((3, 3)), DEFAULT_TOL)
+        assert set_from_json(json.loads(json.dumps(set_to_json(S)))).n == 3

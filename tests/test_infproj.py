@@ -1344,3 +1344,61 @@ def test_subdiff_and_dual_gap_report_what_they_cannot_certify():
     assert Y is not None and np.isnan(gap) and status == "undecided"
     p, dv, gap, status = dual_gap(prob, X)
     assert p == pytest.approx(0.5) and np.isnan(dv) and np.isnan(gap) and status == "undecided"
+
+
+# A hull with 0 as a vertex, where a local search over the weights stopped
+# at lambda_min = -3.1e-7 and so denied that S meets the PSD cone
+_U1 = np.array(
+    [[1.0075, 0.0619, 0.3093, 0.5742], [0.0619, 1.5261, -1.8668, -0.0981],
+     [0.3093, -1.8668, 0.8732, 0.0249], [0.5742, -0.0981, 0.0249, -0.4554]]
+)
+_U2 = np.array(
+    [[-0.7642, -0.3061, 0.4237, 0.2521], [-0.3061, -1.199, -0.0173, 0.7056],
+     [0.4237, -0.0173, -0.4444, 0.5259], [0.2521, 0.7056, 0.5259, 1.5937]]
+)
+_ZERO_VERTEX_HULL = Hull((np.zeros((4, 4)), _U1, _U2))
+
+
+def test_a_hull_with_a_zero_vertex_meets_the_psd_cone():
+    S, tol, pd = _ZERO_VERTEX_HULL, DEFAULT_TOL, unconstrained(4, 1)
+    assert S.max_min_eig(np.eye(4), tol) >= -tol.psd_abs
+    assert S.dominates(np.zeros((4, 4)), tol) is True
+    rep = cq_report(InfProjProblem(pd, Indicator(S)))
+    assert (rep.pcq, rep.spcq, rep.bpcq) == ("holds", "holds", "holds")
+    prob = InfProjProblem(pd, Support(S))
+    assert cq_report(prob).sccq == "holds"
+    assert xi_member(prob, np.zeros((4, 1))) == (True, "exact")
+
+
+def test_a_hull_whose_cuts_run_out_is_undecided(monkeypatch):
+    from gmfkit import hset
+
+    monkeypatch.setattr(hset, "_MAX_CUTS", 0)
+    S, tol, pd = _ZERO_VERTEX_HULL, DEFAULT_TOL, unconstrained(4, 1)
+    assert np.isnan(S.max_min_eig(np.eye(4), tol))
+    assert S.dominates(np.zeros((4, 4)), tol) is None
+    rep = cq_report(InfProjProblem(pd, Indicator(S)))
+    assert rep.ccq == rep.bpcq == rep.sccq == "undecided"
+    # Support(S): dom h* = S, so PCQ/SPCQ at A = 0 read S's max_min_eig
+    prob = InfProjProblem(pd, Support(S))
+    rep = cq_report(prob)
+    assert rep.pcq == rep.spcq == "undecided"
+    assert xi_member(prob, np.zeros((4, 1))) == (None, "undecided")
+
+
+def test_hull_cq_rules_run_no_nonlinear_solver(monkeypatch):
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.optimize.minimize called")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+    A = np.random.default_rng(4).standard_normal((2, 4))
+    for pd in (unconstrained(4, 1), ProblemData(A, np.zeros((2, 1)))):
+        for h in (Indicator(_ZERO_VERTEX_HULL), Support(_ZERO_VERTEX_HULL)):
+            cq_report(InfProjProblem(pd, h))
+
+
+def test_h_of_the_wrong_size_is_refused():
+    with pytest.raises(ValueError, match="n x n"):
+        InfProjProblem(unconstrained(2, 1), Indicator(TraceBall(1.0, 3)))

@@ -426,3 +426,13 @@ def test_problem_objects_are_the_only_source_of_tolerances():
         "V",
     ]
     assert list(inspect.signature(gmfkit.vgf.kyfan_vgf_identity).parameters) == ["params", "X"]
+
+
+@pytest.mark.parametrize(
+    "S, n",
+    [(np.ones((2, 3)), None), (np.ones(3), None), (np.ones((2, 2, 2)), None), (np.eye(2), 3)],
+    ids=["rectangular", "vector", "3-d", "wrong-n"],
+)
+def test_sym_refuses_a_matrix_of_the_wrong_shape(S, n):
+    with pytest.raises(ValueError, match="expected a"):
+        sym(S, DEFAULT_TOL, n)

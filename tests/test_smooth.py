@@ -218,3 +218,22 @@ def test_dual_gap_bounds_the_primal_suboptimality():
         _, pX, _ = objective_certificate(fit, Ubar, X, np.eye(4))
         PX = fit.value_and_grad(X)[0] + pX
         assert _dual_gap(fit, Ubar, X) >= PX - P - 1e-12
+
+
+_PD22 = ProblemData(np.zeros((1, 2)), np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: FitSpec(np.eye(3), np.zeros(3), 2, 2), "n\\*m columns"),
+        (lambda: FitSpec(np.eye(4), np.zeros(3), 2, 2), "rows and target length"),
+        (lambda: solve_smooth(FitSpec.from_mask(np.ones((2, 3), bool), np.ones((2, 3))), _PD22, np.eye(2)), "dimensions differ"),
+        (lambda: solve_prox_reference(FitSpec.from_mask(np.ones((2, 2), bool), np.ones((2, 2))), 2.0 * np.eye(2), 0.1), "identity weight"),
+        (lambda: objective_certificate(FitSpec.from_mask(np.ones((2, 2), bool), np.ones((2, 2))), np.eye(2), np.ones((2, 2)), np.diag([1.0, 0.0])), "positive definite"),
+    ],
+    ids=["fit-columns", "fit-rows", "solve-dimensions", "prox-weight", "certificate-V"],
+)
+def test_smooth_refuses_bad_data(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -152,3 +152,18 @@ def test_triangle_inequality_via_sqrt():
 def test_vgf_conj_is_infinite_where_no_point_covers_the_range_of_x():
     inst = VgfInstance(Singleton(np.diag([1.0, 0.0])), 1)
     assert vgf_conj(inst, np.array([[0.0], [1.0]])) == (np.inf, None)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: KyFanParams(0.5, 1), "p >= 1"),
+        (lambda: KyFanParams(2.0, 0), "k >= 1"),
+        # YY^T overflows, so Phi(Y) = <I, YY^T>/2 = +inf
+        (lambda: vgf_subdiff(VgfInstance(Singleton(np.eye(2)), 1), np.array([[1e200], [0.0]])), "outside dom Phi"),
+    ],
+    ids=["kyfan-p", "kyfan-k", "subdiff-outside-dom"],
+)
+def test_vgf_refuses_bad_data(call, match):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=match):
+        call()

@@ -20,7 +20,11 @@ X = default_rng([seed, i]).standard_normal((n, m)):
 
 It pickles one dict per row to OUT.  `compare` prints, per field, the
 rows whose values differ (NaN equal to NaN, arrays by value and shape)
-and exits 1 when any row differs, 0 otherwise.
+and exits 1 when any row differs, 0 otherwise.  For a field whose
+differing values are numbers of one shape (tuples walked entry by entry,
+their other entries equal), it also prints the largest absolute and the
+largest relative difference, |a - b| / max(|a|, |b|), over those rows, so
+a rounding-level change can be told from a real one.
 """
 
 from __future__ import annotations
@@ -97,6 +101,33 @@ def _same(a, b) -> bool:
     return a == b
 
 
+def _gaps(a, b):
+    """(largest absolute, largest relative) difference between the numbers
+    of a and b, or None where they differ in anything but numeric value."""
+    import numpy as np
+
+    if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
+        parts = [_gaps(x, y) for x, y in zip(a, b)]
+        if len(a) != len(b) or None in parts:
+            return None
+        return tuple(max(p[i] for p in parts) for i in range(2)) if parts else (0.0, 0.0)
+    number = (int, float, np.integer, np.floating, np.ndarray)
+    if not (isinstance(a, number) and isinstance(b, number)) or isinstance(a, bool) or isinstance(b, bool):
+        return (0.0, 0.0) if _same(a, b) else None
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        return None
+    if a.size == 0:
+        return 0.0, 0.0
+    with np.errstate(invalid="ignore"):
+        same = (a == b) | (np.isnan(a) & np.isnan(b))
+        d = np.where(same, 0.0, np.abs(a - b))
+        d = np.where(np.isnan(d), np.inf, d)  # NaN against a number
+        scale = np.maximum(np.abs(a), np.abs(b))
+        rel = np.where(d == 0.0, 0.0, np.where(np.isfinite(d), d / np.where(scale > 0.0, scale, 1.0), np.inf))
+    return float(d.max()), float(rel.max())
+
+
 def compare(path_a: str, path_b: str) -> int:
     with open(path_a, "rb") as f:
         a = pickle.load(f)
@@ -113,7 +144,11 @@ def compare(path_a: str, path_b: str) -> int:
     for field in sorted(diffs):
         keys = diffs[field]
         shown = ", ".join(f"{s}/{i}" for s, i in keys[:10])
-        print(f"{field}: {len(keys)} rows differ ({shown}{', ...' if len(keys) > 10 else ''})")
+        gaps = [_gaps(a[key].get(field), b[key].get(field)) for key in keys]
+        size = ""
+        if None not in gaps:
+            size = f"; max abs diff {max(g[0] for g in gaps):.3g}, max rel diff {max(g[1] for g in gaps):.3g}"
+        print(f"{field}: {len(keys)} rows differ ({shown}{', ...' if len(keys) > 10 else ''}){size}")
     print(f"{len(a)} rows, {sum(map(len, diffs.values()))} differing fields")
     return 1 if diffs else 0
 
