@@ -12,6 +12,7 @@ independent route and serves as the oracle (eval_gmf_oracle).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,8 +157,13 @@ def eval_gmf(pd: ProblemData, X: np.ndarray, V: np.ndarray) -> GmfEval:
     (within feas_abs), and then it is c0 + sum_i |q_i^T R|^2 / (2 lam_i)
     over the others, attained at Y = Y0 + N Q diag(1/lam) Q^T R.  The multiplier
     mu = (A^+)^T (X - V Y) satisfies V Y + A^T mu = X.  When ker A = {0},
-    Y = Y0 and no factorization is needed."""
+    Y = Y0 and no factorization is needed.  +inf is a domain verdict only:
+    where the arithmetic overflows on finite X and V, it raises
+    ValueError instead."""
     return _eval_gmf(pd, _rect(X, (pd.n, pd.m)), sym(V, pd.tol, pd.n))
+
+
+_OVERFLOW = "phi(X, V) overflows: X and V are finite but the value is not"
 
 
 def _eval_gmf(pd: ProblemData, X: np.ndarray, V: np.ndarray) -> GmfEval:
@@ -177,13 +183,18 @@ def _eval_gmf(pd: ProblemData, X: np.ndarray, V: np.ndarray) -> GmfEval:
         live = lam >= tol.psd_abs
         # the range condition, with the slack of the bordered system's residual
         slack = tol.feas_abs * (1.0 + np.hypot(np.linalg.norm(X), np.linalg.norm(pd.B)))
-        if not np.linalg.norm(C[~live]) <= slack:
+        off = np.linalg.norm(C[~live])
+        if not math.isfinite(off):
+            raise ValueError(_OVERFLOW)
+        if not off <= slack:
             return GmfEval(np.inf, ker_min_eig=lam_min)
         W = C[live] / lam[live, None]
         value += 0.5 * float(np.sum(C[live] * W))
         Z = Q[:, live] @ W
         Y = Y + N @ Z
         VY = VY + VN @ Z
+    if not math.isfinite(value):
+        raise ValueError(_OVERFLOW)
     return GmfEval(
         value,
         witness_Y=Y,
@@ -216,7 +227,5 @@ def grad_gmf(pd: ProblemData, X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray,
     ev = eval_gmf(pd, X, V)
     if not ev.ker_min_eig >= pd.tol.psd_abs:
         raise ValueError("gradient undefined: V not in the interior of K_A")
-    if not np.isfinite(ev.value):
-        raise ValueError("gradient undefined: point outside dom phi")
     Y = ev.witness_Y
     return Y, -0.5 * Y @ Y.T

@@ -6,13 +6,17 @@ constraint phi(X, V) = tr(X^T V^{-1} X)/2.  The solver follows the
 log-det barrier path in (X, V): each stage minimizes the barriered
 objective with a quasi-Newton method through the factorization
 V = C C^T, and the barrier weight is driven to zero geometrically.
-An accelerated proximal-gradient reference solver validates results.
+Each evaluation of the barriered objective takes one LU factorization
+of C: log det V = 2 log|det C| and the barrier's gradient both come
+from it, and V itself is never formed.  An accelerated
+proximal-gradient reference solver validates results.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -51,10 +55,10 @@ class FitSpec:
 
     @cached_property
     def _entries(self):
-        """(row, column) of X for each entry of vec(X) that A_op selects,
-        or None when A_op is not a row selection.  Found on first use,
-        not at construction: the test reads every entry of A_op, which
-        building a fit from a mask does not."""
+        """The row-major flat index into X of each entry of vec(X) that
+        A_op selects, or None when A_op is not a row selection.  Found on
+        first use, not at construction: the test reads every entry of
+        A_op, which building a fit from a mask does not."""
         A_op = self.A_op
         cols = A_op.argmax(axis=1)
         rows = np.arange(A_op.shape[0])
@@ -63,7 +67,8 @@ class FitSpec:
             and np.all(A_op[rows, cols] == 1.0)
             and np.unique(cols).size == cols.size
         ):
-            return np.unravel_index(cols, (self.n, self.m), order="F")
+            shape = (self.n, self.m)
+            return np.ravel_multi_index(np.unravel_index(cols, shape, order="F"), shape)
         return None
 
     def value_and_grad(self, X: np.ndarray):
@@ -74,10 +79,10 @@ class FitSpec:
         if self._entries is None:
             r = self.A_op @ X.ravel(order="F") - self.b
             return 0.5 * float(r @ r), (self.A_op.T @ r).reshape((self.n, self.m), order="F")
-        r = X[self._entries] - self.b
-        G = np.zeros((self.n, self.m))
+        r = X.reshape(-1)[self._entries] - self.b
+        G = np.zeros(self.n * self.m)
         G[self._entries] = r
-        return 0.5 * float(r @ r), G
+        return 0.5 * float(r @ r), G.reshape((self.n, self.m))
 
     @staticmethod
     def from_mask(mask: np.ndarray, target: np.ndarray) -> "FitSpec":
@@ -129,11 +134,16 @@ def solve_smooth(
     V = C C^T, X = C Z keeps iterates in the strict interior and turns
     the fractional term tr(X^T V^{-1} X)/2 into |Z|^2/2, so the stage
     objectives stay well conditioned even as V loses rank along the
-    path.  mu starts at 0.1 (1 + |F(0, I)|) and shrinks by 0.01 per
-    stage.  A stage above mu = 1e-12 is solved only as far as its mu
-    needs: L-BFGS-B stops once the projected gradient's largest entry is
-    at most mu.  The last stage, at mu = 1e-12, runs with gtol 1e-14
-    until it can make no more progress, so it sets the answer's
+    path.  Each evaluation factors C once, by LU (see `_barrier`):
+    log det V = 2 log|det C| is read off its diagonal and the gradient's
+    C^{-T} comes from the same factors.  Where C has a zero pivot or the
+    value is not finite, the evaluation returns the wall (1e15, 0), so
+    the line search backs off and the incumbent check (at mu = 0)
+    rejects the point.  mu starts at 0.1 (1 + |F(0, I)|) and shrinks by
+    0.01 per stage.  A stage above mu = 1e-12 is solved only as far as
+    its mu needs: L-BFGS-B stops once the projected gradient's largest
+    entry is at most mu.  The last stage, at mu = 1e-12, runs with gtol
+    1e-14 until it can make no more progress, so it sets the answer's
     accuracy.  The incumbent after each stage is monotone in the true
     objective, and the answer is the last incumbent (C Z, C C^T).
     max_iter caps each barrier stage; the status is "Diverged" if X is
@@ -151,25 +161,7 @@ def solve_smooth(
 
     import scipy.optimize
 
-    def split(z):
-        Z = z[: n * m].reshape((n, m), order="F")
-        C = z[n * m :].reshape((n, n))
-        return Z, C
-
-    def barrier_obj(z, mu):
-        Z, C = split(z)
-        V = C @ C.T
-        fval, Gf = fit.value_and_grad(C @ Z)
-        F = fval + 0.5 * float(np.sum(Z * Z)) + float(np.sum(Ubar * V))
-        GZ = C.T @ Gf + Z
-        GC = Gf @ Z.T + 2.0 * Ubar @ C
-        sign, logdet = np.linalg.slogdet(V)
-        if sign <= 0:
-            return 1e15, np.zeros_like(z)
-        F -= mu * logdet
-        GC -= 2.0 * mu * np.linalg.inv(C).T
-        return F, np.concatenate([GZ.ravel(order="F"), GC.ravel()])
-
+    barrier_obj = partial(_barrier, fit, Ubar)
     trace = SolveTrace()
     X, V = np.zeros((n, m)), np.eye(n)
     z = np.concatenate([np.zeros(n * m), np.eye(n).ravel()])  # Z = 0, C = I
@@ -190,7 +182,7 @@ def solve_smooth(
         )
         trace.stages.append(StageLog(float(mu), gtol, int(res.nit), int(res.nfev), str(res.message)))
         capped |= res.status == 1  # iteration or evaluation limit
-        Z_new, C = split(res.x)
+        Z_new, C = _split(res.x, n, m)
         X_new = C @ Z_new
         V_new = C @ C.T  # numpy forms C C^T exactly symmetric
         # evaluate through the factors; solving with a nearly singular
@@ -210,6 +202,47 @@ def solve_smooth(
         trace.dual_gap = _dual_gap(fit, Ubar, X)
         trace.status = "IterCap" if capped else "Converged"
     return trace
+
+
+def _split(z: np.ndarray, n: int, m: int):
+    """The views (Z, C) of the solver's variable z = (vec Z, rows of C)."""
+    return z[: n * m].reshape((n, m), order="F"), z[n * m :].reshape((n, n))
+
+
+def _barrier(fit: FitSpec, Ubar: np.ndarray, z: np.ndarray, mu: float):
+    """The stage objective f(C Z) + |Z|^2/2 + <Ubar, C C^T> - mu log det(C C^T)
+    and its gradient in z, from one LU factorization of C.
+
+    log det(C C^T) = 2 log|det C| is read off the LU's diagonal, and
+    dgetri turns the same factors into the inverse the barrier's gradient
+    -2 mu C^{-T} needs.  The factored matrix is C^T, the column-major view
+    of C's row-major storage: det C^T = det C, and its inverse is C^{-T}
+    itself.  C C^T is never formed: <Ubar, C C^T> = <Ubar C, C> reuses
+    the Ubar C of the gradient.  At a zero pivot (C singular) or where
+    the value is not finite (a NaN or inf in z among them) it returns the
+    wall (1e15, 0), which L-BFGS-B's line search backs away from."""
+    import scipy.linalg.lapack as lapack  # lazily: gmfkit.cli imports this module
+
+    n, m = fit.n, fit.m
+    Z, C = _split(z, n, m)
+    lu, piv, info = lapack.dgetrf(C.T)
+    if info != 0:
+        return 1e15, np.zeros_like(z)
+    fval, Gf = fit.value_and_grad(C @ Z)
+    UC = Ubar @ C
+    zZ = z[: n * m]
+    F = fval + 0.5 * float(zZ @ zZ) + float(np.vdot(UC, C))
+    F -= 2.0 * mu * float(np.log(np.abs(lu.diagonal())).sum())
+    if not math.isfinite(F):
+        return 1e15, np.zeros_like(z)
+    g = np.empty_like(z)
+    GZ, GC = _split(g, n, m)
+    np.matmul(C.T, Gf, out=GZ)
+    GZ += Z
+    np.matmul(Gf, Z.T, out=GC)
+    GC += 2.0 * UC
+    GC -= (2.0 * mu) * lapack.dgetri(lu, piv)[0]
+    return F, g
 
 
 def _dual_gap(fit: FitSpec, Ubar: np.ndarray, X: np.ndarray) -> float:

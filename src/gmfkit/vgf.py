@@ -63,12 +63,16 @@ class KyFanParams:
 
 
 def vgf_eval(inst: VgfInstance, Y: np.ndarray):
-    """Phi(Y) with the maximizing V.  Returns (value, V)."""
+    """Phi(Y) with the maximizing V.  Returns (value, V); the value is
+    +inf only where the slice is unbounded, and a YY^T that overflows
+    raises ValueError."""
     return _vgf_eval(inst, _rect(Y, (inst.n, inst.m), "Y"))
 
 
 def _vgf_eval(inst: VgfInstance, Y: np.ndarray):
     G = Y @ Y.T
+    if not np.isfinite(G).all():
+        raise ValueError("YY^T overflows: Y is finite but YY^T is not")
     val, V = inst.set.psd_cap_support(0.5 * (G + G.T), inst.tol)
     return (0.5 * val if np.isfinite(val) else np.inf), V
 
@@ -99,8 +103,8 @@ def vgf_subdiff(inst: VgfInstance, Y: np.ndarray):
         )
     Y = _rect(Y, (inst.n, inst.m), "Y")
     phi, V = _vgf_eval(inst, Y)
-    if not np.isfinite(phi):
-        raise ValueError("Y outside dom Phi")
+    if not np.isfinite(phi):  # a bounded slice has a finite support
+        raise ValueError("Phi(Y) overflows: YY^T is finite but Phi(Y) is not")
     X = V @ Y
     conj_ub = 0.5 * float(np.sum(X * (np.linalg.pinv(V, rcond=inst.tol.rank_rel) @ X)))
     gap = phi + conj_ub - float(np.sum(X * Y))

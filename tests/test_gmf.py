@@ -254,11 +254,25 @@ def test_wide_spectrum_interior_points_are_finite(w):
         (lambda: ProblemData(np.zeros((2, 2)), np.zeros((1, 1))), "same number of rows"),
         (lambda: ProblemData(np.array([[np.nan, 0.0]]), np.zeros((1, 1))), "finite"),
         (lambda: ProblemData(np.zeros((1, 2)), np.array([[np.inf]])), "finite"),
-        # V = I is interior at A = 0, but |X|^2 overflows to phi = +inf
-        (lambda: grad_gmf(ProblemData(np.zeros((1, 2)), np.zeros((1, 1))), np.array([[1e200], [0.0]]), np.eye(2)), "outside dom phi"),
+        # V = I is interior at A = 0, but |X|^2 overflows: an overflow, not a domain verdict
+        (lambda: grad_gmf(ProblemData(np.zeros((1, 2)), np.zeros((1, 1))), np.array([[1e200], [0.0]]), np.eye(2)), "overflows"),
     ],
     ids=["row-count", "A-finite", "B-finite", "grad-outside-dom"],
 )
 def test_gmf_refuses_bad_data(call, match):
     with np.errstate(over="ignore"), pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize(
+    "x, v",
+    [((1e200, 0.0), (1.0, 1.0)), ((1e200, 0.0), (1.0, 0.0)), ((0.0, 1e200), (1.0, 0.0))],
+    ids=["interior", "boundary", "range-test"],
+)
+def test_an_overflowing_value_is_refused_not_called_infinite(x, v):
+    # x1^2 / 2 overflows where phi is finite; |x2| overflows in the range test
+    pd = ProblemData(np.zeros((1, 2)), np.zeros((1, 1)))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+        eval_gmf(pd, np.array(x)[:, None], np.diag(v))
+    # off the range of a boundary V the value is +inf, a domain verdict
+    assert eval_gmf(pd, np.array([[0.0], [1.0]]), np.diag([1.0, 0.0])).value == np.inf

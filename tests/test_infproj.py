@@ -96,6 +96,14 @@ def test_infeasible_indicator():
     assert pe.value == np.inf
 
 
+@pytest.mark.parametrize("A", [np.zeros((1, 2)), np.array([[0.0, 1.0]])], ids=["A=0", "A=e2"])
+def test_an_overflowing_phi_is_not_reported_infeasible(A):
+    # V = I is feasible and p(X) = x1^2 / 2, which overflows
+    prob = InfProjProblem(ProblemData(A, np.zeros((1, 1))), Indicator(Singleton(np.eye(2))))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+        eval_p(prob, np.array([[1e200], [0.0]]))
+
+
 def test_dom_p_member_examples():
     A = np.array([[1.0, 1.0], [1.0, 1.0]])
     B = np.array([[1.0], [1.0]])

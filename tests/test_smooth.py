@@ -5,6 +5,7 @@ from gmfkit.gmf import ProblemData
 from gmfkit.numlin import sv
 from gmfkit.smooth import (
     FitSpec,
+    _barrier,
     _dual_gap,
     objective_certificate,
     solve_prox_reference,
@@ -237,3 +238,96 @@ _PD22 = ProblemData(np.zeros((1, 2)), np.zeros((1, 2)))
 def test_smooth_refuses_bad_data(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def _barrier_point(g, n, m):
+    """z = (vec Z, rows of C) for a random Z and a well-conditioned C."""
+    Z = g.standard_normal((n, m))
+    C = np.eye(n) + 0.3 * g.standard_normal((n, n))
+    return np.concatenate([Z.ravel(order="F"), C.ravel()])
+
+
+def _barrier_value_through_v(fit, Ubar, z, mu):
+    """The stage objective as written with V = C C^T formed and factored."""
+    n, m = fit.n, fit.m
+    Z, C = z[: n * m].reshape((n, m), order="F"), z[n * m :].reshape((n, n))
+    V = C @ C.T
+    sign, logdet = np.linalg.slogdet(V)
+    assert sign > 0
+    return fit.value_and_grad(C @ Z)[0] + 0.5 * float(np.sum(Z * Z)) + float(np.sum(Ubar * V)) - mu * logdet
+
+
+def _barrier_cases():
+    g = np.random.default_rng(21)
+    mask_fit, _, _ = completion_instance(21, n=4, m=3)
+    B = g.standard_normal((4, 4))
+    dense_fit = FitSpec(g.standard_normal((7, 12)), g.standard_normal(7), 4, 3)
+    return [(mask_fit, 0.08 * np.eye(4)), (dense_fit, 0.1 * (B @ B.T + np.eye(4)))]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["mask-scalar-weight", "dense-full-weight"])
+@pytest.mark.parametrize("mu", [0.0, 1e-3, 0.5])
+def test_barrier_value_matches_the_formula_through_v(case, mu):
+    fit, Ubar = _barrier_cases()[case]
+    g = np.random.default_rng([22, case])
+    for _ in range(3):
+        z = _barrier_point(g, fit.n, fit.m)
+        expected = _barrier_value_through_v(fit, Ubar, z, mu)
+        assert _barrier(fit, Ubar, z, mu)[0] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["mask-scalar-weight", "dense-full-weight"])
+def test_barrier_gradient_matches_central_differences(case):
+    fit, Ubar = _barrier_cases()[case]
+    z = _barrier_point(np.random.default_rng([23, case]), fit.n, fit.m)
+    mu, h = 0.2, 1e-6
+    F, grad = _barrier(fit, Ubar, z, mu)
+    fd = np.empty_like(z)
+    for i in range(z.size):
+        e = np.zeros_like(z)
+        e[i] = h
+        fd[i] = (_barrier(fit, Ubar, z + e, mu)[0] - _barrier(fit, Ubar, z - e, mu)[0]) / (2 * h)
+    assert np.allclose(grad, fd, rtol=1e-6, atol=1e-6 * (1.0 + abs(F)))
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [("C", 0.0), ("C", np.nan), ("C", np.inf), ("Z", np.nan), ("Z", -np.inf)],
+    ids=["singular-C", "nan-C", "inf-C", "nan-Z", "inf-Z"],
+)
+def test_barrier_wall(where, value):
+    fit, Ubar = _barrier_cases()[0]
+    n, m = fit.n, fit.m
+    z = _barrier_point(np.random.default_rng(24), n, m)
+    if where == "C":
+        z[n * m + n : n * m + 2 * n] = value  # the second row of C
+    else:
+        z[3] = value
+    for mu in (0.0, 1e-3):
+        with np.errstate(invalid="ignore"):
+            F, grad = _barrier(fit, Ubar, z, mu)
+        assert F == 1e15
+        assert np.array_equal(grad, np.zeros_like(z))
+
+
+def test_each_evaluation_factors_c_once(monkeypatch, linalg_inputs):
+    import scipy.linalg.lapack
+
+    shapes, real = [], scipy.linalg.lapack.dgetrf
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", counted)
+    fit, _, _ = completion_instance(2, n=6, m=6)
+    pd = unconstrained(6, 6)
+    linalg_inputs.clear()
+    tr = solve_smooth(fit, pd, 0.08 * np.eye(6))
+    assert tr.status == "Converged"
+    # every objective evaluation, the start and one incumbent check per stage
+    assert len(shapes) == sum(st.nfev for st in tr.stages) + len(tr.stages) + 1
+    assert set(shapes) == {(6, 6)}
+    # numpy.linalg: the Ubar check, one min_eig per iterate and four for the
+    # dual gap; none per evaluation
+    assert sum(linalg_inputs.values()) <= len(tr.stages) + 6

@@ -159,11 +159,22 @@ def test_vgf_conj_is_infinite_where_no_point_covers_the_range_of_x():
     [
         (lambda: KyFanParams(0.5, 1), "p >= 1"),
         (lambda: KyFanParams(2.0, 0), "k >= 1"),
-        # YY^T overflows, so Phi(Y) = <I, YY^T>/2 = +inf
-        (lambda: vgf_subdiff(VgfInstance(Singleton(np.eye(2)), 1), np.array([[1e200], [0.0]])), "outside dom Phi"),
+        # YY^T overflows: an overflow, not a domain verdict
+        (lambda: vgf_subdiff(VgfInstance(Singleton(np.eye(2)), 1), np.array([[1e200], [0.0]])), "YY\\^T overflows"),
     ],
     ids=["kyfan-p", "kyfan-k", "subdiff-outside-dom"],
 )
 def test_vgf_refuses_bad_data(call, match):
     with np.errstate(over="ignore"), pytest.raises(ValueError, match=match):
         call()
+
+
+def test_an_overflowing_gram_function_is_refused_not_called_infinite():
+    # Phi(Y) = |Y|^2 / 2 over Singleton(I) is finite for every Y
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="YY\\^T overflows"):
+        vgf_eval(VgfInstance(Singleton(np.eye(2)), 1), np.array([[1e200], [0.0]]))
+    # YY^T = 1e10 e1 e1^T is finite, but <1e300 I, YY^T> overflows
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="Phi\\(Y\\) overflows"):
+        vgf_subdiff(VgfInstance(Singleton(1e300 * np.eye(2)), 1), np.array([[1e5], [0.0]]))
+    # an unbounded slice still gives Phi = +inf
+    assert vgf_eval(VgfInstance(Ray(np.eye(2)), 1), np.array([[1.0], [0.0]]))[0] == np.inf
