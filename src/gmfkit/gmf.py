@@ -166,6 +166,14 @@ def eval_gmf(pd: ProblemData, X: np.ndarray, V: np.ndarray) -> GmfEval:
 _OVERFLOW = "phi(X, V) overflows: X and V are finite but the value is not"
 
 
+def _finite(x: float) -> float:
+    """x, a number computed from finite data, or ValueError(_OVERFLOW)
+    where it overflowed: +inf and nan are then no verdict on the domain."""
+    if not math.isfinite(x):
+        raise ValueError(_OVERFLOW)
+    return x
+
+
 def _eval_gmf(pd: ProblemData, X: np.ndarray, V: np.ndarray) -> GmfEval:
     """eval_gmf on a trusted X and symmetric V."""
     tol = pd.tol
@@ -183,20 +191,15 @@ def _eval_gmf(pd: ProblemData, X: np.ndarray, V: np.ndarray) -> GmfEval:
         live = lam >= tol.psd_abs
         # the range condition, with the slack of the bordered system's residual
         slack = tol.feas_abs * (1.0 + np.hypot(np.linalg.norm(X), np.linalg.norm(pd.B)))
-        off = np.linalg.norm(C[~live])
-        if not math.isfinite(off):
-            raise ValueError(_OVERFLOW)
-        if not off <= slack:
+        if not _finite(np.linalg.norm(C[~live])) <= slack:
             return GmfEval(np.inf, ker_min_eig=lam_min)
         W = C[live] / lam[live, None]
         value += 0.5 * float(np.sum(C[live] * W))
         Z = Q[:, live] @ W
         Y = Y + N @ Z
         VY = VY + VN @ Z
-    if not math.isfinite(value):
-        raise ValueError(_OVERFLOW)
     return GmfEval(
-        value,
+        _finite(value),
         witness_Y=Y,
         witness_multiplier=pd.A_pinv.T @ (X - VY),
         boundary=not lam_min >= tol.psd_abs,

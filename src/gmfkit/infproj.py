@@ -2,9 +2,10 @@
 
 Provides the primal evaluator (closed forms for every h when ker A = {0},
 for the indicator and support function of spectral sets and of a ray,
-for indicator sets with a greatest element and for linear h at every A,
-where a certified ray or the exact value decides whether the lifted set
-Xi(A, B) is empty; projected subgradient descent otherwise),
+for indicator sets with a greatest element, and for linear h and the
+indicator of a ray at every A, where a certified ray or the exact value
+decides whether the lifted set Xi(A, B) is empty; projected subgradient
+descent otherwise),
 the conjugate p* through the lifted set Omega(A, B), the dual value
 <X, Y> - p*(Y) at the evaluator's own maximizer Y, Fenchel subgradient
 certificates, and the constraint-qualification report, where each verdict
@@ -19,19 +20,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .gmf import ProblemData, _eval_gmf
+from .gmf import ProblemData, _eval_gmf, _finite
 from .hset import (
     HSpec,
     Hull,
     Indicator,
     Linear,
-    Ray,
     ShiftedPSDCap,
     Singleton,
     SpectralSet,
     Support,
 )
-from .numlin import Tolerances, _rect
+from .numlin import Tolerances, _rect, min_eig
 
 _UNBOUNDED_CUTOFF = -1.0e7
 
@@ -40,8 +40,8 @@ _UNBOUNDED_CUTOFF = -1.0e7
 class InfProjProblem:
     """Data (A, B) plus the perturbation h acting on V; the tolerances
     are pd's.  h = sigma_{U} is stored as the Linear h = <U, .> it is.
-    _linear, the half of _linear_path's p that does not depend on X, is
-    computed the first time a caller reads it and kept."""
+    _linear and _pencil, the halves of _linear_path's and _ray_path's p
+    that do not depend on X, are computed when first read and kept."""
 
     pd: ProblemData
     h: HSpec
@@ -55,6 +55,10 @@ class InfProjProblem:
     @cached_property
     def _linear(self) -> _Slope | None:
         return _linear_factors(self)
+
+    @cached_property
+    def _pencil(self) -> _Pencil | None:
+        return _pencil_factors(self)
 
     @property
     def tol(self) -> Tolerances:
@@ -71,7 +75,7 @@ class InfProjEval:
     also None where the infimum need not be attained (see the paths).
     When unbounded, unbounded_direction is a descent ray from the point
     unbounded_base, certified on "recession" (V = 0 on the "conjugate"
-    rule's rays, I on the slope's and the spectral box's).
+    rule's rays, I on the slope's and the spectral box's, D on pos{D}'s).
     path names how the value was reached: "spectral", "loewner",
     "conjugate", "ray" or "weighted_nuclear" (closed forms), "recession"
     (a certified ray), all with iters = 0, or "descent" (no linear h).
@@ -126,8 +130,6 @@ def _start_candidates(
         raw.append(sum(wi * U for wi, U in zip(w, S.points)))
     if isinstance(S, ShiftedPSDCap):
         raw.extend([S.U, 0.5 * S.U])
-    if isinstance(S, Ray):
-        raw.extend([S.D, 2.0 * S.D])
     for _ in range(n_random):
         R = rng.standard_normal((n, n))
         raw.append(R @ R.T)
@@ -226,7 +228,7 @@ def _spectral_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
         y = np.divide(sn, lam, out=np.zeros(n), where=live)
         value, attained = 0.5 * float(np.sum(sn * y)), True
     V = (U * lam) @ U.T if attained else None
-    return InfProjEval(value, V=V, Y=(U[:, :k] * y[:k]) @ Wt[:k], path="spectral")
+    return InfProjEval(_finite(value), V=V, Y=(U[:, :k] * y[:k]) @ Wt[:k], path="spectral")
 
 
 def _loewner_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
@@ -339,31 +341,63 @@ def _ray(D: np.ndarray, base: np.ndarray) -> InfProjEval:
     return InfProjEval(-np.inf, status="unbounded", unbounded_direction=d, path="recession", unbounded_base=base)
 
 
-def _ray_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
-    """Exact p(X) for h = sigma_S or delta_S, S the ray pos{D} (D != 0),
-    and A = 0, where phi(X, tV) = phi(X, V)/t >= 0.
+_Pencil = namedtuple("_Pencil", "R NE_dead b_dead Y_lim psd pinned gamma xi_empty")
 
-    sigma_S is the indicator of <D, V> <= 0.  If lambda_min(D) < 0, some
-    W > 0 has <D, W> <= 0, so p = 0.  If D >= 0, rge V must lie in ker D,
-    so p = 0 when DX = 0 and +inf otherwise.  delta_S leaves V = tD: if
-    D >= 0, p = 0 when X vanishes on ker D and +inf otherwise; else S
-    meets the PSD cone only in V = 0, so p = 0 when X = 0 and +inf
-    otherwise.  No infimum but X = 0's is attained; Y = 0 attains the
-    dual."""
-    h, tol = prob.h, prob.tol
-    if h.set.bounded or not prob.pd.unconstrained:
+
+def _pencil_factors(prob: InfProjProblem) -> _Pencil | None:
+    """_ray_path's half that X leaves alone, for h = delta_{pos{D}}, D != 0
+    and ker A != {0} (None for every other h): with N^T D N = E diag(lam)
+    E^T and live lam > psd_abs, R = N E_live lam^{-1/2}, N E_dead, b_dead =
+    (N E_dead)^T D Y0, Y_lim = Y0 - N E_live (b_live / lam), gamma (0 within
+    its rounding slack) and the flags.  Xi(A, B) is empty iff H >= 0,
+    b_dead = 0 and gamma < 0: then <Y, DY> >= -2 gamma > 0 where AY = B."""
+    h, pd, tol = prob.h, prob.pd, prob.tol
+    if isinstance(h, Support) or h.set.bounded or pd.ker_trivial:
         return None
-    D = h.set.D
-    lam, E = np.linalg.eigh(D)
-    psd = lam[0] >= -tol.psd_abs
-    if isinstance(h, Support):
-        feasible = not psd or np.linalg.norm(D @ X) <= tol.feas_abs * (1.0 + np.linalg.norm(D) * np.linalg.norm(X))
-    else:  # X must vanish on ker D, or on everything when D is not PSD
-        ker = E[:, lam <= tol.psd_abs] if psd else E
-        feasible = np.linalg.norm(ker.T @ X) <= tol.feas_abs * (1.0 + np.linalg.norm(X))
-    if not feasible:
+    D, N, Y0 = h.set.D, pd.N, pd.Y0
+    lam, E = np.linalg.eigh(N.T @ D @ N)
+    live, NE = lam > tol.psd_abs, N @ E
+    b, lam_live = NE.T @ D @ Y0, lam[live, None]
+    s, c = 0.5 * float(np.sum(b[live] ** 2 / lam_live)), float(np.sum(Y0 * (D @ Y0)))
+    gamma = s - 0.5 * c
+    gamma = 0.0 if abs(gamma) <= tol.feas_abs * (1.0 + s + 0.5 * abs(c)) else gamma
+    psd = bool(lam[0] >= -tol.psd_abs)
+    pinned = bool(np.linalg.norm(b[~live]) > tol.feas_abs * (1.0 + np.linalg.norm(D) * np.linalg.norm(Y0)))
+    Y_lim = Y0 - NE[:, live] @ (b[live] / lam_live)
+    return _Pencil(NE[:, live] / np.sqrt(lam_live.T), NE[:, ~live], b[~live], Y_lim, psd, pinned, gamma, psd and not pinned and gamma < 0.0)
+
+
+def _ray_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
+    """Exact p(X) for h = delta_{pos{D}}, D != 0, at every A with
+    ker A != {0}, and for h = sigma_{pos{D}} at A = 0 (see the README).
+
+    delta: phi(X, alpha D) = k + beta/alpha + gamma alpha for alpha > 0,
+    k = <X, Y_lim> and beta = |R^T X|^2 / 2, where H >= 0 and (N E_dead)^T X
+    = alpha b_dead.  gamma < 0 gives a ray from D, gamma > 0 alpha* =
+    sqrt(beta/gamma) and gamma = 0 p = k (not attained); alpha = 0 is left
+    where H is not PSD.  sigma: p = 0, or +inf where D >= 0 and DX != 0."""
+    pd, h, tol, f = prob.pd, prob.h, prob.tol, prob._pencil
+    if f is None and (h.set.bounded or not pd.unconstrained):
+        return None
+    D, alpha = h.set.D, 0.0  # alpha = 0 is all that is left unless H >= 0
+    if f is None:  # sigma_{pos{D}} at A = 0
+        if min_eig(D) >= -tol.psd_abs and np.linalg.norm(D @ X) > tol.feas_abs * (1.0 + np.linalg.norm(D) * np.linalg.norm(X)):
+            return InfProjEval(np.inf, status="infeasible", path="ray")
+        return InfProjEval(0.0, Y=np.zeros_like(X), path="ray")
+    if f.psd and f.pinned:
+        alpha = max(0.0, float(np.sum((f.NE_dead.T @ X) * f.b_dead) / np.sum(f.b_dead**2)))
+    elif f.psd:
+        if np.linalg.norm(f.NE_dead.T @ X) > tol.feas_abs * (1.0 + np.hypot(np.linalg.norm(X), np.linalg.norm(pd.B))):
+            return InfProjEval(np.inf, status="infeasible", path="ray")
+        if f.gamma < 0.0:
+            return _ray(D, D.copy())
+        if f.gamma == 0.0:
+            return InfProjEval(_finite(float(np.sum(X * f.Y_lim))), Y=f.Y_lim.copy(), path="ray")
+        alpha = _finite(np.sqrt(0.5 * float(np.sum((f.R.T @ X) ** 2)) / f.gamma))
+    ge = _eval_gmf(pd, X, alpha * D)
+    if not np.isfinite(ge.value):
         return InfProjEval(np.inf, status="infeasible", path="ray")
-    return InfProjEval(0.0, Y=np.zeros_like(X), path="ray")
+    return InfProjEval(ge.value, V=alpha * D, Y=ge.witness_Y, path="ray")
 
 
 def eval_p(
@@ -374,11 +408,12 @@ def eval_p(
     Closed forms: at A = 0, h = delta_S or sigma_S for a spectral box,
     trace ball or Fantope ("spectral") and for a ray ("ray"); at every A,
     h = delta_S for S with a greatest element V in the Loewner order
-    ("loewner"); at ker A = {0}, every h ("conjugate"); and linear h at
-    every other A, or sigma_S at A = 0 for S with such a V
-    ("weighted_nuclear", see _linear_factors).  p = -inf comes with a certified
-    ray ("recession").  Every other case runs projected subgradient
-    descent (see _descent)."""
+    ("loewner"); at ker A = {0}, every h ("conjugate"); and at every
+    other A, delta_S for a ray ("ray") and linear h, or sigma_S at A = 0
+    for S with such a V ("weighted_nuclear", see _linear_factors).
+    p = -inf comes with a certified ray ("recession").  Every other case
+    runs projected subgradient descent (see _descent).  A value that
+    overflows on finite X raises ValueError."""
     return _eval_p(prob, _rect(X, (prob.pd.n, prob.pd.m)), max_iter, seed)
 
 
@@ -473,17 +508,18 @@ def dom_p_member(prob: InfProjProblem, X: np.ndarray):
     negative answer is evidence rather than proof), and "exhaustive" on a
     failure that is proof: h the indicator of a set with a greatest
     element Vbar in the Loewner order, where X lies in dom p iff
-    phi(X, Vbar) is finite (see _loewner_path); V = I witnesses every h
-    with dom h = S^n, phi(X, .) being finite at positive definite V.
+    phi(X, Vbar) is finite (see _loewner_path), or of a ray pos{D} with
+    ker A != {0} (_ray_path: its V, or D); V = I witnesses every h with
+    dom h = S^n, phi(X, .) being finite at positive definite V.
     """
     X = _rect(X, (prob.pd.n, prob.pd.m))
     if prob.h.dom.full:
         return True, np.eye(prob.pd.n), "witness"
-    loewner = _loewner_path(prob, X)
-    if loewner is not None:
-        if loewner.V is None:
+    exact = _loewner_path(prob, X) if prob._pencil is None else _ray_path(prob, X)
+    if exact is not None:
+        if exact.status == "infeasible":
             return False, None, "exhaustive"
-        return True, loewner.V, "witness"
+        return True, prob.h.set.D.copy() if exact.V is None else exact.V, "witness"
     rng = np.random.default_rng(0)
     for V in _start_candidates(prob, rng):
         if np.isfinite(_objective(prob, X, V)[0]):
@@ -625,9 +661,9 @@ def cq_report(prob: InfProjProblem) -> CQReport:
     tol, pd, h = prob.tol, prob.pd, prob.h
     rep = CQReport()
     dom, conj_dom = h.dom, h.conj_dom
-    # where _linear_path applies, Xi(A, B) is empty exactly when it finds a ray
-    lin = prob._linear
-    xi_empty = lin is not None and lin.ray is not None
+    # _linear_path's and _ray_path's factors each decide whether Xi(A, B) is empty
+    lin, pen = prob._linear, prob._pencil
+    xi_empty = (lin is not None and lin.ray is not None) or (pen is not None and pen.xi_empty)
 
     # ---- CCQ: dom h meets int K_A
     s = np.inf if pd.ker_trivial else dom.max_min_eig(pd.N, tol)
@@ -666,7 +702,7 @@ def cq_report(prob: InfProjProblem) -> CQReport:
     # ---- SCCQ: CCQ plus nonemptiness of Xi(A, B)
     if rep.ccq != "holds":
         rep.sccq = rep.ccq
-    elif lin is not None:
+    elif lin is not None or pen is not None:
         rep.sccq = _tri(not xi_empty)
     else:
         # Y0 is the only point of {AY = B} when ker A = {0}; with A = 0,

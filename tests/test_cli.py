@@ -184,6 +184,16 @@ def test_eval_p_reports_the_path(tmp_path, capsys):
         assert rep["outputs"]["value"] == pytest.approx(value, rel=1e-9)
 
 
+def test_eval_p_exits_1_where_the_spectral_value_overflows(tmp_path, capsys):
+    # p(X) = x1^2 / 2 overflows; eval-p exited 0 with status "finite", value inf
+    h = {"kind": "indicator", "set": {"kind": "trace_ball", "r": 1.0, "n": 2}}
+    bundle = write(tmp_path, "b.json", json.dumps({"A": [[0.0, 0.0]], "B": [[0.0]], "h": h}))
+    x = write(tmp_path, "x.csv", "1e200\n0\n")
+    with np.errstate(over="ignore"):
+        code, rep = run(capsys, ["eval-p", "--bundle", bundle, "--X", x])
+    assert (code, rep) == (1, None)
+
+
 def test_bundle_tolerances_apply_unless_a_flag_is_given(tmp_path, capsys):
     # X = (1e-7, 0) leaves the range of every V in the box [-1, 0] unless
     # feas_abs >= 1e-7, so the status shows which feas_abs was used

@@ -96,12 +96,31 @@ def test_infeasible_indicator():
     assert pe.value == np.inf
 
 
-@pytest.mark.parametrize("A", [np.zeros((1, 2)), np.array([[0.0, 1.0]])], ids=["A=0", "A=e2"])
-def test_an_overflowing_phi_is_not_reported_infeasible(A):
-    # V = I is feasible and p(X) = x1^2 / 2, which overflows
-    prob = InfProjProblem(ProblemData(A, np.zeros((1, 1))), Indicator(Singleton(np.eye(2))))
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+_E2 = np.array([[0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "A, B, h",
+    [
+        (np.zeros((1, 2)), 0.0, Indicator(Singleton(np.eye(2)))),
+        (_E2, 0.0, Indicator(Singleton(np.eye(2)))),
+        (np.zeros((1, 2)), 0.0, Indicator(SpectralBox(0.0, 1.0, 2))),
+        (np.zeros((1, 2)), 0.0, Indicator(TraceBall(1.0, 2))),
+        (np.zeros((1, 2)), 0.0, Indicator(Fantope(1, 2))),
+        (np.zeros((1, 2)), 0.0, Support(TraceBall(1.0, 2))),
+        (_E2, 1.0, Indicator(Ray(np.array([[1.0, 1.0], [1.0, 0.0]])))),
+    ],
+    ids=["A=0", "A=e2", "box", "trace_ball", "fantope", "support_trace_ball", "ray_alpha"],
+)
+def test_an_overflowing_phi_is_not_reported_infeasible(A, B, h):
+    # V = I is feasible and p(X) = x1^2 / 2, which overflows; so does
+    # sqrt(2) x1^2 inside the support's value, where the spectral path
+    # reported "finite" with value inf (nan).  On the ray N^T D N = 1,
+    # gamma = 1/2 and beta = x1^2 / 2, so alpha* = sqrt(beta / gamma) overflows
+    prob = InfProjProblem(ProblemData(A, np.array([[B]])), h)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflows"):
         eval_p(prob, np.array([[1e200], [0.0]]))
+    assert eval_p(prob, np.array([[1.0], [0.0]])).status == "finite"
 
 
 def test_dom_p_member_examples():
@@ -927,16 +946,123 @@ def test_indicator_of_a_ray_without_equality_constraint():
     assert (pe.status, pe.value, pe.path) == ("finite", 0.0, "ray")
 
 
-def _ray_rows_without_equality_constraint():
-    """The A = 0 problems of criterion 13 (seeds 0-4) with h built on a
-    ray, each with its X."""
+def _ray_rows():
+    """The problems of criterion 13 (seeds 0-4) that the ray rule serves,
+    each with its X: h built on a ray at A = 0, and the indicator of a ray
+    at every other A with ker A != {0}."""
     rows = []
     for seed in range(5):
         for i, prob in enumerate(criterion_13_problems(seed)):
-            if isinstance(prob.h, Linear) or not isinstance(prob.h.set, Ray) or np.any(prob.pd.A):
+            if isinstance(prob.h, Linear) or not isinstance(prob.h.set, Ray) or prob.pd.ker_trivial:
+                continue
+            if np.any(prob.pd.A) and isinstance(prob.h, Support):
                 continue
             rows.append((prob, np.random.default_rng([seed, i]).standard_normal((prob.pd.n, prob.pd.m))))
     return rows
+
+
+def test_a_ray_with_negative_gamma_is_unbounded_at_a_general_A():
+    # phi(X, alpha D) = 0.3 + 2/alpha - 5e-4 alpha, so p = -inf; the descent
+    # reported "finite" -997256.8 after 4000 steps, with the dual undecided
+    pd = ProblemData(np.array([[1.0, 0.0]]), np.array([[1.0]]))
+    D = np.diag([1e-3, 1.0])
+    prob, X = InfProjProblem(pd, Indicator(Ray(D))), np.array([[0.3], [2.0]])
+    for alpha in (0.5, 1.0, 1e3):
+        assert eval_gmf(pd, X, alpha * D).value == pytest.approx(0.3 + 2.0 / alpha - 5e-4 * alpha, rel=1e-12)
+    pe = eval_p(prob, X)
+    assert (pe.status, pe.value, pe.path, pe.iters) == ("unbounded", -np.inf, "recession", 0)
+    assert np.array_equal(pe.unbounded_base, D)
+    assert np.allclose(pe.unbounded_direction, D / np.linalg.norm(D), rtol=0.0, atol=1e-15)
+    assert dual_value(prob, X) == (-np.inf, None, "exact")
+    rep = cq_report(prob)
+    assert (rep.ccq, rep.sccq, rep.pcq, rep.spcq) == ("holds", "fails", "fails", "fails")
+
+
+def _ray_draw(g, kind):
+    """(prob, X) for h the indicator of a ray pos{D} at a random A with
+    ker A != {0}: D PSD of low rank, indefinite, or with N^T D N PSD of
+    rank one less than ker A, where N^T D Y0 off its range pins alpha."""
+    n, m = int(g.integers(2, 5)), int(g.integers(1, 3))
+    A = g.standard_normal((int(g.integers(1, n)), n))
+    pd = ProblemData(A, A @ g.standard_normal((n, m)))
+    if kind == "psd_low_rank":
+        M = g.standard_normal((n, int(g.integers(1, n))))
+        D = M @ M.T
+    else:
+        R = g.standard_normal((n, n))
+        D = R + R.T
+        if kind == "pinned":
+            N = pd.N
+            W = g.standard_normal((N.shape[1], N.shape[1] - 1))
+            D = D - N @ (N.T @ D @ N - W @ W.T) @ N.T
+    return InfProjProblem(pd, Indicator(Ray(D))), g.standard_normal((n, m))
+
+
+@pytest.mark.parametrize("kind", ["psd_low_rank", "indefinite", "pinned"])
+def test_the_indicator_of_a_ray_agrees_with_the_descent(kind):
+    # the descent stays as the oracle: its values are objective values, so
+    # never below p, and its statuses count wherever it stopped before
+    # max_iter, but for the pinned alpha, which its starts cannot hit
+    g = np.random.default_rng(["psd_low_rank", "indefinite", "pinned"].index(kind))
+    max_iter, statuses = 1000, set()
+    for _ in range(20):
+        prob, X = _ray_draw(g, kind)
+        D = prob.h.set.D
+        pe, ref = eval_p(prob, X), _descent(prob, X, max_iter, 0)
+        assert pe.iters == 0 and pe.path == ("recession" if pe.status == "unbounded" else "ray")
+        statuses.add(pe.status)
+        if pe.status == "finite":
+            p, slack = pe.value, 1e-12 * (1.0 + abs(pe.value))
+            assert ref.status != "finite" or p <= ref.value + 1e-9 * (1.0 + abs(ref.value))
+            if pe.V is not None:
+                assert Ray(D).member(pe.V, DEFAULT_TOL)
+                assert eval_gmf(prob.pd, X, pe.V).value == pytest.approx(p, rel=1e-12, abs=1e-12)
+            else:  # gamma = 0: phi(X, alpha D) = p + beta / alpha, approached only
+                vals = [eval_gmf(prob.pd, X, alpha * D).value for alpha in (1e2, 1e4, 1e6)]
+                assert min(vals) >= p - slack and vals[2] - p <= 1e-2 * (vals[0] - p) + slack
+        if pe.status == "unbounded":
+            assert np.array_equal(pe.unbounded_base, D)
+            vals = [eval_gmf(prob.pd, X, alpha * D).value for alpha in (1.0, 10.0, 100.0, 1e4)]
+            assert np.isfinite(vals[0]) and all(b < a for a, b in zip(vals, vals[1:]))
+        if ref.iters >= max_iter:
+            continue
+        if (pe.status, ref.status) == ("finite", "infeasible"):
+            assert kind == "pinned" and prob._pencil.pinned and np.any(pe.V)
+        else:
+            assert pe.status == ref.status
+    assert statuses == ({"finite", "infeasible"} if kind == "pinned" else {"finite", "infeasible", "unbounded"})
+
+
+def test_dom_p_member_decides_the_indicator_of_a_ray_at_every_A():
+    # the 45 rows at A != 0: 33 negative answers were "sampled"
+    rows = [(prob, X) for prob, X in _ray_rows() if isinstance(prob.h, Indicator) and np.any(prob.pd.A)]
+    assert len(rows) == 45
+    negatives = 0
+    for prob, X in rows:
+        found, V, status = dom_p_member(prob, X)
+        assert found == (eval_p(prob, X).status != "infeasible")
+        assert status == ("witness" if found else "exhaustive")
+        if found:
+            assert Ray(prob.h.set.D).member(V, DEFAULT_TOL) and np.isfinite(eval_gmf(prob.pd, X, V).value)
+        negatives += not found
+    assert negatives == 33
+
+
+@pytest.mark.parametrize(
+    "seed,index,sccq", [(0, 240, "fails"), (0, 260, "fails"), (2, 373, "fails"), (2, 151, "holds"), (2, 477, "holds"), (3, 353, "holds")]
+)
+def test_sccq_of_the_indicator_of_a_ray_at_a_general_A(seed, index, sccq):
+    # N^T D N > 0, so CCQ holds, and Y* = Y0 - N (N^T D N)^{-1} N^T D Y0
+    # minimizes <Y, DY> over AY = B: Xi(A, B) is empty iff Y* misses it.
+    # Each verdict was "undecided"
+    prob = _criterion_13_draw(seed, index)
+    pd, D = prob.pd, prob.h.set.D
+    Y = pd.Y0 - pd.N @ np.linalg.solve(pd.N.T @ D @ pd.N, pd.N.T @ D @ pd.Y0)
+    assert xi_member(prob, Y) == (sccq == "holds", "exact")
+    rep = cq_report(prob)
+    assert (rep.ccq, rep.sccq) == ("holds", sccq)
+    # 0 in Omega_2 + dom h* iff Xi is not empty
+    assert rep.pcq == rep.spcq == ("fails" if sccq == "fails" else "undecided")
 
 
 def _psd_hulls(count=40):
@@ -959,9 +1085,10 @@ def _psd_hulls(count=40):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_decided_dual_values_bound_p_on_the_ray_rows():
     # the ascent returned 5.6e-5 against p = 8.4e-6 on three Indicator(Ray)
-    # rows and ran off to 1e154 on the infeasible ones
-    rows = _ray_rows_without_equality_constraint()
-    assert len(rows) == 90
+    # rows and ran off to 1e154 on the infeasible ones; at A != 0 the
+    # three unbounded rows' duals were undecided
+    rows = _ray_rows()
+    assert len(rows) == 135
     decided = 0
     for prob, X in rows:
         p = eval_p(prob, X).value
@@ -970,10 +1097,16 @@ def test_decided_dual_values_bound_p_on_the_ray_rows():
             assert (p, Y) == (np.inf, None)
             continue
         decided += 1
+        if status == "exact":
+            assert d == p == -np.inf
+            continue
         assert status == "numeric"
         assert d <= p + DEFAULT_TOL.conj_rel * (1.0 + abs(p))
-        assert d == p == 0.0
-    assert decided == 36
+        if np.any(prob.pd.A):
+            assert d == pytest.approx(p, rel=1e-9, abs=1e-9)
+        else:
+            assert d == p == 0.0
+    assert decided == 48
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

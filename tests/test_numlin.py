@@ -223,7 +223,7 @@ _SET_CLASSES = {
 # Support(Singleton) as Linear
 _INFPROJ_ALLOWED = {
     "_spectral_path": {"SpectralSet"},
-    "_start_candidates": {"Hull", "ShiftedPSDCap", "Ray"},
+    "_start_candidates": {"Hull", "ShiftedPSDCap"},
     "__post_init__": {"Singleton"},
 }
 _H_CLASSES = {"Linear", "Indicator", "Support", "ndarray"}
@@ -232,7 +232,7 @@ _H_CLASSES = {"Linear", "Indicator", "Support", "ndarray"}
 _INFPROJ_H_ALLOWED = {
     "_descent": {"Indicator"},
     "_spectral_path": {"Support"},
-    "_ray_path": {"Support"},
+    "_pencil_factors": {"Support"},
     "_eval_p_conj": {"Indicator"},
     "_dual_at": {"Linear"},
     "cq_report": {"Indicator"},
@@ -264,7 +264,7 @@ def test_set_rules_do_not_dispatch_on_the_set_class():
     assert _set_class_isinstance(src / "hset.py") == []
     hits = _set_class_isinstance(src / "infproj.py")
     assert [(f, c) for f, c in hits if c not in _INFPROJ_ALLOWED.get(f, ())] == []
-    assert len(hits) <= 5
+    assert len(hits) <= 4
 
 
 def test_infproj_tests_the_h_class_only_where_the_formula_differs():

@@ -18,9 +18,12 @@ X = default_rng([seed, i]).standard_normal((n, m)):
 - for S = h.set and G = XX^T/2: S.contains_zero, S.dominates(G) and
   hset.gauge(S, G), or the class name of the exception gauge raises.
 
-It pickles one dict per row to OUT.  `compare` prints, per field, the
-rows whose values differ (NaN equal to NaN, arrays by value and shape)
-and exits 1 when any row differs, 0 otherwise.  For a field whose
+It pickles one dict per row to OUT.  `compare` first prints, for each
+record, the counts of (eval_p.path, eval_p.status), of dom_p_member's
+status and of the undecided verdicts per CQ rule, so a change can quote
+the shift.  It then prints, per field, the rows whose values differ (NaN
+equal to NaN, arrays by value and shape) and exits 1 when any row
+differs, 0 otherwise.  For a field whose
 differing values are numbers of one shape (tuples walked entry by entry,
 their other entries equal), it also prints the largest absolute and the
 largest relative difference, |a - b| / max(|a|, |b|), over those rows, so
@@ -33,6 +36,7 @@ import argparse
 import os
 import pickle
 import sys
+from collections import Counter
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -128,11 +132,30 @@ def _gaps(a, b):
     return float(d.max()), float(rel.max())
 
 
+_CQ_RULES = ("pcq", "spcq", "bpcq", "ccq", "sccq")
+
+
+def _tally(rows: dict) -> list[str]:
+    """Lines counting one record's (eval_p.path, eval_p.status) pairs,
+    dom_p_member statuses and undecided verdicts per CQ rule."""
+    paths = Counter(f"{r.get('eval_p.path')}/{r.get('eval_p.status')}" for r in rows.values())
+    dom = Counter(r["dom_p_member"][2] for r in rows.values() if "dom_p_member" in r)
+    undecided = {cq: sum(r.get(f"cq.{cq}") == "undecided" for r in rows.values()) for cq in _CQ_RULES}
+    return [
+        "eval_p path/status: " + ", ".join(f"{k} {n}" for k, n in sorted(paths.items())),
+        "dom_p_member status: " + ", ".join(f"{k} {n}" for k, n in sorted(dom.items())),
+        "undecided cq: " + ", ".join(f"{k} {n}" for k, n in undecided.items()) + f" (total {sum(undecided.values())})",
+    ]
+
+
 def compare(path_a: str, path_b: str) -> int:
     with open(path_a, "rb") as f:
         a = pickle.load(f)
     with open(path_b, "rb") as f:
         b = pickle.load(f)
+    for path, rows in ((path_a, a), (path_b, b)):
+        for line in _tally(rows):
+            print(f"{path}: {line}")
     if a.keys() != b.keys():
         print(f"row sets differ: {len(a)} against {len(b)} rows")
         return 1
