@@ -12,9 +12,12 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
+import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -43,14 +46,16 @@ class CliError(Exception):
 
 
 def _fmt_float(v: float) -> str:
-    if np.isnan(v):
-        return '"nan"'
-    if np.isinf(v):
-        return '"inf"' if v > 0 else '"-inf"'
-    return format(float(v), ".17g")
+    if math.isfinite(v):
+        return format(v, ".17g")
+    return '"nan"' if math.isnan(v) else '"inf"' if v > 0 else '"-inf"'
 
 
 def _jdump(obj, indent=0) -> str:
+    if type(obj) is float:  # most of a report; numpy floats take the branch below
+        return _fmt_float(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)  # what json.dumps(obj) returns
     pad = "  " * indent
     if obj is None:
         return "null"
@@ -60,8 +65,6 @@ def _jdump(obj, indent=0) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, np.ndarray):
         return _jdump(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
@@ -73,7 +76,7 @@ def _jdump(obj, indent=0) -> str:
         if not obj:
             return "{}"
         lines = [
-            f'{pad}  {json.dumps(str(k))}: {_jdump(v, indent + 1)}'
+            f'{pad}  {encode_basestring_ascii(str(k))}: {_jdump(v, indent + 1)}'
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(lines) + "\n" + pad + "}"
@@ -86,11 +89,23 @@ def _jdump(obj, indent=0) -> str:
 
 def parse_matrix(path: str, symmetrize: bool = False, tol: Tolerances = DEFAULT_TOL):
     """Headerless CSV, rows of comma-separated decimals, row-major."""
-    try:
-        with open(path) as fh:
-            rows = [line.strip() for line in fh if line.strip()]
-    except OSError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+    return _matrix({}, path, symmetrize, tol)
+
+
+def _read(files: dict, path: str) -> bytes:
+    """The file's bytes, read once per call: files (path -> bytes) keeps them for the digest."""
+    if path not in files:
+        try:
+            with open(path, "rb") as fh:
+                files[path] = fh.read()
+        except OSError as exc:
+            raise CliError(f"{path}: {exc}") from exc
+    return files[path]
+
+
+def _matrix(files: dict, path: str, symmetrize=False, tol=DEFAULT_TOL):
+    # the bytes decoded as open(path) decodes: locale encoding, universal newlines
+    rows = [line.strip() for line in io.TextIOWrapper(io.BytesIO(_read(files, path))) if line.strip()]
     if not rows:
         raise CliError(f"{path}: empty matrix file")
     data = []
@@ -104,7 +119,7 @@ def parse_matrix(path: str, symmetrize: bool = False, tol: Tolerances = DEFAULT_
     if len(widths) != 1:
         raise CliError(f"{path}: ragged rows (widths {sorted(widths)})")
     M = np.array(data, dtype=float)
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise CliError(f"{path}: non-finite entries")
     if symmetrize:
         if M.shape[0] != M.shape[1]:
@@ -119,29 +134,30 @@ def parse_matrix(path: str, symmetrize: bool = False, tol: Tolerances = DEFAULT_
     return M
 
 
-def _matrix_arg(spec: str, shape, symmetrize=False, tol=DEFAULT_TOL):
+def _matrix_arg(files, spec: str, shape, symmetrize=False, tol=DEFAULT_TOL):
     if spec == "zero":
         if shape is None:
             raise CliError('cannot infer dimensions for "zero"')
         return np.zeros(shape)
-    return parse_matrix(spec, symmetrize=symmetrize, tol=tol)
+    return _matrix(files, spec, symmetrize, tol)
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str) -> tuple[dict, bytes]:
+    """The JSON object in the file at path, and the file's bytes."""
+    data = _read({}, path)
     try:
-        with open(path) as fh:
-            d = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        d = json.load(io.TextIOWrapper(io.BytesIO(data)))
+    except json.JSONDecodeError as exc:
         raise CliError(f"{path}: {exc}") from exc
     if not isinstance(d, dict):
         raise CliError(f"{path}: expected a JSON object")
-    return d
+    return d, data
 
 
 def parse_bundle(path: str) -> InfProjProblem:
     """JSON problem bundle -> InfProjProblem, with the tolerances of the
     bundle's "tol" block."""
-    d = _load_json(path)
+    d = _load_json(path)[0]
     return _bundle_problem(path, d, _tolerances(d))
 
 
@@ -163,40 +179,37 @@ def _bundle_problem(path: str, d: dict, tol: Tolerances) -> InfProjProblem:
 # report plumbing
 
 
-def _digest(paths, seed) -> str:
+def _digest(paths, files: dict, seed) -> str:
+    """md5 of each input's bytes in order (the name of "zero" or of a path not read), then the seed."""
     md = hashlib.md5()
     for p in paths:
-        if p and p != "zero":
-            try:
-                with open(p, "rb") as fh:
-                    md.update(fh.read())
-            except OSError:
-                md.update(p.encode())
-        else:
-            md.update(str(p).encode())
+        md.update(files[p] if p in files and p != "zero" else str(p).encode())
     md.update(str(seed).encode())
     return md.hexdigest()
 
 
 def _emit(report: dict, out: str | None):
     text = _jdump(report) + "\n"
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise CliError(f"{out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_eval_gmf(args, tol, bundle):
-    X = _matrix_arg(args.X, None)
-    V = _matrix_arg(args.V, (X.shape[0], X.shape[0]), symmetrize=True, tol=tol)
+def _cmd_eval_gmf(args, tol, bundle, files):
+    X = _matrix_arg(files, args.X, None)
+    V = _matrix_arg(files, args.V, (X.shape[0], X.shape[0]), symmetrize=True, tol=tol)
     n = X.shape[0]
-    A = _matrix_arg(args.A, (1, n))
-    B = _matrix_arg(args.B, (A.shape[0], X.shape[1]))
+    A = _matrix_arg(files, args.A, (1, n))
+    B = _matrix_arg(files, args.B, (A.shape[0], X.shape[1]))
     pd = ProblemData(A, B, tol)
     ev = eval_gmf(pd, X, V)
     out = {"value": ev.value, "boundary": ev.boundary}
@@ -205,9 +218,9 @@ def _cmd_eval_gmf(args, tol, bundle):
     return out, 0, [args.A, args.B, args.X, args.V]
 
 
-def _cmd_eval_p(args, tol, bundle):
+def _cmd_eval_p(args, tol, bundle, files):
     prob = _bundle_problem(args.bundle, bundle, tol)
-    X = parse_matrix(args.X)
+    X = _matrix(files, args.X)
     pe = eval_p(prob, X, max_iter=args.max_iter, seed=args.seed)
     out = {"value": pe.value, "status": pe.status, "iters": pe.iters, "path": pe.path}
     if pe.V is not None:
@@ -218,32 +231,32 @@ def _cmd_eval_p(args, tol, bundle):
     return out, 0, [args.bundle, args.X]
 
 
-def _cmd_conjugate(args, tol, bundle):
+def _cmd_conjugate(args, tol, bundle, files):
     prob = _bundle_problem(args.bundle, bundle, tol)
-    Y = parse_matrix(args.Y)
+    Y = _matrix(files, args.Y)
     val, status = eval_p_conj(prob, Y)
     code = 2 if status != "exact" else 0
     return {"value": val, "status": status}, code, [args.bundle, args.Y]
 
 
-def _cmd_dual_gap(args, tol, bundle):
+def _cmd_dual_gap(args, tol, bundle, files):
     prob = _bundle_problem(args.bundle, bundle, tol)
-    X = parse_matrix(args.X)
+    X = _matrix(files, args.X)
     p, d, gap, status = dual_gap(prob, X)
     code = 2 if status == "undecided" else 0
     out = {"primal": p, "dual": d, "gap": gap, "status": status}
     return out, code, [args.bundle, args.X]
 
 
-def _cmd_subdiff(args, tol, bundle):
+def _cmd_subdiff(args, tol, bundle, files):
     prob = _bundle_problem(args.bundle, bundle, tol)
-    X = parse_matrix(args.X)
+    X = _matrix(files, args.X)
     Y, gap, status = subdiff_p_witness(prob, X)
     code = 2 if status == "undecided" else 0
     return {"Y": Y, "fenchel_gap": gap, "status": status}, code, [args.bundle, args.X]
 
 
-def _cmd_cq_report(args, tol, bundle):
+def _cmd_cq_report(args, tol, bundle, files):
     prob = _bundle_problem(args.bundle, bundle, tol)
     rep = cq_report(prob)
     out = {name: getattr(rep, name) for name in ("pcq", "spcq", "bpcq", "ccq", "sccq")}
@@ -258,8 +271,8 @@ def _vgf_instance(args, Y, tol, bundle):
     return VgfInstance(prob.h.set, Y.shape[1], tol)
 
 
-def _cmd_vgf(args, tol, bundle):
-    Y = parse_matrix(args.Y)
+def _cmd_vgf(args, tol, bundle, files):
+    Y = _matrix(files, args.Y)
     inst = _vgf_instance(args, Y, tol, bundle)
     val, V = vgf_eval(inst, Y)
     out = {"value": val}
@@ -268,21 +281,21 @@ def _cmd_vgf(args, tol, bundle):
     return out, 0, [args.bundle, args.Y]
 
 
-def _cmd_kyfan(args, tol, bundle):
-    X = parse_matrix(args.X)
+def _cmd_kyfan(args, tol, bundle, files):
+    X = _matrix(files, args.X)
     params = KyFanParams(args.p, args.k)
     return {"value": kyfan_norm(params, X)}, 0, [args.X]
 
 
-def _cmd_gauge_check(args, tol, bundle):
-    Y = parse_matrix(args.Y)
+def _cmd_gauge_check(args, tol, bundle, files):
+    Y = _matrix(files, args.Y)
     inst = _vgf_instance(args, Y, tol, bundle)
     gval, consistent, detail = vgf_gauge_decomp(inst, Y)
     out = {"gauge": gval, "consistent": bool(consistent), "detail": detail}
     return out, 0 if consistent else 2, [args.bundle, args.Y]
 
 
-def _cmd_solve(args, tol, bundle):
+def _cmd_solve(args, tol, bundle, files):
     try:
         target = np.array(bundle["target"], dtype=float)
         mask = np.array(bundle["mask"], dtype=bool)
@@ -311,11 +324,11 @@ def _cmd_solve(args, tol, bundle):
     return out, 0 if tr.status == "Converged" else 2, [args.bundle]
 
 
-def _cmd_oracle_compare(args, tol, bundle):
-    X = _matrix_arg(args.X, None)
-    V = _matrix_arg(args.V, (X.shape[0], X.shape[0]), symmetrize=True, tol=tol)
-    A = _matrix_arg(args.A, (1, X.shape[0]))
-    B = _matrix_arg(args.B, (A.shape[0], X.shape[1]))
+def _cmd_oracle_compare(args, tol, bundle, files):
+    X = _matrix_arg(files, args.X, None)
+    V = _matrix_arg(files, args.V, (X.shape[0], X.shape[0]), symmetrize=True, tol=tol)
+    A = _matrix_arg(files, args.A, (1, X.shape[0]))
+    B = _matrix_arg(files, args.B, (A.shape[0], X.shape[1]))
     pd = ProblemData(A, B, tol)
     a = eval_gmf(pd, X, V).value
     b = eval_gmf_oracle(pd, X, V).value
@@ -325,9 +338,7 @@ def _cmd_oracle_compare(args, tol, bundle):
     return out, 0 if ok else 1, [args.A, args.B, args.X, args.V]
 
 
-def _cmd_selftest(args, tol, bundle):
-    import io
-
+def _cmd_selftest(args, tol, bundle, files):
     buf = io.StringIO()
     ok = run_all(args.seed, stream=buf)
     sys.stdout.write(buf.getvalue())
@@ -398,6 +409,7 @@ def _build_parser() -> _Parser:
         for dest in optional + _COMMON:
             flag, kw = _FLAGS[dest]
             sp.add_argument(flag, dest=dest, **kw)
+    ap.commands = sub.choices  # command -> its parser, for main
     return ap
 
 
@@ -413,24 +425,29 @@ def _tolerances(bundle: dict, /, **flags) -> Tolerances:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        t0 = time.time()
-        # the one read of the bundle: tolerances and handler both use it
-        bundle = _load_json(args.bundle) if getattr(args, "bundle", None) else {}
+        argv = sys.argv[1:] if argv is None else argv
+        if argv and argv[0] in _COMMANDS:  # its own parser: the top level only picks it
+            args = _build_parser().commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        else:  # no command, an unknown one or --help: the top-level messages and exits
+            args = _build_parser().parse_args(argv)
+        t0 = time.perf_counter()
+        bundle, files = {}, {}  # files: path -> bytes of each input read in this call
+        if getattr(args, "bundle", None):
+            bundle, files[args.bundle] = _load_json(args.bundle)
         tol = _tolerances(bundle, **vars(args))
-        outputs, code, inputs = _COMMANDS[args.command][0](args, tol, bundle)
+        outputs, code, inputs = _COMMANDS[args.command][0](args, tol, bundle, files)
+        report = {
+            "command": args.command,
+            "inputs_digest": _digest(inputs, files, args.seed),
+            "seed": args.seed,
+            "tolerances": tol.to_dict(),
+            "outputs": outputs,
+            "wall_time_s": time.perf_counter() - t0,
+        }
+        _emit(report, args.out)
     except (CliError, ValueError, NotImplementedError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = {
-        "command": args.command,
-        "inputs_digest": _digest(inputs, args.seed),
-        "seed": args.seed,
-        "tolerances": tol.to_dict(),
-        "outputs": outputs,
-        "wall_time_s": time.time() - t0,
-    }
-    _emit(report, args.out)
     return code
 
 

@@ -37,7 +37,7 @@ class ProblemData:
         B = np.atleast_2d(np.asarray(self.B, dtype=float))
         if A.shape[0] != B.shape[0]:
             raise ValueError("A and B must have the same number of rows")
-        if not np.all(np.isfinite(A)) or not np.all(np.isfinite(B)):
+        if not np.isfinite(A).all() or not np.isfinite(B).all():
             raise ValueError("A and B must be finite")
         # one full SVD A = U diag(s) V^T gives r = #{s > rank_rel s[0]} = rank A,
         # N = V's last n - r columns and A^+ = V_r diag(1/s_r) U_r^T; A^+ gives
@@ -45,7 +45,7 @@ class ProblemData:
         # eval_gmf's multiplier.  At A = 0 (r = 0) N = I is set, not read off V
         n = A.shape[1]
         U, s, Vt = np.linalg.svd(A)
-        r = int(np.sum(s > self.tol.rank_rel * np.max(s, initial=0.0)))
+        r = int((s > self.tol.rank_rel * s.max(initial=0.0)).sum())
         N = Vt[r:].T.copy() if r else np.eye(n)
         Ap = (Vt[:r].T * (1.0 / s[:r])) @ U[:, :r].T
         Y0 = Ap @ B

@@ -9,7 +9,7 @@ holds (live_range), so no rule factors one matrix twice.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,7 +36,7 @@ class Tolerances:
                 raise ValueError(f"{name} must lie in (0, 1e-2], got {v}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> Tolerances:

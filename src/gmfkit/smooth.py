@@ -50,6 +50,9 @@ class FitSpec:
             raise ValueError("A_op must have n*m columns")
         if A_op.shape[0] != b.size:
             raise ValueError("A_op rows and target length differ")
+        for name, v in (("A_op", A_op), ("b", b)):
+            if not np.isfinite(v).all():  # from_mask reads only the observed targets
+                raise ValueError(f"FitSpec {name} must be finite")
         object.__setattr__(self, "A_op", A_op)
         object.__setattr__(self, "b", b)
 

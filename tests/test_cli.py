@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -293,6 +294,28 @@ def test_each_bundle_is_read_once(tmp_path, capsys, monkeypatch):
         code, rep = run(capsys, argv)
         assert code == 0
         assert reads == [argv[2]]
+    # every input file, the digest included, is opened once per call, and
+    # the digest is the md5 of those bytes in the command's order, then the seed
+    opened = []
+    real_open = open
+    monkeypatch.setattr("builtins.open", lambda f, *a, **k: opened.append(str(f)) or real_open(f, *a, **k))
+    y = write(tmp_path, "y.csv", "1\n0\n")
+    v = write(tmp_path, "v.csv", "2,0\n0,3\n")
+    a = write(tmp_path, "a.csv", "1,0\n")
+    b = write(tmp_path, "b.csv", "1\n")
+    for argv, inputs in (
+        (["eval-gmf", "--X", x, "--V", v, "--A", a, "--B", b, "--seed", "5"], [a, b, x, v]),
+        (["eval-p", "--bundle", bundle, "--X", x], [bundle, x]),
+        (["conjugate", "--bundle", bundle, "--Y", y, "--seed", "2"], [bundle, y]),
+        (["cq-report", "--bundle", bundle], [bundle]),
+        (["solve", "--bundle", comp], [comp]),
+    ):
+        opened.clear()
+        code, rep = run(capsys, argv)
+        assert code == 0
+        assert sorted(p for p in opened if p.startswith(str(tmp_path))) == sorted(inputs)
+        md = hashlib.md5(b"".join(Path(p).read_bytes() for p in inputs) + str(rep["seed"]).encode())
+        assert rep["inputs_digest"] == md.hexdigest()
 
 
 def test_oracle_compare(tmp_path, capsys):
@@ -481,6 +504,16 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert rep["outputs"]["value"] == 0.25
 
 
+def test_an_out_path_that_cannot_be_written_exits_1(tmp_path, capsys):
+    # the FileNotFoundError used to escape main as a traceback
+    x = write(tmp_path, "x.csv", "1\n")
+    v = write(tmp_path, "v.csv", "2\n")
+    dest = str(tmp_path / "no" / "such" / "report.json")
+    assert main(["eval-gmf", "--X", x, "--V", v, "--out", dest]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {dest}: ") and captured.out == ""
+
+
 @pytest.mark.parametrize("U,p", [([[1.0, 0.0], [0.0, 1.0]], -np.inf), ([[0.5, 1.0], [1.0, 2.0]], 2.0)])
 def test_dual_gap_is_decided_for_linear_h_with_an_equality_constraint(tmp_path, capsys, U, p):
     # A = [1, 0], B = 1: U = I leaves Xi(A, B) empty (p = -inf on a ray);
@@ -590,6 +623,16 @@ def test_solve_refuses_a_lam_that_is_not_positive(tmp_path, capsys, lam, message
     bundle = write(tmp_path, "comp.json", json.dumps(d))
     assert main(["solve", "--bundle", bundle]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_solve_refuses_a_non_finite_observed_target(tmp_path, capsys):
+    # the NaN used to reach solve_smooth, which died in an SVD; unobserved,
+    # the same NaN is never read
+    text = '{"target": [[1, NaN], [2, 4]], "mask": [[1, %d], [1, 1]], "lam": 0.5}'
+    assert main(["solve", "--bundle", write(tmp_path, "nan.json", text % 1)]) == 1
+    assert capsys.readouterr().err == "error: FitSpec b must be finite\n"
+    code, rep = run(capsys, ["solve", "--bundle", write(tmp_path, "free.json", text % 0)])
+    assert code == 0 and rep["outputs"]["status"] == "Converged"
 
 
 @pytest.mark.parametrize(

@@ -240,6 +240,16 @@ def test_smooth_refuses_bad_data(call, match):
         call()
 
 
+def test_a_fit_with_non_finite_data_is_refused():
+    with pytest.raises(ValueError, match="FitSpec b must be finite"):
+        FitSpec(np.eye(2), [1.0, np.nan], 2, 1)
+    with pytest.raises(ValueError, match="FitSpec A_op must be finite"):
+        FitSpec([[np.inf, 0.0], [0.0, 1.0]], [1.0, 2.0], 2, 1)
+    # from_mask reads the observed targets only: a NaN elsewhere is no data
+    fit = FitSpec.from_mask(np.array([[True], [False]]), np.array([[2.0], [np.nan]]))
+    assert fit.value_and_grad(np.zeros((2, 1)))[0] == 2.0
+
+
 def _barrier_point(g, n, m):
     """z = (vec Z, rows of C) for a random Z and a well-conditioned C."""
     Z = g.standard_normal((n, m))
