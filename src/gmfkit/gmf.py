@@ -2,11 +2,14 @@
 
 phi(X, V) is the support function of the graph of Y -> -YY^T/2 over the
 affine manifold {Y : AY = B}.  Writing Y = Y0 + N Z over a basis N of
-ker A turns it into an unconstrained concave quadratic in Z, so one
-eigendecomposition of H = N^T V N gives its value, maximizer and domain:
-V must lie in the cone K_A of matrices positive semidefinite on ker A,
-and X in the matching range (eval_gmf).  The pseudoinverse of the
-bordered matrix M(V) = [[V, A^T], [A, 0]] gives the same values by an
+ker A turns it into an unconstrained concave quadratic in Z with Hessian
+H = N^T V N.  On the interior of the cone K_A of matrices positive
+semidefinite on ker A, H is positive definite: one Cholesky
+factorization of H - psd_abs I certifies that, and one linear solve
+gives the value and the maximizer.  Only off the interior does one
+eigendecomposition of H decide the domain: V must lie in K_A, and X in
+the matching range (eval_gmf).  The pseudoinverse of the bordered
+matrix M(V) = [[V, A^T], [A, 0]] gives the same values by an
 independent route and serves as the oracle (eval_gmf_oracle).
 """
 
@@ -90,15 +93,15 @@ class ProblemData:
 class GmfEval:
     """Value of phi with the attaining Y and equality multiplier when finite.
 
-    ker_min_eig is lambda_min(N^T V N), +inf when ker A = {0}: below
-    -psd_abs, V lies outside K_A; at least psd_abs, inside its interior.
-    It tells an infinite value outside K_A from one off the range."""
+    boundary: N^T V N has an eigenvalue below psd_abs while V lies in
+    K_A.  With the value it tells the four cases apart: interior (finite,
+    False), on the boundary of K_A (finite, True), off the range of a
+    boundary V (+inf, True) and outside K_A (+inf, False)."""
 
     value: float
     witness_Y: np.ndarray | None = None
     witness_multiplier: np.ndarray | None = None
     boundary: bool = False
-    ker_min_eig: float = np.inf
 
 
 def bordered_matrix(pd: ProblemData, V: np.ndarray) -> np.ndarray:
@@ -149,17 +152,20 @@ def eval_gmf(pd: ProblemData, X: np.ndarray, V: np.ndarray) -> GmfEval:
 
     Over Y = Y0 + N Z the objective <X, Y> - <YY^T, V>/2 reads
     c0 + <R, Z> - <Z, H Z>/2 with H = N^T V N, R = N^T (X - V Y0) and
-    c0 = <X, Y0> - <Y0, V Y0>/2.  One eigendecomposition H = Q diag(lam) Q^T
-    decides it all: V lies in K_A iff lam_min >= -psd_abs.  One absolute
-    floor splits the spectrum: eigenvalues below psd_abs count as zero and
-    are never inverted, so V lies on the boundary of K_A iff some
-    eigenvalue does.  The value is finite iff Q^T R vanishes on them
-    (within feas_abs), and then it is c0 + sum_i |q_i^T R|^2 / (2 lam_i)
-    over the others, attained at Y = Y0 + N Q diag(1/lam) Q^T R.  The multiplier
-    mu = (A^+)^T (X - V Y) satisfies V Y + A^T mu = X.  When ker A = {0},
-    Y = Y0 and no factorization is needed.  +inf is a domain verdict only:
-    where the arithmetic overflows on finite X and V, it raises
-    ValueError instead."""
+    c0 = <X, Y0> - <Y0, V Y0>/2.  Where one Cholesky factorization of
+    H - psd_abs I succeeds, lam_min(H) >= psd_abs, V lies in the interior
+    of K_A, and one LU solve of H Z = R gives the value c0 + <R, Z>/2,
+    attained at Y = Y0 + N Z.  Everywhere else one eigendecomposition
+    H = Q diag(lam) Q^T decides: V lies in K_A iff lam_min >= -psd_abs.
+    One absolute floor splits the spectrum: eigenvalues below psd_abs
+    count as zero and are never inverted, so V lies on the boundary of
+    K_A iff some eigenvalue does.  The value is finite iff Q^T R vanishes
+    on them (within feas_abs), and then it is c0 + sum_i |q_i^T R|^2 /
+    (2 lam_i) over the others, attained at Y = Y0 + N Q diag(1/lam) Q^T R.
+    The multiplier mu = (A^+)^T (X - V Y) satisfies V Y + A^T mu = X.
+    When ker A = {0}, Y = Y0 and no factorization is needed.  +inf is a
+    domain verdict only: where the arithmetic overflows on finite X and
+    V, it raises ValueError instead."""
     return _eval_gmf(pd, _rect(X, (pd.n, pd.m)), sym(V, pd.tol, pd.n))
 
 
@@ -174,36 +180,56 @@ def _finite(x: float) -> float:
     return x
 
 
+def _interior_solve(H: np.ndarray, R: np.ndarray, psd_abs: float) -> np.ndarray | None:
+    """H^{-1} R where a Cholesky factorization of H - psd_abs I, which reads
+    H's lower triangle as eigh does, certifies lam_min(H) >= psd_abs; None
+    where it fails.  The solve is an LU, whose rounding keeps phi(1, 2) at
+    exactly 1/4 where the Cholesky factor's triangular solves do not."""
+    import scipy.linalg.lapack as lapack  # lazily: gmfkit loads no scipy on import
+
+    k = H.shape[0]
+    Hs = H.copy()
+    Hs.flat[:: k + 1] -= psd_abs
+    if lapack.dpotrf(Hs.T, overwrite_a=1, clean=0)[1]:
+        return None
+    return lapack.dgesv(H.T, R, overwrite_a=1)[2]
+
+
 def _eval_gmf(pd: ProblemData, X: np.ndarray, V: np.ndarray) -> GmfEval:
     """eval_gmf on a trusted X and symmetric V."""
     tol = pd.tol
     N, Y = pd.N, pd.Y0
     VY = V @ Y
-    value = float(np.sum(Y * (X - 0.5 * VY)))
-    lam_min = np.inf
+    value = float(np.vdot(Y, X - 0.5 * VY))
+    boundary = False
     if N.shape[1]:
         VN = V @ N
-        lam, Q = np.linalg.eigh(N.T @ VN)
-        lam_min = float(lam[0])
-        if not lam_min >= -tol.psd_abs:
-            return GmfEval(np.inf, ker_min_eig=lam_min)
-        C = Q.T @ (N.T @ (X - VY))
-        live = lam >= tol.psd_abs
-        # the range condition, with the slack of the bordered system's residual
-        slack = tol.feas_abs * (1.0 + np.hypot(np.linalg.norm(X), np.linalg.norm(pd.B)))
-        if not _finite(np.linalg.norm(C[~live])) <= slack:
-            return GmfEval(np.inf, ker_min_eig=lam_min)
-        W = C[live] / lam[live, None]
-        value += 0.5 * float(np.sum(C[live] * W))
-        Z = Q[:, live] @ W
+        H = N.T @ VN
+        R = N.T @ (X - VY)
+        Z = _interior_solve(H, R, tol.psd_abs)
+        if Z is not None:
+            value += 0.5 * float(np.vdot(R, Z))
+        else:
+            lam, Q = np.linalg.eigh(H)
+            if not lam[0] >= -tol.psd_abs:
+                return GmfEval(np.inf)
+            C = Q.T @ R
+            live = lam >= tol.psd_abs
+            # the range condition, with the slack of the bordered system's residual
+            slack = tol.feas_abs * (1.0 + np.hypot(np.linalg.norm(X), np.linalg.norm(pd.B)))
+            if not _finite(np.linalg.norm(C[~live])) <= slack:
+                return GmfEval(np.inf, boundary=True)
+            W = C[live] / lam[live, None]
+            value += 0.5 * float(np.sum(C[live] * W))
+            Z = Q[:, live] @ W
+            boundary = not lam[0] >= tol.psd_abs
         Y = Y + N @ Z
         VY = VY + VN @ Z
     return GmfEval(
         _finite(value),
         witness_Y=Y,
         witness_multiplier=pd.A_pinv.T @ (X - VY),
-        boundary=not lam_min >= tol.psd_abs,
-        ker_min_eig=lam_min,
+        boundary=boundary,
     )
 
 
@@ -228,7 +254,7 @@ def eval_gmf_oracle(pd: ProblemData, X: np.ndarray, V: np.ndarray) -> GmfEval:
 def grad_gmf(pd: ProblemData, X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of phi at an interior point: (Y, -YY^T/2) for the maximizer Y."""
     ev = eval_gmf(pd, X, V)
-    if not ev.ker_min_eig >= pd.tol.psd_abs:
+    if ev.boundary or not math.isfinite(ev.value):
         raise ValueError("gradient undefined: V not in the interior of K_A")
     Y = ev.witness_Y
     return Y, -0.5 * Y @ Y.T

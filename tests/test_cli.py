@@ -119,6 +119,16 @@ def test_eval_gmf_scalar_example(tmp_path, capsys):
     assert rep["outputs"]["value"] == 0.25
 
 
+@pytest.mark.parametrize("v, boundary", [("0", True), ("-1", False)], ids=["off-range", "outside-KA"])
+def test_eval_gmf_reports_where_phi_is_infinite(tmp_path, capsys, v, boundary):
+    # V = 0 lies on the boundary of K_A with X = 1 off its range; V = -1 outside K_A
+    x = write(tmp_path, "x.csv", "1\n")
+    v = write(tmp_path, "v.csv", v + "\n")
+    code, rep = run(capsys, ["eval-gmf", "--A", "zero", "--B", "zero", "--X", x, "--V", v])
+    assert code == 0
+    assert rep["outputs"] == {"value": "inf", "boundary": boundary}
+
+
 def test_kyfan_example(tmp_path, capsys):
     x = write(tmp_path, "x.csv", "3,0,0\n0,4,0\n0,0,0\n")
     code, rep = run(capsys, ["kyfan", "--p", "1", "--k", "2", "--X", x])

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,26 +211,128 @@ def test_kernel_reduction_matches_bordered_oracle():
         assert not a.boundary
 
 
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Counts the scipy.linalg.lapack routines eval_gmf calls from here on,
+    and keeps a copy of each matrix passed to dpotrf."""
+    import scipy.linalg.lapack as lapack
+
+    calls, potrf_inputs = Counter(), []
+    for name in ("dpotrf", "dgesv"):
+
+        def recorded(a, *args, _fn=getattr(lapack, name), _name=name, **kwargs):
+            calls[_name] += 1
+            if _name == "dpotrf":
+                potrf_inputs.append(np.array(a))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(lapack, name, recorded)
+    return calls, potrf_inputs
+
+
 @pytest.mark.parametrize("ell", [1, 3])
-def test_one_eigh_per_evaluation(ell, linalg_calls):
+def test_factorizations_per_evaluation(ell, linalg_calls, lapack_calls):
+    # an interior V takes one Cholesky of H - psd_abs I and one LU solve,
+    # no eigh; ker A = {0} takes nothing
+    calls, potrf_inputs = lapack_calls
     pd, X, V = interior_instance(3, 2, ell, seed=21)
-    eigh = 1 if pd.N.shape[1] else 0
+    k = pd.N.shape[1]
     for f in (eval_gmf, grad_gmf):
-        linalg_calls.clear()
+        for c in (linalg_calls, calls, potrf_inputs):
+            c.clear()
         f(pd, X, V)
-        assert linalg_calls == ({"eigh": eigh} if eigh else {})
+        assert linalg_calls == {}
+        assert calls == ({"dpotrf": 1, "dgesv": 1} if k else {})
+    if not k:
+        return
+    H = pd.N.T @ (V @ pd.N)
+    assert np.allclose(potrf_inputs[0], H - pd.tol.psd_abs * np.eye(k), rtol=0.0, atol=1e-12)
+    # off the interior the Cholesky fails and one eigh decides, no solve
+    lam, Q = np.linalg.eigh(H)
+    e = pd.N @ Q[:, 0]
+    for shift in (lam[0], lam[0] + 1.0):  # on the boundary, outside K_A
+        for c in (linalg_calls, calls):
+            c.clear()
+        eval_gmf(pd, X, V - shift * np.outer(e, e))
+        assert linalg_calls == {"eigh": 1}
+        assert calls == {"dpotrf": 1}
 
 
 def test_gradient_errors_tell_the_cone_from_the_range():
+    # (value, boundary) tells the four cases apart
     pd = ProblemData(np.array([[1.0, 0.0, 0.0]]), np.zeros((1, 1)))
     X = np.array([[0.0], [1.0], [0.0]])
-    outside = np.diag([1.0, 1.0, -1.0])  # negative on ker A = span{e2, e3}
-    boundary = np.diag([1.0, 1.0, 0.0])  # X in its range, phi finite
-    assert eval_gmf(pd, X, outside).ker_min_eig == -1.0
-    assert eval_gmf(pd, X, boundary).boundary
-    for V in (outside, boundary):
+    cases = [  # ker A = span{e2, e3}
+        (np.eye(3), (0.5, False)),  # interior
+        (np.diag([1.0, 1.0, 0.0]), (0.5, True)),  # on the boundary, X in the range
+        (np.diag([1.0, 0.0, 1.0]), (np.inf, True)),  # on the boundary, X off the range
+        (np.diag([1.0, 1.0, -1.0]), (np.inf, False)),  # outside K_A
+    ]
+    for V, (value, boundary) in cases:
+        ev = eval_gmf(pd, X, V)
+        assert (ev.value, ev.boundary) == (pytest.approx(value, rel=1e-15), boundary)
+    assert np.allclose(grad_gmf(pd, X, np.eye(3))[0], X)
+    for V, _ in cases[1:]:
         with pytest.raises(ValueError, match="interior of K_A"):
             grad_gmf(pd, X, V)
+
+
+@pytest.mark.parametrize("c", [0.5, 0.999, 1.001, 2.0])
+@pytest.mark.parametrize("ell", [0, 2])
+def test_the_interior_verdict_at_the_floor_matches_eigh(c, ell):
+    # lambda_min(N^T V N) = c psd_abs at A = 0 and at a general A: the
+    # Cholesky of H - psd_abs I decides `boundary` as eigh does on that H,
+    # for an X off the range of a boundary V and for one in the range of V
+    g = np.random.default_rng(int(100 * c) + ell)
+    n, m = 5, 2
+    A = g.standard_normal((ell, n)) if ell else np.zeros((1, n))
+    pd = ProblemData(A, A @ g.standard_normal((n, m)))
+    k = pd.N.shape[1]
+    Q, _ = np.linalg.qr(g.standard_normal((k, k)))
+    lam = np.append(c * pd.tol.psd_abs, np.linspace(1.0, 3.0, k - 1))
+    V = pd.N @ ((Q * lam) @ Q.T) @ pd.N.T + pd.A.T @ pd.A
+    V = 0.5 * (V + V.T)
+    boundary = np.linalg.eigvalsh(pd.N.T @ (V @ pd.N))[0] < pd.tol.psd_abs
+    assert boundary == (c < 1.0)
+    in_range = V @ (pd.Y0 + pd.N @ g.standard_normal((k, m))) + pd.A.T @ g.standard_normal((pd.ell, m))
+    for X, finite in ((g.standard_normal((n, m)), not boundary), (in_range, True)):
+        ev = eval_gmf(pd, X, V)
+        assert (ev.boundary, np.isfinite(ev.value)) == (boundary, finite)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_eval_gmf_matches_a_50_digit_kkt_solve(seed):
+    # phi = <[X; B], [Y; mu]>/2 for the KKT solution of the float data,
+    # solved in 50 digits.  cond(H) = 1e11 with X = V Y + A^T mu for a
+    # moderate maximizer Y, and cond(H) = 1e8 with a generic X, whose
+    # value H's smallest eigenvalue dominates
+    mpmath = pytest.importorskip("mpmath")
+    g = np.random.default_rng([25, seed])
+    n, ell, m = 6, 2, 2
+    A = g.standard_normal((ell, n))
+    Yt = g.standard_normal((n, m))
+    pd = ProblemData(A, A @ Yt)
+    k = n - ell
+    Q, _ = np.linalg.qr(g.standard_normal((k, k)))
+    G = g.standard_normal((ell, ell))
+    M = np.zeros((n + ell, n + ell))
+    M[n:, :n], M[:n, n:] = A, A.T
+    for lo, X in ((-8, None), (-5, g.standard_normal((n, m)))):
+        lam = 10.0 ** np.append(g.uniform(lo, 3, k - 2), [lo, 3])
+        V = pd.N @ ((Q * lam) @ Q.T) @ pd.N.T + A.T @ (G + G.T) @ A
+        V = 0.5 * (V + V.T)
+        if X is None:
+            X = V @ Yt + A.T @ g.standard_normal((ell, m))
+        M[:n, :n] = V
+        rhs = np.vstack([X, pd.B])
+        with mpmath.workdps(50):
+            Mp = mpmath.matrix(M.tolist())
+            exact = sum(
+                mpmath.fdot(b, mpmath.lu_solve(Mp, b)) for b in (mpmath.matrix(col.tolist()) for col in rhs.T)
+            ) / 2
+        ev = eval_gmf(pd, X, V)
+        assert not ev.boundary
+        assert abs(ev.value - float(exact)) <= 1e-7 * abs(float(exact))
 
 
 @pytest.mark.parametrize("w", [(1e-7, 1000.0), (1.5e-9, 10.0), (2e-9, 1e4)])
