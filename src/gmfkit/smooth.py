@@ -5,10 +5,16 @@ which is jointly smooth on the open set V > 0.  With no equality
 constraint phi(X, V) = tr(X^T V^{-1} X)/2.  The solver follows the
 log-det barrier path in (X, V): each stage minimizes the barriered
 objective with a quasi-Newton method through the factorization
-V = C C^T, and the barrier weight is driven to zero geometrically.
-Each evaluation of the barriered objective takes one LU factorization
-of C: log det V = 2 log|det C| and the barrier's gradient both come
-from it, and V itself is never formed.  An accelerated
+V = C C^T, X = C Z, and the barrier weight is driven to zero
+geometrically.  C is whitened by U: with U = R R^T and M = R^{-T}/sqrt(2)
+the solver's variable is W = M^{-1} C, for which <U, C C^T> = |W|^2/2.
+The stage objective f(C Z) + |Z|^2/2 + |W|^2/2 - mu log det(C C^T) then
+puts the same unit curvature on both blocks, as the balanced
+factorization |X|_* = min_{X = AB} (|A|^2 + |B|^2)/2 does, where the
+unwhitened C grows to about |Z| / lam at the optimum.  Each evaluation
+of the barriered objective takes one LU factorization of W:
+log det V = 2 log|det M| + 2 log|det W| and the barrier's gradient both
+come from it, and V itself is never formed.  An accelerated
 proximal-gradient reference solver validates results.
 """
 
@@ -137,22 +143,28 @@ def solve_smooth(
     V = C C^T, X = C Z keeps iterates in the strict interior and turns
     the fractional term tr(X^T V^{-1} X)/2 into |Z|^2/2, so the stage
     objectives stay well conditioned even as V loses rank along the
-    path.  Each evaluation factors C once, by LU (see `_barrier`):
-    log det V = 2 log|det C| is read off its diagonal and the gradient's
-    C^{-T} comes from the same factors.  Where C has a zero pivot or the
-    value is not finite, the evaluation returns the wall (1e15, 0), so
-    the line search backs off and the incumbent check (at mu = 0)
-    rejects the point.  mu starts at 0.1 (1 + |F(0, I)|) and shrinks by
-    0.01 per stage.  A stage above mu = 1e-12 is solved only as far as
-    its mu needs: L-BFGS-B stops once the projected gradient's largest
-    entry is at most mu.  The last stage, at mu = 1e-12, runs with gtol
-    1e-14 until it can make no more progress, so it sets the answer's
-    accuracy.  The incumbent after each stage is monotone in the true
-    objective, and the answer is the last incumbent (C Z, C C^T).
-    max_iter caps each barrier stage; the status is "Diverged" if X is
-    not finite, else "IterCap" if a stage stopped at the cap, else
-    "Converged".  The positive-definiteness test on Ubar uses pd's
-    tolerances."""
+    path.  C is whitened by Ubar: Ubar = R R^T is factored once per
+    solve, and the quasi-Newton variable is W in C = M W with
+    M = R^{-T}/sqrt(2), which turns <Ubar, C C^T> into |W|^2/2.  Both
+    blocks of the variable z = (Z, W) then carry the same unit
+    curvature, so L-BFGS-B's scalar initial Hessian fits both, where in
+    (Z, C) the block C grows to about |Z| / lam at the optimum.  Each
+    evaluation factors W once, by LU (see `_barrier`): log det V =
+    2 log|det M| + 2 log|det W| is read off its diagonal and the
+    gradient's W^{-T} comes from the same factors.  Where W has a zero
+    pivot or the value is not finite, the evaluation returns the wall
+    (1e15, 0), so the line search backs off and the incumbent check (at
+    mu = 0) rejects the point.  The start is C = I (W = sqrt(2) R^T).
+    mu starts at 0.1 (1 + |F(0, I)|) and shrinks by 0.01 per stage.  A
+    stage above mu = 1e-12 is solved only as far as its mu needs:
+    L-BFGS-B stops once the projected gradient's largest entry is at
+    most mu.  The last stage, at mu = 1e-12, runs with gtol 1e-14 until
+    it can make no more progress, so it sets the answer's accuracy.
+    The incumbent after each stage is monotone in the true objective,
+    and the answer is the last incumbent (C Z, C C^T).  max_iter caps
+    each barrier stage; the status is "Diverged" if X is not finite,
+    else "IterCap" if a stage stopped at the cap, else "Converged".  The
+    positive-definiteness test on Ubar uses pd's tolerances."""
     if not pd.unconstrained:
         raise ValueError("solver handles the unconstrained case (A = 0) only")
     n, m = fit.n, fit.m
@@ -164,10 +176,11 @@ def solve_smooth(
 
     import scipy.optimize
 
-    barrier_obj = partial(_barrier, fit, Ubar)
+    wh = _whiten(Ubar)
+    barrier_obj = partial(_barrier, fit, wh)
     trace = SolveTrace()
     X, V = np.zeros((n, m)), np.eye(n)
-    z = np.concatenate([np.zeros(n * m), np.eye(n).ravel()])  # Z = 0, C = I
+    z = np.concatenate([np.zeros(n * m), (math.sqrt(2.0) * wh.R.T).ravel()])  # Z = 0, C = I
     F = barrier_obj(z, 0.0)[0]
     trace.iterates.append((F, min_eig(V)))
     mu, mu_final = 1e-1 * (1.0 + abs(F)), 1e-12
@@ -185,7 +198,8 @@ def solve_smooth(
         )
         trace.stages.append(StageLog(float(mu), gtol, int(res.nit), int(res.nfev), str(res.message)))
         capped |= res.status == 1  # iteration or evaluation limit
-        Z_new, C = _split(res.x, n, m)
+        Z_new, W = _split(res.x, n, m)
+        C = wh.M @ W
         X_new = C @ Z_new
         V_new = C @ C.T  # numpy forms C C^T exactly symmetric
         # evaluate through the factors; solving with a nearly singular
@@ -202,70 +216,94 @@ def solve_smooth(
     if not np.all(np.isfinite(X)):
         trace.status = "Diverged"
     else:
-        trace.dual_gap = _dual_gap(fit, Ubar, X)
+        trace.dual_gap = _dual_gap(fit, wh, X)
         trace.status = "IterCap" if capped else "Converged"
     return trace
 
 
+class _Whitening(NamedTuple):
+    """Ubar = R R^T with R lower triangular, and the upper triangular
+    M = R^{-T}/sqrt(2), for which M^T Ubar M = I/2; log_det_M = log det M."""
+
+    R: np.ndarray
+    M: np.ndarray
+    log_det_M: float
+
+
+def _whiten(Ubar: np.ndarray) -> _Whitening:
+    """The whitening of a positive definite Ubar: one Cholesky
+    factorization and one triangular inverse."""
+    import scipy.linalg.lapack as lapack  # lazily: gmfkit.cli imports this module
+
+    R = np.linalg.cholesky(Ubar)
+    M = lapack.dtrtri(R, lower=1)[0].T / math.sqrt(2.0)
+    return _Whitening(R, M, float(np.log(M.diagonal()).sum()))
+
+
 def _split(z: np.ndarray, n: int, m: int):
-    """The views (Z, C) of the solver's variable z = (vec Z, rows of C)."""
+    """The views (Z, W) of the solver's variable z = (vec Z, rows of W)."""
     return z[: n * m].reshape((n, m), order="F"), z[n * m :].reshape((n, n))
 
 
-def _barrier(fit: FitSpec, Ubar: np.ndarray, z: np.ndarray, mu: float):
+def _barrier(fit: FitSpec, wh: _Whitening, z: np.ndarray, mu: float):
     """The stage objective f(C Z) + |Z|^2/2 + <Ubar, C C^T> - mu log det(C C^T)
-    and its gradient in z, from one LU factorization of C.
+    at C = M W, and its gradient in z = (Z, W), from one LU factorization
+    of W.
 
-    log det(C C^T) = 2 log|det C| is read off the LU's diagonal, and
-    dgetri turns the same factors into the inverse the barrier's gradient
-    -2 mu C^{-T} needs.  The factored matrix is C^T, the column-major view
-    of C's row-major storage: det C^T = det C, and its inverse is C^{-T}
-    itself.  C C^T is never formed: <Ubar, C C^T> = <Ubar C, C> reuses
-    the Ubar C of the gradient.  At a zero pivot (C singular) or where
-    the value is not finite (a NaN or inf in z among them) it returns the
+    In W the weight term is <Ubar, C C^T> = |W|^2/2, so the two quadratic
+    terms together are z.z/2 and add z to the gradient.  log det(C C^T)
+    = 2 log|det M| + 2 log|det W|: the constant log det M is precomputed,
+    so the value is the stage objective itself, and log|det W| is read
+    off the LU's diagonal; dgetri turns the same factors into the W^{-T}
+    of the barrier's gradient -2 mu W^{-T}.  The factored matrix is W^T,
+    the column-major view of W's row-major storage: det W^T = det W, and
+    its inverse is W^{-T} itself.  The fit's gradient G at X = C Z gives
+    C^T G in Z, and its gradient G Z^T in C maps back to W as M^T G Z^T.
+    C C^T is never formed.  At a zero pivot (W singular) or where the
+    value is not finite (a NaN or inf in z among them) it returns the
     wall (1e15, 0), which L-BFGS-B's line search backs away from."""
     import scipy.linalg.lapack as lapack  # lazily: gmfkit.cli imports this module
 
     n, m = fit.n, fit.m
-    Z, C = _split(z, n, m)
-    lu, piv, info = lapack.dgetrf(C.T)
+    Z, W = _split(z, n, m)
+    lu, piv, info = lapack.dgetrf(W.T)
     if info != 0:
         return 1e15, np.zeros_like(z)
+    M = wh.M
+    C = M @ W
     fval, Gf = fit.value_and_grad(C @ Z)
-    UC = Ubar @ C
-    zZ = z[: n * m]
-    F = fval + 0.5 * float(zZ @ zZ) + float(np.vdot(UC, C))
-    F -= 2.0 * mu * float(np.log(np.abs(lu.diagonal())).sum())
+    F = fval + 0.5 * float(z @ z)
+    F -= 2.0 * mu * (wh.log_det_M + float(np.log(np.abs(lu.diagonal())).sum()))
     if not math.isfinite(F):
         return 1e15, np.zeros_like(z)
     g = np.empty_like(z)
-    GZ, GC = _split(g, n, m)
+    GZ, GW = _split(g, n, m)
     np.matmul(C.T, Gf, out=GZ)
-    GZ += Z
-    np.matmul(Gf, Z.T, out=GC)
-    GC += 2.0 * UC
-    GC -= (2.0 * mu) * lapack.dgetri(lu, piv)[0]
+    np.matmul(M.T, Gf @ Z.T, out=GW)
+    g += z
+    GW -= (2.0 * mu) * lapack.dgetri(lu, piv)[0]
     return F, g
 
 
-def _dual_gap(fit: FitSpec, Ubar: np.ndarray, X: np.ndarray) -> float:
+def _dual_gap(fit: FitSpec, wh: _Whitening, X: np.ndarray) -> float:
     """P(X) - D(r) >= 0 for P = f + p, with the residual r scaled into
     the dual feasible set.
 
     With Ubar = R R^T, p(X) = sqrt(2) |R^T X|_* and p* is the indicator
-    of |R^{-1} Lam|_2 <= sqrt(2).  The Fenchel dual of f + p is
+    of |R^{-1} Lam|_2 <= sqrt(2), where R^{-1} = sqrt(2) M^T reuses the
+    solver's whitening.  The Fenchel dual of f + p is
     D(r) = -|r|^2/2 - <b, r> over -A^T r in dom p*; the residual
     r0 = A vec(X) - b scaled by t = min(1, sqrt(2) / |R^{-1} A^T r0|_2)
     is feasible, and <b, r0> = <X, A^T r0> - |r0|^2 needs no more than
-    f and its gradient at X.  The gap vanishes at the optimum, where
-    -A^T r0 is a subgradient of p at X."""
-    R = np.linalg.cholesky(Ubar)
+    f and its gradient at X.  The gap is f(X) (1 - t)^2 + (p(X) + t <X, G>)
+    for G = A^T r0; the second term is >= 0 because -t G is in the dual
+    ball, so a negative value of it is roundoff and counts as 0.  The gap
+    vanishes at the optimum, where -A^T r0 is a subgradient of p at X."""
     fval, G = fit.value_and_grad(X)
-    pval = np.sqrt(2.0) * float(np.sum(sv(R.T @ X)))
-    dual_norm = float(sv(np.linalg.solve(R, G))[0])
+    pval = np.sqrt(2.0) * float(np.sum(sv(wh.R.T @ X)))
+    dual_norm = float(sv(np.sqrt(2.0) * (wh.M.T @ G))[0])
     t = 1.0 if dual_norm <= np.sqrt(2.0) else np.sqrt(2.0) / dual_norm
-    dval = -t * t * fval - t * (float(np.sum(X * G)) - 2.0 * fval)
-    return fval + pval - dval
+    return fval * (1.0 - t) ** 2 + max(0.0, pval + t * float(np.sum(X * G)))
 
 
 def solve_prox_reference(fit: FitSpec, L: np.ndarray, lam: float) -> np.ndarray:
