@@ -739,11 +739,6 @@ def psd_cap_support(S: ConvexSetSpec, G: np.ndarray, tol: Tolerances = DEFAULT_T
     return S.psd_cap_support(sym(G, tol, S.n), tol)
 
 
-def psd_cap_nonempty(S: ConvexSetSpec, tol: Tolerances = DEFAULT_TOL) -> bool:
-    val, _ = S.psd_cap_support(np.zeros((S.n, S.n)), tol)
-    return np.isfinite(val)
-
-
 def member(S: ConvexSetSpec, V: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     return S.member(sym(V, tol, S.n), tol)
 

@@ -40,8 +40,9 @@ _UNBOUNDED_CUTOFF = -1.0e7
 class InfProjProblem:
     """Data (A, B) plus the perturbation h acting on V; the tolerances
     are pd's.  h = sigma_{U} is stored as the Linear h = <U, .> it is.
-    _linear and _pencil, the halves of _linear_path's and _ray_path's p
-    that do not depend on X, are computed when first read and kept."""
+    The rule that serves (A, h), the halves of the closed forms' p that
+    X leaves alone (_linear, _pencil, _conj) and the CCQ slack, sup over
+    dom h of lambda_min(N^T V N), are computed when first read and kept."""
 
     pd: ProblemData
     h: HSpec
@@ -59,6 +60,26 @@ class InfProjProblem:
     @cached_property
     def _pencil(self) -> _Pencil | None:
         return _pencil_factors(self)
+
+    @cached_property
+    def _conj(self) -> tuple | None:
+        return _conj_factors(self)
+
+    @cached_property
+    def _ka_slack(self) -> float:
+        return np.inf if self.pd.ker_trivial else self.h.dom.max_min_eig(self.pd.N, self.tol)
+
+    @cached_property
+    def _rule(self):
+        """The first of eval_p's rules whose test passes, in eval_p's order."""
+        h, pd = self.h, self.pd
+        return (
+            _spectral_path if isinstance(h.set, SpectralSet) and pd.unconstrained
+            else _loewner_path if h.dom.loewner_max() is not None
+            else _conjugate_path if self._conj is not None
+            else _ray_path if self._pencil is not None or (pd.unconstrained and not h.set.bounded)
+            else _descent if self._linear is None else _linear_path
+        )
 
     @property
     def tol(self) -> Tolerances:
@@ -113,9 +134,7 @@ class CQReport:
 # Inner minimization
 
 
-def _start_candidates(
-    prob: InfProjProblem, rng: np.random.Generator, n_random: int = 40
-):
+def _start_candidates(prob: InfProjProblem, rng: np.random.Generator):
     """Points of dom h worth trying as descent starts / domain witnesses."""
     n = prob.pd.n
     h = prob.h
@@ -130,7 +149,7 @@ def _start_candidates(
         raw.append(sum(wi * U for wi, U in zip(w, S.points)))
     if isinstance(S, ShiftedPSDCap):
         raw.extend([S.U, 0.5 * S.U])
-    for _ in range(n_random):
+    for _ in range(40):
         R = rng.standard_normal((n, n))
         raw.append(R @ R.T)
         if hull:
@@ -191,7 +210,7 @@ def _water_fill(s: np.ndarray, cap: float, total: float) -> np.ndarray:
     return lam
 
 
-def _spectral_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
+def _spectral_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval:
     """Exact p(X) for h = delta_S or sigma_S, S a spectral set, and A = 0.
 
     p then depends only on the singular values s of X = U diag(s) W^T
@@ -202,8 +221,6 @@ def _spectral_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
     s^2; Y = U diag(sqrt(2 mu)) W^T has YY^T/2 in S, and V =
     U diag(s / sqrt(2 mu)) U^T attains p unless some s_i > 0 has mu_i = 0."""
     h = prob.h
-    if not (isinstance(h.set, SpectralSet) and prob.pd.unconstrained):
-        return None
     # S intersect PSD has eigenvalues in {0 <= lam_i <= cap, sum <= total};
     # a box with lo > 0 also bounds them below, which the all-cap
     # solution of a budget-free set meets
@@ -231,7 +248,7 @@ def _spectral_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
     return InfProjEval(_finite(value), V=V, Y=(U[:, :k] * y[:k]) @ Wt[:k], path="spectral")
 
 
-def _loewner_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
+def _loewner_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval:
     """Exact p(X) = phi(X, Vbar) for h = delta_S with S holding a greatest
     element Vbar in the Loewner order, for every A.
 
@@ -239,20 +256,17 @@ def _loewner_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
     nonincreasing in that order: phi(X, V) >= phi(X, Vbar) on all of S,
     +inf included."""
     Vbar = prob.h.dom.loewner_max()
-    if Vbar is None:
-        return None
     ge = _eval_gmf(prob.pd, X, Vbar)
     if not np.isfinite(ge.value):
         return InfProjEval(np.inf, status="infeasible", path="loewner")
     return InfProjEval(ge.value, V=Vbar, Y=ge.witness_Y, path="loewner")
 
 
-def _conjugate_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
-    """Exact p(X) = <X, Y0> - h*(C0), C0 = Y0 Y0^T/2, for every h when
-    ker A = {0}, where phi(X, V) = <X, Y0> - <C0, V> (see the README):
-    attained at Y0 and V = argmax <C0, V> - h(V) if h*(C0) is finite,
-    else -inf along V = td from 0, d = C0 - proj(C0) onto dom h*, once
-    the slope h(d) - <C0, d> is below -feas_abs |d|; None otherwise."""
+def _conj_factors(prob: InfProjProblem) -> tuple | None:
+    """_conjugate_path's half that X leaves alone: (h*(C0), V, None) with V
+    attaining h*(C0) if finite, else (inf, None, d) once the slope
+    h(d) - <C0, d> is below -feas_abs |d|; None where ker A != {0} or
+    neither test decides."""
     pd, h, tol = prob.pd, prob.h, prob.tol
     if not pd.ker_trivial:
         return None
@@ -260,10 +274,21 @@ def _conjugate_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
     C0 = 0.5 * (C0 + C0.T)
     conj, V = h.conj(C0, tol)
     if np.isfinite(conj):
-        return InfProjEval(float(np.sum(X * pd.Y0)) - conj, V=V, Y=pd.Y0, path="conjugate")
+        return conj, V, None
     d = C0 - h.conj_dom.project(C0, tol)
     hd = h.value(0.5 * (d + d.T), tol)[0]
-    return _ray(d, np.zeros_like(d)) if hd - float(np.sum(C0 * d)) < -tol.feas_abs * np.linalg.norm(d) else None
+    return (conj, None, d) if hd - float(np.sum(C0 * d)) < -tol.feas_abs * np.linalg.norm(d) else None
+
+
+def _conjugate_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval:
+    """Exact p(X) = <X, Y0> - h*(C0), C0 = Y0 Y0^T/2, for every h when
+    ker A = {0}, where phi(X, V) = <X, Y0> - <C0, V> (see the README):
+    attained at Y0 and V = argmax <C0, V> - h(V) if h*(C0) is finite,
+    else -inf along V = td from 0, d = C0 - proj(C0) onto dom h*."""
+    conj, V, d = prob._conj
+    if d is not None:
+        return _ray(d, np.zeros_like(d))
+    return InfProjEval(float(np.sum(X * prob.pd.Y0)) - conj, V=V.copy(), Y=prob.pd.Y0, path="conjugate")
 
 
 # what _linear_path reads at each X: the D of a certified ray V = I + tD
@@ -367,7 +392,7 @@ def _pencil_factors(prob: InfProjProblem) -> _Pencil | None:
     return _Pencil(NE[:, live] / np.sqrt(lam_live.T), NE[:, ~live], b[~live], Y_lim, psd, pinned, gamma, psd and not pinned and gamma < 0.0)
 
 
-def _ray_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
+def _ray_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval:
     """Exact p(X) for h = delta_{pos{D}}, D != 0, at every A with
     ker A != {0}, and for h = sigma_{pos{D}} at A = 0 (see the README).
 
@@ -377,8 +402,6 @@ def _ray_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval | None:
     sqrt(beta/gamma) and gamma = 0 p = k (not attained); alpha = 0 is left
     where H is not PSD.  sigma: p = 0, or +inf where D >= 0 and DX != 0."""
     pd, h, tol, f = prob.pd, prob.h, prob.tol, prob._pencil
-    if f is None and (h.set.bounded or not pd.unconstrained):
-        return None
     D, alpha = h.set.D, 0.0  # alpha = 0 is all that is left unless H >= 0
     if f is None:  # sigma_{pos{D}} at A = 0
         if min_eig(D) >= -tol.psd_abs and np.linalg.norm(D @ X) > tol.feas_abs * (1.0 + np.linalg.norm(D) * np.linalg.norm(X)):
@@ -418,12 +441,9 @@ def eval_p(
 
 
 def _eval_p(prob: InfProjProblem, X: np.ndarray, max_iter: int = 4000, seed: int = 0) -> InfProjEval:
-    """eval_p on a trusted X."""
-    for path in (_spectral_path, _loewner_path, _conjugate_path, _ray_path):
-        out = path(prob, X)
-        if out is not None:
-            return out
-    return _descent(prob, X, max_iter, seed) if prob._linear is None else _linear_path(prob, X)
+    """eval_p on a trusted X, by the problem's rule."""
+    rule = prob._rule
+    return _descent(prob, X, max_iter, seed) if rule is _descent else rule(prob, X)
 
 
 def _descent(prob: InfProjProblem, X: np.ndarray, max_iter: int, seed: int) -> InfProjEval:
@@ -432,14 +452,8 @@ def _descent(prob: InfProjProblem, X: np.ndarray, max_iter: int, seed: int) -> I
     -1e7 are reported as unbounded."""
     tol = prob.tol
     rng = np.random.default_rng(seed)
-    cheap = (
-        isinstance(prob.h, Indicator)
-        and prob.h.set.bounded
-        and prob.pd.unconstrained
-    )
-    n_random = 6 if cheap else 40
     best = None, np.inf, None, None
-    for V in _start_candidates(prob, rng, n_random):
+    for V in _start_candidates(prob, rng):
         F, ge, W = _objective(prob, X, V)
         if F < best[1]:
             best = V, F, ge, W
@@ -503,23 +517,20 @@ def _descent(prob: InfProjProblem, X: np.ndarray, max_iter: int, seed: int) -> I
 def dom_p_member(prob: InfProjProblem, X: np.ndarray):
     """Search for V in dom h with phi(X, V) finite, certifying X in dom p.
 
-    Returns (found, V, status): status is "witness" on success,
-    "sampled" on failure (the search is a sampling procedure, so a
-    negative answer is evidence rather than proof), and "exhaustive" on a
-    failure that is proof: h the indicator of a set with a greatest
-    element Vbar in the Loewner order, where X lies in dom p iff
-    phi(X, Vbar) is finite (see _loewner_path), or of a ray pos{D} with
-    ker A != {0} (_ray_path: its V, or D); V = I witnesses every h with
-    dom h = S^n, phi(X, .) being finite at positive definite V.
-    """
+    Returns (found, V, status): "witness" on success, V = I where
+    dom h = S^n.  Under a closed form X lies in dom p iff the rule's status
+    is not "infeasible" ("exhaustive"), witnessed by its V, its ray's base
+    or D (the indicator of a ray); the descent's failure is "sampled"."""
     X = _rect(X, (prob.pd.n, prob.pd.m))
     if prob.h.dom.full:
         return True, np.eye(prob.pd.n), "witness"
-    exact = _loewner_path(prob, X) if prob._pencil is None else _ray_path(prob, X)
-    if exact is not None:
-        if exact.status == "infeasible":
+    if prob._rule is not _descent:
+        pe = prob._rule(prob, X)
+        if pe.status == "infeasible":
             return False, None, "exhaustive"
-        return True, prob.h.set.D.copy() if exact.V is None else exact.V, "witness"
+        V = pe.V if pe.V is not None else pe.unbounded_base
+        if V is not None or prob._pencil is not None:
+            return True, prob.h.set.D.copy() if V is None else V, "witness"
     rng = np.random.default_rng(0)
     for V in _start_candidates(prob, rng):
         if np.isfinite(_objective(prob, X, V)[0]):
@@ -601,7 +612,7 @@ def dual_value(prob: InfProjProblem, X: np.ndarray):
     p(X), equal to it wherever Y is optimal.  Every other case (no Y,
     p*(Y) undecided or +inf) is "undecided"."""
     X = _rect(X, (prob.pd.n, prob.pd.m))
-    return _dual_at(prob, X, _eval_p(prob, X) if prob._linear is None else _linear_path(prob, X, with_V=False))
+    return _dual_at(prob, X, _linear_path(prob, X, with_V=False) if prob._rule is _linear_path else _eval_p(prob, X))
 
 
 def _dual_at(prob: InfProjProblem, X: np.ndarray, pe: InfProjEval):
@@ -666,7 +677,7 @@ def cq_report(prob: InfProjProblem) -> CQReport:
     xi_empty = (lin is not None and lin.ray is not None) or (pen is not None and pen.xi_empty)
 
     # ---- CCQ: dom h meets int K_A
-    s = np.inf if pd.ker_trivial else dom.max_min_eig(pd.N, tol)
+    s = prob._ka_slack
     known = not np.isnan(s)  # nan: a hull's cuts left the side of +-psd_abs open
     rep.ccq = _tri(s > tol.psd_abs if known else None)
 

@@ -21,7 +21,6 @@ from .hset import (
     Singleton,
     SpectralBox,
     TraceBall,
-    psd_cap_nonempty,
 )
 from .infproj import InfProjProblem, _eval_p
 from .numlin import DEFAULT_TOL, Tolerances, _rect, psd_sqrt, sv
@@ -38,10 +37,10 @@ class VgfInstance:
     prob: InfProjProblem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not psd_cap_nonempty(self.set, self.tol):
-            raise ValueError("the set must meet the PSD cone")
         pd = ProblemData(np.zeros((1, self.n)), np.zeros((1, self.m)), self.tol)
         object.__setattr__(self, "prob", InfProjProblem(pd, Indicator(self.set)))
+        if self.prob._ka_slack < -self.tol.psd_abs:  # the CCQ slack at A = 0: S misses PSD
+            raise ValueError("the set must meet the PSD cone")
 
     @property
     def n(self) -> int:

@@ -29,7 +29,6 @@ from gmfkit.hset import (
     hspec_to_json,
     member,
     project,
-    psd_cap_nonempty,
     psd_cap_support,
     set_from_json,
     set_to_json,
@@ -38,6 +37,7 @@ from gmfkit.hset import (
 from gmfkit.infproj import InfProjProblem
 from gmfkit.numlin import DEFAULT_TOL, max_eig, min_eig
 from gmfkit.smooth import FitSpec
+from gmfkit.vgf import VgfInstance
 
 rng = np.random.default_rng(2)
 
@@ -166,12 +166,19 @@ def test_psd_cap_support_of_a_mixed_hull_needs_a_psd_vertex_at_the_maximum():
     val, W = psd_cap_support(S, np.diag([0.0, 1.0]))
     assert val == 1.0 and np.array_equal(W, np.diag([0.0, 1.0]))
     assert psd_cap_support(S, np.zeros((2, 2)))[0] == 0.0
-    assert psd_cap_nonempty(S)
+    assert S.max_min_eig(np.eye(2), DEFAULT_TOL) >= -DEFAULT_TOL.psd_abs
 
 
-def test_psd_cap_nonempty_and_bounded():
-    assert psd_cap_nonempty(SpectralBox(0.0, 1.0, 2))
-    assert not psd_cap_nonempty(Singleton(-np.eye(2)))
+def test_a_set_meets_the_psd_cone_and_is_bounded():
+    # VgfInstance reads whether S meets PSD off the CCQ slack at A = 0,
+    # sup over S of lambda_min; a hull with no PSD vertex is decided too
+    assert VgfInstance(SpectralBox(0.0, 1.0, 2), 1).prob._ka_slack == 1.0
+    with pytest.raises(ValueError, match="PSD cone"):
+        VgfInstance(Singleton(-np.eye(2)), 1)
+    mixed = Hull((np.diag([2.0, -1.0]), np.diag([-1.0, 2.0])))  # holds diag(1/2, 1/2)
+    assert VgfInstance(mixed, 1).prob._ka_slack >= -DEFAULT_TOL.psd_abs
+    with pytest.raises(ValueError, match="PSD cone"):
+        VgfInstance(Hull((np.diag([1.0, -1.0]), np.diag([-1.0, -2.0]))), 1)
     free = ProblemData(np.zeros((1, 2)), np.zeros((1, 1)))  # K_A is the PSD cone
     assert TraceBall(1.0, 2).ka_bounded(free)
     assert not Ray(np.eye(2)).ka_bounded(free)

@@ -218,19 +218,18 @@ _SET_CLASSES = {
     "ShiftedPSDCap",
     "Halfspace",
 }
-# where infproj may still test a set class: the closed-form path, the
-# per-variant descent starts and InfProjProblem's one rewrite of
-# Support(Singleton) as Linear
+# where infproj may still test a set class: the choice of the spectral
+# rule, the per-variant descent starts and InfProjProblem's one rewrite
+# of Support(Singleton) as Linear
 _INFPROJ_ALLOWED = {
-    "_spectral_path": {"SpectralSet"},
+    "_rule": {"SpectralSet"},
     "_start_candidates": {"Hull", "ShiftedPSDCap"},
     "__post_init__": {"Singleton"},
 }
 _H_CLASSES = {"Linear", "Indicator", "Support", "ndarray"}
-# where infproj may still test an h class: the descent's cheaper start set
-# for indicators, and the branches whose formula differs by h
+# where infproj may still test an h class: the branches whose formula
+# differs by h
 _INFPROJ_H_ALLOWED = {
-    "_descent": {"Indicator"},
     "_spectral_path": {"Support"},
     "_pencil_factors": {"Support"},
     "_eval_p_conj": {"Indicator"},
@@ -274,7 +273,7 @@ def test_infproj_tests_the_h_class_only_where_the_formula_differs():
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "gmfkit"
     hits = _set_class_isinstance(src / "infproj.py", _H_CLASSES)
     assert [(f, c) for f, c in hits if c not in _INFPROJ_H_ALLOWED.get(f, ())] == []
-    assert len(hits) <= 7
+    assert len(hits) <= 6
     # _linear has one type: the ray or the slope's factors, or None
     lins = [prob._linear for prob in criterion_13_problems(0)]
     assert all(lin is None or type(lin) is _Slope for lin in lins)
