@@ -55,6 +55,8 @@ class ConvexSetSpec:
     (V <= Vbar for every V in S, Vbar in S) or None where S has none.
     greatest(free) returns the U in S with sigma_S = <U, .> on K_A, or
     None: at A = 0 (free), where K_A is PSD, loewner_max() is such a U.
+    psd_separator(tol) returns a V >= 0 with sigma_S(V) < -psd_abs, a
+    certificate that S misses PSD, or None (a hull's cut duals only).
 
     `kind` is the variant's JSON tag; the JSON fields are the dataclass
     fields."""
@@ -87,6 +89,9 @@ class ConvexSetSpec:
 
     def greatest(self, free: bool) -> np.ndarray | None:
         return self.loewner_max() if free else None
+
+    def psd_separator(self, tol: Tolerances) -> np.ndarray | None:
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,11 +388,15 @@ class Hull(ConvexSetSpec):
         return all(_in_KA(pd, U) for U in self.points)
 
     def dominates(self, G, tol):
-        s = _hull_max_min_eig(self.points, tol, G)
+        s = _hull_max_min_eig(self.points, tol, G)[0]
         return None if np.isnan(s) else s >= -tol.psd_abs
 
     def max_min_eig(self, N, tol):
-        return _hull_max_min_eig([N.T @ U @ N for U in self.points], tol)
+        return _hull_max_min_eig([N.T @ U @ N for U in self.points], tol)[0]
+
+    def psd_separator(self, tol):
+        s, V = _hull_max_min_eig(self.points, tol)
+        return V if s < -tol.psd_abs else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -636,32 +645,35 @@ def _project_capped_simplex(w, cap, total):
 _MAX_CUTS = 50  # after this many cuts, or a failed LP, the hull's max_min_eig is nan (undecided)
 
 
-def _hull_max_min_eig(mats, tol: Tolerances, C=0.0) -> float:
-    """Hull.max_min_eig for s = max over the simplex of lambda_min(sum w_i D_i),
-    D_i = M_i - C, by Kelley's cutting planes: lambda_min's eigenvector q at
-    w cuts s <= c.w, c_i = q^T D_i q; an LP maximizes the least cut over the
-    simplex, and its duals y give s <= max_i (y^T c)_i at any LP slack."""
+def _hull_max_min_eig(mats, tol: Tolerances, C=0.0):
+    """(s, V) for Hull.max_min_eig's s = max over the simplex of
+    lambda_min(sum w_i D_i), D_i = M_i - C, by Kelley's cutting planes:
+    lambda_min's eigenvector q_j at w cuts s <= c_j.w, c_ji = q_j^T D_i q_j;
+    an LP maximizes the least cut over the simplex, and its duals y give
+    s <= max_i <D_i, V> for V = sum y_j q_j q_j^T / sum y >= 0 at any LP
+    slack.  (nan, None) where the cuts run out or an LP fails."""
     import scipy.optimize
 
     D = np.asarray(mats) - C
     k = len(D)
-    w, lo, cuts = np.full(k, 1.0 / k), -np.inf, []
+    w, lo, cuts, qs = np.full(k, 1.0 / k), -np.inf, [], []
     for _ in range(_MAX_CUTS):
         lam, Q = np.linalg.eigh(np.tensordot(w, D, axes=1))
         lo = max(lo, lam[0])
+        qs.append(Q[:, 0])
         cuts.append(np.einsum("i,kij,j->k", Q[:, 0], D, Q[:, 0]))
         res = scipy.optimize.linprog(  # max t over (w, t): t <= c.w for every cut, w in the simplex
             -np.eye(k + 1)[k], A_ub=np.column_stack([-np.array(cuts), np.ones(len(cuts))]), b_ub=np.zeros(len(cuts)),
             A_eq=[[1.0] * k + [0.0]], b_eq=[1.0], bounds=[(0.0, None)] * k + [(None, None)], method="highs"
         )
         if res.status != 0:
-            return np.nan
+            return np.nan, None
         y = np.clip(-res.ineqlin.marginals, 0.0, None)
         hi = float(np.max(y @ cuts) / y.sum())
         if hi < -tol.psd_abs or lo > tol.psd_abs or (lo >= -tol.psd_abs and hi <= tol.psd_abs):
-            return hi
+            return hi, (np.transpose(qs) * y) @ qs / y.sum()
         w = res.x[:k]
-    return np.nan
+    return np.nan, None
 
 
 # ---------------------------------------------------------------------------

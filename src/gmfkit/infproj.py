@@ -73,13 +73,21 @@ class InfProjProblem:
     def _rule(self):
         """The first of eval_p's rules whose test passes, in eval_p's order."""
         h, pd = self.h, self.pd
-        return (
+        rule = (
             _spectral_path if isinstance(h.set, SpectralSet) and pd.unconstrained
             else _loewner_path if h.dom.loewner_max() is not None
             else _conjugate_path if self._conj is not None
             else _ray_path if self._pencil is not None or (pd.unconstrained and not h.set.bounded)
-            else _descent if self._linear is None else _linear_path
+            else _linear_path if self._linear is not None
+            else _descent
         )
+        if rule is not _descent:
+            return rule
+        if self._ka_slack < -self.tol.psd_abs:  # dom h misses K_A: p = +inf at every X
+            return lambda prob, X: InfProjEval(np.inf, status="infeasible", path="domain")
+        # at A = 0, a V >= 0 with sigma_{dom h*}(V) < 0 gives F(I + tV) <= F(I) + t sigma_{dom h*}(V)
+        V = h.conj_dom.psd_separator(self.tol) if pd.unconstrained else None
+        return _descent if V is None else lambda prob, X: _ray(V, np.eye(pd.n))
 
     @property
     def tol(self) -> Tolerances:
@@ -423,6 +431,20 @@ def _ray_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval:
     return InfProjEval(ge.value, V=alpha * D, Y=ge.witness_Y, path="ray")
 
 
+def _ray_witness(prob: InfProjProblem) -> np.ndarray:
+    """A point of dom h where the ray rule's p is not attained, with
+    phi(X, .) finite there at every X in dom p: D for delta_{pos{D}}; for
+    sigma_{pos{D}} at A = 0, the projector onto ker D if D >= 0, else
+    I + t qq^T, q D's least eigenvector, where <D, V> = tr D + t lambda_min <= -1."""
+    D, psd_abs = prob.h.set.D, prob.tol.psd_abs
+    if prob._pencil is not None:
+        return D.copy()
+    lam, E = np.linalg.eigh(D)
+    if lam[0] >= -psd_abs:
+        return E[:, lam <= psd_abs] @ E[:, lam <= psd_abs].T
+    return np.eye(D.shape[0]) + max(0.0, (lam.sum() + 1.0) / -lam[0]) * np.outer(E[:, 0], E[:, 0])
+
+
 def eval_p(
     prob: InfProjProblem, X: np.ndarray, max_iter: int = 4000, seed: int = 0
 ) -> InfProjEval:
@@ -529,8 +551,7 @@ def dom_p_member(prob: InfProjProblem, X: np.ndarray):
         if pe.status == "infeasible":
             return False, None, "exhaustive"
         V = pe.V if pe.V is not None else pe.unbounded_base
-        if V is not None or prob._pencil is not None:
-            return True, prob.h.set.D.copy() if V is None else V, "witness"
+        return True, _ray_witness(prob) if V is None else V, "witness"
     rng = np.random.default_rng(0)
     for V in _start_candidates(prob, rng):
         if np.isfinite(_objective(prob, X, V)[0]):

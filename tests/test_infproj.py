@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmfkit.gmf import ProblemData, eval_gmf
+from gmfkit.gmf import ProblemData, eval_gmf, eval_gmf_oracle
 from gmfkit.hset import (
     Fantope,
     Hull,
@@ -21,6 +21,7 @@ from gmfkit.hset import (
 from gmfkit.infproj import (
     InfProjProblem,
     _descent,
+    _objective,
     _start_candidates,
     cq_report,
     dom_p_member,
@@ -1545,3 +1546,80 @@ def test_hull_cq_rules_run_no_nonlinear_solver(monkeypatch):
 def test_h_of_the_wrong_size_is_refused():
     with pytest.raises(ValueError, match="n x n"):
         InfProjProblem(unconstrained(2, 1), Indicator(TraceBall(1.0, 3)))
+
+
+# ---------------------------------------------------------------------------
+# one rule per problem: the certified empty domain, the witness for the
+# support of a ray at A = 0 and the separator ray of a hull at A = 0
+
+
+def _sweep_row(seed, index):
+    prob = _criterion_13_draw(seed, index)
+    return prob, np.random.default_rng([seed, index]).standard_normal((prob.pd.n, prob.pd.m))
+
+
+def test_a_hull_that_misses_k_a_is_infeasible_without_the_descent(monkeypatch):
+    import gmfkit.infproj
+
+    # criterion 13, seed 0, #26: the descent's sampled starts found no
+    # point of S in K_A, and dom_p_member answered "sampled"
+    prob, X = _sweep_row(0, 26)
+    assert isinstance(prob.h, Indicator) and isinstance(prob.h.set, Hull)
+
+    def refuse(*args):
+        raise AssertionError("the descent ran")
+
+    monkeypatch.setattr(gmfkit.infproj, "_descent", refuse)
+    pe = eval_p(prob, X)
+    assert (pe.value, pe.status, pe.path, pe.iters) == (np.inf, "infeasible", "domain", 0)
+    assert dom_p_member(prob, X) == (False, None, "exhaustive")
+    assert prob._ka_slack < -prob.tol.psd_abs  # sup over S of lambda_min(N^T V N)
+
+
+def test_dom_p_member_witnesses_the_support_of_a_ray_at_a_zero():
+    # criterion 13, seed 4, #290: eval_p gives 0.0, while dom_p_member's
+    # sampled starts, projected onto <D, V> <= 0, left it (False, "sampled")
+    prob, X = _sweep_row(4, 290)
+    assert isinstance(prob.h, Support) and isinstance(prob.h.set, Ray) and prob.pd.unconstrained
+    assert eval_p(prob, X).value == 0.0
+    found, V, status = dom_p_member(prob, X)
+    assert (found, status) == (True, "witness")
+    assert np.sum(prob.h.set.D * V) == pytest.approx(-1.0) and np.isfinite(_objective(prob, X, V)[0])
+    # with D >= 0 the witness is the projector onto ker D, which holds X
+    pd, D = unconstrained(3, 2), np.diag([0.0, 0.0, 2.0])
+    X = np.array([[1.0, 2.0], [3.0, -1.0], [0.0, 0.0]])
+    prob = InfProjProblem(pd, Support(Ray(D)))
+    found, V, status = dom_p_member(prob, X)
+    assert (found, status) == (True, "witness") and np.allclose(V, np.diag([1.0, 1.0, 0.0]))
+    assert np.isfinite(_objective(prob, X, V)[0])
+    assert dom_p_member(prob, X + 1.0) == (False, None, "exhaustive")
+
+
+@pytest.mark.parametrize("seed, index", [(0, 470), (4, 342)])
+def test_support_of_a_hull_that_misses_psd_is_unbounded_at_a_zero(seed, index):
+    # the descent reported "finite": seed 0 #470 +0.1025, seed 4 #342
+    # -2 705 401.6 at the 4000-iteration cap
+    prob, X = _sweep_row(seed, index)
+    assert isinstance(prob.h, Support) and isinstance(prob.h.set, Hull) and prob.pd.unconstrained
+    pe = eval_p(prob, X)
+    assert (pe.status, pe.path, pe.iters, pe.V) == ("unbounded", "recession", 0, None)
+    base, d, tol = pe.unbounded_base, pe.unbounded_direction, prob.tol
+    assert np.array_equal(base, np.eye(prob.pd.n)) and np.linalg.norm(d) == pytest.approx(1.0)
+    assert np.linalg.eigvalsh(d)[0] >= -tol.psd_abs and prob.h.set.support(d, tol)[0] < -tol.psd_abs
+    F = [eval_gmf_oracle(prob.pd, X, base + t * d).value + prob.h.value(base + t * d, tol)[0] for t in (1.0, 10.0, 100.0)]
+    assert F[0] > F[1] > F[2]
+    assert dual_value(prob, X) == (-np.inf, None, "exact")
+    assert SpectralBox(-2.0, -1.0, 2).psd_separator(tol) is None  # no rule but the hull's
+
+
+def test_dom_p_member_agrees_with_every_closed_form_rule():
+    # over criterion 13's first seed: every witness gives a finite
+    # phi(X, V) + h(V), and under a closed form the answer is eval_p's
+    # status, decided without sampling
+    for i, prob in enumerate(criterion_13_problems(0)):
+        X = np.random.default_rng([0, i]).standard_normal((prob.pd.n, prob.pd.m))
+        found, V, status = dom_p_member(prob, X)
+        assert not found or np.isfinite(_objective(prob, X, V)[0]), i
+        pe = eval_p(prob, X)
+        if pe.path != "descent":
+            assert (found, status != "sampled") == (pe.status != "infeasible", True), i
