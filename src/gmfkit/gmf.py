@@ -238,16 +238,21 @@ def eval_gmf_oracle(pd: ProblemData, X: np.ndarray, V: np.ndarray) -> GmfEval:
 
     The maximizer Y and multiplier mu solve the KKT system
     M(V) [Y; mu] = [X; B] with M(V) = [[V, A^T], [A, 0]], so
-    phi = <[X; B], M(V)^+ [X; B]>/2 from one SVD of the (n + l)^2 matrix.
-    Requires V positive definite on ker A."""
+    phi = <[X; B], M(V)^+ [X; B]>/2 from one SVD of the (n + l)^2 matrix,
+    refined twice with the residual [X; B] - M(V) Z and the final inner
+    product in np.longdouble, so that the oracle is more accurate than
+    eval_gmf.  Requires V positive definite on ker A."""
     X = _rect(X, (pd.n, pd.m))
     M = bordered_matrix(pd, V)  # the one check of V, which is M's corner
     if not min_eig(pd.N.T @ M[: pd.n, : pd.n] @ pd.N) >= pd.tol.psd_abs:
         raise ValueError("oracle requires interior point")
     rhs = np.vstack([X, pd.B])
-    Z = np.linalg.pinv(M, rcond=pd.tol.rank_rel) @ rhs
+    M_pinv = np.linalg.pinv(M, rcond=pd.tol.rank_rel)
+    Z = M_pinv @ rhs
+    for _ in range(2):
+        Z = Z + M_pinv @ (rhs.astype(np.longdouble) - M.astype(np.longdouble) @ Z).astype(float)
     return GmfEval(
-        0.5 * float(np.sum(rhs * Z)), witness_Y=Z[: pd.n], witness_multiplier=Z[pd.n :]
+        float(0.5 * np.sum(rhs.astype(np.longdouble) * Z)), witness_Y=Z[: pd.n], witness_multiplier=Z[pd.n :]
     )
 
 

@@ -84,6 +84,15 @@ def test_oracle_agreement():
         assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
 
 
+def test_oracle_is_refined_past_its_pseudoinverse():
+    # square A (ell = n = 4): the plain pseudoinverse of the bordered matrix
+    # was off by 1.3e-10 relative, eval_gmf by 8.1e-14; the reference is a
+    # 50-digit solve of the same KKT system
+    pd, X, V = interior_instance(4, 2, 4, seed=108)
+    exact = -81.44353920225465277
+    assert eval_gmf_oracle(pd, X, V).value == pytest.approx(exact, rel=1e-13)
+
+
 def test_oracle_rejects_boundary():
     pd = scalar_pd()
     with pytest.raises(ValueError):
