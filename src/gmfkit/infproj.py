@@ -31,7 +31,7 @@ from .hset import (
     SpectralSet,
     Support,
 )
-from .numlin import Tolerances, _rect, min_eig
+from .numlin import Tolerances, _rect
 
 _UNBOUNDED_CUTOFF = -1.0e7
 
@@ -408,11 +408,12 @@ def _ray_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval:
     k = <X, Y_lim> and beta = |R^T X|^2 / 2, where H >= 0 and (N E_dead)^T X
     = alpha b_dead.  gamma < 0 gives a ray from D, gamma > 0 alpha* =
     sqrt(beta/gamma) and gamma = 0 p = k (not attained); alpha = 0 is left
-    where H is not PSD.  sigma: p = 0, or +inf where D >= 0 and DX != 0."""
+    where H is not PSD.  sigma: p = 0 (not attained) where phi(X, .) is
+    finite at _ray_witness's V, and +inf otherwise."""
     pd, h, tol, f = prob.pd, prob.h, prob.tol, prob._pencil
     D, alpha = h.set.D, 0.0  # alpha = 0 is all that is left unless H >= 0
     if f is None:  # sigma_{pos{D}} at A = 0
-        if min_eig(D) >= -tol.psd_abs and np.linalg.norm(D @ X) > tol.feas_abs * (1.0 + np.linalg.norm(D) * np.linalg.norm(X)):
+        if not np.isfinite(_eval_gmf(pd, X, _ray_witness(prob)).value):
             return InfProjEval(np.inf, status="infeasible", path="ray")
         return InfProjEval(0.0, Y=np.zeros_like(X), path="ray")
     if f.psd and f.pinned:
@@ -432,10 +433,10 @@ def _ray_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval:
 
 
 def _ray_witness(prob: InfProjProblem) -> np.ndarray:
-    """A point of dom h where the ray rule's p is not attained, with
-    phi(X, .) finite there at every X in dom p: D for delta_{pos{D}}; for
-    sigma_{pos{D}} at A = 0, the projector onto ker D if D >= 0, else
-    I + t qq^T, q D's least eigenvector, where <D, V> = tr D + t lambda_min <= -1."""
+    """A point of dom h where the ray rule's p is not attained: D for
+    delta_{pos{D}}.  For sigma_{pos{D}} at A = 0, X lies in dom p iff
+    phi(X, V) is finite at V = I + t qq^T (q D's least eigenvector, below
+    -psd_abs; <D, V> <= -1), else at the projector V onto ker D."""
     D, psd_abs = prob.h.set.D, prob.tol.psd_abs
     if prob._pencil is not None:
         return D.copy()

@@ -1593,6 +1593,11 @@ def test_dom_p_member_witnesses_the_support_of_a_ray_at_a_zero():
     assert (found, status) == (True, "witness") and np.allclose(V, np.diag([1.0, 1.0, 0.0]))
     assert np.isfinite(_objective(prob, X, V)[0])
     assert dom_p_member(prob, X + 1.0) == (False, None, "exhaustive")
+    # one floor decides ker D for both: an eigenvalue above psd_abs is not
+    # in it, however small DX is (eval_p said 0.0 there, with no witness)
+    prob = InfProjProblem(unconstrained(2, 1), Support(Ray(np.diag([0.0, 5e-9]))))
+    assert eval_p(prob, np.ones((2, 1))).status == "infeasible"
+    assert dom_p_member(prob, np.ones((2, 1))) == (False, None, "exhaustive")
 
 
 @pytest.mark.parametrize("seed, index", [(0, 470), (4, 342)])
