@@ -41,4 +41,16 @@ def test_compare_prints_the_counts_of_each_record_and_its_differences(tmp_path, 
     assert f"{new}: dom_p_member status: exhaustive 1, witness 1" in out
     assert f"{new}: undecided cq: pcq 1, spcq 0, bpcq 0, ccq 0, sccq 0 (total 1)" in out
     assert "cq.sccq: 1 rows differ (0/1)" in out and "dom_p_member: 1 rows differ (0/1)" in out
+    assert "dom_p_member status changes: sampled -> exhaustive 1; witness-only changes: 0" in out
     assert out[-1] == "2 rows, 2 differing fields"
+
+
+def test_compare_tells_a_new_witness_from_a_new_answer(tmp_path, capsys):
+    old = _record("infeasible", "sampled", "undecided")
+    new = _record("infeasible", "sampled", "undecided")
+    new[(0, 0)] = dict(new[(0, 0)], dom_p_member=(True, 2.0 * np.eye(2), "witness"))
+    new[(0, 1)] = dict(new[(0, 1)], dom_p_member=(True, np.eye(2), "witness"))
+    assert sweep_identity.main(["compare", _write(tmp_path, "old.pkl", old), _write(tmp_path, "new.pkl", new)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "dom_p_member: 2 rows differ (0/0, 0/1)" in out
+    assert "dom_p_member status changes: sampled -> witness 1; witness-only changes: 1" in out

@@ -27,7 +27,9 @@ differs, 0 otherwise.  For a field whose
 differing values are numbers of one shape (tuples walked entry by entry,
 their other entries equal), it also prints the largest absolute and the
 largest relative difference, |a - b| / max(|a|, |b|), over those rows, so
-a rounding-level change can be told from a real one.
+a rounding-level change can be told from a real one.  For dom_p_member it
+also counts the rows whose (found, status) moved, by transition, apart
+from the rows where only the witness V changed.
 """
 
 from __future__ import annotations
@@ -148,6 +150,17 @@ def _tally(rows: dict) -> list[str]:
     ]
 
 
+def _dom_moves(a: dict, b: dict, keys: list) -> str:
+    """One line: the dom_p_member rows among keys whose (found, status)
+    moved, counted by status transition, and those whose witness alone
+    changed."""
+    none = (None, None, None)
+    pairs = [(a[key].get("dom_p_member", none), b[key].get("dom_p_member", none)) for key in keys]
+    moved = Counter(f"{old[2]} -> {new[2]}" for old, new in pairs if old[::2] != new[::2])
+    shown = ", ".join(f"{k} {n}" for k, n in sorted(moved.items())) or "none"
+    return f"dom_p_member status changes: {shown}; witness-only changes: {len(keys) - sum(moved.values())}"
+
+
 def compare(path_a: str, path_b: str) -> int:
     with open(path_a, "rb") as f:
         a = pickle.load(f)
@@ -172,6 +185,8 @@ def compare(path_a: str, path_b: str) -> int:
         if None not in gaps:
             size = f"; max abs diff {max(g[0] for g in gaps):.3g}, max rel diff {max(g[1] for g in gaps):.3g}"
         print(f"{field}: {len(keys)} rows differ ({shown}{', ...' if len(keys) > 10 else ''}){size}")
+    if "dom_p_member" in diffs:
+        print(_dom_moves(a, b, diffs["dom_p_member"]))
     print(f"{len(a)} rows, {sum(map(len, diffs.values()))} differing fields")
     return 1 if diffs else 0
 
