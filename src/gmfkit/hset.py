@@ -55,8 +55,8 @@ class ConvexSetSpec:
     (V <= Vbar for every V in S, Vbar in S) or None where S has none.
     greatest(free) returns the U in S with sigma_S = <U, .> on K_A, or
     None: at A = 0 (free), where K_A is PSD, loewner_max() is such a U.
-    psd_separator(tol) returns a V >= 0 with sigma_S(V) < -psd_abs, a
-    certificate that S misses PSD, or None (a hull's cut duals only).
+    psd_separator(tol) returns a V >= 0 with sigma_S(V) < -psd_abs, proof
+    that S misses PSD, or None; only a hull gives one, from its cut duals.
 
     `kind` is the variant's JSON tag; the JSON fields are the dataclass
     fields."""

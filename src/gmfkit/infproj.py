@@ -104,10 +104,10 @@ class InfProjEval:
     also None where the infimum need not be attained (see the paths).
     When unbounded, unbounded_direction is a descent ray from the point
     unbounded_base, certified on "recession" (V = 0 on the "conjugate"
-    rule's rays, I on the slope's and the spectral box's, D on pos{D}'s).
-    path names how the value was reached: "spectral", "loewner",
-    "conjugate", "ray" or "weighted_nuclear" (closed forms), "recession"
-    (a certified ray), all with iters = 0, or "descent" (no linear h).
+    rule's rays, D on pos{D}'s, I on the others).  path names how the
+    value was reached: "spectral", "loewner", "conjugate", "ray" or
+    "weighted_nuclear" (closed forms), "recession" (a certified ray),
+    "domain" (dom h misses K_A), all with iters = 0, or "descent".
     """
 
     value: float
@@ -457,8 +457,9 @@ def eval_p(
     ("loewner"); at ker A = {0}, every h ("conjugate"); and at every
     other A, delta_S for a ray ("ray") and linear h, or sigma_S at A = 0
     for S with such a V ("weighted_nuclear", see _linear_factors).
-    p = -inf comes with a certified ray ("recession").  Every other case
-    runs projected subgradient descent (see _descent).  A value that
+    p = -inf comes with a certified ray ("recession"), and p = +inf at
+    every X where dom h misses K_A ("domain").  Every other case runs
+    projected subgradient descent (see _descent).  A value that
     overflows on finite X raises ValueError."""
     return _eval_p(prob, _rect(X, (prob.pd.n, prob.pd.m)), max_iter, seed)
 
@@ -543,7 +544,7 @@ def dom_p_member(prob: InfProjProblem, X: np.ndarray):
     Returns (found, V, status): "witness" on success, V = I where
     dom h = S^n.  Under a closed form X lies in dom p iff the rule's status
     is not "infeasible" ("exhaustive"), witnessed by its V, its ray's base
-    or D (the indicator of a ray); the descent's failure is "sampled"."""
+    or _ray_witness's point; the descent's failure is "sampled"."""
     X = _rect(X, (prob.pd.n, prob.pd.m))
     if prob.h.dom.full:
         return True, np.eye(prob.pd.n), "witness"
