@@ -1625,6 +1625,5 @@ def test_dom_p_member_agrees_with_every_closed_form_rule():
         X = np.random.default_rng([0, i]).standard_normal((prob.pd.n, prob.pd.m))
         found, V, status = dom_p_member(prob, X)
         assert not found or np.isfinite(_objective(prob, X, V)[0]), i
-        pe = eval_p(prob, X)
-        if pe.path != "descent":
-            assert (found, status != "sampled") == (pe.status != "infeasible", True), i
+        if prob._rule is not _descent:
+            assert (found, status != "sampled") == (eval_p(prob, X).status != "infeasible", True), i
