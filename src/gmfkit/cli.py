@@ -267,7 +267,7 @@ def _cmd_cq_report(args, tol, bundle, files):
 def _vgf_instance(args, Y, tol, bundle):
     prob = _bundle_problem(args.bundle, bundle, tol)
     if not isinstance(prob.h, Indicator):
-        raise CliError("vgf commands need a bundle with indicator h")
+        raise CliError(f"{args.bundle}: vgf commands need a bundle with indicator h")
     return VgfInstance(prob.h.set, Y.shape[1], tol)
 
 
@@ -278,7 +278,7 @@ def _cmd_vgf(args, tol, bundle, files):
     out = {"value": val}
     if V is not None:
         out["V"] = V
-    return out, 0, [args.bundle, args.Y]
+    return out, 2 if np.isnan(val) else 0, [args.bundle, args.Y]
 
 
 def _cmd_kyfan(args, tol, bundle, files):
@@ -305,7 +305,7 @@ def _cmd_solve(args, tol, bundle, files):
     if not (np.isfinite(lam) and lam > 0.0):  # Ubar = lam^2/2 I would hide the sign
         raise CliError(f"{args.bundle}: lam must be finite and positive, got {lam}")
     if mask.shape != target.shape:
-        raise CliError("mask and target dimensions differ")
+        raise CliError(f"{args.bundle}: mask and target dimensions differ")
     n, m = target.shape
     fit = FitSpec.from_mask(mask, target)
     pd = ProblemData(np.zeros((1, n)), np.zeros((1, m)), tol)
@@ -445,7 +445,7 @@ def main(argv=None) -> int:
             "wall_time_s": time.perf_counter() - t0,
         }
         _emit(report, args.out)
-    except (CliError, ValueError, NotImplementedError, np.linalg.LinAlgError) as exc:
+    except (CliError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

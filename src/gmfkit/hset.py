@@ -302,16 +302,7 @@ class Hull(ConvexSetSpec):
         return vals[j], self.points[j]
 
     def psd_cap_support(self, G, tol):
-        # sigma_S(G), the largest vertex value, bounds the support of S
-        # intersect PSD from above and each PSD vertex's value from below:
-        # the bracket closes only where a PSD vertex attains sigma_S(G),
-        # within feas_abs (maximizers of the dual sit on such ties)
-        vals = [float(np.sum(U * G)) for U in self.points]
-        psd = [j for j, U in enumerate(self.points) if min_eig(U) >= -tol.psd_abs]
-        j, top = max(psd, key=vals.__getitem__, default=None), max(vals)
-        if j is None or vals[j] < top - tol.feas_abs * (1.0 + abs(top)):
-            raise NotImplementedError("support over a hull intersected with the PSD cone: no PSD vertex attains it")
-        return vals[j], self.points[j]
+        return _hull_max_min_eig(self.points, tol, g=np.array([float(np.sum(U * G)) for U in self.points]))
 
     def _nearest(self, V: np.ndarray) -> np.ndarray:
         """The point of S nearest V.  One NNLS on [C; 1^T] u ~ [0; 1],
@@ -642,37 +633,49 @@ def _project_capped_simplex(w, cap, total):
     return np.clip(w - tau, 0.0, cap)
 
 
-_MAX_CUTS = 50  # after this many cuts, or a failed LP, the hull's max_min_eig is nan (undecided)
+_MAX_CUTS = 50  # after this many cuts, or a failed LP, the hull's max_min_eig and psd_cap_support are nan (undecided)
 
 
-def _hull_max_min_eig(mats, tol: Tolerances, C=0.0):
+def _hull_max_min_eig(mats, tol: Tolerances, C=0.0, g=None):
     """(s, V) for Hull.max_min_eig's s = max over the simplex of
     lambda_min(sum w_i D_i), D_i = M_i - C, by Kelley's cutting planes:
     lambda_min's eigenvector q_j at w cuts s <= c_j.w, c_ji = q_j^T D_i q_j;
     an LP maximizes the least cut over the simplex, and its duals y give
     s <= max_i <D_i, V> for V = sum y_j q_j q_j^T / sum y >= 0 at any LP
-    slack.  (nan, None) where the cuts run out or an LP fails."""
+    slack.  (nan, None) where the cuts run out or an LP fails.
+
+    Given g_i = <D_i, G>, (g.w, sum w_i D_i) is the support of hull{D_i} cap PSD at G:
+    from the best vertex, the LP maximizes g.w under the cuts at s = 0, which every
+    PSD point meets, until sum w_i D_i >= -psd_abs I; (-inf, None) where it is infeasible."""
     import scipy.optimize
 
     D = np.asarray(mats) - C
     k = len(D)
-    w, lo, cuts, qs = np.full(k, 1.0 / k), -np.inf, [], []
+    w = np.full(k, 1.0 / k) if g is None else np.eye(k)[int(np.argmax(g))]
+    lo, cuts, qs = -np.inf, [], []
     for _ in range(_MAX_CUTS):
-        lam, Q = np.linalg.eigh(np.tensordot(w, D, axes=1))
+        W = np.tensordot(w, D, axes=1)
+        lam, Q = np.linalg.eigh(W)
+        if g is not None and lam[0] >= -tol.psd_abs:
+            return float(g @ w), W
         lo = max(lo, lam[0])
         qs.append(Q[:, 0])
         cuts.append(np.einsum("i,kij,j->k", Q[:, 0], D, Q[:, 0]))
-        res = scipy.optimize.linprog(  # max t over (w, t): t <= c.w for every cut, w in the simplex
-            -np.eye(k + 1)[k], A_ub=np.column_stack([-np.array(cuts), np.ones(len(cuts))]), b_ub=np.zeros(len(cuts)),
-            A_eq=[[1.0] * k + [0.0]], b_eq=[1.0], bounds=[(0.0, None)] * k + [(None, None)], method="highs"
+        res = scipy.optimize.linprog(  # max t, or g.w at t = 0, over (w, t): t <= c.w for every cut, w in the simplex
+            -np.eye(k + 1)[k] if g is None else -np.append(g, 0.0),
+            A_ub=np.column_stack([-np.array(cuts), np.ones(len(cuts))]), b_ub=np.zeros(len(cuts)), A_eq=[[1.0] * k + [0.0]],
+            b_eq=[1.0], bounds=[(0.0, None)] * k + [(None, None) if g is None else (0.0, 0.0)], method="highs",
+            options=None if g is None else {"primal_feasibility_tolerance": 1e-10},  # a w 1e-7 off its cut repeats it
         )
-        if res.status != 0:
-            return np.nan, None
+        if res.status != 0:  # 2: infeasible, which only the cuts at t = 0 can be
+            return (-np.inf if res.status == 2 else np.nan), None
+        w = res.x[:k]
+        if g is not None:
+            continue
         y = np.clip(-res.ineqlin.marginals, 0.0, None)
         hi = float(np.max(y @ cuts) / y.sum())
         if hi < -tol.psd_abs or lo > tol.psd_abs or (lo >= -tol.psd_abs and hi <= tol.psd_abs):
             return hi, (np.transpose(qs) * y) @ qs / y.sum()
-        w = res.x[:k]
     return np.nan, None
 
 

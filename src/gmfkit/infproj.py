@@ -41,8 +41,9 @@ class InfProjProblem:
     """Data (A, B) plus the perturbation h acting on V; the tolerances
     are pd's.  h = sigma_{U} is stored as the Linear h = <U, .> it is.
     The rule that serves (A, h), the halves of the closed forms' p that
-    X leaves alone (_linear, _pencil, _conj) and the CCQ slack, sup over
-    dom h of lambda_min(N^T V N), are computed when first read and kept."""
+    X leaves alone (_linear, _pencil, _conj), the CCQ slack, sup over
+    dom h of lambda_min(N^T V N), and at A = 0 the PSD slack, sup over
+    dom h* of lambda_min(V), are computed when first read and kept."""
 
     pd: ProblemData
     h: HSpec
@@ -70,6 +71,12 @@ class InfProjProblem:
         return np.inf if self.pd.ker_trivial else self.h.dom.max_min_eig(self.pd.N, self.tol)
 
     @cached_property
+    def _psd_slack(self) -> float:
+        # read at A = 0 only; a slope U is dom h*'s greatest element, so its lambda_min is the sup
+        lin = self._linear
+        return lin.mu_min if lin is not None else self.h.conj_dom.max_min_eig(np.eye(self.pd.n), self.tol)
+
+    @cached_property
     def _rule(self):
         """The first of eval_p's rules whose test passes, in eval_p's order."""
         h, pd = self.h, self.pd
@@ -85,8 +92,8 @@ class InfProjProblem:
             return rule
         if self._ka_slack < -self.tol.psd_abs:  # dom h misses K_A: p = +inf at every X
             return lambda prob, X: InfProjEval(np.inf, status="infeasible", path="domain")
-        # at A = 0, a V >= 0 with sigma_{dom h*}(V) < 0 gives F(I + tV) <= F(I) + t sigma_{dom h*}(V)
-        V = h.conj_dom.psd_separator(self.tol) if pd.unconstrained else None
+        # at A = 0, where dom h* misses PSD, a V >= 0 with sigma_{dom h*}(V) < 0 gives F(I + tV) <= F(I) + t sigma_{dom h*}(V)
+        V = h.conj_dom.psd_separator(self.tol) if pd.unconstrained and self._psd_slack < -self.tol.psd_abs else None
         return _descent if V is None else lambda prob, X: _ray(V, np.eye(pd.n))
 
     @property
@@ -124,11 +131,13 @@ class InfProjEval:
 class CQReport:
     """Tri-state verdicts for the five constraint qualifications.
 
-    Each field is "holds", "fails", or "undecided".  pcq/spcq concern
-    the perturbation-set condition 0 in ri/int(Omega_2 + dom h*), bpcq
-    asks for dom h intersect K_A nonempty and bounded, ccq for
-    dom h meeting the interior of K_A, and sccq adds nonemptiness of
-    the lifted feasible set Xi(A, B)."""
+    Each field is "holds", "fails", or "undecided".  One test places 0
+    in, in the ri of, or in the int of Omega_2 + dom h*: pcq is the ri,
+    spcq the int, and 0 in the set says that the lifted feasible set
+    Xi(A, B) is not empty.  At A = 0 the test reads the PSD slack, sup
+    over dom h* of lambda_min.  bpcq asks for dom h intersect K_A
+    nonempty and bounded, ccq for dom h meeting the interior of K_A
+    (the CCQ slack), and sccq for ccq and a nonempty Xi(A, B)."""
 
     pcq: str = "undecided"
     spcq: str = "undecided"
@@ -303,7 +312,7 @@ def _conjugate_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval:
 # and nothing else, or L = (2M)^{1/2}; K and off_Y0 = I - Pi unless free
 # (A = 0: N = I, K = 0, M = U); when free and U > 0, E and E / sqrt(mu)
 # from U's eigendecomposition give V, else both are None; mu_min is
-# lambda_min(M), which cq_report reads at A = 0 as U's
+# lambda_min(M), which _psd_slack reads at A = 0 as U's
 _Slope = namedtuple("_Slope", "ray free L K off_Y0 E E_root_inv mu_min", defaults=(None,) * 7)
 
 
@@ -602,16 +611,13 @@ def _eval_p_conj(prob: InfProjProblem, Y: np.ndarray):
             return np.inf, "exact"
         G = Y @ Y.T
         G = 0.5 * (G + G.T)
-        if pd.unconstrained:
-            try:
-                val, _ = h.set.psd_cap_support(G, tol)
-            except NotImplementedError:
-                return np.nan, "undecided"
+        if pd.unconstrained:  # nan: a hull's cuts ran out
+            val, _ = h.set.psd_cap_support(G, tol)
         elif pd.ker_trivial or h.set.inside_KA(pd):
             val, _ = h.set.support(G, tol)
         else:
             return np.nan, "undecided"
-        return 0.5 * val, "exact"
+        return 0.5 * val, "undecided" if np.isnan(val) else "exact"
     # h* is the indicator of {U} or of S, so p* is the indicator of Xi(A, B)
     ans, status = _xi_member(prob, Y)
     if status != "exact":
@@ -695,35 +701,33 @@ def cq_report(prob: InfProjProblem) -> CQReport:
     tol, pd, h = prob.tol, prob.pd, prob.h
     rep = CQReport()
     dom, conj_dom = h.dom, h.conj_dom
-    # _linear_path's and _ray_path's factors each decide whether Xi(A, B) is empty
     lin, pen = prob._linear, prob._pencil
-    xi_empty = (lin is not None and lin.ray is not None) or (pen is not None and pen.xi_empty)
 
-    # ---- CCQ: dom h meets int K_A
+    # ---- CCQ: dom h meets int K_A; BPCQ: dom h intersect K_A nonempty and bounded
     s = prob._ka_slack
     known = not np.isnan(s)  # nan: a hull's cuts left the side of +-psd_abs open
-    rep.ccq = _tri(s > tol.psd_abs if known else None)
+    bounded = s >= -tol.psd_abs and dom.ka_bounded(pd) if known else None
+    rep.ccq, rep.bpcq = _tri(s > tol.psd_abs if known else None), _tri(bounded)
 
-    # ---- BPCQ: dom h intersect K_A nonempty and bounded
-    rep.bpcq = _tri(s >= -tol.psd_abs and dom.ka_bounded(pd) if known else None)
-
-    # ---- PCQ / SPCQ: 0 in ri / int (Omega_2 + dom h*)
-    if xi_empty:  # -U in Omega_2 would be a point of Xi(A, B)
-        rep.pcq = rep.spcq = "fails"
+    # ---- 0 in / ri / int (Omega_2 + dom h*): Xi(A, B) is not empty, PCQ, SPCQ
+    if (lin is not None and lin.ray is not None) or (pen is not None and pen.xi_empty):
+        inside = ri = interior = False  # _linear_path's and _ray_path's factors certify Xi(A, B) empty
     elif pd.ker_trivial:  # Omega_2 is the singleton {-C0}
-        ri, interior = conj_dom.interior_member(0.5 * pd.Y0 @ pd.Y0.T, tol)
-        rep.pcq, rep.spcq = _tri(ri), _tri(interior)
+        C0 = 0.5 * pd.Y0 @ pd.Y0.T
+        C0 = 0.5 * (C0 + C0.T)
+        inside, (ri, interior) = conj_dom.covers(C0, pd), conj_dom.interior_member(C0, tol)
     elif pd.unconstrained and isinstance(h, Indicator):
-        # bounded perturbation equivalence: pcq = spcq = bpcq here
-        rep.pcq = rep.spcq = rep.bpcq
+        # 0 lies in Omega_2 and in dom h*; bounded perturbation equivalence gives ri = int = bpcq
+        inside, ri, interior = True, bounded, bounded
         rep.notes.append("pcq/spcq matched to bpcq (indicator case with no equality constraint)")
     elif pd.unconstrained:  # Omega_2 is the negative semidefinite cone
-        # a slope U is conj_dom's greatest element, so its lambda_min,
-        # which _linear_factors took, is conj_dom's max_min_eig
-        s = conj_dom.max_min_eig(np.eye(pd.n), tol) if lin is None else lin.mu_min
-        rep.pcq = rep.spcq = _tri(None if np.isnan(s) else s > tol.psd_abs)
-    elif conj_dom.full:
-        rep.pcq = rep.spcq = "holds"
+        t = prob._psd_slack
+        inside = None if np.isnan(t) else t >= -tol.psd_abs
+        ri = interior = None if np.isnan(t) else t > tol.psd_abs
+    else:
+        ri = interior = True if conj_dom.full else None
+        inside = True if conj_dom.full or lin is not None or pen is not None else None
+    rep.pcq, rep.spcq = _tri(ri), _tri(interior)
 
     # implication chain upgrades
     if rep.bpcq == "holds":
@@ -734,16 +738,7 @@ def cq_report(prob: InfProjProblem) -> CQReport:
         rep.spcq = "fails"
 
     # ---- SCCQ: CCQ plus nonemptiness of Xi(A, B)
-    if rep.ccq != "holds":
-        rep.sccq = rep.ccq
-    elif lin is not None or pen is not None:
-        rep.sccq = _tri(not xi_empty)
-    else:
-        # Y0 is the only point of {AY = B} when ker A = {0}; with A = 0,
-        # Y0 = 0 lies in Xi(A, B) whenever some Y does (YY^T/2 >= 0)
-        ans, status = _xi_member(prob, pd.Y0)
-        decided = status == "exact" and (ans or pd.ker_trivial or pd.unconstrained)
-        rep.sccq = _tri(bool(ans) if decided else None)
-        if rep.sccq == "undecided":
-            rep.notes.append("sccq: Y0 = A^+ B is not a certified point of Xi(A, B)")
+    rep.sccq = rep.ccq if rep.ccq != "holds" else _tri(inside)
+    if rep.sccq == "undecided" and rep.ccq == "holds":
+        rep.notes.append("sccq: Y0 = A^+ B is not a certified point of Xi(A, B)")
     return rep

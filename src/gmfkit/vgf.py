@@ -55,16 +55,16 @@ class KyFanParams:
     k: int
 
     def __post_init__(self):
-        if self.p < 1:
+        if not self.p >= 1:  # NaN included
             raise ValueError("need p >= 1")
-        if self.k < 1:
-            raise ValueError("need k >= 1")
+        if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
+            raise ValueError("need an integer k >= 1")
 
 
 def vgf_eval(inst: VgfInstance, Y: np.ndarray):
     """Phi(Y) with the maximizing V.  Returns (value, V); the value is
-    +inf only where the slice is unbounded, and a YY^T that overflows
-    raises ValueError."""
+    +inf only where the slice is unbounded, nan (undecided) where a
+    hull's cuts run out, and a YY^T that overflows raises ValueError."""
     return _vgf_eval(inst, _rect(Y, (inst.n, inst.m), "Y"))
 
 
@@ -73,7 +73,7 @@ def _vgf_eval(inst: VgfInstance, Y: np.ndarray):
     if not np.isfinite(G).all():
         raise ValueError("YY^T overflows: Y is finite but YY^T is not")
     val, V = inst.set.psd_cap_support(0.5 * (G + G.T), inst.tol)
-    return (0.5 * val if np.isfinite(val) else np.inf), V
+    return 0.5 * val, V
 
 
 def vgf_conj(inst: VgfInstance, X: np.ndarray):
@@ -102,8 +102,8 @@ def vgf_subdiff(inst: VgfInstance, Y: np.ndarray):
         )
     Y = _rect(Y, (inst.n, inst.m), "Y")
     phi, V = _vgf_eval(inst, Y)
-    if not np.isfinite(phi):  # a bounded slice has a finite support
-        raise ValueError("Phi(Y) overflows: YY^T is finite but Phi(Y) is not")
+    if not np.isfinite(phi):  # a bounded slice has a finite support; nan: a hull's cuts ran out
+        raise ValueError(f"Phi(Y) {'is undecided' if np.isnan(phi) else 'overflows'}: YY^T is finite but Phi(Y) is {phi}")
     X = V @ Y
     conj_ub = 0.5 * float(np.sum(X * (np.linalg.pinv(V, rcond=inst.tol.rank_rel) @ X)))
     gap = phi + conj_ub - float(np.sum(X * Y))
@@ -118,7 +118,7 @@ def gauge_factor_sup(inst: VgfInstance, Y: np.ndarray) -> float:
 
 def _sigma_F(phi: float) -> float:
     """sigma_F(Y) = (2 Phi(Y))^{1/2}."""
-    return float(np.sqrt(max(2.0 * phi, 0.0))) if np.isfinite(phi) else np.inf
+    return np.inf if np.isinf(phi) else float(np.sqrt(max(2.0 * phi, 0.0)))  # nan stays nan
 
 
 def vgf_gauge_decomp(inst: VgfInstance, Y: np.ndarray):
@@ -146,8 +146,8 @@ def vgf_gauge_decomp(inst: VgfInstance, Y: np.ndarray):
         closed = float(np.sqrt(np.sum(lam)))
     if np.isfinite(phi):
         consistent = abs(phi - 0.5 * generic**2) <= inst.tol.conj_rel * (1.0 + abs(phi))
-    else:
-        consistent = not np.isfinite(generic)
+    else:  # nan (a hull's cuts ran out) is not consistent
+        consistent = np.isinf(phi) and not np.isfinite(generic)
     detail = {"sup_frobenius": generic, "closed_form": closed, "phi": phi}
     if closed is not None and np.isfinite(generic):
         consistent = consistent and abs(generic - closed) <= inst.tol.conj_rel * (

@@ -136,6 +136,13 @@ def test_kyfan_example(tmp_path, capsys):
     assert rep["outputs"]["value"] == 7
 
 
+def test_kyfan_refuses_a_nan_p(tmp_path, capsys):
+    # "nan" parsed as a float, passed p < 1 and printed the value "nan", exit 0
+    x = write(tmp_path, "x.csv", "1,2\n")
+    assert main(["kyfan", "--X", x, "--p", "nan"]) == 1
+    assert capsys.readouterr().err == "error: need p >= 1\n"
+
+
 def test_cq_report_example(tmp_path, capsys):
     bundle = write(
         tmp_path,
@@ -365,6 +372,32 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert exc.value.code == 0
 
 
+_LINEAR = {"A": [[0.0, 0.0]], "B": [[0.0]], "h": {"kind": "linear", "U": [[1.0, 0.0], [0.0, 1.0]]}}
+
+
+@pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        ({"x.csv": "\n"}, ["kyfan", "--X", "x.csv"], "x.csv: empty matrix file"),
+        ({"x.csv": "1,2\n3,a\n"}, ["kyfan", "--X", "x.csv"], "x.csv: row 2: "),
+        ({"x.csv": "1\n0\n", "v.csv": "1,0,0\n0,1,0\n"}, ["eval-gmf", "--X", "x.csv", "--V", "v.csv"], "v.csv: expected square matrix"),
+        ({"v.csv": "1\n"}, ["eval-gmf", "--X", "zero", "--V", "v.csv"], 'dimensions for "zero"'),
+        ({"b.json": "{not json"}, ["cq-report", "--bundle", "b.json"], "b.json: Expecting property name"),
+        ({"b.json": "[1, 2]"}, ["cq-report", "--bundle", "b.json"], "b.json: expected a JSON object"),
+        ({"b.json": json.dumps(dict(_LINEAR, B=[[0.0], [1.0]]))}, ["cq-report", "--bundle", "b.json"], "b.json: A and B must have the same number of rows"),
+        ({"b.json": json.dumps(_LINEAR), "y.csv": "1\n0\n"}, ["vgf", "--bundle", "b.json", "--Y", "y.csv"], "b.json: vgf commands need a bundle with indicator h"),
+        ({"b.json": json.dumps({"target": [[1.0, 2.0]], "mask": [[1], [1]], "lam": 0.5})}, ["solve", "--bundle", "b.json"], "b.json: mask and target dimensions differ"),
+    ],
+    ids=["empty-matrix", "non-numeric-row", "non-square-V", "X-zero", "bad-json", "non-object-json", "bad-bundle-data", "vgf-linear-h", "solve-mask-shape"],
+)
+def test_bad_input_exits_1_with_a_message_that_names_it(tmp_path, capsys, files, argv, message):
+    paths = {name: write(tmp_path, name, text) for name, text in files.items()}
+    assert main([paths.get(a, a) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert message in err.replace(str(tmp_path) + os.sep, "")
+
+
 def test_parser_is_built_once():
     assert _build_parser() is _build_parser()
 
@@ -444,9 +477,10 @@ def test_hull_missing_the_psd_cone_fails_every_cq(tmp_path, capsys):
     assert [rep["outputs"][k] for k in ("pcq", "spcq", "bpcq", "ccq", "sccq")] == ["fails"] * 5
 
 
-def test_conjugate_abstains_on_a_hull_without_psd_vertex(tmp_path, capsys):
-    # the support over hull cap PSD is not implemented when no vertex is
-    # PSD; conjugate reports that as undecided instead of raising
+def test_conjugate_decides_on_a_hull_without_psd_vertex(tmp_path, capsys):
+    # hull{diag(1, -1), diag(-1, 1)} meets PSD only at w = (1/2, 1/2), in
+    # 0, so p*(Y) = 0 at every Y; no vertex is PSD, and the cut of
+    # diag(1, -1)'s lambda_min leaves that one point
     hull = {
         "kind": "hull",
         "points": [[[1.0, 0.0], [0.0, -1.0]], [[-1.0, 0.0], [0.0, 1.0]]],
@@ -457,8 +491,21 @@ def test_conjugate_abstains_on_a_hull_without_psd_vertex(tmp_path, capsys):
     )
     y = write(tmp_path, "y.csv", "1\n0.5\n")
     code, rep = run(capsys, ["conjugate", "--bundle", bundle, "--Y", y])
-    assert code == 2
-    assert rep["outputs"]["status"] == "undecided"
+    assert code == 0
+    assert rep["outputs"] == {"value": 0.0, "status": "exact"}
+
+
+def test_vgf_exits_2_where_the_hull_cuts_run_out(tmp_path, capsys, monkeypatch):
+    # Phi(Y) lies between the vertices; with one cut allowed it is nan, "undecided"
+    from gmfkit import hset
+
+    monkeypatch.setattr(hset, "_MAX_CUTS", 1)
+    points = [np.diag(d).tolist() for d in ([2.0, -1.0], [0.0, 1.0], [-1.0, -1.0])]
+    h = {"kind": "indicator", "set": {"kind": "hull", "points": points}}
+    bundle = write(tmp_path, "b.json", json.dumps({"A": [[0.0, 0.0]], "B": [[0.0]], "h": h}))
+    y = write(tmp_path, "y.csv", "1\n0\n")
+    code, rep = run(capsys, ["vgf", "--bundle", bundle, "--Y", y])
+    assert code == 2 and rep["outputs"] == {"value": "nan"}
 
 
 def test_vgf_on_a_hull_without_psd_vertex_exits_1(tmp_path, capsys):

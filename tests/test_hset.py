@@ -155,14 +155,14 @@ def test_psd_cap_support_spectral_box():
     assert np.linalg.eigvalsh(V).min() >= -1e-9
 
 
-def test_psd_cap_support_of_a_mixed_hull_needs_a_psd_vertex_at_the_maximum():
+def test_psd_cap_support_of_a_mixed_hull_reaches_a_psd_point_between_vertices():
     # the best PSD vertex diag(0, 1) gave 0 at G = diag(1, 0), reported as
     # the support, but w = (1/2, 1/2, 0) reaches the PSD point diag(1, 0),
-    # worth 1
+    # worth 1: the cut of diag(2, -1)'s lambda_min leaves it the LP's maximum
     S = Hull((np.diag([2.0, -1.0]), np.diag([0.0, 1.0]), np.diag([-1.0, -1.0])))
-    with pytest.raises(NotImplementedError):
-        psd_cap_support(S, np.diag([1.0, 0.0]))
-    # where the PSD vertex attains sigma_S, the bracket closes
+    val, W = psd_cap_support(S, np.diag([1.0, 0.0]))
+    assert val == pytest.approx(1.0, abs=1e-12) and np.allclose(W, np.diag([1.0, 0.0]), atol=1e-12)
+    # where the best vertex is PSD, it answers
     val, W = psd_cap_support(S, np.diag([0.0, 1.0]))
     assert val == 1.0 and np.array_equal(W, np.diag([0.0, 1.0]))
     assert psd_cap_support(S, np.zeros((2, 2)))[0] == 0.0

@@ -155,14 +155,14 @@ def test_eval_p_conj_indicator_support_form():
     assert val == pytest.approx(want, rel=1e-9)
 
 
-def test_eval_p_conj_abstains_where_no_psd_vertex_attains_the_hull_support():
+def test_eval_p_conj_decides_where_no_psd_vertex_attains_the_hull_support():
     # hull{diag(2, -1), diag(0, 1), diag(-1, -1)} at A = 0 and Y = (sqrt 2, 0):
     # the best PSD vertex gave (0.0, "exact"), but diag(1, 0) is in S cap
     # PSD and gives p*(Y) = <diag(1, 0), YY^T>/2 = 1
     S = Hull((np.diag([2.0, -1.0]), np.diag([0.0, 1.0]), np.diag([-1.0, -1.0])))
     prob = InfProjProblem(unconstrained(2, 1), Indicator(S))
     val, status = eval_p_conj(prob, np.array([[np.sqrt(2.0)], [0.0]]))
-    assert status == "undecided" and np.isnan(val)
+    assert status == "exact" and val == pytest.approx(1.0, abs=1e-12)
     assert eval_p_conj(prob, np.array([[0.0], [1.0]])) == (0.5, "exact")
 
 
@@ -1627,3 +1627,49 @@ def test_dom_p_member_agrees_with_every_closed_form_rule():
         assert not found or np.isfinite(_objective(prob, X, V)[0]), i
         if prob._rule is not _descent:
             assert (found, status != "sampled") == (eval_p(prob, X).status != "infeasible", True), i
+
+
+_EVAL_FIELDS = ("path", "status", "value", "iters", "V", "Y", "unbounded_direction", "unbounded_base")
+_CQ_FIELDS = ("pcq", "spcq", "bpcq", "ccq", "sccq", "notes")
+
+
+def _same_fields(a, b, names):
+    for name in names:
+        x, y = getattr(a, name), getattr(b, name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray) or isinstance(x, float):
+            if x is None or y is None or not np.array_equal(x, y, equal_nan=True):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+def test_results_do_not_depend_on_which_call_filled_the_problem_caches():
+    # eval_p and cq_report share the problem's rule, factors and slacks,
+    # computed by whichever runs first; on a fresh problem, and on one
+    # where the other call ran first, each returns the same fields (the
+    # descent is capped at 100 iterations, the same cap in every case)
+    for i, (a, b) in enumerate(zip(criterion_13_problems(0), criterion_13_problems(0))):
+        X = np.random.default_rng([0, i]).standard_normal((a.pd.n, a.pd.m))
+        rep_fresh, pe_fresh = cq_report(a), eval_p(b, X, max_iter=100)
+        pe_after, rep_after = eval_p(a, X, max_iter=100), cq_report(b)
+        assert _same_fields(pe_fresh, pe_after, _EVAL_FIELDS), i
+        assert _same_fields(rep_fresh, rep_after, _CQ_FIELDS), i
+
+
+@pytest.mark.parametrize("index, path, lps", [(172, "descent", 1), (148, "recession", 2)])
+def test_support_of_a_hull_at_a_zero_runs_the_cut_lp_once_per_problem(monkeypatch, index, path, lps):
+    # seed 0 #172 takes the descent and #148 the separator's ray; the rule
+    # choice, the A = 0 PCQ/SPCQ and SCCQ each ran the hull's cuts on the
+    # same input: 3 LPs on each.  The PSD slack is now read once, and only
+    # the separator (#148) runs its cuts again
+    import scipy.optimize
+
+    prob, X = _sweep_row(0, index)
+    assert isinstance(prob.h, Support) and isinstance(prob.h.set, Hull) and prob.pd.unconstrained
+    calls = []
+    real = scipy.optimize.linprog
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: calls.append(a) or real(*a, **k))
+    assert eval_p(prob, X).path == path
+    cq_report(prob)
+    assert len(calls) == lps

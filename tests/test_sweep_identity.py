@@ -10,13 +10,14 @@ sweep_identity = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(sweep_identity)
 
 
-def _record(ray_status, ray_dom, sccq):
+def _record(ray_status, ray_dom, sccq, conj="undecided"):
     """Two rows as `dump` records them, the second varied by the arguments."""
     base = {"eval_p.path": "loewner", "eval_p.status": "finite", "eval_p.value": 1.5, "eval_p.V": np.eye(2)}
+    base["eval_p_conj"] = (np.nan, "undecided") if conj == "undecided" else (0.5, conj)
     base.update({f"cq.{cq}": "holds" for cq in ("pcq", "spcq", "bpcq", "ccq", "sccq")})
     base["dom_p_member"] = (True, np.eye(2), "witness")
     ray = dict(base, **{"eval_p.path": "ray", "eval_p.status": ray_status, "eval_p.value": np.inf, "eval_p.V": None})
-    ray.update({"dom_p_member": (False, None, ray_dom), "cq.pcq": "undecided", "cq.sccq": sccq})
+    ray.update({"dom_p_member": (False, None, ray_dom), "cq.pcq": "undecided", "cq.sccq": sccq, "eval_p_conj": None})
     return {(0, 0): base, (0, 1): ray}
 
 
@@ -34,6 +35,7 @@ def test_compare_prints_the_counts_of_each_record_and_its_differences(tmp_path, 
     out = capsys.readouterr().out.splitlines()
     assert f"{old}: eval_p path/status: loewner/finite 1, ray/infeasible 1" in out
     assert f"{old}: dom_p_member status: sampled 1, witness 1" in out
+    assert f"{old}: eval_p_conj status: none 1, undecided 1" in out
     assert f"{same}: undecided cq: pcq 1, spcq 0, bpcq 0, ccq 0, sccq 1 (total 2)" in out
     assert out[-1] == "2 rows, 0 differing fields"
     assert sweep_identity.main(["compare", old, new]) == 1
@@ -54,3 +56,13 @@ def test_compare_tells_a_new_witness_from_a_new_answer(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert "dom_p_member: 2 rows differ (0/0, 0/1)" in out
     assert "dom_p_member status changes: sampled -> witness 1; witness-only changes: 1" in out
+
+
+def test_compare_counts_the_conjugates_that_move_from_undecided_to_exact(tmp_path, capsys):
+    old = _write(tmp_path, "old.pkl", _record("infeasible", "sampled", "undecided"))
+    new = _write(tmp_path, "new.pkl", _record("infeasible", "sampled", "undecided", conj="exact"))
+    assert sweep_identity.main(["compare", old, new]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert f"{old}: eval_p_conj status: none 1, undecided 1" in out
+    assert f"{new}: eval_p_conj status: exact 1, none 1" in out
+    assert "eval_p_conj: 1 rows differ (0/0)" in out

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from gmfkit import hset
 from gmfkit.hset import (
     Fantope,
+    Hull,
     Ray,
     ShiftedPSDCap,
     Singleton,
@@ -159,10 +161,13 @@ def test_vgf_conj_is_infinite_where_no_point_covers_the_range_of_x():
     [
         (lambda: KyFanParams(0.5, 1), "p >= 1"),
         (lambda: KyFanParams(2.0, 0), "k >= 1"),
+        # a NaN p passed p < 1 and gave |X|^nan = 1.0; k = 1.5 failed later in a slice
+        (lambda: KyFanParams(np.nan, 1), "p >= 1"),
+        (lambda: KyFanParams(2.0, 1.5), "integer k"),
         # YY^T overflows: an overflow, not a domain verdict
         (lambda: vgf_subdiff(VgfInstance(Singleton(np.eye(2)), 1), np.array([[1e200], [0.0]])), "YY\\^T overflows"),
     ],
-    ids=["kyfan-p", "kyfan-k", "subdiff-outside-dom"],
+    ids=["kyfan-p", "kyfan-k", "kyfan-nan-p", "kyfan-fractional-k", "subdiff-outside-dom"],
 )
 def test_vgf_refuses_bad_data(call, match):
     with np.errstate(over="ignore"), pytest.raises(ValueError, match=match):
@@ -178,3 +183,20 @@ def test_an_overflowing_gram_function_is_refused_not_called_infinite():
         vgf_subdiff(VgfInstance(Singleton(1e300 * np.eye(2)), 1), np.array([[1e5], [0.0]]))
     # an unbounded slice still gives Phi = +inf
     assert vgf_eval(VgfInstance(Ray(np.eye(2)), 1), np.array([[1.0], [0.0]]))[0] == np.inf
+
+
+def test_a_hull_whose_cuts_run_out_leaves_phi_undecided_not_infinite(monkeypatch):
+    # Phi(Y) = 1 at Y = (sqrt 2, 0) over hull{diag(2, -1), diag(0, 1), diag(-1, -1)},
+    # at diag(1, 0) between the vertices; one cut does not reach it, and
+    # the nan that says so is neither +inf nor a consistent decomposition
+    monkeypatch.setattr(hset, "_MAX_CUTS", 1)
+    inst = VgfInstance(Hull((np.diag([2.0, -1.0]), np.diag([0.0, 1.0]), np.diag([-1.0, -1.0]))), 1)
+    Y = np.array([[np.sqrt(2.0)], [0.0]])
+    phi, V = vgf_eval(inst, Y)
+    assert np.isnan(phi) and V is None
+    assert np.isnan(gauge_factor_sup(inst, Y))
+    assert not vgf_gauge_decomp(inst, Y)[1]
+    with pytest.raises(ValueError, match="undecided"):
+        vgf_subdiff(inst, Y)
+    monkeypatch.setattr(hset, "_MAX_CUTS", 50)
+    assert vgf_eval(inst, Y)[0] == pytest.approx(1.0, abs=1e-12)

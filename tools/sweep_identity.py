@@ -20,8 +20,9 @@ X = default_rng([seed, i]).standard_normal((n, m)):
 
 It pickles one dict per row to OUT.  `compare` first prints, for each
 record, the counts of (eval_p.path, eval_p.status), of dom_p_member's
-status and of the undecided verdicts per CQ rule, so a change can quote
-the shift.  It then prints, per field, the rows whose values differ (NaN
+status, of eval_p_conj's status (exact, undecided, or none where eval_p
+gave no Y) and of the undecided verdicts per CQ rule, so a change can
+quote the shift.  It then prints, per field, the rows whose values differ (NaN
 equal to NaN, arrays by value and shape) and exits 1 when any row
 differs, 0 otherwise.  For a field whose
 differing values are numbers of one shape (tuples walked entry by entry,
@@ -139,13 +140,16 @@ _CQ_RULES = ("pcq", "spcq", "bpcq", "ccq", "sccq")
 
 def _tally(rows: dict) -> list[str]:
     """Lines counting one record's (eval_p.path, eval_p.status) pairs,
-    dom_p_member statuses and undecided verdicts per CQ rule."""
+    dom_p_member statuses, eval_p_conj statuses ("none" where eval_p
+    gave no Y) and undecided verdicts per CQ rule."""
     paths = Counter(f"{r.get('eval_p.path')}/{r.get('eval_p.status')}" for r in rows.values())
     dom = Counter(r["dom_p_member"][2] for r in rows.values() if "dom_p_member" in r)
+    conj = Counter("none" if r["eval_p_conj"] is None else r["eval_p_conj"][1] for r in rows.values() if "eval_p_conj" in r)
     undecided = {cq: sum(r.get(f"cq.{cq}") == "undecided" for r in rows.values()) for cq in _CQ_RULES}
     return [
         "eval_p path/status: " + ", ".join(f"{k} {n}" for k, n in sorted(paths.items())),
         "dom_p_member status: " + ", ".join(f"{k} {n}" for k, n in sorted(dom.items())),
+        "eval_p_conj status: " + ", ".join(f"{k} {n}" for k, n in sorted(conj.items())),
         "undecided cq: " + ", ".join(f"{k} {n}" for k, n in undecided.items()) + f" (total {sum(undecided.values())})",
     ]
 
