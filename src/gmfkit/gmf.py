@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numlin import DEFAULT_TOL, Tolerances, _rect, max_eig, min_eig, sym
+from .numlin import DEFAULT_TOL, Tolerances, _rect, lapack, max_eig, min_eig, sym
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,14 +185,12 @@ def _interior_solve(H: np.ndarray, R: np.ndarray, psd_abs: float) -> np.ndarray 
     H's lower triangle as eigh does, certifies lam_min(H) >= psd_abs; None
     where it fails.  The solve is an LU, whose rounding keeps phi(1, 2) at
     exactly 1/4 where the Cholesky factor's triangular solves do not."""
-    import scipy.linalg.lapack as lapack  # lazily: gmfkit loads no scipy on import
-
     k = H.shape[0]
     Hs = H.copy()
     Hs.flat[:: k + 1] -= psd_abs
-    if lapack.dpotrf(Hs.T, overwrite_a=1, clean=0)[1]:
+    if lapack().dpotrf(Hs.T, overwrite_a=1, clean=0)[1]:
         return None
-    return lapack.dgesv(H.T, R, overwrite_a=1)[2]
+    return lapack().dgesv(H.T, R, overwrite_a=1)[2]
 
 
 def _eval_gmf(pd: ProblemData, X: np.ndarray, V: np.ndarray) -> GmfEval:

@@ -608,8 +608,7 @@ def _spectral_support(G: np.ndarray, lo: float, cap: float, total: float):
     w, Q = sym_eig(G)
     budget = total - w.size * lo
     step = min(cap - lo, budget)  # the rise to the cap, or all the budget
-    lam = np.minimum(cap, np.maximum(lo, (lo + budget) - step * np.arange(w.size)))
-    lam = np.where(w > 0.0, lam, lo)
+    lam = np.array([min(cap, max(lo, (lo + budget) - step * i)) if x > 0.0 else lo for i, x in enumerate(w.tolist())])
     return float(lam @ w), (Q * lam) @ Q.T
 
 
@@ -645,13 +644,22 @@ def _hull_max_min_eig(mats, tol: Tolerances, C=0.0, g=None):
     slack.  (nan, None) where the cuts run out or an LP fails.
 
     Given g_i = <D_i, G>, (g.w, sum w_i D_i) is the support of hull{D_i} cap PSD at G:
-    from the best vertex, the LP maximizes g.w under the cuts at s = 0, which every
-    PSD point meets, until sum w_i D_i >= -psd_abs I; (-inf, None) where it is infeasible."""
+    a PSD vertex among those with the greatest g_i is the answer at once; else, from the
+    first best vertex, the LP maximizes g.w under the cuts at s = 0, which every PSD
+    point meets, until sum w_i D_i >= -psd_abs I; (-inf, None) where it is infeasible."""
     import scipy.optimize
 
     D = np.asarray(mats) - C
     k = len(D)
-    w = np.full(k, 1.0 / k) if g is None else np.eye(k)[int(np.argmax(g))]
+    if g is None:
+        w = np.full(k, 1.0 / k)
+    else:
+        j = int(np.argmax(g))
+        tied = np.flatnonzero(g == g[j])
+        for i in tied if tied.size > 1 else ():  # a PSD vertex among the best ones is the support point
+            if min_eig(D[i]) >= -tol.psd_abs:
+                return float(g[i]), D[i]
+        w = np.eye(k)[j]
     lo, cuts, qs = -np.inf, [], []
     for _ in range(_MAX_CUTS):
         W = np.tensordot(w, D, axes=1)

@@ -14,6 +14,7 @@ is one rule over the two sets dom h and dom h* (h.dom, h.conj_dom).
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,7 +32,7 @@ from .hset import (
     SpectralSet,
     Support,
 )
-from .numlin import Tolerances, _rect
+from .numlin import Tolerances, _rect, svd
 
 _UNBOUNDED_CUTOFF = -1.0e7
 
@@ -197,9 +198,10 @@ def _objective(prob: InfProjProblem, X: np.ndarray, V: np.ndarray):
     return ge.value + hv, ge, W
 
 
-def _water_fill(s: np.ndarray, cap: float, total: float) -> np.ndarray:
+def _water_fill(s: list, cap: float, total: float) -> list:
     """Minimizer of sum s_i^2 / (2 lam_i) over 0 <= lam <= cap,
-    sum lam <= total, for s >= 0 sorted in descending order.
+    sum lam <= total, for a list s >= 0 of floats in descending order
+    with no NaN, as a list.
 
     KKT gives lam_i = min(cap, s_i / theta).  With a slack budget
     theta = 0 and every lam_i with s_i > 0 sits at the cap (every lam_i
@@ -207,24 +209,24 @@ def _water_fill(s: np.ndarray, cap: float, total: float) -> np.ndarray:
     g(t) = sum min(cap, s_i t) = total.  g is the minimum of its linear
     pieces c * cap + t * (s_c + s_{c+1} + ...), capping the c largest
     entries, so the root is the largest root over the pieces."""
-    if np.isinf(total):
-        return np.full(s.size, cap)
-    lam = np.zeros(s.size)
-    p = int(np.count_nonzero(s))
+    n = len(s)
+    if total == math.inf:
+        return [cap] * n
+    p = n - s.count(0.0)  # the zeros trail
     if p == 0:
-        return lam
+        return [0.0] * n
     if p * cap <= total:
-        lam[:p] = cap
-        return lam
-    tails = np.cumsum(s[:p][::-1])[::-1]
-    if np.isinf(cap):
-        t = total / tails[0]
+        return [cap] * p + [0.0] * (n - p)
+    if cap == math.inf:
+        t = total / sum(reversed(s[:p]))
     else:
-        room = total - cap * np.arange(p)
-        fits = room > 0.0
-        t = float(np.max(room[fits] / tails[fits]))
-    lam[:p] = np.minimum(cap, s[:p] * t)
-    return lam
+        t, tail = -math.inf, 0.0  # room = total > 0 at c = 0, so some piece fits
+        for c in range(p - 1, -1, -1):  # tail = s_c + ... + s_{p-1}, smallest first
+            tail += s[c]
+            room = total - cap * c
+            if room > 0.0:
+                t = max(t, room / tail)
+    return [min(cap, x * t) for x in s[:p]] + [0.0] * (n - p)
 
 
 def _spectral_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval:
@@ -236,7 +238,8 @@ def _spectral_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval:
     sigma_S: p = max over W in S of |(2W)^{1/2} X|_*, by von Neumann's
     trace inequality sum s_i sqrt(2 mu_i) at mu = the water-filling of
     s^2; Y = U diag(sqrt(2 mu)) W^T has YY^T/2 in S, and V =
-    U diag(s / sqrt(2 mu)) U^T attains p unless some s_i > 0 has mu_i = 0."""
+    U diag(s / sqrt(2 mu)) U^T attains p unless some s_i > 0 has mu_i = 0.
+    One SVD; the rest is scalar work on the n singular values."""
     h = prob.h
     # S intersect PSD has eigenvalues in {0 <= lam_i <= cap, sum <= total};
     # a box with lo > 0 also bounds them below, which the all-cap
@@ -245,24 +248,25 @@ def _spectral_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval:
     n = X.shape[0]
     if cap < 0.0:  # S misses the PSD cone; sigma_S(tI) = t n cap
         return _ray(np.eye(n), np.eye(n)) if isinstance(h, Support) else InfProjEval(np.inf, status="infeasible", path="spectral")
-    U, s, Wt = np.linalg.svd(X)
+    U, s, Wt = svd(X)
     k = s.size
-    sn = np.zeros(n)
-    sn[:k] = s
+    sn = s.tolist() + [0.0] * (n - k)
     if isinstance(h, Support):  # y: Y's singular values, lam: V's eigenvalues
-        y = np.sqrt(2.0 * _water_fill(sn**2, cap, total))
-        lam = np.divide(sn, y, out=np.zeros(n), where=y > 0.0)
-        value, attained = float(sn @ y), not np.any(sn[y == 0.0])
+        _finite(sn[0] * sn[0])  # an overflowed s_1^2 would reach the water-fill's min() as a NaN, which min drops
+        y = [math.sqrt(2.0 * mu) for mu in _water_fill([x * x for x in sn], cap, total)]
+        lam = [x / yi if yi > 0.0 else 0.0 for x, yi in zip(sn, y)]
+        value = sum(x * yi for x, yi in zip(sn, y))
+        attained = all(yi > 0.0 or x == 0.0 for x, yi in zip(sn, y))
     else:
         lam = _water_fill(sn, cap, total)
-        live = lam > 0.0
         # the range condition rge X in rge V, with eval_gmf's slack
-        if np.linalg.norm(sn[~live]) > prob.tol.feas_abs * (1.0 + np.linalg.norm(s)):
+        dead = math.sqrt(sum(x * x for x, li in zip(sn, lam) if not li > 0.0))
+        if dead > prob.tol.feas_abs * (1.0 + math.sqrt(sum(x * x for x in sn))):
             return InfProjEval(np.inf, status="infeasible", path="spectral")
-        y = np.divide(sn, lam, out=np.zeros(n), where=live)
-        value, attained = 0.5 * float(np.sum(sn * y)), True
-    V = (U * lam) @ U.T if attained else None
-    return InfProjEval(_finite(value), V=V, Y=(U[:, :k] * y[:k]) @ Wt[:k], path="spectral")
+        y = [x / li if li > 0.0 else 0.0 for x, li in zip(sn, lam)]
+        value, attained = 0.5 * sum(x * yi for x, yi in zip(sn, y)), True
+    V = (U * np.array(lam)) @ U.T if attained else None
+    return InfProjEval(_finite(value), V=V, Y=(U[:, :k] * np.array(y[:k])) @ Wt[:k], path="spectral")
 
 
 def _loewner_path(prob: InfProjProblem, X: np.ndarray) -> InfProjEval:
@@ -367,7 +371,7 @@ def _linear_path(prob: InfProjProblem, X: np.ndarray, with_V: bool = True) -> In
         return _ray(f.ray, np.eye(prob.pd.n))
     L, K, off_Y0 = f.L, f.K, f.off_Y0
     N, Y0 = prob.pd.N, prob.pd.Y0
-    Qs, s, Wt = np.linalg.svd(L @ (X if f.free else N.T @ X @ off_Y0), full_matrices=False)
+    Qs, s, Wt = svd(L @ (X if f.free else N.T @ X @ off_Y0), full_matrices=False)
     if f.free:
         Rinv_Q = f.E_root_inv @ (f.E.T @ Qs) if with_V and f.E is not None else None
         W = None if Rinv_Q is None else (Rinv_Q * (0.5 * s)) @ Rinv_Q.T  # symmetric by construction

@@ -5,10 +5,20 @@ singular value (or largest |eigenvalue|), but each is taken where its
 factorization is: ProblemData reads rank A, ker A and A^+ off one SVD of
 A, and a set rule reads a range off the eigendecomposition it already
 holds (live_range), so no rule factors one matrix twice.
+
+The factorizations that run per evaluation call LAPACK directly through
+lapack(), at about a third of numpy.linalg's per-call cost on the 2x2-4x4
+matrices of the spectral closed forms: svd (dgesdd), sym_eig
+(dsyevd), and gmf's and smooth's dpotrf, dgesv, dtrtri, dgetrf and
+dgetri.  The ones that building a problem runs stay on numpy.linalg:
+ProblemData's SVD of A, min_eig and max_eig (which set constructors
+call), sv and psd_sqrt.  Importing scipy.linalg takes ~0.24 s, which a
+process that only builds problems should not pay.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -78,11 +88,34 @@ def _rect(M, shape: tuple[int, int] | None = None, name: str = "X") -> np.ndarra
     return M
 
 
+@functools.cache
+def lapack():
+    """scipy.linalg.lapack, imported on first use: gmfkit loads no scipy
+    on import, and that import costs ~0.24 s."""
+    import scipy.linalg.lapack
+
+    return scipy.linalg.lapack
+
+
+def svd(M: np.ndarray, full_matrices: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, s, W^T) with M = U diag(s) W^T, s descending, as np.linalg.svd
+    gives them: one dgesdd call."""
+    U, s, Wt, info = lapack().dgesdd(M, full_matrices=full_matrices)
+    if info:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return U, s, Wt
+
+
 def sym_eig(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching orthonormal eigenvectors."""
-    w, Q = np.linalg.eigh(S)
-    order = np.argsort(w)[::-1]
-    return w[order], Q[:, order]
+    """Eigenvalues (descending) and matching orthonormal eigenvectors of
+    the symmetric matrix whose lower triangle S holds, as np.linalg.eigh
+    reads it: one dsyevd call, reversed.  The reversed views are copied:
+    numpy's dot and matmul skip BLAS on negative strides, and the rounding
+    of what callers compute from them would change."""
+    w, Q, info = lapack().dsyevd(S, lower=1)
+    if info:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w[::-1].copy(), Q[:, ::-1].copy()
 
 
 def live_range(w: np.ndarray, Q: np.ndarray, G: np.ndarray, tol: Tolerances):

@@ -30,7 +30,7 @@ import numpy as np
 from .gmf import ProblemData
 from .hset import Linear
 from .infproj import InfProjProblem, _eval_p
-from .numlin import _rect, min_eig, sv, sym
+from .numlin import _rect, lapack, min_eig, sv, sym
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,10 +233,8 @@ class _Whitening(NamedTuple):
 def _whiten(Ubar: np.ndarray) -> _Whitening:
     """The whitening of a positive definite Ubar: one Cholesky
     factorization and one triangular inverse."""
-    import scipy.linalg.lapack as lapack  # lazily: gmfkit.cli imports this module
-
     R = np.linalg.cholesky(Ubar)
-    M = lapack.dtrtri(R, lower=1)[0].T / math.sqrt(2.0)
+    M = lapack().dtrtri(R, lower=1)[0].T / math.sqrt(2.0)
     return _Whitening(R, M, float(np.log(M.diagonal()).sum()))
 
 
@@ -262,11 +260,9 @@ def _barrier(fit: FitSpec, wh: _Whitening, z: np.ndarray, mu: float):
     C C^T is never formed.  At a zero pivot (W singular) or where the
     value is not finite (a NaN or inf in z among them) it returns the
     wall (1e15, 0), which L-BFGS-B's line search backs away from."""
-    import scipy.linalg.lapack as lapack  # lazily: gmfkit.cli imports this module
-
     n, m = fit.n, fit.m
     Z, W = _split(z, n, m)
-    lu, piv, info = lapack.dgetrf(W.T)
+    lu, piv, info = lapack().dgetrf(W.T)
     if info != 0:
         return 1e15, np.zeros_like(z)
     M = wh.M
@@ -281,7 +277,7 @@ def _barrier(fit: FitSpec, wh: _Whitening, z: np.ndarray, mu: float):
     np.matmul(C.T, Gf, out=GZ)
     np.matmul(M.T, Gf @ Z.T, out=GW)
     g += z
-    GW -= (2.0 * mu) * lapack.dgetri(lu, piv)[0]
+    GW -= (2.0 * mu) * lapack().dgetri(lu, piv)[0]
     return F, g
 
 

@@ -169,6 +169,17 @@ def test_psd_cap_support_of_a_mixed_hull_reaches_a_psd_point_between_vertices():
     assert S.max_min_eig(np.eye(2), DEFAULT_TOL) >= -DEFAULT_TOL.psd_abs
 
 
+def test_psd_cap_support_of_a_hull_takes_a_psd_vertex_tied_with_the_best(monkeypatch):
+    # at G = 0 every vertex ties; the first, diag(2, -1), is not PSD, and
+    # an LP from it stopped at diag(1, 0), ignoring the PSD vertex diag(0, 1)
+    lps = []
+    real = scipy.optimize.linprog
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: lps.append(1) or real(*a, **k))
+    S = Hull((np.diag([2.0, -1.0]), np.diag([0.0, 1.0]), np.diag([-1.0, -1.0])))
+    val, W = psd_cap_support(S, np.zeros((2, 2)))
+    assert val == 0.0 and np.array_equal(W, np.diag([0.0, 1.0])) and not lps
+
+
 def test_a_set_meets_the_psd_cone_and_is_bounded():
     # VgfInstance reads whether S meets PSD off the CCQ slack at A = 0,
     # sup over S of lambda_min; a hull with no PSD vertex is decided too

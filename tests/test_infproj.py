@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from gmfkit.infproj import (
     _descent,
     _objective,
     _start_candidates,
+    _water_fill,
     cq_report,
     dom_p_member,
     dual_gap,
@@ -122,6 +124,46 @@ def test_an_overflowing_phi_is_not_reported_infeasible(A, B, h):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflows"):
         eval_p(prob, np.array([[1e200], [0.0]]))
     assert eval_p(prob, np.array([[1.0], [0.0]])).status == "finite"
+
+
+def test_support_of_a_fantope_raises_where_the_squared_singular_value_overflows():
+    # s_1^2 = inf met the water-fill's Python min() as a NaN, which min
+    # drops, and the value came out a wrong finite number of order 1e200
+    prob = InfProjProblem(unconstrained(3, 2), Support(Fantope(1, 3)))
+    X = 1e200 * np.random.default_rng(1).standard_normal((3, 2))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflows"):
+        eval_p(prob, X)
+
+
+_SVALS = st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.floats(1e-3, 10.0)), min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    s=_SVALS,
+    cap=st.one_of(st.just(math.inf), st.floats(0.1, 5.0)),
+    total=st.one_of(st.just(math.inf), st.floats(0.1, 20.0)),
+)
+def test_water_fill_meets_its_kkt_conditions(s, cap, total):
+    # lam minimizes sum s_i^2 / (2 lam_i) over 0 <= lam <= cap, sum lam <= total
+    # iff it is feasible and lam_i = min(cap, s_i t) for s_i > 0, with t = inf
+    # (every such lam_i at the cap) unless the budget binds; a lam_i with
+    # s_i = 0 is free, and is the cap without a budget and 0 with one
+    if math.isinf(cap) and math.isinf(total):
+        return  # no spectral set has neither a cap nor a budget
+    s = sorted(s, reverse=True)
+    lam = _water_fill(s, cap, total)
+    assert len(lam) == len(s)
+    assert all(li == (cap if math.isinf(total) else 0.0) for x, li in zip(s, lam) if x == 0.0)
+    assert all(0.0 <= li <= cap for li in lam)
+    used = sum(lam)
+    assert used <= total * (1.0 + 1e-12)
+    live = [(x, li) for x, li in zip(s, lam) if x > 0.0]
+    if used < total * (1.0 - 1e-12):
+        assert all(li == cap for _, li in live)
+    else:
+        t = max(li / x for x, li in live)
+        assert all(li == pytest.approx(min(cap, x * t), rel=1e-12) for x, li in live)
 
 
 def test_dom_p_member_examples():

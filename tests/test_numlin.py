@@ -1,7 +1,10 @@
 import ast
 import inspect
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,10 +15,12 @@ from gmfkit.gmf import ProblemData
 from gmfkit.numlin import (
     DEFAULT_TOL,
     Tolerances,
+    lapack,
     max_eig,
     min_eig,
     psd_sqrt,
     sv,
+    svd,
     sym,
     sym_eig,
 )
@@ -126,6 +131,88 @@ def test_eig_helpers_agree_with_numpy():
     assert max_eig(S) == pytest.approx(w[-1], abs=1e-12)
     lam, Q = sym_eig(S)
     assert np.allclose(Q @ np.diag(lam) @ Q.T, S, atol=1e-10)
+
+
+def _lapack_inputs():
+    """Matrices of every shape the LAPACK wrappers meet: random, rank
+    deficient, 1x1, n x 1, 1 x m, and a transposed (non-contiguous) view."""
+    g = np.random.default_rng(8)
+    return {
+        "random": g.standard_normal((4, 3)),
+        "rank_deficient": g.standard_normal((4, 1)) @ g.standard_normal((1, 3)),
+        "1x1": np.array([[-2.5]]),
+        "n_x_1": g.standard_normal((3, 1)),
+        "1_x_m": g.standard_normal((1, 3)),
+        "transposed": g.standard_normal((4, 2)).T,
+    }
+
+
+@pytest.mark.parametrize("full_matrices", [True, False])
+@pytest.mark.parametrize("name", sorted(_lapack_inputs()))
+def test_svd_matches_numpy(name, full_matrices):
+    M = _lapack_inputs()[name]
+    for got, want in zip(svd(M, full_matrices), np.linalg.svd(M, full_matrices=full_matrices)):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(_lapack_inputs()))
+def test_sym_eig_matches_numpy_in_descending_order(name):
+    M = _lapack_inputs()[name]
+    for S in (M @ M.T, (M @ M.T).T, M.T @ M):
+        w, Q = np.linalg.eigh(S)
+        got_w, got_Q = sym_eig(S)
+        np.testing.assert_allclose(got_w, w[::-1], rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(got_Q, Q[:, ::-1], rtol=0.0, atol=1e-15)
+
+
+def test_sym_eig_reads_the_lower_triangle_only():
+    S = rand_sym(4)
+    garbage = S + np.triu(rng.standard_normal((4, 4)), 1)
+    for got, want in zip(sym_eig(garbage), sym_eig(S)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [(lambda: svd(np.eye(2)), "dgesdd"), (lambda: sym_eig(np.eye(2)), "dsyevd")],
+    ids=["svd", "sym_eig"],
+)
+def test_a_failed_lapack_call_raises_linalg_error(monkeypatch, call, name):
+    real = getattr(lapack(), name)
+    monkeypatch.setattr(lapack(), name, lambda *a, **k: (*real(*a, **k)[:-1], 1))
+    with pytest.raises(np.linalg.LinAlgError):
+        call()
+
+
+_BUILD_ONLY = """
+import sys
+import numpy as np
+import gmfkit as gk
+from gmfkit.hset import Halfspace
+
+g = np.random.default_rng(0)
+A = g.standard_normal((1, 3))
+gk.ProblemData(A, A @ g.standard_normal((3, 2)))
+pd = gk.ProblemData(np.zeros((1, 3)), np.zeros((1, 2)))
+U = np.diag([1.0, 2.0, 0.0])
+spectral = [gk.SpectralBox(0.0, 1.0, 3), gk.TraceBall(1.0, 3), gk.Fantope(1, 3)]
+Halfspace(U)  # internal: no h is built over it
+for S in spectral + [gk.Singleton(U), gk.Hull([U, np.eye(3)]), gk.Ray(U), gk.ShiftedPSDCap(U)]:
+    gk.InfProjProblem(pd, gk.Indicator(S))
+for S in spectral:
+    gk.VgfInstance(S, 2)
+print("scipy" in sys.modules)
+"""
+
+
+def test_building_problems_loads_no_scipy():
+    # scipy.linalg takes ~0.24 s to import: only an evaluation may pay it
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", _BUILD_ONLY], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_sv_sorted_descending():
