@@ -14,8 +14,11 @@ factorization |X|_* = min_{X = AB} (|A|^2 + |B|^2)/2 does, where the
 unwhitened C grows to about |Z| / lam at the optimum.  Each evaluation
 of the barriered objective takes one LU factorization of W:
 log det V = 2 log|det M| + 2 log|det W| and the barrier's gradient both
-come from it, and V itself is never formed.  An accelerated
-proximal-gradient reference solver validates results.
+come from it, and V itself is never formed.  The stages drive
+L-BFGS-B's reverse-communication kernel, scipy's `setulb`, directly
+(`_lbfgsb`), in the loop `scipy.optimize.minimize` runs but without its
+per-evaluation wrapping.  An accelerated proximal-gradient reference
+solver validates results.
 """
 
 from __future__ import annotations
@@ -155,16 +158,20 @@ def solve_smooth(
     pivot or the value is not finite, the evaluation returns the wall
     (1e15, 0), so the line search backs off and the incumbent check (at
     mu = 0) rejects the point.  The start is C = I (W = sqrt(2) R^T).
-    mu starts at 0.1 (1 + |F(0, I)|) and shrinks by 0.01 per stage.  A
+    mu starts at 0.1 (1 + |F(0, I)|) and shrinks by 0.01 per stage.  Each
+    stage runs L-BFGS-B on scipy's kernel directly (see `_lbfgsb`).  A
     stage above mu = 1e-12 is solved only as far as its mu needs:
     L-BFGS-B stops once the projected gradient's largest entry is at
     most mu.  The last stage, at mu = 1e-12, runs with gtol 1e-14 until
     it can make no more progress, so it sets the answer's accuracy.
     The incumbent after each stage is monotone in the true objective,
-    and the answer is the last incumbent (C Z, C C^T).  max_iter caps
-    each barrier stage; the status is "Diverged" if X is not finite,
-    else "IterCap" if a stage stopped at the cap, else "Converged".  The
-    positive-definiteness test on Ubar uses pd's tolerances."""
+    and the answer is the last incumbent (C Z, C C^T).  max_iter >= 1
+    caps each barrier stage.  The status is "Diverged" if X is not
+    finite; else "Converged" if the dual gap certifies X,
+    dual_gap <= conj_rel (1 + |P|) for P = f(X) + p(X); else "IterCap" if
+    a stage stopped at the cap; else "Uncertified".  The
+    positive-definiteness test on Ubar and conj_rel are pd's
+    tolerances."""
     if not pd.unconstrained:
         raise ValueError("solver handles the unconstrained case (A = 0) only")
     n, m = fit.n, fit.m
@@ -173,8 +180,8 @@ def solve_smooth(
     Ubar = sym(np.asarray(Ubar, dtype=float))
     if min_eig(Ubar) <= pd.tol.psd_abs:
         raise ValueError("Ubar must be positive definite")
-
-    import scipy.optimize
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
     wh = _whiten(Ubar)
     barrier_obj = partial(_barrier, fit, wh)
@@ -188,15 +195,8 @@ def solve_smooth(
     while True:
         last = mu <= mu_final
         gtol = 1e-14 if last else mu
-        res = scipy.optimize.minimize(
-            barrier_obj,
-            z,
-            args=(mu,),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": max_iter, "ftol": 0.0, "gtol": gtol},
-        )
-        trace.stages.append(StageLog(float(mu), gtol, int(res.nit), int(res.nfev), str(res.message)))
+        res = _lbfgsb(partial(barrier_obj, mu=mu), z, max_iter, gtol)
+        trace.stages.append(StageLog(float(mu), gtol, res.nit, res.nfev, res.message))
         capped |= res.status == 1  # iteration or evaluation limit
         Z_new, W = _split(res.x, n, m)
         C = wh.M @ W
@@ -216,9 +216,77 @@ def solve_smooth(
     if not np.all(np.isfinite(X)):
         trace.status = "Diverged"
     else:
-        trace.dual_gap = _dual_gap(fit, wh, X)
-        trace.status = "IterCap" if capped else "Converged"
+        trace.dual_gap, P = _dual_gap(fit, wh, X)
+        if trace.dual_gap <= pd.tol.conj_rel * (1.0 + abs(P)):
+            trace.status = "Converged"
+        else:
+            trace.status = "IterCap" if capped else "Uncertified"
     return trace
+
+
+_MAXCOR, _MAXLS, _MAXFUN = 10, 20, 15000  # scipy's L-BFGS-B defaults
+
+
+class _LbfgsbResult(NamedTuple):
+    x: np.ndarray
+    nit: int
+    nfev: int
+    status: int  # 0 converged, 1 iteration or evaluation limit, 2 other stop
+    message: str
+
+
+def _lbfgsb(fg, x0: np.ndarray, maxiter: int, gtol: float) -> _LbfgsbResult:
+    """Unbounded L-BFGS-B from x0 on fg(x) -> (f, gradient), stopped at a
+    projected-gradient max-norm of gtol, with no relative-reduction test.
+
+    It drives scipy's reverse-communication kernel `setulb` (Zhu, Byrd, Lu
+    and Nocedal, ACM TOMS 23(4), 1997, Algorithm 778) in the loop of
+    `scipy.optimize.minimize(method="L-BFGS-B", options={"maxiter":
+    maxiter, "ftol": 0, "gtol": gtol})` at its other defaults, step for
+    step, so the iterates, counts, status and message are those of that
+    call, without the per-evaluation wrapping it adds.  As there, fg is
+    evaluated once at x0 and again only at an x that differs from the
+    last one evaluated, an iteration is counted at each new x, and the
+    run stops after maxiter iterations or once more than 15000
+    evaluations were taken."""
+    from scipy.optimize import _lbfgsb
+    from scipy.optimize._lbfgsb_py import status_messages, task_messages
+
+    n, m = x0.size, _MAXCOR
+    x = np.array(x0, dtype=np.float64)
+    lower, upper, nbd = np.zeros(n), np.zeros(n), np.zeros(n, np.int32)  # nbd 0: unbounded
+    f, g = np.array(0.0), np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    x_seen = x.copy()
+    f_seen, g_seen = fg(x_seen)
+    nit, nfev = 0, 1
+    while True:
+        _lbfgsb.setulb(m, x, lower, upper, nbd, f, g, 0.0, gtol, wa, iwa, task, lsave, isave, dsave, _MAXLS, ln_task)
+        if task[0] == 3:  # FG: the kernel asks for f and g at x
+            if not np.array_equal(x, x_seen):
+                x_seen = x.copy()
+                f_seen, g_seen = fg(x_seen)
+                nfev += 1
+            f, g = f_seen, g_seen
+        elif task[0] == 1:  # NEW_X: an iteration is done
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504  # STOP: iteration limit
+            elif nfev > _MAXFUN:
+                task[:] = 5, 502  # STOP: evaluation limit
+        else:
+            break
+    if task[0] == 4:  # CONVERGENCE
+        status = 0
+    elif nfev > _MAXFUN or nit >= maxiter:
+        status = 1
+    else:
+        status = 2
+    message = status_messages[task[0]] + ": " + task_messages[task[1]]
+    return _LbfgsbResult(x, nit, nfev, status, message)
 
 
 class _Whitening(NamedTuple):
@@ -281,9 +349,9 @@ def _barrier(fit: FitSpec, wh: _Whitening, z: np.ndarray, mu: float):
     return F, g
 
 
-def _dual_gap(fit: FitSpec, wh: _Whitening, X: np.ndarray) -> float:
-    """P(X) - D(r) >= 0 for P = f + p, with the residual r scaled into
-    the dual feasible set.
+def _dual_gap(fit: FitSpec, wh: _Whitening, X: np.ndarray) -> tuple[float, float]:
+    """(P(X) - D(r), P(X)) for P = f + p, with the residual r scaled into
+    the dual feasible set; the gap is >= 0.
 
     With Ubar = R R^T, p(X) = sqrt(2) |R^T X|_* and p* is the indicator
     of |R^{-1} Lam|_2 <= sqrt(2), where R^{-1} = sqrt(2) M^T reuses the
@@ -299,7 +367,7 @@ def _dual_gap(fit: FitSpec, wh: _Whitening, X: np.ndarray) -> float:
     pval = np.sqrt(2.0) * float(np.sum(sv(wh.R.T @ X)))
     dual_norm = float(sv(np.sqrt(2.0) * (wh.M.T @ G))[0])
     t = 1.0 if dual_norm <= np.sqrt(2.0) else np.sqrt(2.0) / dual_norm
-    return fval * (1.0 - t) ** 2 + max(0.0, pval + t * float(np.sum(X * G)))
+    return fval * (1.0 - t) ** 2 + max(0.0, pval + t * float(np.sum(X * G))), fval + pval
 
 
 def solve_prox_reference(fit: FitSpec, L: np.ndarray, lam: float) -> np.ndarray:

@@ -276,6 +276,14 @@ def test_solve_stopped_at_the_stage_cap_exits_2(tmp_path, capsys):
     assert max(st["nit"] for st in rep["outputs"]["stage_log"]) == 2
 
 
+def test_solve_refuses_a_stage_cap_below_one(tmp_path, capsys):
+    # --max-iter 0 used to run one iteration per stage and report IterCap
+    d = {"target": [[1.0, 2.0], [2.0, 4.0]], "mask": [[1, 1], [1, 1]], "lam": 0.5}
+    bundle = write(tmp_path, "comp.json", json.dumps(d))
+    assert main(["solve", "--bundle", bundle, "--max-iter", "0"]) == 1
+    assert "max_iter must be at least 1" in capsys.readouterr().err
+
+
 def test_solve_honours_the_tolerance_flags(tmp_path, capsys):
     # Ubar = lam^2 I / 2 = 4.5e-10 I is positive definite only below the
     # default psd_abs; solve used to test it against the defaults

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from gmfkit.smooth import (
     FitSpec,
     _barrier,
     _dual_gap,
+    _lbfgsb,
     _whiten,
     objective_certificate,
     solve_prox_reference,
@@ -206,6 +209,58 @@ def test_evaluation_budget_and_last_stage():
     assert np.linalg.norm(tr.final_X - Xr) <= 1e-4 * (1 + np.linalg.norm(Xr))
 
 
+def test_a_tighter_conj_rel_than_the_gap_reports_uncertified():
+    # the same solve at the default conj_rel certifies; at 1e-12, below
+    # its relative gap, no stage hit the cap and the status says so
+    fit, _, _ = completion_instance(7, n=8, m=8)
+    Ubar = 0.5 * 0.16 * np.eye(8)
+    tr = solve_smooth(fit, unconstrained(8, 8), Ubar)
+    strict = solve_smooth(fit, ProblemData(np.zeros((1, 8)), np.zeros((1, 8)), Tolerances(conj_rel=1e-12)), Ubar)
+    P = _dual_gap(fit, _whiten(Ubar), tr.final_X)[1]
+    assert tr.status == "Converged" and 1e-12 * (1.0 + abs(P)) < tr.dual_gap <= 1e-6 * (1.0 + abs(P))
+    assert strict.status == "Uncertified"
+    assert all(st.nit < 3000 for st in strict.stages)
+    assert np.array_equal(strict.final_X, tr.final_X) and strict.dual_gap == tr.dual_gap
+
+
+def _lbfgsb_stage(case):
+    """(fg, z0, maxiter, gtol) of one barrier stage of a 6 x 6 completion
+    at mu = 1e-2: solved to gtol = mu, capped at 3 iterations, or started
+    at W = 0, where the barrier returns the wall (1e15, 0)."""
+    fit, _, _ = completion_instance(3, n=6, m=6)
+    wh = _whiten(0.5 * 0.16 * np.eye(6))
+    z0 = np.concatenate([np.zeros(36), (np.sqrt(2.0) * wh.R.T).ravel()])
+    fg = partial(_barrier, fit, wh, mu=1e-2)
+    if case == "capped":
+        return fg, z0, 3, 1e-14
+    if case == "wall":
+        z0[36:] = 0.0
+    return fg, z0, 3000, 1e-2
+
+
+@pytest.mark.parametrize("case, status", [("converged", 0), ("capped", 1), ("wall", 0)])
+def test_lbfgsb_kernel_loop_matches_scipy_minimize(case, status):
+    # _lbfgsb drives scipy's private setulb; the public call is the
+    # reference it must reproduce, so a change to the kernel's signature
+    # or protocol shows here
+    import scipy.optimize
+
+    fg, z0, maxiter, gtol = _lbfgsb_stage(case)
+    z_start = z0.copy()
+    ref = scipy.optimize.minimize(
+        fg, z0, jac=True, method="L-BFGS-B", options={"maxiter": maxiter, "ftol": 0.0, "gtol": gtol}
+    )
+    res = _lbfgsb(fg, z0, maxiter, gtol)
+    assert np.array_equal(z0, z_start)
+    assert np.array_equal(res.x, ref.x)
+    assert (res.nit, res.nfev, res.status, res.message) == (ref.nit, ref.nfev, ref.status, ref.message)
+    assert res.status == status
+    if case == "capped":
+        assert res.nit == 3 and res.message == "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+    if case == "wall":
+        assert fg(z0)[0] == 1e15 and np.array_equal(res.x, z0)
+
+
 def test_dual_gap_bounds_the_primal_suboptimality():
     fit, _, _ = completion_instance(9, n=4, m=6)
     g = np.random.default_rng(9)
@@ -220,7 +275,7 @@ def test_dual_gap_bounds_the_primal_suboptimality():
         X = tr.final_X + 0.1 * g.standard_normal((4, 6))
         _, pX, _ = objective_certificate(fit, Ubar, X, np.eye(4))
         PX = fit.value_and_grad(X)[0] + pX
-        assert _dual_gap(fit, _whiten(Ubar), X) >= PX - P - 1e-12
+        assert _dual_gap(fit, _whiten(Ubar), X)[0] >= PX - P - 1e-12
 
 
 def test_small_lam_with_a_missing_entry_reaches_the_optimum():
@@ -261,10 +316,12 @@ _PD22 = ProblemData(np.zeros((1, 2)), np.zeros((1, 2)))
         (lambda: FitSpec(np.eye(3), np.zeros(3), 2, 2), "n\\*m columns"),
         (lambda: FitSpec(np.eye(4), np.zeros(3), 2, 2), "rows and target length"),
         (lambda: solve_smooth(FitSpec.from_mask(np.ones((2, 3), bool), np.ones((2, 3))), _PD22, np.eye(2)), "dimensions differ"),
+        (lambda: solve_smooth(FitSpec.from_mask(np.ones((2, 2), bool), np.ones((2, 2))), _PD22, np.eye(2), max_iter=0), "max_iter"),
+        (lambda: solve_smooth(FitSpec.from_mask(np.ones((2, 2), bool), np.ones((2, 2))), _PD22, np.eye(2), max_iter=-3), "max_iter"),
         (lambda: solve_prox_reference(FitSpec.from_mask(np.ones((2, 2), bool), np.ones((2, 2))), 2.0 * np.eye(2), 0.1), "identity weight"),
         (lambda: objective_certificate(FitSpec.from_mask(np.ones((2, 2), bool), np.ones((2, 2))), np.eye(2), np.ones((2, 2)), np.diag([1.0, 0.0])), "positive definite"),
     ],
-    ids=["fit-columns", "fit-rows", "solve-dimensions", "prox-weight", "certificate-V"],
+    ids=["fit-columns", "fit-rows", "solve-dimensions", "solve-max-iter-0", "solve-max-iter-negative", "prox-weight", "certificate-V"],
 )
 def test_smooth_refuses_bad_data(call, match):
     with pytest.raises(ValueError, match=match):
